@@ -1,9 +1,12 @@
 """Recovery of point sets on the discrete circle from pairwise difference
 multisets, and of sparse signals from their power spectra.
 
-The support solver is a backtracking search over candidate residues anchored
-at 0, pruned by multiset consistency.  Exponential worst case is accepted;
-desk-scale instances finish quickly.
+The support solver is the turnpike/beltway backtracking of Skiena, Smith &
+Lemke (1990), "Reconstructing sets from interpoint distances".  It anchors
+the pair (0, d_min) at the smallest lag, places further points in increasing
+order from a candidate list (the residues whose lags to every placed point
+are still unused), and checks the full multiset before each placement.
+Exponential worst case is accepted; desk-scale instances finish quickly.
 """
 from __future__ import annotations
 
@@ -91,7 +94,8 @@ def solve_beltway(profile: DifferenceProfile, s: int, node_budget: int = DEFAULT
     """All supports of size s realizing the given cyclic difference multiset.
 
     Returns canonical orbit representatives (sorted residue tuples); an empty
-    list means the profile is infeasible.
+    list means the profile is infeasible.  Each call of the search counts
+    one node against `node_budget`; exceeding it raises SearchBudgetError.
     """
     L = profile.L
     if s < 1:
@@ -103,42 +107,51 @@ def solve_beltway(profile: DifferenceProfile, s: int, node_budget: int = DEFAULT
     if s == 1:
         return [(0,)]
 
+    # Every solution has a pair at the smallest lag d_min; rotate it to
+    # (0, d_min).  No point lies strictly between them, since its lag to 0
+    # would be smaller than d_min, so further points are placed in increasing
+    # order above d_min.
+    d_min = min(profile.multiplicities)
+    # remaining[d]: multiplicity of lag d not yet used by a placed pair
+    remaining = [0] * L
+    for d, m in profile.multiplicities.items():
+        remaining[d] = m
+    remaining[d_min] -= 1
+    remaining[(-d_min) % L] -= 1
+    if remaining[d_min] < 0:
+        return []
     found = {}
-    remaining = Counter(profile.multiplicities)
     nodes = [0]
 
-    def backtrack(points):
+    def backtrack(points, cands):
+        """cands: sorted residues above points[-1] whose lags to every placed
+        point are still unused."""
         nodes[0] += 1
         if nodes[0] > node_budget:
             raise SearchBudgetError("node budget %d exceeded" % node_budget)
         if len(points) == s:
-            if not +remaining:
+            if not any(remaining):
                 found[canonical_orbit(points, L)] = tuple(points)
             return
-        # any future point x contributes the difference x - 0, so candidates
-        # are restricted to residues still present in the remaining multiset
-        for x in range(points[-1] + 1, L):
-            if remaining[x] <= 0:
-                continue
-            deltas = [((x - y) % L, (y - x) % L) for y in points]
-            ok = True
+        need = s - len(points)
+        for i in range(len(cands) - need + 1):
+            x = cands[i]
             used: Counter = Counter()
-            for d1, d2 in deltas:
-                used[d1] += 1
-                used[d2] += 1
-            for d, m in used.items():
-                if remaining[d] < m:
-                    ok = False
-                    break
-            if not ok:
+            for y in points:
+                used[(x - y) % L] += 1
+                used[(y - x) % L] += 1
+            if any(remaining[d] < m for d, m in used.items()):
                 continue
-            remaining.subtract(used)
+            for d, m in used.items():
+                remaining[d] -= m
             points.append(x)
-            backtrack(points)
+            backtrack(points, [c for c in cands[i + 1:] if remaining[(c - x) % L]])
             points.pop()
-            remaining.update(used)
+            for d, m in used.items():
+                remaining[d] += m
 
-    backtrack([0])
+    backtrack([0, d_min], [c for c in range(d_min + 1, L)
+                           if remaining[c] and remaining[(c - d_min) % L]])
     return sorted(found)
 
 

@@ -19,12 +19,14 @@ from .mra import Dataset, MraConfig, RestrictedClass, em_restricted_mle, simulat
 from .ring import Signal
 
 MAGIC = b"MRA1"
+#: u32 L, u64 n, f64 sigma
+HEADER = struct.Struct("<IQd")
 
 
 def write_container(path, data: Dataset):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<IQd", data.L, data.n, data.config.sigma))
+        fh.write(HEADER.pack(data.L, data.n, data.config.sigma))
         fh.write(np.ascontiguousarray(data.observations, dtype="<f8").tobytes())
 
 
@@ -32,8 +34,16 @@ def read_container(path, dihedral: bool = False) -> Dataset:
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError("not a dataset container (bad magic)")
-        L, n, sigma = struct.unpack("<IQd", fh.read(4 + 8 + 8))
-        obs = np.frombuffer(fh.read(n * L * 8), dtype="<f8").reshape(n, L)
+        header = fh.read(HEADER.size)
+        if len(header) != HEADER.size:
+            raise ValueError("truncated container: header has %d of %d bytes"
+                             % (len(header), HEADER.size))
+        L, n, sigma = HEADER.unpack(header)
+        payload = fh.read(n * L * 8)
+        if len(payload) != n * L * 8:
+            raise ValueError("truncated container: expected %d payload bytes (n=%d, L=%d), got %d"
+                             % (n * L * 8, n, L, len(payload)))
+        obs = np.frombuffer(payload, dtype="<f8").reshape(n, L)
     return Dataset(obs.astype(float), MraConfig(int(L), float(sigma), dihedral))
 
 

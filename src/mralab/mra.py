@@ -300,6 +300,8 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
     M-step: posterior-aligned average of the observations, then projection.
     Returns (theta_hat, diagnostics).
     """
+    if data.n == 0:
+        raise ValueError("EM needs at least one observation; the dataset is empty")
     if init.L != cfg.L:
         raise LengthMismatchError("init length %d vs config L=%d" % (init.L, cfg.L))
     L, sig2 = cfg.L, cfg.sigma**2

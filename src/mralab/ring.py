@@ -118,8 +118,10 @@ class Signal:
 class GroupElement:
     """An isometry of Z_L: rotation by `shift`, optionally preceded by reflection.
 
-    Acts as (G v)(i) = v(eps*i + shift) with eps = -1 when flip else +1,
-    i.e. G = R_shift o F^flip.
+    Acts as (G v)(i) = v(eps*(i + shift)) with eps = -1 when flip else +1:
+    v(i + shift) for a rotation, v(-i - shift) for a flip.  That is
+    G v = R_shift(F^flip v), where (R_g v)(i) = v(i + g) and (F v)(i) = v(-i),
+    so the reflection acts first.
     """
 
     shift: int

@@ -111,6 +111,37 @@ class TestSolveBeltway:
                 assert dict(difference_multiset(cand, L)) == dict(p.multiplicities)
             checked += 1
 
+    @pytest.mark.parametrize("L, support", [
+        (9, (0, 1, 2)),        # smallest lag 1 occurs twice
+        (10, (0, 1, 2, 3)),    # smallest lag 1 occurs three times
+        (12, (0, 2, 4, 7)),    # smallest lag 2 occurs twice
+        (8, (0, 4)),           # smallest lag is L/2
+        (12, (0, 6)),
+    ])
+    def test_anchor_edge_cases_match_oracle(self, L, support):
+        p = DifferenceProfile.from_support(support, L)
+        got = solve_beltway(p, len(support))
+        assert got == brute_force_solutions(p, len(support))
+        assert canonical_orbit(support, L) in got
+
+    def test_half_period_profile_infeasible_for_three_points(self):
+        # six copies of the lag L/2 fit no 3-point set
+        p = DifferenceProfile(8, Counter({4: 6}))
+        assert solve_beltway(p, 3) == brute_force_solutions(p, 3) == []
+
+    def test_exhaustive_oracle_agreement_wide(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 300:
+            L = int(rng.integers(4, 19))
+            s = int(rng.integers(2, 6))
+            if s > L:
+                continue
+            sup = rng.choice(L, size=s, replace=False)
+            p = DifferenceProfile.from_support(sup, L)
+            assert solve_beltway(p, s) == brute_force_solutions(p, s), (L, sorted(sup))
+            checked += 1
+
 
 class TestMaxCollisionFreeSize:
     def test_small_values(self):

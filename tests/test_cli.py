@@ -31,6 +31,21 @@ class TestContainer:
         with pytest.raises(ValueError):
             read_container(p)
 
+    def test_truncated_payload_rejected(self, tmp_path):
+        theta = Signal(np.arange(5, dtype=float))
+        data = simulate(theta, MraConfig(5, 0.7), 13, np.random.default_rng(0))
+        p = tmp_path / "d.mra"
+        write_container(p, data)
+        p.write_bytes(p.read_bytes()[:-12])
+        with pytest.raises(ValueError, match="expected 520 payload bytes.*got 508"):
+            read_container(p)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        p = tmp_path / "d.mra"
+        p.write_bytes(b"MRA1" + b"\x00" * 7)
+        with pytest.raises(ValueError, match="truncated container"):
+            read_container(p)
+
 
 class TestSimulateEstimate:
     def test_end_to_end_recovery(self, tmp_path):

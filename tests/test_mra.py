@@ -273,6 +273,11 @@ class TestEm:
         assert not diag["converged"]
         assert diag["iterations"] == 1
 
+    def test_empty_dataset_rejected(self):
+        data = Dataset(np.empty((0, 21)), self.CFG_SMALL)
+        with pytest.raises(ValueError, match="empty"):
+            em_restricted_mle(data, self.CFG_SMALL, self.RC, PLANAR)
+
     def test_dihedral_em_runs(self):
         cfg = MraConfig(21, 0.2, dihedral=True)
         data = simulate(PLANAR, cfg, 1000, np.random.default_rng(32))

@@ -112,6 +112,17 @@ class TestGroupElement:
         g = GroupElement(3, True)
         assert g.apply(v) == shift(reflect(v), 3)
 
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_apply_pointwise(self, flip):
+        rng = np.random.default_rng(7)
+        for L in (4, 5, 8):
+            v = Signal(rng.normal(size=L))
+            eps = -1 if flip else 1
+            for g in range(-L, L):
+                w = GroupElement(g, flip).apply(v)
+                for i in std_indices(L):
+                    assert w.value_at(int(i)) == v.value_at(eps * (int(i) + g))
+
     def test_inverse(self):
         v = Signal(np.random.default_rng(5).normal(size=7))
         for g in group_elements(7, dihedral=True):
