@@ -1,13 +1,14 @@
 """Command-line entry points: simulation, estimation, support/signal recovery,
 probe suites, and experiment scans.
 
-Dataset container format: magic "MRA1", little-endian u32 L, u64 n, f64 sigma,
-then n*L row-major f64 observations in standard-parametrization order.
+Dataset container format: magic "MRA2", little-endian u32 L, u64 n, f64 sigma,
+u8 dihedral (1 for the dihedral group, 0 for the cyclic one), then n*L
+row-major f64 observations in standard-parametrization order.  The older
+"MRA1" layout, the same without the group byte, is still read as cyclic.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import struct
 import sys
@@ -15,36 +16,47 @@ import sys
 import numpy as np
 
 from . import beltway, experiments, gensig, probes
+from .experiments import config_hash
 from .mra import Dataset, MraConfig, RestrictedClass, em_restricted_mle, simulate
 from .ring import Signal
 
-MAGIC = b"MRA1"
-#: u32 L, u64 n, f64 sigma
-HEADER = struct.Struct("<IQd")
+MAGIC = b"MRA2"
+#: magic -> header layout: u32 L, u64 n, f64 sigma, and in MRA2 u8 dihedral
+HEADERS = {b"MRA1": struct.Struct("<IQd"), MAGIC: struct.Struct("<IQdB")}
+#: the group byte's names, also the choices of --group
+GROUPS = ("cyclic", "dihedral")
 
 
 def write_container(path, data: Dataset):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(HEADER.pack(data.L, data.n, data.config.sigma))
+        fh.write(HEADERS[MAGIC].pack(data.L, data.n, data.config.sigma, data.config.dihedral))
         fh.write(np.ascontiguousarray(data.observations, dtype="<f8").tobytes())
 
 
-def read_container(path, dihedral: bool = False) -> Dataset:
+def read_container(path, dihedral: bool | None = None) -> Dataset:
+    """Load a container.  An MRA2 header fixes the group, and an explicit
+    `dihedral` must agree with it; an MRA1 file is cyclic unless told otherwise."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        head = HEADERS.get(fh.read(4))
+        if head is None:
             raise ValueError("not a dataset container (bad magic)")
-        header = fh.read(HEADER.size)
-        if len(header) != HEADER.size:
+        header = fh.read(head.size)
+        if len(header) != head.size:
             raise ValueError("truncated container: header has %d of %d bytes"
-                             % (len(header), HEADER.size))
-        L, n, sigma = HEADER.unpack(header)
+                             % (len(header), head.size))
+        L, n, sigma, *group = head.unpack(header)
+        if group:
+            if dihedral is not None and dihedral != bool(group[0]):
+                raise ValueError("container records the %s group, but %s was requested"
+                                 % (GROUPS[not dihedral], GROUPS[dihedral]))
+            dihedral = bool(group[0])
         payload = fh.read(n * L * 8)
         if len(payload) != n * L * 8:
             raise ValueError("truncated container: expected %d payload bytes (n=%d, L=%d), got %d"
                              % (n * L * 8, n, L, len(payload)))
         obs = np.frombuffer(payload, dtype="<f8").reshape(n, L)
-    return Dataset(obs.astype(float), MraConfig(int(L), float(sigma), dihedral))
+    return Dataset(obs.astype(float), MraConfig(int(L), float(sigma), bool(dihedral)))
 
 
 def _load_json(path):
@@ -71,10 +83,6 @@ def _jsonable(x):
     raise TypeError("cannot serialize %r" % type(x))
 
 
-def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
-
-
 def cmd_simulate(args):
     theta0 = Signal.from_json_dict(_load_json(args.signal))
     cfg = MraConfig(theta0.L, args.sigma, args.group == "dihedral")
@@ -94,7 +102,7 @@ def _restricted_class_from_json(d: dict) -> RestrictedClass:
 
 
 def cmd_estimate(args):
-    data = read_container(args.data, dihedral=args.group == "dihedral")
+    data = read_container(args.data, None if args.group is None else args.group == "dihedral")
     rclass = _restricted_class_from_json(_load_json(args.restriction))
     if args.init:
         init = Signal.from_json_dict(_load_json(args.init))
@@ -207,12 +215,10 @@ def cmd_probe(args):
 
 def cmd_scan(args, scenario_family):
     cfg = experiments.ExperimentConfig.from_json_dict(_load_json(args.config))
-    if scenario_family == "rate" and cfg.scenario not in ("dilute-rate", "fullsupport-rate"):
-        raise SystemExit("config scenario %r is not a rate scan" % cfg.scenario)
-    if scenario_family == "sparsity" and cfg.scenario != "sparsity-scan":
-        raise SystemExit("config scenario %r is not a sparsity scan" % cfg.scenario)
-    if scenario_family == "kl" and cfg.scenario != "kl-curvature-scan":
-        raise SystemExit("config scenario %r is not a kl scan" % cfg.scenario)
+    families = {"rate": ("dilute-rate", "fullsupport-rate"), "sparsity": ("sparsity-scan",),
+                "kl": ("kl-curvature-scan",)}
+    if cfg.scenario not in families[scenario_family]:
+        raise SystemExit("config scenario %r is not a %s scan" % (cfg.scenario, scenario_family))
     result = experiments.run_experiment(cfg)
     if args.out_csv:
         result.to_csv(args.out_csv)
@@ -235,7 +241,7 @@ def build_parser():
     sp.add_argument("--sigma", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--group", choices=["cyclic", "dihedral"], default="cyclic")
+    sp.add_argument("--group", choices=GROUPS, default="cyclic")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_simulate)
 
@@ -244,7 +250,7 @@ def build_parser():
     sp.add_argument("--restriction", required=True, help="restricted-class JSON file")
     sp.add_argument("--init", help="initial signal JSON file")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--group", choices=["cyclic", "dihedral"], default="cyclic")
+    sp.add_argument("--group", choices=GROUPS, help="default: the container's group")
     sp.add_argument("--max-iters", type=int, default=200)
     sp.add_argument("--tol", type=float, default=1e-7)
     sp.add_argument("--out-signal", default="-")

@@ -26,6 +26,12 @@ SCENARIOS = ("dilute-rate", "fullsupport-rate", "sparsity-scan", "kl-curvature-s
 IN_MEMORY_LIMIT = 2_000_000
 
 
+def config_hash(cfg: dict) -> str:
+    """First 16 hex digits of the sha256 of the key-sorted JSON of cfg."""
+    blob = json.dumps(cfg, sort_keys=True, default=list)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 class ExperimentFailureError(RuntimeError):
     """Too many cells failed, or an acceptance window was missed."""
 
@@ -66,8 +72,7 @@ class ExperimentConfig:
         return cls(**d)
 
     def hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, default=list)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return config_hash(asdict(self))
 
     def n_for(self, sigma: float) -> int:
         if self.n_rule == "fixed":
@@ -119,22 +124,36 @@ def fit_loglog_slope(x, y):
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def _bootstrap_slope_ci(values_by_x, rng, n_boot=500):
-    """Percentile CI for the log-log slope of per-x medians under resampling."""
-    xs = sorted(values_by_x)
+def _fit_medians(values_by_x: dict, seed: int):
+    """Per-x medians, their log-log slope, and a percentile CI for that slope
+    from 500 resamplings of each x's values; an x without values is skipped."""
+    kept = {k: v for k, v in values_by_x.items() if v}
+    medians = {k: float(np.median(v)) for k, v in kept.items()}
+    slope = fit_loglog_slope(list(medians), list(medians.values()))
+    rng = np.random.default_rng((seed, 999))
+    xs = sorted(kept)
     slopes = []
-    for _ in range(n_boot):
+    for _ in range(500):
         meds = []
         for x in xs:
-            v = np.asarray(values_by_x[x])
+            v = np.asarray(kept[x])
             meds.append(np.median(v[rng.integers(v.size, size=v.size)]))
         sl = fit_loglog_slope(xs, meds)
         if sl is not None:
             slopes.append(sl)
     if not slopes:
-        return (None, None)
+        return medians, slope, (None, None)
     lo, hi = np.percentile(slopes, [2.5, 97.5])
-    return (float(lo), float(hi))
+    return medians, slope, (float(lo), float(hi))
+
+
+def _count_failures(records: list) -> int:
+    """Failed cells; more than 10% of them fails the whole scan."""
+    failures = sum(r["failed"] for r in records)
+    if failures > 0.10 * len(records):
+        raise ExperimentFailureError("cell failure rate %d/%d exceeds 10%%"
+                                     % (failures, len(records)))
+    return failures
 
 
 def _dilute_spec(cfg: ExperimentConfig, s: int) -> DiluteClassSpec:
@@ -224,7 +243,6 @@ def run_rate_scan(cfg: ExperimentConfig) -> ExperimentResult:
     s = cfg.s_grid[0] if cfg.s_grid else int(cfg.dilute.get("s", 3))
     theta0 = _base_signal(cfg, s, np.random.default_rng((cfg.seed, 0)))
     records = []
-    failures = 0
     values_by_sigma = {sig: [] for sig in cfg.sigma_grid}
     for i, sigma in enumerate(cfg.sigma_grid):
         n = cfg.n_for(sigma)
@@ -235,17 +253,11 @@ def run_rate_scan(cfg: ExperimentConfig) -> ExperimentResult:
                 rec.update(_em_cell(cfg, theta0, sigma, n, (cfg.seed, 1, i, t)))
                 values_by_sigma[sigma].append(rec["sqrt_n_varrho"])
             except Exception as exc:  # cell failures are recorded, not fatal
-                failures += 1
                 rec["failed"] = True
                 rec["error"] = repr(exc)
             records.append(rec)
-    total = len(cfg.sigma_grid) * cfg.trials
-    if failures > 0.10 * total:
-        raise ExperimentFailureError("cell failure rate %d/%d exceeds 10%%" % (failures, total))
-    medians = {sig: float(np.median(v)) for sig, v in values_by_sigma.items() if v}
-    slope = fit_loglog_slope(list(medians), [medians[k] for k in medians])
-    ci = _bootstrap_slope_ci({k: v for k, v in values_by_sigma.items() if v},
-                             np.random.default_rng((cfg.seed, 999)))
+    failures = _count_failures(records)
+    medians, slope, ci = _fit_medians(values_by_sigma, cfg.seed)
     fits = {"sigma_exponent": slope, "sigma_exponent_ci": ci,
             "medians": medians, "failures": failures}
     return ExperimentResult(cfg.scenario, cfg.hash(), cfg.seed, records, fits)
@@ -260,7 +272,6 @@ def run_sparsity_scan(cfg: ExperimentConfig) -> ExperimentResult:
         raise ValueError("sparsity scan needs a nonempty s grid")
     sigma = cfg.sigma_grid[0]
     records = []
-    failures = 0
     values_by_s = {s: [] for s in cfg.s_grid}
     for i, s in enumerate(cfg.s_grid):
         gen_rng = np.random.default_rng((cfg.seed, 2, i))
@@ -287,17 +298,11 @@ def run_sparsity_scan(cfg: ExperimentConfig) -> ExperimentResult:
                     rec["curvature"] = kl / h_norm**2
                     values_by_s[s].append(max(rec["curvature"], 1e-300))
             except Exception as exc:
-                failures += 1
                 rec["failed"] = True
                 rec["error"] = repr(exc)
             records.append(rec)
-    total = len(cfg.s_grid) * cfg.trials
-    if failures > 0.10 * total:
-        raise ExperimentFailureError("cell failure rate %d/%d exceeds 10%%" % (failures, total))
-    medians = {s: float(np.median(v)) for s, v in values_by_s.items() if v}
-    slope = fit_loglog_slope(list(medians), [medians[k] for k in medians])
-    ci = _bootstrap_slope_ci({k: v for k, v in values_by_s.items() if v},
-                             np.random.default_rng((cfg.seed, 999)))
+    failures = _count_failures(records)
+    medians, slope, ci = _fit_medians(values_by_s, cfg.seed)
     fits = {"s_exponent": slope, "s_exponent_ci": ci, "medians": medians,
             "failures": failures, "branch": cfg.branch}
     if cfg.branch == "dilute" and slope is not None:
@@ -336,9 +341,7 @@ def run_kl_curvature_scan(cfg: ExperimentConfig) -> ExperimentResult:
                             "direction": direction, "kl": kl, "kl_se": se,
                             "curvature": curv, "seed": cfg.seed, "failed": False})
             values_by_sigma[sigma].append(max(curv, 1e-300))
-    medians = {sig: float(np.median(v)) for sig, v in values_by_sigma.items()}
-    slope = fit_loglog_slope(list(medians), [medians[k] for k in medians])
-    ci = _bootstrap_slope_ci(values_by_sigma, np.random.default_rng((cfg.seed, 999)))
+    medians, slope, ci = _fit_medians(values_by_sigma, cfg.seed)
     window = (-4.6, -3.4) if direction == "dilute" else (-6.8, -5.2)
     fits = {"curvature_exponent": slope, "curvature_exponent_ci": ci,
             "medians": medians, "direction": direction, "window": list(window)}

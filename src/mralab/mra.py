@@ -1,15 +1,17 @@
 """Observation model for alignment under random cyclic shifts, its mixture
 likelihood, Monte-Carlo KL estimation, and the restricted MLE via EM.
 
-All per-observation group sums are computed through FFT cross-correlations,
-and posterior weights are formed in log space with max subtraction.
+All three share one path: `_row_spectra` transforms each block of
+observations once, `_group_inner_products` gives <y_i, G theta> for every
+group element with one inverse FFT, and `_mixture` gives log-densities and
+posterior weights.  The EM M-step accumulates the Fourier-domain sufficient
+statistic sum_i fft(w_i) fft(y_i) and inverts it once per iteration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .ring import LengthMismatchError, Signal, reflect, std_offset, varrho
 
@@ -54,9 +56,9 @@ class Dataset:
     def L(self) -> int:
         return self.config.L
 
-    def iter_chunks(self, size: int = DEFAULT_CHUNK):
-        for lo in range(0, self.n, size):
-            yield self.observations[lo:lo + size]
+    def iter_chunks(self):
+        for lo in range(0, self.n, DEFAULT_CHUNK):
+            yield self.observations[lo:lo + DEFAULT_CHUNK]
 
 
 @dataclass
@@ -77,7 +79,7 @@ class StreamingDataset:
     def L(self) -> int:
         return self.config.L
 
-    def iter_chunks(self, size: int | None = None):
+    def iter_chunks(self):
         for c, lo in enumerate(range(0, self.n, self.chunk)):
             m = min(self.chunk, self.n - lo)
             rng = np.random.default_rng((self.seed, c))
@@ -107,58 +109,60 @@ def simulate(theta0: Signal, cfg: MraConfig, n: int, rng: np.random.Generator) -
     return Dataset(rows, cfg, theta0=theta0, shifts=shifts, flips=flips)
 
 
-def _cross_corr_rows(Y_nat: np.ndarray, t_nat: np.ndarray) -> np.ndarray:
-    """c[i, g] = sum_k Y[i, k] t[k + g] for natural-order rows."""
-    return np.real(np.fft.ifft(np.conj(np.fft.fft(Y_nat, axis=1)) * np.fft.fft(t_nat)[None, :],
-                               axis=1))
+def _row_spectra(Y_std: np.ndarray) -> np.ndarray:
+    """Half spectrum of each standard-order row, taken in natural coordinates."""
+    return np.fft.rfft(np.roll(Y_std, -std_offset(Y_std.shape[1]), axis=1), axis=1)
 
 
-def _group_inner_products(Y_std: np.ndarray, theta: Signal, dihedral: bool) -> np.ndarray:
-    """<y_i, G theta> for every group element; shape (n, L) or (n, 2L).
+def _group_inner_products(Yf: np.ndarray, theta: Signal, dihedral: bool) -> np.ndarray:
+    """<y_i, G theta> for every group element, from row spectra; shape (n, L) or (n, 2L).
 
-    Column g holds the rotation R_g; columns L..2L-1 hold R_g after reflection.
-    Rows of Y_std are standard-order observations.
+    Column g, the rotation R_g, is sum_k y(k) theta(k + g): spectrum
+    conj(fft y) fft theta.  Column L + g, R_g after reflection, is
+    sum_k y(k) theta(-k - g): spectrum conj(fft y fft theta), since
+    reflecting a real signal conjugates its spectrum.
     """
-    off = std_offset(theta.L)
-    Y_nat = np.roll(Y_std, -off, axis=1)
-    cols = [_cross_corr_rows(Y_nat, theta.natural())]
-    if dihedral:
-        cols.append(_cross_corr_rows(Y_nat, reflect(theta).natural()))
-    return np.concatenate(cols, axis=1)
+    Tf = np.fft.rfft(theta.natural())
+    halves = np.stack([Tf, np.conj(Tf)] if dihedral else [Tf])
+    spec = np.conj(Yf)[:, None, :] * halves
+    return np.fft.irfft(spec, n=theta.L, axis=2).reshape(Yf.shape[0], -1)
 
 
-def _log_densities(Y_std: np.ndarray, theta: Signal, cfg: MraConfig) -> np.ndarray:
-    """Mixture log-density of each row under the orbit of theta."""
+def _mixture(c: np.ndarray, ysq: np.ndarray, theta: Signal, cfg: MraConfig):
+    """(log-density per row, posterior weights over G) from c and ||y||^2.
+
+    ||y - G theta||^2 = ||y||^2 - 2 c[G] + ||theta||^2, so the weights are
+    the softmax of c / sigma^2, formed with max subtraction.
+    """
     sig2 = cfg.sigma**2
-    L = cfg.L
-    c = _group_inner_products(Y_std, theta, cfg.dihedral)
-    ysq = np.sum(Y_std**2, axis=1)
-    tsq = theta.norm() ** 2
-    expo = (2 * c - ysq[:, None] - tsq) / (2 * sig2)
-    n_group = c.shape[1]
-    return logsumexp(expo, axis=1) - np.log(n_group) - (L / 2) * np.log(2 * np.pi * sig2)
+    expo = c / sig2
+    top = expo.max(axis=1, keepdims=True)
+    w = np.exp(expo - top)
+    mass = w.sum(axis=1, keepdims=True)
+    w /= mass
+    log_dens = (top[:, 0] + np.log(mass[:, 0]) - (ysq + theta.norm() ** 2) / (2 * sig2)
+                - np.log(c.shape[1]) - (cfg.L / 2) * np.log(2 * np.pi * sig2))
+    return log_dens, w
 
 
 def log_density(theta: Signal, y, sigma: float, dihedral: bool = False) -> float:
     """log p_theta(y): uniform Gaussian mixture over the group orbit of theta."""
     yv = y.values if isinstance(y, Signal) else np.asarray(y, dtype=float)
-    cfg = MraConfig(theta.L, sigma, dihedral)
-    return float(_log_densities(yv[None, :], theta, cfg)[0])
+    return log_likelihood(theta, Dataset(yv[None, :], MraConfig(theta.L, sigma, dihedral)))
 
 
 def log_likelihood(theta: Signal, data) -> float:
     """Sum of observation log-densities over the dataset (0 when empty)."""
-    cfg = data.config
     total = 0.0
     for block in data.iter_chunks():
-        total += float(np.sum(_log_densities(block, theta, cfg)))
+        c = _group_inner_products(_row_spectra(block), theta, data.config.dihedral)
+        total += float(np.sum(_mixture(c, np.sum(block**2, axis=1), theta, data.config)[0]))
     return total
 
 
 def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
                    rng: np.random.Generator, dihedral: bool = False,
-                   chunk: int = DEFAULT_CHUNK, n_blocks: int = 100,
-                   control_variate: bool = True):
+                   n_blocks: int = 100, control_variate: bool = True):
     """Monte-Carlo KL(p_theta0 || p_theta) with a jackknife standard error.
 
     Averages log p_theta0(Y) - log p_theta(Y) over Y ~ p_theta0, with two
@@ -178,7 +182,6 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     n_blocks = max(2, min(n_blocks, n_mc))
     bounds = np.linspace(0, n_mc, n_blocks + 1).astype(int)
     sx = np.zeros(n_blocks)
-    sxx = np.zeros(n_blocks)
     sc = np.zeros((n_blocks, k))
     scc = np.zeros((n_blocks, k, k))
     sxc = np.zeros((n_blocks, k))
@@ -187,25 +190,24 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     dsq = d.norm() ** 2
     for b in range(n_blocks):
         m = bounds[b + 1] - bounds[b]
-        done = 0
-        while done < m:
-            take = min(chunk, m - done)
-            Y, _, _ = _draw_block(theta0, cfg, take, rng)
-            x = _log_densities(Y, theta0, cfg) - _log_densities(Y, theta, cfg)
+        for lo in range(0, m, DEFAULT_CHUNK):
+            Y, _, _ = _draw_block(theta0, cfg, min(DEFAULT_CHUNK, m - lo), rng)
+            Yf = _row_spectra(Y)
+            ysq = np.sum(Y**2, axis=1)
+            c0 = _group_inner_products(Yf, theta0, dihedral)
+            c1 = _group_inner_products(Yf, theta, dihedral)
+            ld0, w = _mixture(c0, ysq, theta0, cfg)
+            x = ld0 - _mixture(c1, ysq, theta, cfg)[0]
             sx[b] += x.sum()
-            sxx[b] += (x * x).sum()
             if use_cv:
-                c0 = _group_inner_products(Y, theta0, dihedral)
-                w = np.exp(c0 / sigma**2 - logsumexp(c0 / sigma**2, axis=1, keepdims=True))
-                cd = _group_inner_products(Y, d, dihedral)
-                q = (cd - td) / sigma**2
+                # <y, G d> = <y, G theta> - <y, G theta0> by linearity
+                q = (c1 - c0 - td) / sigma**2
                 score = np.sum(w * q, axis=1)
                 bart = np.sum(w * q * q, axis=1) - dsq / sigma**2
                 C = np.stack([score, bart], axis=1)
                 sc[b] += C.sum(axis=0)
                 scc[b] += C.T @ C
                 sxc[b] += x @ C
-            done += take
 
     def estimate(mask):
         n = cnt[mask].sum()
@@ -293,7 +295,7 @@ class RestrictedClass:
 
 def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signal,
                       max_iters: int = 200, tol: float = 1e-8,
-                      chunk: int = DEFAULT_CHUNK, track_pre_projection: bool = False):
+                      track_pre_projection: bool = False):
     """Restricted maximum-likelihood fit by EM with projection onto the class.
 
     E-step: posterior weights over group elements from FFT inner products.
@@ -304,8 +306,7 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
         raise ValueError("EM needs at least one observation; the dataset is empty")
     if init.L != cfg.L:
         raise LengthMismatchError("init length %d vs config L=%d" % (init.L, cfg.L))
-    L, sig2 = cfg.L, cfg.sigma**2
-    off = std_offset(L)
+    L = cfg.L
     theta, _ = rclass.project(init)
     steps = []
     pre_projection_ll = []
@@ -314,34 +315,22 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        acc = np.zeros(L)
-        total = 0
+        S = np.zeros(L // 2 + 1, dtype=complex)
         ll = 0.0
-        for block in data.iter_chunks(chunk):
-            c = _group_inner_products(block, theta, cfg.dihedral)
-            expo = c / sig2
-            lse = logsumexp(expo, axis=1, keepdims=True)
-            w = np.exp(expo - lse)
-            ysq = np.sum(block**2, axis=1)
-            ll += float(np.sum(lse[:, 0]
-                               + (-ysq - theta.norm() ** 2) / (2 * sig2)
-                               - np.log(c.shape[1]) - (L / 2) * np.log(2 * np.pi * sig2)))
-            Y_nat = np.roll(block, -off, axis=1)
-            Wf = np.fft.fft(w[:, :L], axis=1)
-            Yf = np.fft.fft(Y_nat, axis=1)
-            # sum_g w(g) y(. - g) is a convolution in natural coordinates
-            acc += np.real(np.fft.ifft(Wf * Yf, axis=1)).sum(axis=0)
-            if cfg.dihedral:
-                # (R_g F)^{-1} y evaluated at i is (F y)(i + g): a cross-correlation
-                refl_nat = np.roll(block[:, (2 * off - np.arange(L)) % L], -off, axis=1)
-                Rf = np.fft.fft(refl_nat, axis=1)
-                acc += np.real(np.fft.ifft(np.conj(np.fft.fft(w[:, L:], axis=1)) * Rf,
-                                           axis=1)).sum(axis=0)
-            total += block.shape[0]
+        for block in data.iter_chunks():
+            Yf = _row_spectra(block)
+            c = _group_inner_products(Yf, theta, cfg.dihedral)
+            log_dens, w = _mixture(c, np.sum(block**2, axis=1), theta, cfg)
+            ll += float(np.sum(log_dens))
+            Wf = np.fft.rfft(w.reshape(block.shape[0], -1, L), axis=2)
+            Sb = np.einsum("igk,ik->gk", Wf, Yf)
+            # sum_G w(G) G^-1 y: for rotations sum_g w(g) y(. - g), a convolution;
+            # for reflections sum_g w(g) y(-. - g), with spectrum conj(fft w fft y)
+            S += (Sb[0] + np.conj(Sb[1])) if cfg.dihedral else Sb[0]
         if not np.isfinite(ll):
             raise FloatingPointError("non-finite log-likelihood during EM")
         current_ll.append(ll)
-        raw = Signal.from_natural(acc / total)
+        raw = Signal.from_natural(np.fft.irfft(S, n=L) / data.n)
         if track_pre_projection:
             pre_projection_ll.append(log_likelihood(raw, data))
         new, clamped = rclass.project(raw)

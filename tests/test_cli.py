@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mralab.cli import main, read_container, write_container
+from mralab.cli import HEADERS, main, read_container, write_container
 from mralab.gensig import DiluteClassSpec, gen_collision_free
 from mralab.mra import MraConfig, simulate
 from mralab.ring import Signal, varrho
@@ -17,13 +17,42 @@ def _write_json(path, obj):
 class TestContainer:
     def test_round_trip(self, tmp_path):
         theta = Signal(np.arange(5, dtype=float))
-        data = simulate(theta, MraConfig(5, 0.7), 13, np.random.default_rng(0))
+        for dihedral in (False, True):
+            data = simulate(theta, MraConfig(5, 0.7, dihedral), 13, np.random.default_rng(0))
+            p = tmp_path / "d.mra"
+            write_container(p, data)
+            assert p.read_bytes()[:4] == b"MRA2"
+            back = read_container(p)
+            assert back.L == 5 and back.n == 13
+            assert back.config.sigma == 0.7
+            assert back.config.dihedral is dihedral
+            np.testing.assert_array_equal(back.observations, data.observations)
+
+    def test_group_mismatch_rejected(self, tmp_path):
+        theta = Signal(np.arange(5, dtype=float))
+        data = simulate(theta, MraConfig(5, 0.7, dihedral=True), 13, np.random.default_rng(0))
         p = tmp_path / "d.mra"
         write_container(p, data)
+        assert read_container(p, dihedral=True).config.dihedral
+        with pytest.raises(ValueError, match="records the dihedral group, but cyclic"):
+            read_container(p, dihedral=False)
+        restr = tmp_path / "restr.json"
+        _write_json(restr, {"kind": "none"})
+        with pytest.raises(ValueError, match="records the dihedral group"):
+            main(["estimate", "--data", str(p), "--restriction", str(restr),
+                  "--group", "cyclic", "--max-iters", "1"])
+
+    def test_mra1_still_reads(self, tmp_path):
+        obs = np.random.default_rng(1).normal(size=(3, 4))
+        p = tmp_path / "old.mra"
+        p.write_bytes(b"MRA1" + HEADERS[b"MRA1"].pack(4, 3, 0.5)
+                      + obs.astype("<f8").tobytes())
         back = read_container(p)
-        assert back.L == 5 and back.n == 13
-        assert back.config.sigma == 0.7
-        np.testing.assert_array_equal(back.observations, data.observations)
+        assert back.L == 4 and back.n == 3 and back.config.sigma == 0.5
+        assert not back.config.dihedral
+        np.testing.assert_array_equal(back.observations, obs)
+        # an MRA1 header records no group, so an explicit one is taken as given
+        assert read_container(p, dihedral=True).config.dihedral
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.mra"
@@ -134,6 +163,7 @@ class TestProbe:
         assert main(["probe", "adversarial", "--config", str(cfg),
                      "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
+        assert rep["config_hash"] == "7e51a7876ff57d84"
         assert abs(rep["h_mean"]) < 1e-15
         assert rep["linear_term_frobenius"] < 1e-12
 

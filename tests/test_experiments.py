@@ -40,6 +40,7 @@ class TestConfig:
                              seed=1)
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
+        assert a.hash() == "2d029ce862f66229"
 
     def test_from_json_dict_round_trip(self):
         a = ExperimentConfig(scenario="kl-curvature-scan", L=8,

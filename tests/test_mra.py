@@ -76,6 +76,25 @@ class TestSimulate:
         assert a.shape == (1000, 5)
         assert np.array_equal(a, b)
 
+    def test_streaming_em_matches_in_memory(self):
+        theta = Signal(np.random.default_rng(33).normal(size=7))
+        cfg = MraConfig(7, 0.8)
+        stream = StreamingDataset(theta, cfg, 1000, seed=5, chunk=128)
+        blocks = list(stream.iter_chunks())
+        assert [len(b) for b in blocks] == [128] * 7 + [104]
+        memory = Dataset(np.concatenate(blocks), cfg)
+        init = Signal(theta.values + 0.1)
+        rc = RestrictedClass("none")
+        a, diag_a = em_restricted_mle(stream, cfg, rc, init, max_iters=15)
+        b, diag_b = em_restricted_mle(memory, cfg, rc, init, max_iters=15)
+        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
+        assert diag_a["iterations"] == diag_b["iterations"]
+        assert diag_a["converged"] == diag_b["converged"]
+        for key in ("log_likelihood_trace", "varrho_steps"):
+            np.testing.assert_allclose(diag_a[key], diag_b[key], rtol=1e-12, atol=1e-12)
+        assert diag_a["final_log_likelihood"] == pytest.approx(
+            diag_b["final_log_likelihood"], rel=1e-12)
+
 
 class TestLogDensity:
     def test_two_point_closed_form(self):
@@ -141,9 +160,11 @@ class TestKlMonteCarlo:
 
     def test_orbit_member(self):
         theta = Signal(np.random.default_rng(17).normal(size=6))
-        kl, se = kl_monte_carlo(theta, shift(theta, 2), 1.0, 20_000,
-                                np.random.default_rng(18))
-        assert abs(kl) <= max(3 * se, 1e-12)
+        for dihedral in (False, True):
+            member = shift(reflect(theta) if dihedral else theta, 2)
+            kl, se = kl_monte_carlo(theta, member, 1.0, 20_000,
+                                    np.random.default_rng(18), dihedral=dihedral)
+            assert abs(kl) <= max(3 * se, 1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(19)
@@ -277,6 +298,41 @@ class TestEm:
         data = Dataset(np.empty((0, 21)), self.CFG_SMALL)
         with pytest.raises(ValueError, match="empty"):
             em_restricted_mle(data, self.CFG_SMALL, self.RC, PLANAR)
+
+    @pytest.mark.parametrize("L", [7, 8])
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_one_iteration_is_posterior_average(self, L, dihedral):
+        # brute force: average over rows of sum_G w_i(G) G^-1 y_i, with
+        # w_i(G) proportional to exp(<y_i, G theta> / sigma^2)
+        rng = np.random.default_rng(40 + L)
+        sigma = 0.8
+        cfg = MraConfig(L, sigma, dihedral)
+        theta = Signal(rng.normal(size=L))
+        data = simulate(theta, cfg, 30, rng)
+        init = Signal(theta.values + 0.3 * rng.normal(size=L))
+        elems = group_elements(L, dihedral)
+        acc = np.zeros(L)
+        for y in data.observations:
+            logits = np.array([np.dot(y, g.apply(init).values) for g in elems]) / sigma**2
+            w = np.exp(logits - logits.max())
+            w /= w.sum()
+            acc += sum(wg * g.inverse(L).apply(Signal(y)).values for wg, g in zip(w, elems))
+        theta_hat, diag = em_restricted_mle(data, cfg, RestrictedClass("none"), init,
+                                            max_iters=1, tol=0)
+        assert diag["iterations"] == 1
+        np.testing.assert_allclose(theta_hat.values, acc / data.n, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_first_trace_is_log_likelihood_at_projected_init(self, dihedral):
+        rng = np.random.default_rng(44)
+        cfg = MraConfig(8, 0.9, dihedral)
+        data = simulate(Signal(rng.normal(size=8)), cfg, 25, rng)
+        rc = RestrictedClass("support-fixed", frozenset({-2, 0, 1, 3}))
+        init = Signal(rng.normal(size=8))
+        _, diag = em_restricted_mle(data, cfg, rc, init, max_iters=1, tol=0)
+        start, _ = rc.project(init)
+        direct = sum(direct_log_density(start, y, 0.9, dihedral) for y in data.observations)
+        assert diag["log_likelihood_trace"][0] == pytest.approx(direct, rel=1e-12)
 
     def test_dihedral_em_runs(self):
         cfg = MraConfig(21, 0.2, dihedral=True)
