@@ -1,17 +1,18 @@
 """Observation model for alignment under random cyclic shifts, its mixture
 likelihood, Monte-Carlo KL estimation, and the restricted MLE via EM.
 
-All three share one path: `_row_spectra` transforms each block of
-observations once, `_group_inner_products` gives <y_i, G theta> for every
-group element with one inverse FFT, and `_mixture` gives log-densities and
-posterior weights.  The EM M-step accumulates the Fourier-domain sufficient
-statistic sum_i fft(w_i) fft(y_i) and inverts it once per iteration.
+All three share one path: `_orbit_index` gathers theta's orbit matrix (row
+G holds G theta), one matrix product gives <y_i, G theta> for a block of
+observations, and `_mixture` gives log-densities and posterior weights.  The
+EM M-step accumulates W @ Y and folds it onto Z_L once per iteration.  A
+pass costs O(n L |G|); no FFT is taken, so a prime L costs no extra.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import entr
 
 from .ring import LengthMismatchError, Signal, reflect, std_offset, varrho
 
@@ -109,39 +110,38 @@ def simulate(theta0: Signal, cfg: MraConfig, n: int, rng: np.random.Generator) -
     return Dataset(rows, cfg, theta0=theta0, shifts=shifts, flips=flips)
 
 
-def _row_spectra(Y_std: np.ndarray) -> np.ndarray:
-    """Half spectrum of each standard-order row, taken in natural coordinates."""
-    return np.fft.rfft(np.roll(Y_std, -std_offset(Y_std.shape[1]), axis=1), axis=1)
+def _orbit_index(L: int, dihedral: bool) -> np.ndarray:
+    """(|G|, L) indices: row G of theta.values[idx] is G theta in standard order.
 
-
-def _group_inner_products(Yf: np.ndarray, theta: Signal, dihedral: bool) -> np.ndarray:
-    """<y_i, G theta> for every group element, from row spectra; shape (n, L) or (n, 2L).
-
-    Column g, the rotation R_g, is sum_k y(k) theta(k + g): spectrum
-    conj(fft y) fft theta.  Column L + g, R_g after reflection, is
-    sum_k y(k) theta(-k - g): spectrum conj(fft y fft theta), since
-    reflecting a real signal conjugates its spectrum.
+    Row g, the rotation R_g, is theta[(j + g) % L]; row L + g, R_g after
+    reflection, is theta[(2 off - j - g) % L].  The adjoint of
+    theta -> theta.values[idx] scatter-adds through idx, so it maps
+    W @ Y to sum_i sum_G w_i(G) G^-1 y_i.
     """
-    Tf = np.fft.rfft(theta.natural())
-    halves = np.stack([Tf, np.conj(Tf)] if dihedral else [Tf])
-    spec = np.conj(Yf)[:, None, :] * halves
-    return np.fft.irfft(spec, n=theta.L, axis=2).reshape(Yf.shape[0], -1)
+    g = np.arange(L)[:, None]
+    j = np.arange(L)[None, :]
+    rows = [(j + g) % L]
+    if dihedral:
+        rows.append((2 * std_offset(L) - j - g) % L)
+    return np.vstack(rows)
 
 
 def _mixture(c: np.ndarray, ysq: np.ndarray, theta: Signal, cfg: MraConfig):
     """(log-density per row, posterior weights over G) from c and ||y||^2.
 
-    ||y - G theta||^2 = ||y||^2 - 2 c[G] + ||theta||^2, so the weights are
-    the softmax of c / sigma^2, formed with max subtraction.
+    c[G, i] = <y_i, G theta>, and ||y - G theta||^2 = ||y||^2 - 2 c[G] +
+    ||theta||^2, so the weights, shape (|G|, n), are the softmax of
+    c / sigma^2 over G, formed with max subtraction.
     """
     sig2 = cfg.sigma**2
-    expo = c / sig2
-    top = expo.max(axis=1, keepdims=True)
-    w = np.exp(expo - top)
-    mass = w.sum(axis=1, keepdims=True)
+    w = c / sig2
+    top = w.max(axis=0)
+    w -= top
+    np.exp(w, out=w)
+    mass = w.sum(axis=0)
     w /= mass
-    log_dens = (top[:, 0] + np.log(mass[:, 0]) - (ysq + theta.norm() ** 2) / (2 * sig2)
-                - np.log(c.shape[1]) - (cfg.L / 2) * np.log(2 * np.pi * sig2))
+    log_dens = (top + np.log(mass) - (ysq + theta.norm() ** 2) / (2 * sig2)
+                - np.log(len(w)) - (cfg.L / 2) * np.log(2 * np.pi * sig2))
     return log_dens, w
 
 
@@ -151,13 +151,17 @@ def log_density(theta: Signal, y, sigma: float, dihedral: bool = False) -> float
     return log_likelihood(theta, Dataset(yv[None, :], MraConfig(theta.L, sigma, dihedral)))
 
 
+def _posteriors(theta: Signal, data, cfg: MraConfig):
+    """(observations, log-densities, posterior weights) for each block of the data."""
+    orbit = theta.values[_orbit_index(cfg.L, cfg.dihedral)]
+    for block in data.iter_chunks():
+        log_dens, w = _mixture(orbit @ block.T, np.einsum("ij,ij->i", block, block), theta, cfg)
+        yield block, log_dens, w
+
+
 def log_likelihood(theta: Signal, data) -> float:
     """Sum of observation log-densities over the dataset (0 when empty)."""
-    total = 0.0
-    for block in data.iter_chunks():
-        c = _group_inner_products(_row_spectra(block), theta, data.config.dihedral)
-        total += float(np.sum(_mixture(c, np.sum(block**2, axis=1), theta, data.config)[0]))
-    return total
+    return float(sum(np.sum(log_dens) for _, log_dens, _ in _posteriors(theta, data, data.config)))
 
 
 def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
@@ -186,24 +190,25 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     scc = np.zeros((n_blocks, k, k))
     sxc = np.zeros((n_blocks, k))
     cnt = np.diff(bounds).astype(float)
+    idx = _orbit_index(cfg.L, dihedral)
+    orbit0, orbit1 = theta0.values[idx], theta.values[idx]
     td = float(np.dot(theta0.values, d.values))
     dsq = d.norm() ** 2
     for b in range(n_blocks):
         m = bounds[b + 1] - bounds[b]
         for lo in range(0, m, DEFAULT_CHUNK):
             Y, _, _ = _draw_block(theta0, cfg, min(DEFAULT_CHUNK, m - lo), rng)
-            Yf = _row_spectra(Y)
-            ysq = np.sum(Y**2, axis=1)
-            c0 = _group_inner_products(Yf, theta0, dihedral)
-            c1 = _group_inner_products(Yf, theta, dihedral)
+            ysq = np.einsum("ij,ij->i", Y, Y)
+            c0 = orbit0 @ Y.T
+            c1 = orbit1 @ Y.T
             ld0, w = _mixture(c0, ysq, theta0, cfg)
             x = ld0 - _mixture(c1, ysq, theta, cfg)[0]
             sx[b] += x.sum()
             if use_cv:
                 # <y, G d> = <y, G theta> - <y, G theta0> by linearity
                 q = (c1 - c0 - td) / sigma**2
-                score = np.sum(w * q, axis=1)
-                bart = np.sum(w * q * q, axis=1) - dsq / sigma**2
+                score = np.sum(w * q, axis=0)
+                bart = np.sum(w * q * q, axis=0) - dsq / sigma**2
                 C = np.stack([score, bart], axis=1)
                 sc[b] += C.sum(axis=0)
                 scc[b] += C.T @ C
@@ -298,15 +303,22 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
                       track_pre_projection: bool = False):
     """Restricted maximum-likelihood fit by EM with projection onto the class.
 
-    E-step: posterior weights over group elements from FFT inner products.
-    M-step: posterior-aligned average of the observations, then projection.
-    Returns (theta_hat, diagnostics).
+    E-step: posterior weights over group elements, from one O(n L |G|)
+    matrix product per block.  M-step: posterior-aligned average of the
+    observations, then projection.  Returns (theta_hat, diagnostics).
+
+    Projected EM need not increase the likelihood, so `log_likelihood_decreases`
+    lists each iteration k whose update lowered it (trace[k] < trace[k-1]) with
+    its drop.  `mean_effective_group_size` is the mean of exp(entropy of the
+    posterior weights) at theta_hat: |G| when the data say nothing about
+    alignment, 1 when every observation is aligned with certainty.
     """
     if data.n == 0:
         raise ValueError("EM needs at least one observation; the dataset is empty")
     if init.L != cfg.L:
         raise LengthMismatchError("init length %d vs config L=%d" % (init.L, cfg.L))
     L = cfg.L
+    idx = _orbit_index(L, cfg.dihedral)
     theta, _ = rclass.project(init)
     steps = []
     pre_projection_ll = []
@@ -315,22 +327,15 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        S = np.zeros(L // 2 + 1, dtype=complex)
+        S = np.zeros(idx.shape)
         ll = 0.0
-        for block in data.iter_chunks():
-            Yf = _row_spectra(block)
-            c = _group_inner_products(Yf, theta, cfg.dihedral)
-            log_dens, w = _mixture(c, np.sum(block**2, axis=1), theta, cfg)
+        for block, log_dens, w in _posteriors(theta, data, cfg):
             ll += float(np.sum(log_dens))
-            Wf = np.fft.rfft(w.reshape(block.shape[0], -1, L), axis=2)
-            Sb = np.einsum("igk,ik->gk", Wf, Yf)
-            # sum_G w(G) G^-1 y: for rotations sum_g w(g) y(. - g), a convolution;
-            # for reflections sum_g w(g) y(-. - g), with spectrum conj(fft w fft y)
-            S += (Sb[0] + np.conj(Sb[1])) if cfg.dihedral else Sb[0]
+            S += w @ block
         if not np.isfinite(ll):
             raise FloatingPointError("non-finite log-likelihood during EM")
         current_ll.append(ll)
-        raw = Signal.from_natural(np.fft.irfft(S, n=L) / data.n)
+        raw = Signal(np.bincount(idx.ravel(), weights=S.ravel(), minlength=L) / data.n)
         if track_pre_projection:
             pre_projection_ll.append(log_likelihood(raw, data))
         new, clamped = rclass.project(raw)
@@ -341,11 +346,20 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
         if step < tol:
             converged = True
             break
+    final_ll = 0.0
+    group_size = 0.0
+    for _, log_dens, w in _posteriors(theta, data, cfg):
+        final_ll += float(np.sum(log_dens))
+        group_size += float(np.sum(np.exp(np.sum(entr(w), axis=0))))
     diagnostics = {
         "iterations": iters,
         "converged": converged,
-        "final_log_likelihood": log_likelihood(theta, data),
+        "final_log_likelihood": final_ll,
         "log_likelihood_trace": current_ll,
+        "log_likelihood_decreases": [
+            {"iteration": k, "drop": current_ll[k - 1] - current_ll[k]}
+            for k in range(1, len(current_ll)) if current_ll[k] < current_ll[k - 1]],
+        "mean_effective_group_size": group_size / data.n,
         "pre_projection_log_likelihood": pre_projection_ll,
         "varrho_steps": steps,
         "clamp_active": clamp_any,

@@ -100,6 +100,8 @@ class TestSimulateEstimate:
         assert varrho(theta_hat, theta0) < 0.05
         diag = json.loads(out_diag.read_text())
         assert diag["iterations"] >= 1
+        assert isinstance(diag["log_likelihood_decreases"], list)
+        assert 1.0 <= diag["mean_effective_group_size"] <= 21.0
 
     def test_simulate_deterministic(self, tmp_path):
         sig_path = tmp_path / "s.json"

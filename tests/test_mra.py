@@ -144,12 +144,16 @@ class TestLogLikelihood:
         assert whole == pytest.approx(parts, rel=1e-12)
 
     def test_matches_direct_sum(self):
+        # odd and even L: std_offset(L) enters the reflected rows' indices
         rng = np.random.default_rng(14)
-        theta = Signal(rng.normal(size=5))
-        cfg = MraConfig(5, 1.3)
-        obs = rng.normal(size=(9, 5))
-        direct = sum(direct_log_density(theta, y, 1.3) for y in obs)
-        assert log_likelihood(theta, Dataset(obs, cfg)) == pytest.approx(direct, rel=1e-10)
+        for L in (5, 6):
+            for dihedral in (False, True):
+                theta = Signal(rng.normal(size=L))
+                cfg = MraConfig(L, 1.3, dihedral)
+                obs = rng.normal(size=(9, L))
+                direct = sum(direct_log_density(theta, y, 1.3, dihedral) for y in obs)
+                assert log_likelihood(theta, Dataset(obs, cfg)) == pytest.approx(
+                    direct, rel=1e-10)
 
 
 class TestKlMonteCarlo:
@@ -253,6 +257,35 @@ class TestEm:
         theta_hat, diag = em_restricted_mle(data, self.CFG_SMALL, self.RC, PLANAR)
         assert varrho(theta_hat, PLANAR) <= 1e-3
         assert diag["converged"]
+        # PLANAR has no rotational symmetry: each posterior sits on one shift
+        assert diag["mean_effective_group_size"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_effective_group_size_uniform_at_zero(self, dihedral):
+        cfg = MraConfig(9, 0.5, dihedral)
+        data = simulate(Signal(np.random.default_rng(45).normal(size=9)), cfg, 40,
+                        np.random.default_rng(46))
+        _, diag = em_restricted_mle(data, cfg, RestrictedClass("none"), Signal.zeros(9),
+                                    max_iters=0)
+        assert diag["mean_effective_group_size"] == pytest.approx(18 if dihedral else 9,
+                                                                  rel=1e-12)
+
+    def test_log_likelihood_decreases_listed(self):
+        # shrinking towards 0 is not the nearest point of any class, so it
+        # can lower the likelihood; every fall of the trace must be listed
+        class Shrink:
+            def project(self, theta):
+                return Signal(0.5 * theta.values), False
+
+        cfg = MraConfig(21, 0.3)
+        data = simulate(PLANAR, cfg, 300, np.random.default_rng(47))
+        _, diag = em_restricted_mle(data, cfg, Shrink(), Signal(2 * PLANAR.values),
+                                    max_iters=10, tol=0)
+        trace = diag["log_likelihood_trace"]
+        falls = [{"iteration": k, "drop": trace[k - 1] - trace[k]}
+                 for k in range(1, len(trace)) if trace[k] < trace[k - 1]]
+        assert falls
+        assert diag["log_likelihood_decreases"] == falls
 
     def test_self_consistency(self):
         cfg = MraConfig(21, 0.3)
@@ -299,7 +332,7 @@ class TestEm:
         with pytest.raises(ValueError, match="empty"):
             em_restricted_mle(data, self.CFG_SMALL, self.RC, PLANAR)
 
-    @pytest.mark.parametrize("L", [7, 8])
+    @pytest.mark.parametrize("L", [2, 7, 8])
     @pytest.mark.parametrize("dihedral", [False, True])
     def test_one_iteration_is_posterior_average(self, L, dihedral):
         # brute force: average over rows of sum_G w_i(G) G^-1 y_i, with
