@@ -17,6 +17,7 @@ import numpy as np
 import scipy.optimize
 
 from .gensig import DiluteClassSpec, difference_multiset
+from .probes import curvature_terms
 from .ring import Signal, std_offset
 from .spectral import power_spectrum
 
@@ -258,27 +259,18 @@ def local_uniqueness_probe(theta0: Signal, radius: float, trials: int,
     A strictly positive floor across trials evidences local uniqueness of
     recovery from the second moment (equivalently the power spectrum).
     """
-    from .ring import rho as _rho
-    from .spectral import delta_m
-
     L = theta0.L
     sup = sorted(theta0.support)
     if not sup:
         raise ValueError("theta0 must be nonzero")
     off = std_offset(L)
     idx = np.array([(i + off) % L for i in sup])
-    ratios = []
-    for _ in range(trials):
+    rows = np.zeros((trials, L))
+    for t in range(trials):
         h = rng.normal(size=idx.size)
-        h *= radius * np.sqrt(L) * rng.random() / np.linalg.norm(h)
-        v = np.array(theta0.values)
-        v[idx] += h
-        theta = Signal(v)
-        r = _rho(theta, theta0, dihedral=dihedral)
-        if r <= 0:
-            continue
-        ratios.append(delta_m(theta, theta0, 2).frobenius() / r)
-    ratios = np.array(ratios)
+        rows[t, idx] = h * (radius * np.sqrt(L) * rng.random() / np.linalg.norm(h))
+    d2, r = curvature_terms(theta0, rows, dihedral)
+    ratios = d2[r > 0] / r[r > 0]
     return {
         "trials": int(ratios.size),
         "radius": float(radius),

@@ -14,9 +14,8 @@ import numpy as np
 
 from .gensig import DiluteClassSpec, cosine_functional_all, is_collision_free
 from .mra import kl_monte_carlo
-from .ring import Signal, reflect, rho, std_offset
-from .spectral import (SizeGuardError, delta_m, dft,
-                       second_moment_difference_expansion)
+from .ring import Signal, align_rows, reflect, std_offset
+from .spectral import delta_m, dft, second_moment_expansion_generators
 
 #: constants fitted on calibration runs (seed 20240801) and frozen
 FITTED_CONSTANTS = {
@@ -25,9 +24,6 @@ FITTED_CONSTANTS = {
     "goodset_C": 1.0,
     "sandwich_C_lower": 1.0,
 }
-
-#: third-moment cost guard for the sandwich probe
-SANDWICH_MAX_L = 16
 
 
 class LambdaConstructionError(RuntimeError):
@@ -104,19 +100,33 @@ def support_restricted_min_ratio(theta0: Signal, n_support: int) -> float:
 
     Computes min_h ||linear part of Delta_2(theta0 + h, theta0)||_F with
     supp(h) in supp(theta0) and ||h|| = 1, exactly via the SVD of the linear
-    map, normalized by sqrt(s/L).
+    map, normalized by sqrt(s/L).  The map sends h to a circulant, and
+    ||circulant(J)||_F = sqrt(L) ||J||, so the SVD runs on the L x s matrix
+    of generators.
     """
     L = theta0.L
     idx = _support_machine_indices(theta0)
-    cols = []
-    for j in idx:
-        e = np.zeros(L)
-        e[j] = 1.0
-        lin, _ = second_moment_difference_expansion(theta0, Signal(e))
-        cols.append(lin.ravel())
-    A = np.stack(cols, axis=1)
-    smin = np.linalg.svd(A, compute_uv=False)[-1]
+    units = np.zeros((idx.size, L))
+    units[np.arange(idx.size), idx] = 1.0
+    lin, _ = second_moment_expansion_generators(theta0, units)
+    smin = np.sqrt(L) * np.linalg.svd(lin, compute_uv=False)[-1]
     return float(smin / np.sqrt(n_support / L))
+
+
+def curvature_terms(theta0: Signal, rows: np.ndarray, dihedral: bool = False):
+    """(||Delta_2(theta0 + h, theta0)||_F, rho(theta0 + h, theta0)) for each
+    row h of a trials x L matrix of standard-order values.
+
+    One rfft gives every Delta_2 norm from power spectra (see `spectral`);
+    `ring.align_rows` gives the orbit distances.
+    """
+    L = theta0.L
+    thetas = theta0.values + rows
+    dp = np.abs(np.fft.rfft(thetas)) ** 2 - np.abs(np.fft.rfft(theta0.values)) ** 2
+    # bins 0 and L/2 hold one frequency each, every other bin both +xi and -xi
+    k = np.arange(dp.shape[-1])
+    d2 = np.sqrt(dp**2 @ (2.0 - (k == 0) - (2 * k == L))) / L
+    return d2, align_rows(thetas, theta0, dihedral)[2]
 
 
 def dilute_lower_bound_check(theta0: Signal, spec: DiluteClassSpec, trials: int,
@@ -132,16 +142,12 @@ def dilute_lower_bound_check(theta0: Signal, spec: DiluteClassSpec, trials: int,
     if h_norm is None:
         h_norm = 1e-3 * spec.m
     L, s = theta0.L, spec.s
-    idx = _support_machine_indices(theta0)
-    ratios = np.empty(trials)
-    for t in range(trials):
-        h = rng.normal(size=s)
-        h *= h_norm / np.linalg.norm(h)
-        v = np.array(theta0.values)
-        v[idx] += h
-        theta = Signal(v)
-        r = rho(theta, theta0)
-        ratios[t] = delta_m(theta, theta0, 2).frobenius() / (np.sqrt(s / L) * r)
+    h = rng.normal(size=(trials, s))
+    rows = np.zeros((trials, L))
+    rows[:, _support_machine_indices(theta0)] = h * (
+        h_norm / np.linalg.norm(h, axis=1, keepdims=True))
+    d2, r = curvature_terms(theta0, rows)
+    ratios = d2 / (np.sqrt(s / L) * r)
     bound = spec.curvature_constant()
     return {
         "trials": trials,
@@ -190,7 +196,11 @@ def uup_sample(L: int, a: float, rng: np.random.Generator) -> FrequencySet:
 def _random_sparse_rows(L: int, s: int, trials: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-norm rows with s-point random supports and Gaussian values."""
     rows = np.zeros((trials, L))
-    picks = np.argsort(rng.random((trials, L)), axis=1)[:, :s]
+    keys = rng.random((trials, L))
+    # argsort(keys)[:, :s] without the full sort: partition, then order the s picks
+    picks = np.argpartition(keys, s - 1, axis=1)[:, :s]
+    picks = np.take_along_axis(
+        picks, np.argsort(np.take_along_axis(keys, picks, axis=1), axis=1), axis=1)
     vals = rng.normal(size=(trials, s))
     vals /= np.linalg.norm(vals, axis=1, keepdims=True)
     np.put_along_axis(rows, picks, vals, axis=1)
@@ -201,15 +211,17 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     """(c1_hat, c2_hat): extreme ratios of mean energy on the set vs overall.
 
     Ratio = [(1/|set|) sum_set |h-hat|^2] / [(1/L) sum_all |h-hat|^2] over
-    random unit-norm s-sparse vectors.
+    random unit-norm s-sparse vectors; by Parseval the denominator is
+    ||h||^2 = 1.
     """
     if lam.size() == 0:
         raise ValueError("empty frequency set")
     L = lam.L
     nat = lam.natural_indices()
     rows = _random_sparse_rows(L, s, trials, rng)
-    spec2 = np.abs(np.fft.fft(rows, axis=1)) ** 2
-    ratios = (spec2[:, nat].mean(axis=1)) / (spec2.mean(axis=1))
+    # |h-hat|^2 is even in xi, so frequency n sits in rfft bin min(n, L - n)
+    on_set = np.fft.rfft(rows)[:, np.minimum(nat, L - nat)]
+    ratios = np.mean(np.abs(on_set) ** 2, axis=1)
     return float(ratios.min()), float(ratios.max())
 
 
@@ -287,24 +299,6 @@ def lambda_construct(theta: Signal, s: int, a: float, max_tries: int,
     )
 
 
-def _symmetric_support_direction(theta0: Signal, h_norm: float,
-                                 rng: np.random.Generator) -> Signal:
-    """Random symmetric h with supp(h) in supp(theta0) and ||h|| = h_norm."""
-    sup = sorted(theta0.support)
-    pos = [i for i in sup if i >= 0]
-    entries = {}
-    for i in pos:
-        x = rng.normal()
-        entries[i] = x
-        if -i in theta0.support:
-            entries[-i] = x
-    h = Signal.from_support(theta0.L, entries)
-    if h.norm() == 0:
-        entries[pos[0]] = 1.0
-        h = Signal.from_support(theta0.L, entries)
-    return Signal(h.values * (h_norm / h.norm()))
-
-
 def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
                              h_norm: float, rng: np.random.Generator,
                              c4: float | None = None, slack: float = 0.05) -> dict:
@@ -314,25 +308,28 @@ def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
     ||Delta_2||_F sqrt(L) / (m_set rho) against the fitted constant c4, plus
     the intermediate spectral-mass ratio used in the chain of inequalities.
     """
-    if theta0 != reflect(theta0):
-        raise ValueError("theta0 must be symmetric")
+    if theta0 != reflect(theta0) or not theta0.support:
+        raise ValueError("theta0 must be symmetric and nonzero")
     if c4 is None:
         c4 = FITTED_CONSTANTS["moderate_c4"]
     L = theta0.L
     off = std_offset(L)
     mod = np.abs(dft(theta0).values)
-    nat = lam.natural_indices()
     m_set = float(min(mod[(xi + off) % L] for xi in lam.frequencies))
-    ratios = np.empty(trials)
-    chain = np.empty(trials)
-    th = np.fft.fft(theta0.natural())
-    for t in range(trials):
-        h = _symmetric_support_direction(theta0, h_norm, rng)
-        theta = Signal(theta0.values + h.values)
-        r = rho(theta, theta0)
-        ratios[t] = delta_m(theta, theta0, 2).frobenius() * np.sqrt(L) / (m_set * r)
-        hh = np.fft.fft(h.natural())
-        chain[t] = np.sum(np.abs(th[nat] * hh[nat]) ** 2) / L / (m_set**2 * h.norm()**2)
+    # symmetric directions on the support: one Gaussian per index i >= 0, copied to -i
+    pos = sorted(i for i in theta0.support if i >= 0)
+    mirror = np.zeros((len(pos), L))
+    for k, i in enumerate(pos):
+        mirror[k, [(i + off) % L, (off - i) % L]] = 1.0
+    rows = rng.normal(size=(trials, len(pos))) @ mirror
+    rows *= h_norm / np.linalg.norm(rows, axis=1, keepdims=True)
+    d2, r = curvature_terms(theta0, rows)
+    ratios = d2 * np.sqrt(L) / (m_set * r)
+    nat = lam.natural_indices()
+    bins = np.minimum(nat, L - nat)
+    th, hh = np.fft.rfft(theta0.values)[bins], np.fft.rfft(rows)[:, bins]
+    chain = (np.sum(np.abs(th * hh) ** 2, axis=1) / L
+             / (m_set**2 * np.sum(rows**2, axis=1)))
     return {
         "trials": trials,
         "h_norm": float(h_norm),
@@ -354,8 +351,6 @@ def moment_sandwich_probe(theta: Signal, phi: Signal, sigma_grid, n_mc: int,
     Both signals must be centered; the lower series sums
     ||Delta_m||^2 / ((sqrt(3) sigma)^(2m) m!) for m = 1..3.
     """
-    if theta.L > SANDWICH_MAX_L:
-        raise SizeGuardError("sandwich probe guarded at L <= %d" % SANDWICH_MAX_L)
     tol = 1e-10 * max(theta.norm(), phi.norm(), 1.0)
     if abs(theta.mean()) > tol or abs(phi.mean()) > tol:
         raise ValueError("both signals must be centered")

@@ -164,31 +164,33 @@ def reflect(v: Signal) -> Signal:
 
 
 def _cross_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c[g] = sum_k a(k) b(k+g) for natural-order arrays, via one FFT pair."""
+    """c[..., g] = sum_k a(k) b(k+g) along the last axis, via one FFT pair;
+    any cyclic enumeration serves, as long as a and b share it."""
     return np.real(np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(b)))
 
 
-def align(theta: Signal, phi: Signal, dihedral: bool = False):
-    """Minimize ||theta - G phi|| over the group; returns (argmin G, distance).
-
-    The maximizing shift is located by FFT cross-correlation, then the norm
-    is evaluated exactly at that shift.
-    """
-    if theta.L != phi.L:
-        raise LengthMismatchError("signals have lengths %d and %d" % (theta.L, phi.L))
-    L = theta.L
-    tn = theta.natural()
+def align_rows(rows: np.ndarray, phi: Signal, dihedral: bool = False):
+    """`align` for each row of a stack of standard-order vectors: arrays
+    (shift, flip, distance).  The maximizing shift is located by FFT
+    cross-correlation, then the norm is evaluated exactly at that shift."""
     best = None
     for flip in ((False, True) if dihedral else (False,)):
-        base = reflect(phi) if flip else phi
-        c = _cross_correlations(tn, base.natural())
-        # largest <theta, G phi> gives the smallest distance
-        g = int(np.argmax(c))
-        cand = GroupElement(g, flip)
-        d = float(np.linalg.norm(theta.values - cand.apply(phi).values))
-        if best is None or d < best[1]:
-            best = (cand, d)
+        base = (reflect(phi) if flip else phi).values
+        # largest <row, G phi> gives the smallest distance
+        g = np.argmax(_cross_correlations(rows, base), axis=-1)
+        d = np.linalg.norm(rows - base[(np.arange(phi.L) + g[..., None]) % phi.L], axis=-1)
+        cand = (g, np.full(g.shape, flip), d)
+        best = cand if best is None else tuple(np.where(d < best[2], c, b)
+                                               for c, b in zip(cand, best))
     return best
+
+
+def align(theta: Signal, phi: Signal, dihedral: bool = False):
+    """Minimize ||theta - G phi|| over the group; returns (argmin G, distance)."""
+    if theta.L != phi.L:
+        raise LengthMismatchError("signals have lengths %d and %d" % (theta.L, phi.L))
+    g, flip, d = align_rows(theta.values, phi, dihedral)
+    return GroupElement(int(g), bool(flip)), float(d)
 
 
 def rho(theta: Signal, phi: Signal, dihedral: bool = False) -> float:

@@ -3,22 +3,20 @@
 Convention: unnormalized forward transform hat(v)(xi) = sum_k v(k) e^{-2 pi i xi k / L},
 inverse carries the 1/L factor.  Under this convention Parseval reads
 ||v||^2 = ||hat(v)||^2 / L.
+
+Moment tensors live in the Fourier domain.  E_G[(G theta)^(x m)] is shift
+invariant, so its DFT vanishes off the plane xi_1 + ... + xi_m = 0 (mod L) and
+equals hat(theta)(xi_1) ... hat(theta)(xi_m) on it, in any cyclic indexing:
+the power spectrum for m = 2, the bispectrum hat(theta)(a) hat(theta)(b)
+conj(hat(theta)(a + b)) for m = 3.  Parseval gives ||Delta_m||_F^2 = L^-m
+sum over the plane of |difference|^2, in O(L^(m-1)) work.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .ring import LengthMismatchError, Signal, std_offset, std_indices
-
-#: delta_m with m=3 materializes an L^3 array; refuse beyond this length.
-THIRD_MOMENT_MAX_L = 64
-
-
-class SizeGuardError(ValueError):
-    """An operation was requested beyond its cost guard."""
+from .ring import LengthMismatchError, Signal, std_offset
 
 
 class Spectrum:
@@ -44,23 +42,46 @@ class Spectrum:
         return cls(np.roll(values, std_offset(values.size)))
 
 
-@dataclass
 class MomentTensor:
     """Group-averaged moment tensor E_G[(G theta)^(x m)] or a difference thereof.
 
-    For order 2 the tensor is symmetric circulant; `generator` holds the
-    length-L vector J with entry(i, j) = J(j - i), natural residue order.
+    Orders 2 and 3 hold `fourier`, the DFT on the plane (module docstring) over
+    (xi_1, ..., xi_(m-1)); the dense L^m `data`, in standard order, is built
+    from it on first read.  First and sample moments hold `data` only.
     """
 
-    order: int
-    data: np.ndarray
-    generator: np.ndarray | None = None
+    def __init__(self, order: int, data: np.ndarray | None = None,
+                 fourier: np.ndarray | None = None):
+        self.order = order
+        self.fourier = fourier
+        self._data = data
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            L = self.fourier.shape[0]
+            full = np.zeros((L,) * self.order, dtype=complex)
+            full[_plane(L, self.order)] = self.fourier
+            self._data = np.real(np.fft.ifftn(full))
+        return self._data
 
     def frobenius(self) -> float:
-        if self.order == 2 and self.generator is not None:
-            # ||J||_F^2 = L * sum_k J_k^2 for a circulant matrix
-            return float(np.sqrt(self.data.shape[0] * np.sum(self.generator**2)))
-        return float(np.linalg.norm(self.data.ravel()))
+        if self.fourier is None:
+            return float(np.linalg.norm(self._data.ravel()))
+        # Parseval for the m-dimensional transform; the plane holds all of it
+        return float(np.linalg.norm(self.fourier) / self.fourier.shape[0] ** (self.order / 2))
+
+
+def _plane(L: int, m: int) -> tuple:
+    """Index arrays of the plane xi_1 + ... + xi_m = 0 (mod L) over its first m - 1 axes."""
+    free = tuple(np.indices((L,) * (m - 1)))
+    return free + ((-sum(free)) % L,)
+
+
+def _moment_fourier(theta: Signal, m: int) -> np.ndarray:
+    """hat(theta)(xi_1) ... hat(theta)(xi_m) on the plane, from standard-order values."""
+    f = np.fft.fft(theta.values)
+    return np.prod([f[i] for i in _plane(theta.L, m)], axis=0)
 
 
 def dft(v: Signal) -> Spectrum:
@@ -107,37 +128,30 @@ def second_moment_generator(theta: Signal) -> np.ndarray:
 
 def second_moment(theta: Signal) -> MomentTensor:
     """Second moment tensor E_G[(G theta)^(x 2)] = (1/L) M(theta * reflect(theta))."""
-    gen = second_moment_generator(theta)
-    return MomentTensor(order=2, data=scipy.linalg.circulant(gen), generator=gen)
-
-
-def _third_moment_dense(theta: Signal) -> np.ndarray:
-    L = theta.L
-    if L > THIRD_MOMENT_MAX_L:
-        raise SizeGuardError(
-            "third moment is brute force only; L=%d exceeds guard %d" % (L, THIRD_MOMENT_MAX_L)
-        )
-    acc = np.zeros((L, L, L))
-    for g in range(L):
-        w = np.roll(theta.values, -g)
-        acc += np.einsum("i,j,k->ijk", w, w, w)
-    return acc / L
+    return MomentTensor(order=2, fourier=_moment_fourier(theta, 2))
 
 
 def delta_m(theta: Signal, phi: Signal, m: int) -> MomentTensor:
     """Difference of order-m group-averaged moment tensors of theta and phi."""
     if theta.L != phi.L:
         raise LengthMismatchError("signals have lengths %d and %d" % (theta.L, phi.L))
-    L = theta.L
     if m == 1:
         # E_G[G theta] = mean(theta) * ones
-        return MomentTensor(order=1, data=(theta.mean() - phi.mean()) * np.ones(L))
-    if m == 2:
-        gen = second_moment_generator(theta) - second_moment_generator(phi)
-        return MomentTensor(order=2, data=scipy.linalg.circulant(gen), generator=gen)
-    if m == 3:
-        return MomentTensor(order=3, data=_third_moment_dense(theta) - _third_moment_dense(phi))
+        return MomentTensor(order=1, data=(theta.mean() - phi.mean()) * np.ones(theta.L))
+    if m in (2, 3):
+        return MomentTensor(order=m, fourier=_moment_fourier(theta, m) - _moment_fourier(phi, m))
     raise ValueError("moment order must be 1, 2 or 3; got %r" % (m,))
+
+
+def second_moment_expansion_generators(theta: Signal, h: np.ndarray):
+    """Circulant generators (natural lag order) of the linear and quadratic
+    parts of Delta_2(theta + h, theta), for one h or a stack of rows h in
+    standard-order values."""
+    th = np.fft.fft(theta.values)
+    hh = np.fft.fft(h)
+    lin = np.real(np.fft.ifft(2 * np.real(th * np.conj(hh)))) / theta.L
+    quad = np.real(np.fft.ifft(np.abs(hh) ** 2)) / theta.L
+    return lin, quad
 
 
 def second_moment_difference_expansion(theta: Signal, h: Signal):
@@ -149,12 +163,8 @@ def second_moment_difference_expansion(theta: Signal, h: Signal):
     """
     if theta.L != h.L:
         raise LengthMismatchError("signals have lengths %d and %d" % (theta.L, h.L))
-    L = theta.L
-    th = np.fft.fft(theta.natural())
-    hh = np.fft.fft(h.natural())
-    lin_gen = np.real(np.fft.ifft(th * np.conj(hh) + np.conj(th) * hh)) / L
-    quad_gen = np.real(np.fft.ifft(np.abs(hh) ** 2)) / L
-    return scipy.linalg.circulant(lin_gen), scipy.linalg.circulant(quad_gen)
+    lin, quad = second_moment_expansion_generators(theta, h.values)
+    return scipy.linalg.circulant(lin), scipy.linalg.circulant(quad)
 
 
 def empirical_moments(observations: np.ndarray, order: int, sigma: float) -> MomentTensor:

@@ -1,16 +1,83 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mralab.gensig import (DiluteClassSpec, gen_collision_free,
                            gen_symm_bernoulli_gaussian, gen_symm_interval)
 from mralab.probes import (FrequencySet, GoodSetParams,
-                           LambdaConstructionError, adversarial_direction,
+                           LambdaConstructionError, _random_sparse_rows,
+                           adversarial_direction, curvature_terms,
                            dilute_lower_bound_check, good_set_report,
                            lambda_construct, moderate_curvature_check,
                            moment_sandwich_probe, spectral_floor,
                            support_restricted_min_ratio, uup_check, uup_sample)
-from mralab.ring import Signal, std_offset
-from mralab.spectral import (delta_m, dft, second_moment_difference_expansion)
+from mralab.ring import Signal, group_elements, reflect, shift, std_offset
+from mralab.spectral import (delta_m, dft, second_moment_difference_expansion,
+                             second_moment_generator)
+
+
+def loop_ratios(theta0: Signal, rows: np.ndarray, dihedral: bool = False) -> np.ndarray:
+    """Per-row ||Delta_2(theta0 + h, theta0)||_F from a dense circulant, over
+    the orbit distance found by trying every group element."""
+    out = []
+    for h in rows:
+        theta = Signal(theta0.values + h)
+        gen = second_moment_generator(theta) - second_moment_generator(theta0)
+        r = min(np.linalg.norm(theta.values - g.apply(theta0).values)
+                for g in group_elements(theta0.L, dihedral))
+        out.append(np.linalg.norm(scipy.linalg.circulant(gen)) / r)
+    return np.array(out)
+
+
+class TestCurvatureTerms:
+    @pytest.mark.parametrize("L", [16, 17])
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_matches_per_trial_loop(self, L, dihedral):
+        rng = np.random.default_rng(40 + L)
+        theta0 = Signal(rng.normal(size=L))
+        rows = 1e-3 * rng.normal(size=(40, L))
+        # rows that move theta0 near another point of its orbit, so the
+        # aligning element is neither the identity nor the same for all rows
+        for t in range(0, 40, 2):
+            g = shift(reflect(theta0) if t % 4 else theta0, t)
+            rows[t] += g.values - theta0.values
+        d2, r = curvature_terms(theta0, rows, dihedral)
+        assert np.allclose(d2 / r, loop_ratios(theta0, rows, dihedral), rtol=1e-10, atol=0)
+
+    def test_dilute_check_matches_per_trial_draws(self):
+        spec = DiluteClassSpec(L=101, s=8, m=1.0, M=1.5, eps=1.0)
+        theta0 = gen_collision_free(spec, np.random.default_rng(41))
+        rep = dilute_lower_bound_check(theta0, spec, 200, np.random.default_rng(42))
+        rng = np.random.default_rng(42)
+        idx = [(i + std_offset(101)) % 101 for i in sorted(theta0.support)]
+        rows = np.zeros((200, 101))
+        for t in range(200):
+            h = rng.normal(size=8)
+            rows[t, idx] = h * (1e-3 / np.linalg.norm(h))
+        ratios = loop_ratios(theta0, rows) / np.sqrt(8 / 101)
+        assert rep["min_ratio"] == pytest.approx(ratios.min(), rel=1e-10)
+        assert rep["median_ratio"] == pytest.approx(np.median(ratios), rel=1e-10)
+
+    def test_moderate_check_matches_per_trial_draws(self):
+        rng = np.random.default_rng(21)
+        theta0 = gen_symm_interval(128, 6, 1.0, rng)
+        lam = lambda_construct(theta0, 13, 64, 50, rng)
+        rep = moderate_curvature_check(theta0, lam, 100, 1e-3, np.random.default_rng(43))
+        rng = np.random.default_rng(43)
+        rows = []
+        for _ in range(100):
+            entries = {}
+            for i in sorted(i for i in theta0.support if i >= 0):
+                entries[i] = entries[-i] = rng.normal()
+            h = Signal.from_support(128, entries).values
+            rows.append(h * (1e-3 / np.linalg.norm(h)))
+        ratios = loop_ratios(theta0, np.array(rows)) * np.sqrt(128) / rep["spectral_floor"]
+        th = np.fft.fft(theta0.natural())[lam.natural_indices()]
+        chain = [np.sum(np.abs(th * np.fft.fft(Signal(h).natural())[lam.natural_indices()]) ** 2)
+                 / 128 / (rep["spectral_floor"] ** 2 * np.sum(h**2)) for h in rows]
+        assert rep["min_ratio"] == pytest.approx(ratios.min(), rel=1e-10)
+        assert rep["median_ratio"] == pytest.approx(np.median(ratios), rel=1e-10)
+        assert rep["chain_min"] == pytest.approx(min(chain), rel=1e-10)
 
 
 class TestDiluteLowerBound:
@@ -40,6 +107,21 @@ class TestDiluteLowerBound:
         theta0 = gen_collision_free(self.SPEC, rng)
         exact = support_restricted_min_ratio(theta0, self.SPEC.s)
         assert exact >= self.SPEC.curvature_constant() * 0.95
+
+    def test_exact_minimum_matches_dense_svd(self):
+        rng = np.random.default_rng(44)
+        for theta0 in (gen_collision_free(self.SPEC, rng),
+                       Signal(rng.normal(size=20) * (rng.random(20) < 0.4))):
+            idx = [(i + std_offset(theta0.L)) % theta0.L for i in sorted(theta0.support)]
+            cols = []
+            for j in idx:
+                e = np.zeros(theta0.L)
+                e[j] = 1.0
+                cols.append(second_moment_difference_expansion(theta0, Signal(e))[0].ravel())
+            smin = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)[-1]
+            s = len(idx)
+            assert support_restricted_min_ratio(theta0, s) == pytest.approx(
+                smin / np.sqrt(s / theta0.L), rel=1e-10)
 
     def test_colliding_support_violates_bound(self):
         # an interval support repeats every short difference; the curvature
@@ -126,6 +208,33 @@ class TestUup:
         c1, c2 = uup_check(lam, 1, 100, np.random.default_rng(12))
         assert c1 == pytest.approx(1.0, rel=1e-10)
         assert c2 == pytest.approx(1.0, rel=1e-10)
+
+    @staticmethod
+    def sorted_sparse_rows(L, s, trials, rng):
+        """Unit-norm s-sparse rows, supports from a full argsort of the keys."""
+        rows = np.zeros((trials, L))
+        picks = np.argsort(rng.random((trials, L)), axis=1)[:, :s]
+        vals = rng.normal(size=(trials, s))
+        vals /= np.linalg.norm(vals, axis=1, keepdims=True)
+        np.put_along_axis(rows, picks, vals, axis=1)
+        return rows
+
+    def test_sparse_rows_match_full_sort(self):
+        # at s = 200 of 512, argpartition leaves most rows' picks unordered
+        for L, s in ((64, 5), (65, 5), (512, 200)):
+            assert np.array_equal(
+                _random_sparse_rows(L, s, 100, np.random.default_rng(47)),
+                self.sorted_sparse_rows(L, s, 100, np.random.default_rng(47)))
+
+    @pytest.mark.parametrize("L", [64, 65])
+    def test_matches_full_fft_formula(self, L):
+        lam = uup_sample(L, L / 2, np.random.default_rng(45))
+        c1, c2 = uup_check(lam, 5, 500, np.random.default_rng(46))
+        rows = self.sorted_sparse_rows(L, 5, 500, np.random.default_rng(46))
+        spec2 = np.abs(np.fft.fft(rows, axis=1)) ** 2
+        ratios = spec2[:, lam.natural_indices()].mean(axis=1) / spec2.mean(axis=1)
+        assert c1 == pytest.approx(ratios.min(), rel=1e-12)
+        assert c2 == pytest.approx(ratios.max(), rel=1e-12)
 
     def test_sample_size_mean(self):
         rng = np.random.default_rng(13)
@@ -237,6 +346,12 @@ class TestModerateCurvature:
         with pytest.raises(ValueError):
             moderate_curvature_check(theta0, lam, 10, 1e-3, rng)
 
+    def test_zero_signal_rejected(self):
+        lam = FrequencySet(L=16, frequencies=frozenset({0, 1, -1}))
+        with pytest.raises(ValueError):
+            moderate_curvature_check(Signal.zeros(16), lam, 10, 1e-3,
+                                     np.random.default_rng(0))
+
 
 class TestSandwich:
     def _centered_pair(self, seed):
@@ -277,9 +392,20 @@ class TestSandwich:
             moment_sandwich_probe(theta, theta, [2.0], 100,
                                   np.random.default_rng(0))
 
-    def test_size_guard(self):
-        v = np.random.default_rng(29).normal(size=32)
+    def test_large_L(self):
+        # Delta_3 comes from bispectra, so L = 32 runs like any other length
+        rng = np.random.default_rng(29)
+        v = rng.normal(size=32)
         v -= v.mean()
-        with pytest.raises(ValueError):
-            moment_sandwich_probe(Signal(v), Signal(v), [2.0], 100,
-                                  np.random.default_rng(0))
+        w = v + 0.3 * rng.normal(size=32)
+        w -= w.mean()
+        rep = moment_sandwich_probe(Signal(v), Signal(w), [2.0], 2000,
+                                    np.random.default_rng(0))
+        f, g = np.fft.fft(v), np.fft.fft(w)
+        c = (np.arange(32)[:, None] + np.arange(32)[None, :]) % 32
+        db = (f[:, None] * f[None, :] * np.conj(f[c])
+              - g[:, None] * g[None, :] * np.conj(g[c]))
+        row = rep["rows"][0]
+        assert row["delta_norms"][2] == pytest.approx(
+            np.sqrt(np.sum(np.abs(db) ** 2) / 32**3), rel=1e-10)
+        assert np.isfinite(row["kl"])

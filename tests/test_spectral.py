@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mralab.ring import Signal, reflect, shift, std_indices
-from mralab.spectral import (SizeGuardError, Spectrum, autocorrelation,
+from mralab.spectral import (Spectrum, autocorrelation,
                              convolve, delta_m, dft, empirical_moments, idft,
                              power_spectrum, second_moment,
                              second_moment_difference_expansion,
@@ -27,6 +27,29 @@ def direct_convolve(u: Signal, v: Signal) -> np.ndarray:
     for k in range(L):
         out[k] = sum(un[g] * vn[(k - g) % L] for g in range(L))
     return out
+
+
+def third_moment_dense(theta: Signal) -> np.ndarray:
+    """E_G[(G theta)^(x 3)] as an L^3 array, summed shift by shift."""
+    L = theta.L
+    acc = np.zeros((L, L, L))
+    for g in range(L):
+        w = np.roll(theta.values, -g)
+        acc += np.einsum("i,j,k->ijk", w, w, w)
+    return acc / L
+
+
+def bispectrum_delta3_norm(theta: Signal, phi: Signal) -> float:
+    """||Delta_3||_F = sqrt(L^-3 sum |B_theta - B_phi|^2), summed frequency pair
+    by frequency pair with B(a, b) = f(a) f(b) conj(f(a + b)) on natural order."""
+    L = theta.L
+    fa, fb = np.fft.fft(theta.natural()), np.fft.fft(phi.natural())
+    total = 0.0
+    for a in range(L):
+        for b in range(L):
+            c = (a + b) % L
+            total += abs(fa[a] * fa[b] * np.conj(fa[c]) - fb[a] * fb[b] * np.conj(fb[c])) ** 2
+    return float(np.sqrt(total / L**3))
 
 
 class TestDft:
@@ -190,10 +213,17 @@ class TestDeltaM:
             extra = (a.mean() ** 2 - b.mean() ** 2) * np.ones((6, 6))
             assert np.allclose(full, centered + extra, atol=1e-10)
 
-    def test_third_moment_guard(self):
-        big = Signal(np.ones(65))
-        with pytest.raises(SizeGuardError):
-            delta_m(big, big, 3)
+    def test_third_moment_large_L(self):
+        rng = np.random.default_rng(30)
+        theta, phi = Signal(rng.normal(size=256)), Signal(rng.normal(size=256))
+        assert delta_m(theta, phi, 3).frobenius() == pytest.approx(
+            bispectrum_delta3_norm(theta, phi), rel=1e-10)
+        for L in (4, 5, 8, 13):
+            theta, phi = Signal(rng.normal(size=L)), Signal(rng.normal(size=L))
+            t = delta_m(theta, phi, 3)
+            dense = third_moment_dense(theta) - third_moment_dense(phi)
+            assert t.frobenius() == pytest.approx(np.linalg.norm(dense), rel=1e-12)
+            assert np.allclose(t.data, dense, rtol=1e-12, atol=1e-12)
 
     def test_third_moment_brute_force(self):
         rng = np.random.default_rng(16)
