@@ -19,8 +19,6 @@ from .probes import (FrequencySet, GoodSetParams, adversarial_direction,
                      dilute_lower_bound_check, good_set_report,
                      lambda_construct, moderate_curvature_check,
                      moment_sandwich_probe, uup_check, uup_sample)
-from .experiments import (ExperimentConfig, ExperimentResult, run_experiment,
-                          run_kl_curvature_scan, run_rate_scan,
-                          run_sparsity_scan)
+from .experiments import ExperimentConfig, ExperimentResult, run_experiment
 
 __version__ = "0.1.0"

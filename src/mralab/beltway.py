@@ -260,11 +260,9 @@ def local_uniqueness_probe(theta0: Signal, radius: float, trials: int,
     recovery from the second moment (equivalently the power spectrum).
     """
     L = theta0.L
-    sup = sorted(theta0.support)
-    if not sup:
+    idx = np.flatnonzero(theta0.values)
+    if not idx.size:
         raise ValueError("theta0 must be nonzero")
-    off = std_offset(L)
-    idx = np.array([(i + off) % L for i in sup])
     rows = np.zeros((trials, L))
     for t in range(trials):
         h = rng.normal(size=idx.size)

@@ -213,12 +213,10 @@ def cmd_probe(args):
     return 0
 
 
-def cmd_scan(args, scenario_family):
+def cmd_scan(args):
     cfg = experiments.ExperimentConfig.from_json_dict(_load_json(args.config))
-    families = {"rate": ("dilute-rate", "fullsupport-rate"), "sparsity": ("sparsity-scan",),
-                "kl": ("kl-curvature-scan",)}
-    if cfg.scenario not in families[scenario_family]:
-        raise SystemExit("config scenario %r is not a %s scan" % (cfg.scenario, scenario_family))
+    if experiments.SCENARIOS[cfg.scenario].subcommand != args.command:
+        raise SystemExit("config scenario %r is not run by %s" % (cfg.scenario, args.command))
     result = experiments.run_experiment(cfg)
     if args.out_csv:
         result.to_csv(args.out_csv)
@@ -281,13 +279,12 @@ def build_parser():
     sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_probe)
 
-    for name, family in (("rate-scan", "rate"), ("sparsity-scan", "sparsity"),
-                         ("kl-scan", "kl")):
+    for name in dict.fromkeys(sc.subcommand for sc in experiments.SCENARIOS.values()):
         sp = sub.add_parser(name, help="experiment scan (%s)" % name)
         sp.add_argument("--config", required=True, help="experiment config JSON file")
         sp.add_argument("--out-csv")
         sp.add_argument("--out-json")
-        sp.set_defaults(func=lambda a, fam=family: cmd_scan(a, fam))
+        sp.set_defaults(func=cmd_scan)
 
     return p
 

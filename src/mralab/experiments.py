@@ -1,5 +1,5 @@
-"""Reproducible experiment harness: noise-exponent rate scans, sparsity
-scans, and KL-curvature scans, with CSV record output and JSON fit summaries.
+"""Reproducible experiment harness: `run_experiment` runs noise-exponent rate,
+sparsity and KL-curvature scans, with CSV records and JSON fit summaries.
 
 Every cell derives its RNG deterministically from (seed, grid indices, trial),
 so identical configs reproduce identical records bit for bit.
@@ -11,6 +11,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,9 +19,7 @@ from .gensig import DiluteClassSpec, gen_collision_free, gen_symm_interval
 from .mra import (MraConfig, RestrictedClass, StreamingDataset, em_restricted_mle,
                   kl_monte_carlo, simulate)
 from .probes import adversarial_direction
-from .ring import Signal, std_offset, varrho
-
-SCENARIOS = ("dilute-rate", "fullsupport-rate", "sparsity-scan", "kl-curvature-scan")
+from .ring import Signal, varrho
 
 #: streaming datasets beyond this size are regenerated per pass
 IN_MEMORY_LIMIT = 2_000_000
@@ -33,7 +32,12 @@ def config_hash(cfg: dict) -> str:
 
 
 class ExperimentFailureError(RuntimeError):
-    """Too many cells failed, or an acceptance window was missed."""
+    """More than 10% of a scan's cells failed."""
+
+
+def _check_choice(name: str, value, choices: tuple):
+    if value not in choices:
+        raise ValueError("%s must be one of %s, got %r" % (name, ", ".join(choices), value))
 
 
 @dataclass
@@ -54,8 +58,7 @@ class ExperimentConfig:
     schema: int = 1
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError("unknown scenario %r" % (self.scenario,))
+        _check_choice("scenario", self.scenario, tuple(SCENARIOS))
         if self.schema != 1:
             raise ValueError("unsupported config schema %r" % (self.schema,))
         self.sigma_grid = tuple(float(x) for x in self.sigma_grid)
@@ -64,8 +67,18 @@ class ExperimentConfig:
             raise ValueError("sigma grid must be nonempty")
         if self.trials < 1:
             raise ValueError("need trials >= 1")
-        if self.n_rule not in ("fixed", "sigma4"):
-            raise ValueError("n_rule must be 'fixed' or 'sigma4'")
+        _check_choice("n_rule", self.n_rule, ("fixed", "sigma4"))
+        _check_choice("branch", self.branch, ("dilute", "moderate"))
+        _check_choice("em.init", self.em.get("init", "perturbed-truth"),
+                      ("truth", "perturbed-truth", "adversarial"))
+        _check_choice("kl.direction", self.kl.get("direction", "dilute"),
+                      ("dilute", "adversarial"))
+        if self.scenario == "sparsity-scan":
+            if not self.s_grid:
+                raise ValueError("s_grid of a sparsity-scan must be nonempty")
+            if len(self.sigma_grid) != 1:
+                raise ValueError("sigma_grid of a sparsity-scan must hold one sigma, got %d"
+                                 % len(self.sigma_grid))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
@@ -126,21 +139,29 @@ def fit_loglog_slope(x, y):
 
 def _fit_medians(values_by_x: dict, seed: int):
     """Per-x medians, their log-log slope, and a percentile CI for that slope
-    from 500 resamplings of each x's values; an x without values is skipped."""
+    from 500 resamplings of each x's values; an x without values is skipped.
+
+    One draw gives every resample index, row r holding resampling r's for
+    each x in sorted-x order, as a loop over resamplings and x's would draw
+    them.  An x <= 0, or a resampled median <= 0, drops out of that fit."""
     kept = {k: v for k, v in values_by_x.items() if v}
     medians = {k: float(np.median(v)) for k, v in kept.items()}
     slope = fit_loglog_slope(list(medians), list(medians.values()))
-    rng = np.random.default_rng((seed, 999))
     xs = sorted(kept)
-    slopes = []
-    for _ in range(500):
-        meds = []
-        for x in xs:
-            v = np.asarray(kept[x])
-            meds.append(np.median(v[rng.integers(v.size, size=v.size)]))
-        sl = fit_loglog_slope(xs, meds)
-        if sl is not None:
-            slopes.append(sl)
+    grid = np.array(xs, dtype=float)
+    if np.count_nonzero(grid > 0) < 2:
+        return medians, slope, (None, None)
+    sizes = [len(kept[x]) for x in xs]
+    rng = np.random.default_rng((seed, 999))
+    draws = rng.integers(np.tile(np.repeat(sizes, sizes), (500, 1)))
+    ends = np.cumsum(sizes)
+    meds = np.stack([np.median(np.asarray(kept[x])[draws[:, e - n:e]], axis=1)
+                     for x, n, e in zip(xs, sizes, ends)], axis=1)[:, grid > 0]
+    grid = grid[grid > 0]
+    whole = (meds > 0).all(axis=1)
+    slopes = [fit_loglog_slope(grid, m) for m in meds[~whole]]
+    slopes = [sl for sl in slopes if sl is not None]
+    slopes.extend(np.polyfit(np.log(grid), np.log(meds[whole]).T, 1)[0])
     if not slopes:
         return medians, slope, (None, None)
     lo, hi = np.percentile(slopes, [2.5, 97.5])
@@ -164,23 +185,24 @@ def _dilute_spec(cfg: ExperimentConfig, s: int) -> DiluteClassSpec:
                            eps=float(d.get("eps", 1.0)))
 
 
-def _base_signal(cfg: ExperimentConfig, s: int, rng) -> Signal:
+def _base_signal(cfg: ExperimentConfig, rng, full_support: bool) -> tuple:
+    """(s, theta0) of a scan over sigma: the configured signal, else a
+    Gaussian one with full support if asked, else a dilute one."""
+    s = cfg.s_grid[0] if cfg.s_grid else int(cfg.dilute.get("s", 3))
     if cfg.signal is not None:
-        return Signal.from_json_dict(cfg.signal)
-    if cfg.scenario == "fullsupport-rate" or (cfg.scenario == "kl-curvature-scan"
-                                              and cfg.kl.get("direction") == "adversarial"):
+        return s, Signal.from_json_dict(cfg.signal)
+    if full_support:
         v = rng.normal(size=cfg.L)
         v[v == 0] = 1.0
-        return Signal(v)
-    return gen_collision_free(_dilute_spec(cfg, s), rng)
+        return s, Signal(v)
+    return s, gen_collision_free(_dilute_spec(cfg, s), rng)
 
 
 def _support_perturbation(theta0: Signal, h_norm: float, rng,
                           demean: bool = True) -> Signal:
     """Random direction on supp(theta0); mean-zero by default so the
     first-moment KL term cannot mask the second-order curvature."""
-    off = std_offset(theta0.L)
-    idx = np.array(sorted((int(i) + off) % theta0.L for i in theta0.support))
+    idx = np.flatnonzero(theta0.values)
     h = np.zeros(theta0.L)
     g = rng.normal(size=idx.size)
     if demean and idx.size > 1:
@@ -197,162 +219,152 @@ def _make_dataset(theta0, mcfg, n, seed):
     return simulate(theta0, mcfg, n, np.random.default_rng(seed))
 
 
-def _em_cell(cfg: ExperimentConfig, theta0: Signal, sigma: float, n: int,
-             cell_seed: tuple) -> dict:
+def _direction(theta0: Signal, kind: str, h_norm: float, rng) -> Signal:
+    """A perturbation of norm h_norm: the adversarial direction of
+    `probes.adversarial_direction`, or else a random one on the support."""
+    if kind == "adversarial":
+        h = adversarial_direction(theta0, 1.0)
+        return Signal(h.values * (h_norm / h.norm()))
+    return _support_perturbation(theta0, h_norm, rng)
+
+
+def _em_cell(cfg: ExperimentConfig, rec: dict, theta0: Signal, sigma: float,
+             cell_seed: tuple) -> float:
+    """One EM fit on n = cfg.n_for(sigma) fresh draws; writes n, the error,
+    iterations and time into rec and returns sqrt(n) varrho."""
+    n = rec["n"] = cfg.n_for(sigma)
     mcfg = MraConfig(cfg.L, sigma)
     data = _make_dataset(theta0, mcfg, n, cell_seed)
     em = cfg.em
     policy = em.get("init", "perturbed-truth")
-    rng = np.random.default_rng(cell_seed + (7,))
-    if policy == "truth":
-        init = theta0
-    elif policy == "perturbed-truth":
-        scale = float(em.get("init_perturb", 0.1))
-        init = Signal(theta0.values + _support_perturbation(theta0, scale, rng).values)
-    elif policy == "adversarial":
-        h = adversarial_direction(theta0, 1.0)
-        h_norm = float(em.get("init_perturb", 0.1))
-        init = Signal(theta0.values + h.values * (h_norm / h.norm()))
-    else:
-        raise ValueError("unknown init policy %r" % (policy,))
-    if cfg.scenario == "dilute-rate" or cfg.branch == "dilute" and cfg.scenario == "sparsity-scan":
+    init = theta0
+    if policy != "truth":
+        h = _direction(theta0, policy, float(em.get("init_perturb", 0.1)),
+                       np.random.default_rng(cell_seed + (7,)))
+        init = Signal(theta0.values + h.values)
+    rclass = RestrictedClass("none")
+    if cfg.scenario != "fullsupport-rate":  # the dilute scans
         spec = _dilute_spec(cfg, len(theta0.support))
-        rclass = RestrictedClass("magnitude-band", frozenset(theta0.support),
-                                 m=spec.m, M=spec.M)
-    else:
-        rclass = RestrictedClass("none")
+        rclass = RestrictedClass("magnitude-band", theta0.support, m=spec.m, M=spec.M)
     t0 = time.perf_counter()
     theta_hat, diag = em_restricted_mle(
         data, mcfg, rclass, init,
         max_iters=int(em.get("max_iters", 200)),
         tol=float(em.get("tol", 1e-7)))
     err = varrho(theta_hat, theta0)
-    return {
-        "varrho": float(err),
-        "sqrt_n_varrho": float(np.sqrt(n) * err),
-        "iterations": diag["iterations"],
-        "converged": diag["converged"],
-        "wall_time": time.perf_counter() - t0,
-    }
+    rec.update(varrho=float(err), sqrt_n_varrho=float(np.sqrt(n) * err),
+               iterations=diag["iterations"], converged=diag["converged"],
+               wall_time=time.perf_counter() - t0)
+    return rec["sqrt_n_varrho"]
 
 
-def run_rate_scan(cfg: ExperimentConfig) -> ExperimentResult:
+def _kl_cell(cfg: ExperimentConfig, rec: dict, theta0: Signal, h: Signal,
+             h_norm: float, sigma: float, rng) -> float:
+    """Writes KL(theta0 || theta0 + h), its standard error and the curvature
+    KL / h_norm^2 into rec; returns the curvature, floored for the log fit."""
+    rec["kl"], rec["kl_se"] = kl_monte_carlo(theta0, Signal(theta0.values + h.values), sigma,
+                                             int(cfg.kl.get("n_mc", 100_000)), rng)
+    rec["curvature"] = rec["kl"] / h_norm**2
+    return max(rec["curvature"], 1e-300)
+
+
+def _rate_setup(cfg: ExperimentConfig):
     """EM error vs noise scale; fits the slope of log median sqrt(n) varrho."""
-    if cfg.scenario not in ("dilute-rate", "fullsupport-rate"):
-        raise ValueError("rate scan needs a rate scenario")
-    s = cfg.s_grid[0] if cfg.s_grid else int(cfg.dilute.get("s", 3))
-    theta0 = _base_signal(cfg, s, np.random.default_rng((cfg.seed, 0)))
+    s, theta0 = _base_signal(cfg, np.random.default_rng((cfg.seed, 0)),
+                             cfg.scenario == "fullsupport-rate")
+
+    def cell(rec, i, t):
+        return _em_cell(cfg, rec, theta0, rec["sigma"], (cfg.seed, 1, i, t))
+
+    return {"s": s}, cell, {}, None
+
+
+def _sparsity_setup(cfg: ExperimentConfig):
+    """Sparsity dependence of the EM rate (dilute) or of the KL curvature
+    (moderate branch, exploratory)."""
+    sigma = cfg.sigma_grid[0]
+    # one generator per s, shared by that s's trials
+    gen_rngs = [np.random.default_rng((cfg.seed, 2, i)) for i in range(len(cfg.s_grid))]
+
+    def dilute_cell(rec, i, t):
+        theta0 = gen_collision_free(_dilute_spec(cfg, rec["s"]), gen_rngs[i])
+        return _em_cell(cfg, rec, theta0, sigma, (cfg.seed, 3, i, t)) / sigma**2
+
+    def moderate_cell(rec, i, t):
+        theta0 = gen_symm_interval(cfg.L, rec["s"], float(cfg.kl.get("zeta", 1.0)),
+                                   gen_rngs[i])
+        h_norm = float(cfg.kl.get("h_norm", 1e-2))
+        rng = np.random.default_rng((cfg.seed, 3, i, t))
+        h = _support_perturbation(theta0, h_norm, rng)
+        return _kl_cell(cfg, rec, theta0, h, h_norm, sigma, rng)
+
+    if cfg.branch == "dilute":
+        return {"sigma": sigma}, dilute_cell, {"branch": cfg.branch}, (-0.3, 0.3)
+    return {"sigma": sigma}, moderate_cell, {"branch": cfg.branch}, (-np.inf, 4.0)
+
+
+def _kl_setup(cfg: ExperimentConfig):
+    """KL(theta0 || theta0 + h)/||h||^2 across sigma; fits the sigma exponent."""
+    direction = cfg.kl.get("direction", "dilute")
+    rng0 = np.random.default_rng((cfg.seed, 0))
+    s, theta0 = _base_signal(cfg, rng0, direction == "adversarial")
+    h = _direction(theta0, direction, float(cfg.kl.get("h_norm", 0.1)), rng0)
+
+    def cell(rec, i, t):
+        return _kl_cell(cfg, rec, theta0, h, h.norm(), rec["sigma"],
+                        np.random.default_rng((cfg.seed, 4, i, t)))
+
+    window = (-4.6, -3.4) if direction == "dilute" else (-6.8, -5.2)
+    return ({"s": s, "direction": direction}, cell,
+            {"direction": direction, "window": list(window)}, window)
+
+
+class Scenario(NamedTuple):
+    """A scan over the grid `x` ("sigma" or "s", also the record field) that
+    fits `<exponent>_exponent`.  `setup(cfg)` returns the fields of every
+    record, the cell, extra fits and the slope's window (None: no window).
+    `cell(rec, i, t)` runs trial t at grid index i, writes into `rec` (what
+    it wrote before failing stays) and returns the value to fit."""
+
+    subcommand: str
+    x: str
+    exponent: str
+    setup: Callable
+
+
+#: scenario name -> how it runs, and the CLI subcommand that runs it
+SCENARIOS = {
+    "dilute-rate": Scenario("rate-scan", "sigma", "sigma", _rate_setup),
+    "fullsupport-rate": Scenario("rate-scan", "sigma", "sigma", _rate_setup),
+    "sparsity-scan": Scenario("sparsity-scan", "s", "s", _sparsity_setup),
+    "kl-curvature-scan": Scenario("kl-scan", "sigma", "curvature", _kl_setup),
+}
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run every (grid value, trial) cell of cfg's scenario in grid order,
+    record failed cells (more than 10% of them fail the scan), and fit the
+    log-log slope of the per-x medians with its bootstrap CI."""
+    scenario = SCENARIOS[cfg.scenario]
+    fields, cell, extra_fits, window = scenario.setup(cfg)
+    grid = cfg.sigma_grid if scenario.x == "sigma" else cfg.s_grid
     records = []
-    values_by_sigma = {sig: [] for sig in cfg.sigma_grid}
-    for i, sigma in enumerate(cfg.sigma_grid):
-        n = cfg.n_for(sigma)
+    values_by_x = {x: [] for x in grid}
+    for i, x in enumerate(grid):
         for t in range(cfg.trials):
-            rec = {"sigma": sigma, "n": n, "s": s, "L": cfg.L, "trial": t,
+            rec = {scenario.x: x, **fields, "L": cfg.L, "trial": t,
                    "seed": cfg.seed, "failed": False}
             try:
-                rec.update(_em_cell(cfg, theta0, sigma, n, (cfg.seed, 1, i, t)))
-                values_by_sigma[sigma].append(rec["sqrt_n_varrho"])
+                values_by_x[x].append(cell(rec, i, t))
             except Exception as exc:  # cell failures are recorded, not fatal
                 rec["failed"] = True
                 rec["error"] = repr(exc)
             records.append(rec)
     failures = _count_failures(records)
-    medians, slope, ci = _fit_medians(values_by_sigma, cfg.seed)
-    fits = {"sigma_exponent": slope, "sigma_exponent_ci": ci,
-            "medians": medians, "failures": failures}
-    return ExperimentResult(cfg.scenario, cfg.hash(), cfg.seed, records, fits)
-
-
-def run_sparsity_scan(cfg: ExperimentConfig) -> ExperimentResult:
-    """Sparsity dependence of the EM rate (dilute) or of the KL curvature
-    (moderate branch, exploratory)."""
-    if cfg.scenario != "sparsity-scan":
-        raise ValueError("config scenario must be sparsity-scan")
-    if not cfg.s_grid:
-        raise ValueError("sparsity scan needs a nonempty s grid")
-    sigma = cfg.sigma_grid[0]
-    records = []
-    values_by_s = {s: [] for s in cfg.s_grid}
-    for i, s in enumerate(cfg.s_grid):
-        gen_rng = np.random.default_rng((cfg.seed, 2, i))
-        for t in range(cfg.trials):
-            rec = {"sigma": sigma, "s": s, "L": cfg.L, "trial": t,
-                   "seed": cfg.seed, "failed": False}
-            try:
-                if cfg.branch == "dilute":
-                    theta0 = gen_collision_free(_dilute_spec(cfg, s), gen_rng)
-                    n = cfg.n_for(sigma)
-                    rec["n"] = n
-                    out = _em_cell(cfg, theta0, sigma, n, (cfg.seed, 3, i, t))
-                    rec.update(out)
-                    values_by_s[s].append(out["sqrt_n_varrho"] / sigma**2)
-                else:
-                    zeta = float(cfg.kl.get("zeta", 1.0))
-                    theta0 = gen_symm_interval(cfg.L, s, zeta, gen_rng)
-                    h_norm = float(cfg.kl.get("h_norm", 1e-2))
-                    rng = np.random.default_rng((cfg.seed, 3, i, t))
-                    h = _support_perturbation(theta0, h_norm, rng)
-                    kl, se = kl_monte_carlo(theta0, Signal(theta0.values + h.values),
-                                            sigma, int(cfg.kl.get("n_mc", 100_000)), rng)
-                    rec["kl"], rec["kl_se"] = kl, se
-                    rec["curvature"] = kl / h_norm**2
-                    values_by_s[s].append(max(rec["curvature"], 1e-300))
-            except Exception as exc:
-                rec["failed"] = True
-                rec["error"] = repr(exc)
-            records.append(rec)
-    failures = _count_failures(records)
-    medians, slope, ci = _fit_medians(values_by_s, cfg.seed)
-    fits = {"s_exponent": slope, "s_exponent_ci": ci, "medians": medians,
-            "failures": failures, "branch": cfg.branch}
-    if cfg.branch == "dilute" and slope is not None:
-        fits["passes"] = bool(-0.3 <= slope <= 0.3)
-    elif slope is not None:
-        fits["passes"] = bool(slope <= 3.5 + 0.5)
-    return ExperimentResult(cfg.scenario, cfg.hash(), cfg.seed, records, fits)
-
-
-def run_kl_curvature_scan(cfg: ExperimentConfig) -> ExperimentResult:
-    """KL(theta0 || theta0 + h)/||h||^2 across sigma; fits the sigma exponent."""
-    if cfg.scenario != "kl-curvature-scan":
-        raise ValueError("config scenario must be kl-curvature-scan")
-    direction = cfg.kl.get("direction", "dilute")
-    s = cfg.s_grid[0] if cfg.s_grid else int(cfg.dilute.get("s", 3))
-    rng0 = np.random.default_rng((cfg.seed, 0))
-    theta0 = _base_signal(cfg, s, rng0)
-    h_norm = float(cfg.kl.get("h_norm", 0.1))
-    if direction == "adversarial":
-        h = adversarial_direction(theta0, 1.0)
-        h = Signal(h.values * (h_norm / h.norm()))
-    elif direction == "dilute":
-        h = _support_perturbation(theta0, h_norm, rng0)
-    else:
-        raise ValueError("unknown direction %r" % (direction,))
-    theta1 = Signal(theta0.values + h.values)
-    n_mc = int(cfg.kl.get("n_mc", 100_000))
-    records = []
-    values_by_sigma = {sig: [] for sig in cfg.sigma_grid}
-    for i, sigma in enumerate(cfg.sigma_grid):
-        for t in range(cfg.trials):
-            rng = np.random.default_rng((cfg.seed, 4, i, t))
-            kl, se = kl_monte_carlo(theta0, theta1, sigma, n_mc, rng)
-            curv = kl / h.norm() ** 2
-            records.append({"sigma": sigma, "trial": t, "L": cfg.L, "s": s,
-                            "direction": direction, "kl": kl, "kl_se": se,
-                            "curvature": curv, "seed": cfg.seed, "failed": False})
-            values_by_sigma[sigma].append(max(curv, 1e-300))
-    medians, slope, ci = _fit_medians(values_by_sigma, cfg.seed)
-    window = (-4.6, -3.4) if direction == "dilute" else (-6.8, -5.2)
-    fits = {"curvature_exponent": slope, "curvature_exponent_ci": ci,
-            "medians": medians, "direction": direction, "window": list(window)}
-    if slope is not None:
+    medians, slope, ci = _fit_medians(values_by_x, cfg.seed)
+    key = scenario.exponent + "_exponent"
+    fits = {key: slope, key + "_ci": ci, "medians": medians, "failures": failures,
+            **extra_fits}
+    if window is not None and slope is not None:
         fits["passes"] = bool(window[0] <= slope <= window[1])
     return ExperimentResult(cfg.scenario, cfg.hash(), cfg.seed, records, fits)
-
-
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    if cfg.scenario in ("dilute-rate", "fullsupport-rate"):
-        return run_rate_scan(cfg)
-    if cfg.scenario == "sparsity-scan":
-        return run_sparsity_scan(cfg)
-    return run_kl_curvature_scan(cfg)

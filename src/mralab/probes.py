@@ -79,11 +79,6 @@ class GoodSetParams:
             raise ValueError("parameters must be positive")
 
 
-def _support_machine_indices(theta: Signal) -> np.ndarray:
-    off = std_offset(theta.L)
-    return np.array(sorted((int(i) + off) % theta.L for i in theta.support))
-
-
 def _check_dilute_member(theta: Signal, spec: DiluteClassSpec):
     sup = theta.support
     if len(sup) != spec.s:
@@ -105,9 +100,7 @@ def support_restricted_min_ratio(theta0: Signal, n_support: int) -> float:
     of generators.
     """
     L = theta0.L
-    idx = _support_machine_indices(theta0)
-    units = np.zeros((idx.size, L))
-    units[np.arange(idx.size), idx] = 1.0
+    units = np.eye(L)[np.flatnonzero(theta0.values)]
     lin, _ = second_moment_expansion_generators(theta0, units)
     smin = np.sqrt(L) * np.linalg.svd(lin, compute_uv=False)[-1]
     return float(smin / np.sqrt(n_support / L))
@@ -144,7 +137,7 @@ def dilute_lower_bound_check(theta0: Signal, spec: DiluteClassSpec, trials: int,
     L, s = theta0.L, spec.s
     h = rng.normal(size=(trials, s))
     rows = np.zeros((trials, L))
-    rows[:, _support_machine_indices(theta0)] = h * (
+    rows[:, np.flatnonzero(theta0.values)] = h * (
         h_norm / np.linalg.norm(h, axis=1, keepdims=True))
     d2, r = curvature_terms(theta0, rows)
     ratios = d2 / (np.sqrt(s / L) * r)

@@ -13,7 +13,7 @@ import pytest
 from mralab.beltway import (DifferenceProfile, canonical_orbit,
                             max_collision_free_size,
                             recover_from_power_spectrum, solve_beltway)
-from mralab.experiments import ExperimentConfig, fit_loglog_slope, run_rate_scan
+from mralab.experiments import ExperimentConfig, fit_loglog_slope, run_experiment
 from mralab.gensig import (DiluteClassSpec, check_cosine_generic,
                            difference_multiset, gen_collision_free,
                            is_collision_free, positive_part)
@@ -229,7 +229,7 @@ class TestEmRateScan:
             dilute={"s": 6, "m": 1.0, "M": 1.2, "eps": 1.0},
             em={"init": "perturbed-truth", "init_perturb": 0.1,
                 "max_iters": 300, "tol": 1e-8})
-        result = run_rate_scan(cfg)
+        result = run_experiment(cfg)
         alpha = result.fits["sigma_exponent"]
         assert alpha is not None
         assert 1.6 <= alpha <= 2.6, result.fits

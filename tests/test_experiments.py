@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from mralab import experiments
 from mralab.experiments import (ExperimentConfig, ExperimentFailureError,
-                                ExperimentResult, _support_perturbation,
-                                fit_loglog_slope, run_experiment,
-                                run_kl_curvature_scan, run_rate_scan,
-                                run_sparsity_scan)
+                                ExperimentResult, _fit_medians,
+                                _support_perturbation, fit_loglog_slope,
+                                run_experiment)
 from mralab.gensig import DiluteClassSpec, gen_collision_free
 from mralab.ring import Signal
 
@@ -41,6 +41,21 @@ class TestConfig:
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
         assert a.hash() == "2d029ce862f66229"
+
+    def test_branch_validated(self):
+        with pytest.raises(ValueError, match="branch"):
+            ExperimentConfig(scenario="sparsity-scan", L=16, sigma_grid=(1.0,),
+                             seed=0, s_grid=(2,), branch="moderat")
+
+    def test_em_init_validated(self):
+        with pytest.raises(ValueError, match="em.init"):
+            ExperimentConfig(scenario="dilute-rate", L=8, sigma_grid=(1.0,),
+                             seed=0, em={"init": "perturbed_truth"})
+
+    def test_sparsity_scan_needs_one_sigma(self):
+        with pytest.raises(ValueError, match="sigma_grid"):
+            ExperimentConfig(scenario="sparsity-scan", L=16,
+                             sigma_grid=(1.0, 2.0), seed=0, s_grid=(2, 3))
 
     def test_from_json_dict_round_trip(self):
         a = ExperimentConfig(scenario="kl-curvature-scan", L=8,
@@ -103,8 +118,8 @@ SMALL_RATE = dict(scenario="dilute-rate", L=11, sigma_grid=(0.5, 1.0), seed=7,
 class TestRateScan:
     def test_records_and_reproducibility(self):
         cfg = ExperimentConfig(**SMALL_RATE)
-        res1 = run_rate_scan(cfg)
-        res2 = run_rate_scan(ExperimentConfig(**SMALL_RATE))
+        res1 = run_experiment(cfg)
+        res2 = run_experiment(ExperimentConfig(**SMALL_RATE))
         assert len(res1.records) == 4
         assert all(not r["failed"] for r in res1.records)
         strip = lambda rs: [{k: v for k, v in r.items() if k != "wall_time"}
@@ -114,17 +129,11 @@ class TestRateScan:
 
     def test_single_sigma_slope_none(self):
         d = dict(SMALL_RATE, sigma_grid=(1.0,), trials=1)
-        res = run_rate_scan(ExperimentConfig(**d))
+        res = run_experiment(ExperimentConfig(**d))
         assert res.fits["sigma_exponent"] is None
 
-    def test_wrong_scenario_rejected(self):
-        cfg = ExperimentConfig(scenario="kl-curvature-scan", L=8,
-                               sigma_grid=(1.0,), seed=0)
-        with pytest.raises(ValueError):
-            run_rate_scan(cfg)
-
     def test_csv_json_round_trip(self, tmp_path):
-        res = run_rate_scan(ExperimentConfig(**SMALL_RATE))
+        res = run_experiment(ExperimentConfig(**SMALL_RATE))
         csv_path = tmp_path / "records.csv"
         json_path = tmp_path / "summary.json"
         res.to_csv(csv_path)
@@ -146,23 +155,22 @@ class TestSparsityScan:
             trials=2, s_grid=(3, 4, 5), n_base=300, n_rule="fixed",
             dilute={"m": 1.0, "M": 1.05, "eps": 0.5},
             em={"init": "perturbed-truth", "init_perturb": 0.05, "max_iters": 60})
-        res = run_sparsity_scan(cfg)
+        res = run_experiment(cfg)
         assert len(res.records) == 6
         assert res.fits["branch"] == "dilute"
         assert res.fits["s_exponent"] is not None
 
     def test_needs_s_grid(self):
-        cfg = ExperimentConfig(scenario="sparsity-scan", L=16,
-                               sigma_grid=(1.0,), seed=0)
-        with pytest.raises(ValueError):
-            run_sparsity_scan(cfg)
+        with pytest.raises(ValueError, match="s_grid"):
+            ExperimentConfig(scenario="sparsity-scan", L=16,
+                             sigma_grid=(1.0,), seed=0)
 
     def test_moderate_branch(self):
         cfg = ExperimentConfig(
             scenario="sparsity-scan", L=32, sigma_grid=(2.0,), seed=13,
             trials=1, s_grid=(2, 4, 6), branch="moderate",
             kl={"n_mc": 20_000, "h_norm": 1e-2, "zeta": 1.0})
-        res = run_sparsity_scan(cfg)
+        res = run_experiment(cfg)
         assert all("kl" in r for r in res.records)
         assert res.fits["s_exponent"] is not None
 
@@ -173,7 +181,7 @@ class TestKlCurvatureScan:
             scenario="kl-curvature-scan", L=8, sigma_grid=(2.0, 4.0), seed=17,
             trials=1, s_grid=(3,), dilute={"m": 1.0, "M": 1.05, "eps": 0.5},
             kl={"direction": "dilute", "n_mc": 200_000, "h_norm": 0.05})
-        res = run_kl_curvature_scan(cfg)
+        res = run_experiment(cfg)
         slope = res.fits["curvature_exponent"]
         assert -5.0 <= slope <= -3.0
         assert res.fits["window"] == [-4.6, -3.4]
@@ -183,16 +191,44 @@ class TestKlCurvatureScan:
             scenario="kl-curvature-scan", L=8, sigma_grid=(2.0, 4.0), seed=19,
             trials=1, kl={"direction": "adversarial", "n_mc": 50_000,
                           "h_norm": 0.1})
-        res = run_kl_curvature_scan(cfg)
+        res = run_experiment(cfg)
         assert res.fits["window"] == [-6.8, -5.2]
         assert res.fits["curvature_exponent"] < -4.0
 
     def test_unknown_direction(self):
-        cfg = ExperimentConfig(scenario="kl-curvature-scan", L=8,
-                               sigma_grid=(1.0,), seed=0,
-                               kl={"direction": "sideways"})
-        with pytest.raises(ValueError):
-            run_kl_curvature_scan(cfg)
+        with pytest.raises(ValueError, match="kl.direction"):
+            ExperimentConfig(scenario="kl-curvature-scan", L=8,
+                             sigma_grid=(1.0,), seed=0,
+                             kl={"direction": "sideways"})
+
+    KL_TEN_CELLS = dict(scenario="kl-curvature-scan", L=8, seed=23, trials=2,
+                        sigma_grid=(1.0, 2.0, 3.0, 4.0, 5.0), s_grid=(3,),
+                        dilute={"m": 1.0, "M": 1.05, "eps": 0.5},
+                        kl={"direction": "dilute", "n_mc": 2000, "h_norm": 0.05})
+
+    def test_failed_cell_recorded(self, monkeypatch):
+        real, calls = experiments.kl_monte_carlo, []
+
+        def flaky(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("cell 3 failed")
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "kl_monte_carlo", flaky)
+        res = run_experiment(ExperimentConfig(**self.KL_TEN_CELLS))
+        assert len(res.records) == 10
+        assert [r["failed"] for r in res.records] == [i == 2 for i in range(10)]
+        assert res.records[2]["error"] == repr(FloatingPointError("cell 3 failed"))
+        assert res.fits["failures"] == 1
+
+    def test_all_cells_failing_raise(self, monkeypatch):
+        def broken(*args):
+            raise FloatingPointError("no cell runs")
+
+        monkeypatch.setattr(experiments, "kl_monte_carlo", broken)
+        with pytest.raises(ExperimentFailureError):
+            run_experiment(ExperimentConfig(**self.KL_TEN_CELLS))
 
 
 class TestDispatch:
@@ -200,3 +236,61 @@ class TestDispatch:
         res = run_experiment(ExperimentConfig(**SMALL_RATE))
         assert isinstance(res, ExperimentResult)
         assert res.scenario == "dilute-rate"
+
+
+def _fit_medians_loop(values_by_x: dict, seed: int):
+    """Reference bootstrap: one rng.integers call per resampling and x."""
+    kept = {k: v for k, v in values_by_x.items() if v}
+    medians = {k: float(np.median(v)) for k, v in kept.items()}
+    slope = fit_loglog_slope(list(medians), list(medians.values()))
+    rng = np.random.default_rng((seed, 999))
+    xs = sorted(kept)
+    slopes = []
+    for _ in range(500):
+        meds = []
+        for x in xs:
+            v = np.asarray(kept[x])
+            meds.append(np.median(v[rng.integers(v.size, size=v.size)]))
+        sl = fit_loglog_slope(xs, meds)
+        if sl is not None:
+            slopes.append(sl)
+    if not slopes:
+        return medians, slope, (None, None)
+    lo, hi = np.percentile(slopes, [2.5, 97.5])
+    return medians, slope, (float(lo), float(hi))
+
+
+def _draws(rng, *sizes):
+    return [list(rng.lognormal(size=n)) for n in sizes]
+
+
+class TestFitMedians:
+    """The one-draw bootstrap against the per-resampling loop.  Medians,
+    slope and random stream are bit-identical; the CI is compared at a
+    relative 1e-12, because one polyfit over all resamplings may solve its
+    least-squares problem in a different order than 500 separate fits (seen
+    as a few-ulp change from about 8 x values on)."""
+
+    RNG = np.random.default_rng(29)
+    CASES = {
+        "equal-counts": dict(zip([1.0, 2.0, 4.0], _draws(RNG, 5, 5, 5))),
+        "unequal-counts": dict(zip([1.0, 2.0, 4.0, 8.0], _draws(RNG, 3, 7, 1, 20))),
+        "single-x": {2.0: _draws(RNG, 6)[0]},
+        "zero-x": dict(zip([0.0, 1.0, 3.0, 9.0], _draws(RNG, 4, 5, 2, 3))),
+        "many-x": dict(zip(np.arange(1.0, 13.0), _draws(RNG, *range(2, 14)))),
+        "empty-x": {1.0: [], 2.0: [1.0, 3.0, 2.0], 3.0: [2.0, 5.0]},
+        "zero-medians": {1.0: [0.0, 0.0, 1.0], 2.0: [0.0, 2.0, 3.0],
+                         4.0: [1.0, 0.5, 0.0]},
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_loop_oracle(self, case):
+        values = self.CASES[case]
+        medians, slope, ci = _fit_medians(values, seed=5)
+        ref_medians, ref_slope, ref_ci = _fit_medians_loop(values, seed=5)
+        assert medians == ref_medians
+        assert slope == ref_slope
+        if ref_ci == (None, None):
+            assert ci == ref_ci
+        else:
+            np.testing.assert_allclose(ci, ref_ci, rtol=1e-12, atol=0)
