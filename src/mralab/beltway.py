@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .gensig import DiluteClassSpec, difference_multiset
 from .probes import curvature_terms
@@ -195,16 +194,45 @@ def _values_from_products(support, A_nat, L: int):
 
 
 def _refine_values(support, vals, P_nat, L: int):
-    """Least-squares polish of support values against the target power spectrum."""
-    idx = np.array(support)
+    """Least-squares polish of support values against the target power spectrum.
+
+    Levenberg-Marquardt on r(v) = |F x|^2 - P, where x holds v on the support
+    and 0 off it, with the exact Jacobian J = 2 Re(conj(F x) F[:, support])
+    and Marquardt's scaling by diag(J^T J).  It stops when a step, or the
+    relative decrease of ||r||^2, falls to 1e-15, when no damping lowers
+    ||r||^2, or after 100 steps.
+    """
+    F = np.exp(-2j * np.pi * (np.outer(np.arange(L), support) % L) / L)
 
     def resid(v):
-        x = np.zeros(L)
-        x[idx] = v
-        return np.abs(np.fft.fft(x)) ** 2 - P_nat
+        f = F @ v
+        r = f.real**2 + f.imag**2 - P_nat
+        return f, r, r @ r
 
-    sol = scipy.optimize.least_squares(resid, vals, method="lm", xtol=1e-15, ftol=1e-15)
-    return sol.x
+    v = np.asarray(vals, dtype=float)
+    f, r, cost = resid(v)
+    lam = 1e-3
+    for _ in range(100):
+        J = 2 * (f.real[:, None] * F.real + f.imag[:, None] * F.imag)
+        A, g = J.T @ J, J.T @ r
+        d = np.diag(A).copy()
+        d[d == 0] = 1.0
+        while True:
+            step = np.linalg.solve(A + lam * np.diag(d), -g)
+            trial = v + step
+            f_new, r_new, cost_new = resid(trial)
+            if cost_new < cost:
+                break
+            lam *= 10
+            if lam > 1e16:
+                return v
+        lam = max(lam / 10, 1e-12)
+        decrease = cost - cost_new
+        v, f, r, cost = trial, f_new, r_new, cost_new
+        if (np.linalg.norm(step) <= 1e-15 * (np.linalg.norm(v) + 1e-15)
+                or decrease <= 1e-15 * (cost + decrease)):
+            break
+    return v
 
 
 def recover_from_power_spectrum(P, class_hint: DiluteClassSpec, tol: float = 1e-5,

@@ -65,6 +65,9 @@ class ExperimentConfig:
         self.s_grid = tuple(int(x) for x in self.s_grid)
         if not self.sigma_grid:
             raise ValueError("sigma grid must be nonempty")
+        if not all(x > 0 for x in self.sigma_grid):
+            raise ValueError("sigma_grid must hold positive noise scales, got %r"
+                             % (self.sigma_grid,))
         if self.trials < 1:
             raise ValueError("need trials >= 1")
         _check_choice("n_rule", self.n_rule, ("fixed", "sigma4"))
@@ -79,6 +82,13 @@ class ExperimentConfig:
             if len(self.sigma_grid) != 1:
                 raise ValueError("sigma_grid of a sparsity-scan must hold one sigma, got %d"
                                  % len(self.sigma_grid))
+        # these cells fit EM to n_for(sigma) simulated observations
+        if (self.scenario in ("dilute-rate", "fullsupport-rate")
+                or (self.scenario == "sparsity-scan" and self.branch == "dilute")):
+            small = [x for x in self.sigma_grid if self.n_for(x) < 1]
+            if small:
+                raise ValueError("n_base %r gives fewer than 1 observation under n_rule %r "
+                                 "at sigma %r" % (self.n_base, self.n_rule, small))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import entr
 
-from .ring import LengthMismatchError, Signal, reflect, std_offset, varrho
+from .ring import LengthMismatchError, Signal, reflect, std_offset
 
 DEFAULT_CHUNK = 65_536
 
@@ -312,6 +311,10 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
     its drop.  `mean_effective_group_size` is the mean of exp(entropy of the
     posterior weights) at theta_hat: |G| when the data say nothing about
     alignment, 1 when every observation is aligned with certainty.
+
+    `varrho_steps[k]` is ||theta_k+1 - theta_k|| / sqrt(L), the unaligned
+    step.  It bounds varrho(theta_k+1, theta_k) from above, so stopping once
+    it falls below `tol` is conservative, and it costs no orbit alignment.
     """
     if data.n == 0:
         raise ValueError("EM needs at least one observation; the dataset is empty")
@@ -340,7 +343,7 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
             pre_projection_ll.append(log_likelihood(raw, data))
         new, clamped = rclass.project(raw)
         clamp_any = clamp_any or clamped
-        step = varrho(new, theta)
+        step = float(np.linalg.norm(new.values - theta.values)) / np.sqrt(L)
         steps.append(step)
         theta = new
         if step < tol:
@@ -350,7 +353,9 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
     group_size = 0.0
     for _, log_dens, w in _posteriors(theta, data, cfg):
         final_ll += float(np.sum(log_dens))
-        group_size += float(np.sum(np.exp(np.sum(entr(w), axis=0))))
+        # entropy -sum w log w, with 0 log 0 = 0 for weights that underflowed
+        entropy = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=0)
+        group_size += float(np.sum(np.exp(entropy)))
     diagnostics = {
         "iterations": iters,
         "converged": converged,

@@ -14,7 +14,6 @@ sum over the plane of |difference|^2, in O(L^(m-1)) work.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .ring import LengthMismatchError, Signal, std_offset
 
@@ -101,9 +100,15 @@ def convolve(u: Signal, v: Signal) -> Signal:
     return Signal.from_natural(np.real(out))
 
 
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """L x L matrix with entries c[(i - j) mod L], for c in natural order."""
+    i = np.arange(c.size)
+    return c[(i[:, None] - i[None, :]) % c.size]
+
+
 def toeplitz(v: Signal) -> np.ndarray:
     """Circulant matrix M(v) with entries M[i, j] = v(i - j)."""
-    return scipy.linalg.circulant(v.natural())
+    return _circulant(v.natural())
 
 
 def autocorrelation(theta: Signal) -> np.ndarray:
@@ -164,7 +169,7 @@ def second_moment_difference_expansion(theta: Signal, h: Signal):
     if theta.L != h.L:
         raise LengthMismatchError("signals have lengths %d and %d" % (theta.L, h.L))
     lin, quad = second_moment_expansion_generators(theta, h.values)
-    return scipy.linalg.circulant(lin), scipy.linalg.circulant(quad)
+    return _circulant(lin), _circulant(quad)
 
 
 def empirical_moments(observations: np.ndarray, order: int, sigma: float) -> MomentTensor:

@@ -3,7 +3,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from mralab import beltway
 from mralab.beltway import (DifferenceProfile, ProfileInconsistencyError,
                             SearchBudgetError, canonical_orbit,
                             local_uniqueness_probe, max_collision_free_size,
@@ -219,6 +221,48 @@ class TestRecovery:
         # a flat spectrum of the wrong scale thresholds to the wrong lag count
         with pytest.raises(ProfileInconsistencyError):
             recover_from_power_spectrum(np.full(101, 4.0), self.SPEC)
+
+
+def minpack_refine(support, vals, P_nat, L: int):
+    """The slow oracle for `_refine_values`: MINPACK's Levenberg-Marquardt
+    with a finite-difference Jacobian, on the FFT residual."""
+    idx = np.array(support)
+
+    def resid(v):
+        x = np.zeros(L)
+        x[idx] = v
+        return np.abs(np.fft.fft(x)) ** 2 - P_nat
+
+    return scipy.optimize.least_squares(resid, vals, method="lm", xtol=1e-15,
+                                        ftol=1e-15).x
+
+
+class TestRefineValuesOracle:
+    """Recovery with the exact-Jacobian LM against recovery with MINPACK,
+    on random DILUTE instances at three levels of relative spectrum noise."""
+
+    @pytest.mark.parametrize("noise, tol", [(0.0, 1e-8), (1e-6, 1e-4), (1e-4, 1e-3)])
+    def test_matches_minpack(self, noise, tol, monkeypatch):
+        rng = np.random.default_rng(17)
+        for L, s in ((89, 8), (101, 8), (127, 8), (127, 9)):
+            spec = DiluteClassSpec(L=L, s=s, m=1.0, M=1.5, eps=1.0)
+            for _ in range(3):
+                P = power_spectrum(gen_collision_free(spec, rng))
+                P = P * (1 + noise * rng.normal(size=L))
+                ours = recover_from_power_spectrum(P, spec, tol=tol)
+                with monkeypatch.context() as m:
+                    m.setattr(beltway, "_refine_values", minpack_refine)
+                    ref = recover_from_power_spectrum(P, spec, tol=tol)
+                assert ours and len(ours) == len(ref)
+                for a, b in zip(ours, ref):
+                    if noise == 0.0:
+                        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
+                    elif noise == 1e-6:
+                        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-10)
+                    else:
+                        res_a = np.linalg.norm(power_spectrum(a) - P)
+                        res_b = np.linalg.norm(power_spectrum(b) - P)
+                        assert res_a <= res_b * (1 + 1e-9)
 
 
 class TestLocalUniqueness:

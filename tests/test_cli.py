@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mralab
 from mralab.cli import HEADERS, main, read_container, write_container
 from mralab.gensig import DiluteClassSpec, gen_collision_free
 from mralab.mra import MraConfig, simulate
@@ -204,3 +208,59 @@ class TestScan:
         p = self._kl_cfg(tmp_path, "dilute", 1000)
         with pytest.raises(SystemExit):
             main(["rate-scan", "--config", str(p)])
+
+
+#: runs each argv list given as JSON in argv[1] through cli.main, with every
+#: import of scipy failing
+NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from mralab.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit("mralab %s exited nonzero" % argv[0])
+"""
+
+
+class TestWithoutScipy:
+    def test_cli_runs_on_numpy_alone(self, tmp_path):
+        spec = DiluteClassSpec(L=21, s=4, m=1.0, M=1.1, eps=1.0)
+        theta0 = gen_collision_free(spec, np.random.default_rng(3))
+        sig = tmp_path / "theta0.json"
+        _write_json(sig, theta0.to_json_dict())
+        restr = tmp_path / "restr.json"
+        _write_json(restr, {"kind": "magnitude-band", "support": sorted(theta0.support),
+                            "m": 1.0, "M": 1.1})
+        spectrum = tmp_path / "spec.csv"
+        spectrum.write_text("index,value\n" + "\n".join(
+            "%d,%.17g" % (i, v) for i, v in enumerate(power_spectrum(theta0))))
+        probe = tmp_path / "probe.json"
+        _write_json(probe, {"L": 16, "seed": 4, "delta": 1e-3})
+        scan = tmp_path / "scan.json"
+        _write_json(scan, {"scenario": "kl-curvature-scan", "L": 8, "sigma_grid": [2.0],
+                           "seed": 1, "trials": 1, "s_grid": [3],
+                           "dilute": {"m": 1.0, "M": 1.05, "eps": 0.5},
+                           "kl": {"n_mc": 2000, "h_norm": 0.05}})
+        p = {k: str(tmp_path / k) for k in ("data.mra", "hat.json", "diag.json",
+                                             "cands.json", "probe.out", "scan.out")}
+        commands = [
+            ["simulate", "--signal", str(sig), "--sigma", "0.5", "--n", "200",
+             "--out", p["data.mra"]],
+            ["estimate", "--data", p["data.mra"], "--restriction", str(restr),
+             "--init", str(sig), "--max-iters", "5", "--out-signal", p["hat.json"],
+             "--out-diagnostics", p["diag.json"]],
+            ["pr-recover", "--spectrum", str(spectrum), "--L", "21", "--s", "4",
+             "--m", "1.0", "--M", "1.1", "--tol", "1e-8", "--out", p["cands.json"]],
+            ["probe", "adversarial", "--config", str(probe), "--out", p["probe.out"]],
+            ["kl-scan", "--config", str(scan), "--out-json", p["scan.out"]],
+        ]
+        src = os.path.dirname(os.path.dirname(mralab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(commands)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert json.loads((tmp_path / "diag.json").read_text())["iterations"] == 5
+        assert json.loads((tmp_path / "cands.json").read_text())["candidates"]
+        assert json.loads((tmp_path / "probe.out").read_text())["probe"] == "adversarial"
+        assert json.loads((tmp_path / "scan.out").read_text())["n_records"] == 1

@@ -31,6 +31,26 @@ class TestConfig:
             ExperimentConfig(scenario="dilute-rate", L=8, sigma_grid=(1.0,),
                              seed=0, schema=2)
 
+    @pytest.mark.parametrize("scenario", ["dilute-rate", "kl-curvature-scan"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_nonpositive_sigma_rejected(self, scenario, bad):
+        with pytest.raises(ValueError, match="sigma_grid"):
+            ExperimentConfig(scenario=scenario, L=8, sigma_grid=(bad, 1.0), seed=0)
+
+    def test_n_base_below_one_observation_rejected(self):
+        # sigma4 rule: round(10 * 0.25^4) = 0 observations
+        with pytest.raises(ValueError, match="n_base"):
+            ExperimentConfig(scenario="dilute-rate", L=8, sigma_grid=(0.25, 1.0),
+                             seed=0, n_base=10)
+        with pytest.raises(ValueError, match="n_base"):
+            ExperimentConfig(scenario="sparsity-scan", L=16, sigma_grid=(1.0,), seed=0,
+                             s_grid=(2,), n_base=0, n_rule="fixed")
+        # KL scans draw n_mc samples, not n_for(sigma) observations
+        ExperimentConfig(scenario="kl-curvature-scan", L=8, sigma_grid=(0.25, 1.0),
+                         seed=0, n_base=10)
+        ExperimentConfig(scenario="sparsity-scan", L=16, sigma_grid=(1.0,), seed=0,
+                         s_grid=(2,), n_base=0, n_rule="fixed", branch="moderate")
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(scenario="dilute-rate", L=8, sigma_grid=(1.0, 2.0),
                              seed=0)

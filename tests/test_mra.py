@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 
 from mralab.mra import (Dataset, MraConfig, RestrictedClass, StreamingDataset,
                         em_restricted_mle, kl_monte_carlo, log_density,
@@ -269,6 +270,46 @@ class TestEm:
                                     max_iters=0)
         assert diag["mean_effective_group_size"] == pytest.approx(18 if dihedral else 9,
                                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.7])
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_effective_group_size_matches_entr_oracle(self, sigma, dihedral):
+        # period-3 pattern plus a small bump: at sigma = 0.05 the three near
+        # shifts share the posterior and every other weight underflows to 0
+        rng = np.random.default_rng(48)
+        theta = Signal(np.tile([1.0, -0.5, 0.2], 3) + 0.01 * rng.normal(size=9))
+        cfg = MraConfig(9, sigma, dihedral)
+        data = simulate(theta, cfg, 60, np.random.default_rng(49))
+        _, diag = em_restricted_mle(data, cfg, RestrictedClass("none"), theta,
+                                    max_iters=0)
+        logw = np.array([[-np.sum((y - g.apply(theta).values) ** 2) / (2 * sigma**2)
+                          for g in group_elements(9, dihedral)]
+                         for y in data.observations])
+        w = scipy.special.softmax(logw, axis=1)
+        entropy = np.sum(scipy.special.entr(w), axis=1)
+        if sigma < 0.1:
+            assert np.any(w == 0) and np.all(entropy > 0)
+        assert diag["mean_effective_group_size"] == pytest.approx(
+            np.mean(np.exp(entropy)), rel=1e-12)
+
+    def test_steps_are_unaligned(self):
+        # a projection that rotates: the aligned distance between iterates
+        # is small, the unaligned step is not
+        class Rotate:
+            def project(self, theta):
+                return shift(theta, 1), False
+
+        cfg = MraConfig(21, 0.5)
+        data = simulate(PLANAR, cfg, 300, np.random.default_rng(50))
+        init = Signal(PLANAR.values + 0.1 * np.random.default_rng(51).normal(size=21))
+        iterates = [em_restricted_mle(data, cfg, Rotate(), init, max_iters=k, tol=0)[0]
+                    for k in range(4)]
+        _, diag = em_restricted_mle(data, cfg, Rotate(), init, max_iters=3, tol=0)
+        for k, step in enumerate(diag["varrho_steps"]):
+            new, old = iterates[k + 1], iterates[k]
+            assert step == pytest.approx(
+                np.linalg.norm(new.values - old.values) / np.sqrt(21), rel=1e-12)
+            assert step > 2 * varrho(new, old)
 
     def test_log_likelihood_decreases_listed(self):
         # shrinking towards 0 is not the nearest point of any class, so it

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mralab.ring import Signal, reflect, shift, std_indices
@@ -7,6 +8,7 @@ from mralab.spectral import (Spectrum, autocorrelation,
                              convolve, delta_m, dft, empirical_moments, idft,
                              power_spectrum, second_moment,
                              second_moment_difference_expansion,
+                             second_moment_expansion_generators,
                              second_moment_generator, toeplitz)
 
 
@@ -145,6 +147,16 @@ class TestToeplitz:
             v = Signal(rng.normal(size=L))
             assert np.linalg.norm(toeplitz(v)) == pytest.approx(
                 np.sqrt(L) * v.norm(), rel=1e-12)
+
+    @pytest.mark.parametrize("L", [2, 7, 16, 21, 64])
+    def test_bit_equal_to_scipy_circulant(self, L):
+        rng = np.random.default_rng(L)
+        v, theta, h = (Signal(rng.normal(size=L)) for _ in range(3))
+        np.testing.assert_array_equal(toeplitz(v), scipy.linalg.circulant(v.natural()))
+        lin, quad = second_moment_difference_expansion(theta, h)
+        glin, gquad = second_moment_expansion_generators(theta, h.values)
+        np.testing.assert_array_equal(lin, scipy.linalg.circulant(glin))
+        np.testing.assert_array_equal(quad, scipy.linalg.circulant(gquad))
 
     def test_trace_inner_product(self):
         rng = np.random.default_rng(9)
