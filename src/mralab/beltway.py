@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gensig import DiluteClassSpec, difference_multiset
+from .gensig import DiluteClassSpec, difference_multiset, fresh_lags
 from .probes import curvature_terms
 from .ring import Signal, std_offset
 from .spectral import power_spectrum
@@ -235,12 +235,11 @@ def _refine_values(support, vals, P_nat, L: int):
     return v
 
 
-def recover_from_power_spectrum(P, class_hint: DiluteClassSpec, tol: float = 1e-5,
-                                threshold: float | None = None):
+def recover_from_power_spectrum(P, class_hint: DiluteClassSpec, tol: float = 1e-5):
     """Candidate signals whose power spectrum matches P, for a dilute class.
 
     P is a length-L nonnegative vector in standard frequency order.  Pipeline:
-    autocorrelation by inverse DFT, support differences by thresholding,
+    autocorrelation by inverse DFT, support differences by thresholding at m^2/2,
     backtracking support solve, values from pairwise products, least-squares
     refinement.  Candidates are returned with canonical sign (first nonzero
     value positive) and only if their relative spectral residual is <= tol.
@@ -251,8 +250,7 @@ def recover_from_power_spectrum(P, class_hint: DiluteClassSpec, tol: float = 1e-
         raise ValueError("P must be a nonnegative length-%d vector" % L)
     P_nat = np.roll(P, -std_offset(L))
     A_nat = np.real(np.fft.ifft(P_nat))
-    if threshold is None:
-        threshold = class_hint.m**2 / 2
+    threshold = class_hint.m**2 / 2
     lags = [d for d in range(1, L) if abs(A_nat[d]) > threshold]
     s = class_hint.s
     if len(lags) != s * (s - 1) and s > 1:
@@ -326,17 +324,8 @@ def max_collision_free_size(L: int) -> int:
         if k + add <= best[0]:
             return
         for x in range(points[-1] + 1, L):
-            new = set()
-            ok = True
-            for y in points:
-                d1, d2 = (x - y) % L, (y - x) % L
-                # d1 == d2 == L/2 is a repeated difference all by itself
-                if d1 == d2 or d1 in used or d2 in used or d1 in new or d2 in new:
-                    ok = False
-                    break
-                new.add(d1)
-                new.add(d2)
-            if ok:
+            new = fresh_lags(x, points, used, L)
+            if new is not None:
                 points.append(x)
                 extend(points, used | new)
                 points.pop()

@@ -19,6 +19,7 @@ from . import beltway, experiments, gensig, probes
 from .experiments import config_hash
 from .mra import Dataset, MraConfig, RestrictedClass, em_restricted_mle, simulate
 from .ring import Signal
+from .spectral import second_moment_expansion_generators
 
 MAGIC = b"MRA2"
 #: magic -> header layout: u32 L, u64 n, f64 sigma, and in MRA2 u8 dihedral
@@ -158,13 +159,13 @@ def _probe_report(kind: str, cfg: dict) -> dict:
         else:
             theta0 = Signal(rng.normal(size=cfg["L"]))
         h = probes.adversarial_direction(theta0, float(cfg.get("delta", 1e-3)))
-        from .spectral import second_moment_difference_expansion
-        lin, _ = second_moment_difference_expansion(theta0, h)
+        lin, _ = second_moment_expansion_generators(theta0, h.values)
         report = {
             "h": h.to_json_dict(),
             "h_mean": h.mean(),
             "h_norm": h.norm(),
-            "linear_term_frobenius": float(np.linalg.norm(lin)),
+            # ||circulant(J)||_F = sqrt(L) ||J||, without the dense L x L matrix
+            "linear_term_frobenius": float(np.sqrt(theta0.L) * np.linalg.norm(lin)),
         }
     elif kind == "uup":
         lam = probes.uup_sample(cfg["L"], cfg["a"], rng)

@@ -101,6 +101,20 @@ def is_collision_free(support, L: int) -> bool:
     return max(diffs.values()) == 1
 
 
+def fresh_lags(x: int, points, used: set, L: int):
+    """The set of lags +-(x - y) mod L to the points y, or None when one of
+    them repeats: a lag in `used`, another new lag, or 0."""
+    new = set()
+    for y in points:
+        d1, d2 = (x - y) % L, (y - x) % L
+        # d1 == d2 (lag 0, or L/2) is a repeated difference all by itself
+        if d1 == d2 or d1 in used or d2 in used or d1 in new or d2 in new:
+            return None
+        new.add(d1)
+        new.add(d2)
+    return new
+
+
 def _greedy_collision_free(L: int, s: int, rng: np.random.Generator):
     """Incrementally add random points that keep the difference multiset simple."""
     pts = [int(rng.integers(L))]
@@ -109,19 +123,8 @@ def _greedy_collision_free(L: int, s: int, rng: np.random.Generator):
     for _ in range(s - 1):
         rng.shuffle(candidates)
         for x in candidates:
-            if x in pts:
-                continue
-            new = set()
-            ok = True
-            for y in pts:
-                d1, d2 = (x - y) % L, (y - x) % L
-                # d1 == d2 == L/2 is a repeated difference all by itself
-                if d1 == d2 or d1 in seen or d2 in seen or d1 in new or d2 in new:
-                    ok = False
-                    break
-                new.add(d1)
-                new.add(d2)
-            if ok:
+            new = fresh_lags(x, pts, seen, L)
+            if new is not None:
                 pts.append(x)
                 seen |= new
                 break
@@ -196,14 +199,9 @@ def gen_symm_interval(L: int, s: int, zeta: float, rng: np.random.Generator) -> 
 
 
 def cosine_functional(xi_set, a: int, L: int) -> float:
-    """V(Xi, a) = 1_{0 in Xi} + 2 sum_{k in Xi \\ {0}} cos^2(2 pi a k / L)."""
-    ks = np.array(sorted(set(int(k) for k in xi_set)))
-    has_zero = float(np.any((ks % L) == 0))
-    ks = ks[(ks % L) != 0]
-    if ks.size == 0:
-        return has_zero
-    c = np.cos(2 * np.pi * a * ks / L)
-    return float(has_zero + 2 * np.sum(c * c))
+    """V(Xi, a) = 1_{0 in Xi} + 2 sum_{k in Xi \\ {0}} cos^2(2 pi a k / L),
+    with Xi taken as a set of residues mod L."""
+    return float(cosine_functional_all(xi_set, L)[a % L])
 
 
 def cosine_functional_all(xi_set, L: int) -> np.ndarray:

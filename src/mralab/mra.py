@@ -1,9 +1,10 @@
 """Observation model for alignment under random cyclic shifts, its mixture
 likelihood, Monte-Carlo KL estimation, and the restricted MLE via EM.
 
-All three share one path: `_orbit_index` gathers theta's orbit matrix (row
-G holds G theta), one matrix product gives <y_i, G theta> for a block of
-observations, and `_mixture` gives log-densities and posterior weights.  The
+All three share one path: `ring.orbit_index` gathers theta's orbit matrix
+(row G holds G theta), one matrix product gives <y_i, G theta> for a block of
+observations, and `_mixture` gives log-densities and posterior weights.
+Observations are drawn as rows of the same orbit matrix plus noise.  The
 EM M-step accumulates W @ Y and folds it onto Z_L once per iteration.  A
 pass costs O(n L |G|); no FFT is taken, so a prime L costs no extra.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import LengthMismatchError, Signal, reflect, std_offset
+from .ring import LengthMismatchError, Signal, orbit_index, reflect, std_offset
 
 DEFAULT_CHUNK = 65_536
 
@@ -80,24 +81,20 @@ class StreamingDataset:
         return self.config.L
 
     def iter_chunks(self):
+        orbit = self.theta0.values[orbit_index(self.L, self.config.dihedral)]
         for c, lo in enumerate(range(0, self.n, self.chunk)):
             m = min(self.chunk, self.n - lo)
             rng = np.random.default_rng((self.seed, c))
-            yield _draw_block(self.theta0, self.config, m, rng)[0]
+            yield _draw_block(orbit, self.config, m, rng)[0]
 
 
-def _draw_block(theta0: Signal, cfg: MraConfig, m: int, rng: np.random.Generator):
-    """m observations in standard order, with the latent shifts and flips."""
+def _draw_block(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Generator):
+    """m observations in standard order, with the latent shifts and flips,
+    from theta0's orbit matrix, whose row shift + L flip is (shift, flip) theta0."""
     L = cfg.L
     shifts = rng.integers(L, size=m)
     flips = rng.integers(2, size=m).astype(bool) if cfg.dihedral else np.zeros(m, dtype=bool)
-    base = np.array(theta0.values)
-    refl = reflect(theta0).values
-    rows = np.where(flips[:, None], refl[None, :], base[None, :])
-    # (R_g v)(i) = v(i + g): roll the standard-order row left by g
-    col = (np.arange(L)[None, :] + shifts[:, None]) % L
-    rows = np.take_along_axis(rows, col, axis=1)
-    rows = rows + cfg.sigma * rng.normal(size=(m, L))
+    rows = orbit[shifts + L * flips] + cfg.sigma * rng.normal(size=(m, L))
     return rows, shifts, flips
 
 
@@ -105,24 +102,8 @@ def simulate(theta0: Signal, cfg: MraConfig, n: int, rng: np.random.Generator) -
     """Draw y_i = R_i theta0 + sigma * noise with uniform latent isometries."""
     if theta0.L != cfg.L:
         raise LengthMismatchError("signal length %d vs config L=%d" % (theta0.L, cfg.L))
-    rows, shifts, flips = _draw_block(theta0, cfg, n, rng)
+    rows, shifts, flips = _draw_block(theta0.values[orbit_index(cfg.L, cfg.dihedral)], cfg, n, rng)
     return Dataset(rows, cfg, theta0=theta0, shifts=shifts, flips=flips)
-
-
-def _orbit_index(L: int, dihedral: bool) -> np.ndarray:
-    """(|G|, L) indices: row G of theta.values[idx] is G theta in standard order.
-
-    Row g, the rotation R_g, is theta[(j + g) % L]; row L + g, R_g after
-    reflection, is theta[(2 off - j - g) % L].  The adjoint of
-    theta -> theta.values[idx] scatter-adds through idx, so it maps
-    W @ Y to sum_i sum_G w_i(G) G^-1 y_i.
-    """
-    g = np.arange(L)[:, None]
-    j = np.arange(L)[None, :]
-    rows = [(j + g) % L]
-    if dihedral:
-        rows.append((2 * std_offset(L) - j - g) % L)
-    return np.vstack(rows)
 
 
 def _mixture(c: np.ndarray, ysq: np.ndarray, theta: Signal, cfg: MraConfig):
@@ -152,7 +133,7 @@ def log_density(theta: Signal, y, sigma: float, dihedral: bool = False) -> float
 
 def _posteriors(theta: Signal, data, cfg: MraConfig):
     """(observations, log-densities, posterior weights) for each block of the data."""
-    orbit = theta.values[_orbit_index(cfg.L, cfg.dihedral)]
+    orbit = theta.values[orbit_index(cfg.L, cfg.dihedral)]
     for block in data.iter_chunks():
         log_dens, w = _mixture(orbit @ block.T, np.einsum("ij,ij->i", block, block), theta, cfg)
         yield block, log_dens, w
@@ -165,7 +146,7 @@ def log_likelihood(theta: Signal, data) -> float:
 
 def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
                    rng: np.random.Generator, dihedral: bool = False,
-                   n_blocks: int = 100, control_variate: bool = True):
+                   control_variate: bool = True):
     """Monte-Carlo KL(p_theta0 || p_theta) with a jackknife standard error.
 
     Averages log p_theta0(Y) - log p_theta(Y) over Y ~ p_theta0, with two
@@ -174,7 +155,7 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     d/dt log p|_0 and the Bartlett combination d^2/dt^2 log p + (d/dt log p)^2.
     These cancel the O(||d||) and O(||d||^2) sampling fluctuations, which
     matters when KL is tiny against the per-sample spread.  The SE comes from
-    a delete-one-block jackknife of the regression-adjusted mean.
+    a delete-one-block jackknife, over 100 blocks, of the regression-adjusted mean.
     """
     if theta0.L != theta.L:
         raise LengthMismatchError("signals have lengths %d and %d" % (theta0.L, theta.L))
@@ -182,21 +163,21 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     d = Signal(theta.values - theta0.values)
     use_cv = control_variate and d.norm() > 0
     k = 2 if use_cv else 0
-    n_blocks = max(2, min(n_blocks, n_mc))
+    n_blocks = max(2, min(100, n_mc))
     bounds = np.linspace(0, n_mc, n_blocks + 1).astype(int)
     sx = np.zeros(n_blocks)
     sc = np.zeros((n_blocks, k))
     scc = np.zeros((n_blocks, k, k))
     sxc = np.zeros((n_blocks, k))
     cnt = np.diff(bounds).astype(float)
-    idx = _orbit_index(cfg.L, dihedral)
+    idx = orbit_index(cfg.L, dihedral)
     orbit0, orbit1 = theta0.values[idx], theta.values[idx]
     td = float(np.dot(theta0.values, d.values))
     dsq = d.norm() ** 2
     for b in range(n_blocks):
         m = bounds[b + 1] - bounds[b]
         for lo in range(0, m, DEFAULT_CHUNK):
-            Y, _, _ = _draw_block(theta0, cfg, min(DEFAULT_CHUNK, m - lo), rng)
+            Y, _, _ = _draw_block(orbit0, cfg, min(DEFAULT_CHUNK, m - lo), rng)
             ysq = np.einsum("ij,ij->i", Y, Y)
             c0 = orbit0 @ Y.T
             c1 = orbit1 @ Y.T
@@ -321,7 +302,7 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
     if init.L != cfg.L:
         raise LengthMismatchError("init length %d vs config L=%d" % (init.L, cfg.L))
     L = cfg.L
-    idx = _orbit_index(L, cfg.dihedral)
+    idx = orbit_index(L, cfg.dihedral)
     theta, _ = rclass.project(init)
     steps = []
     pre_projection_ll = []

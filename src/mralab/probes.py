@@ -22,8 +22,10 @@ FITTED_CONSTANTS = {
     "moderate_c4": 0.5,
     "spectral_floor_prefactor": 0.5,
     "goodset_C": 1.0,
-    "sandwich_C_lower": 1.0,
 }
+
+#: relative slack of the curvature-floor checks
+CURVATURE_SLACK = 0.05
 
 
 class LambdaConstructionError(RuntimeError):
@@ -123,8 +125,7 @@ def curvature_terms(theta0: Signal, rows: np.ndarray, dihedral: bool = False):
 
 
 def dilute_lower_bound_check(theta0: Signal, spec: DiluteClassSpec, trials: int,
-                             rng: np.random.Generator, h_norm: float | None = None,
-                             slack: float = 0.05) -> dict:
+                             rng: np.random.Generator, h_norm: float | None = None) -> dict:
     """Monte-Carlo check of the collision-free curvature floor.
 
     For random h supported on supp(theta0) with small fixed norm, the ratio
@@ -146,27 +147,28 @@ def dilute_lower_bound_check(theta0: Signal, spec: DiluteClassSpec, trials: int,
         "trials": trials,
         "h_norm": float(h_norm),
         "bound": bound,
-        "slack": slack,
+        "slack": CURVATURE_SLACK,
         "min_ratio": float(ratios.min()),
         "median_ratio": float(np.median(ratios)),
         "exact_direction_min": support_restricted_min_ratio(theta0, s),
-        "passes": bool(ratios.min() >= bound * (1 - slack)),
+        "passes": bool(ratios.min() >= bound * (1 - CURVATURE_SLACK)),
     }
 
 
-def adversarial_direction(theta0: Signal, delta: float, zero_tol: float = 1e-12) -> Signal:
+def adversarial_direction(theta0: Signal, delta: float) -> Signal:
     """A real, mean-zero perturbation whose linear second-moment term vanishes.
 
     In Fourier space each usable frequency gets modulus delta at phase
     quadrature to theta0-hat, so Re(theta0-hat * conj(h-hat)) = 0 identically;
     hat h(0) = 0 always, and hat h(L/2) = 0 for even L to keep h real.
+    Frequencies where |theta0-hat| <= 1e-12 max(|theta0-hat|, 1) are skipped.
     """
     L = theta0.L
     th = np.fft.fft(theta0.natural())
     scale = max(np.abs(th).max(), 1.0)
     hh = np.zeros(L, dtype=complex)
     for xi in range(1, (L - 1) // 2 + 1):
-        if abs(th[xi]) <= zero_tol * scale:
+        if abs(th[xi]) <= 1e-12 * scale:
             warnings.warn("theta0-hat vanishes at frequency %d; skipped" % xi,
                           stacklevel=2)
             continue
@@ -218,8 +220,7 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     return float(ratios.min()), float(ratios.max())
 
 
-def good_set_report(f: Signal, params: GoodSetParams,
-                    C_fit: float | None = None) -> dict:
+def good_set_report(f: Signal, params: GoodSetParams) -> dict:
     """High-magnitude frequency set {xi : |f-hat(xi)| >= |support|^-kappa}.
 
     Reports its size fraction and the negative-moment size floor computed
@@ -228,8 +229,6 @@ def good_set_report(f: Signal, params: GoodSetParams,
     sup = f.support
     if not sup:
         raise ValueError("empty support")
-    if C_fit is None:
-        C_fit = FITTED_CONSTANTS["goodset_C"]
     L = f.L
     xi_size = len(sup)
     threshold = xi_size ** (-params.kappa)
@@ -237,8 +236,8 @@ def good_set_report(f: Signal, params: GoodSetParams,
     off = std_offset(L)
     good = frozenset(int(i) - off for i in np.flatnonzero(mod >= threshold))
     v_min = float(cosine_functional_all(sup, L).min())
-    frak_a = C_fit / (1 - params.eta) * params.zeta ** (-params.eta) * \
-        max(v_min, 1e-300) ** (-params.eta / 2)
+    frak_a = (FITTED_CONSTANTS["goodset_C"] / (1 - params.eta) * params.zeta ** (-params.eta)
+              * max(v_min, 1e-300) ** (-params.eta / 2))
     floor = 1 - frak_a * xi_size ** (-params.kappa * params.eta / 2)
     frac = len(good) / L
     return {
@@ -252,19 +251,18 @@ def good_set_report(f: Signal, params: GoodSetParams,
     }
 
 
-def spectral_floor(s: int, tau: float, prefactor: float | None = None) -> float:
+def spectral_floor(s: int, tau: float) -> float:
     """Fitted magnitude floor c * min(s^(tau-4), 1) for sparse symmetric classes."""
-    if prefactor is None:
-        prefactor = FITTED_CONSTANTS["spectral_floor_prefactor"]
-    return float(prefactor * min(s ** (tau - 4.0), 1.0))
+    return float(FITTED_CONSTANTS["spectral_floor_prefactor"] * min(s ** (tau - 4.0), 1.0))
 
 
 def lambda_construct(theta: Signal, s: int, a: float, max_tries: int,
                      rng: np.random.Generator, floor: float | None = None,
-                     tau: float = 1.0, uup_trials: int = 2000,
-                     c1_min: float = 0.05, c2_max: float = 20.0) -> FrequencySet:
+                     tau: float = 1.0) -> FrequencySet:
     """Resample frequency sets until one passes both the energy-ratio check
-    and the spectral floor min |theta-hat| >= floor on the set."""
+    (2000 trials, c1_hat >= 0.05, c2_hat <= 20) and the spectral floor
+    min |theta-hat| >= floor on the set."""
+    c1_min, c2_max = 0.05, 20.0
     if floor is None:
         floor = spectral_floor(s, tau)
     mod = np.abs(dft(theta).values)
@@ -275,7 +273,7 @@ def lambda_construct(theta: Signal, s: int, a: float, max_tries: int,
         if lam.size() == 0:
             continue
         m_set = float(min(mod[(xi + off) % theta.L] for xi in lam.frequencies))
-        c1, c2 = uup_check(lam, s, uup_trials, rng)
+        c1, c2 = uup_check(lam, s, 2000, rng)
         lam.c1_hat, lam.c2_hat = c1, c2
         lam.spectral_floor = m_set
         lam.rounds = t
@@ -293,8 +291,7 @@ def lambda_construct(theta: Signal, s: int, a: float, max_tries: int,
 
 
 def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
-                             h_norm: float, rng: np.random.Generator,
-                             c4: float | None = None, slack: float = 0.05) -> dict:
+                             h_norm: float, rng: np.random.Generator) -> dict:
     """Curvature floor for symmetric sparse signals via a frequency set.
 
     Reports min over symmetric in-support perturbations of
@@ -303,8 +300,7 @@ def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
     """
     if theta0 != reflect(theta0) or not theta0.support:
         raise ValueError("theta0 must be symmetric and nonzero")
-    if c4 is None:
-        c4 = FITTED_CONSTANTS["moderate_c4"]
+    c4 = FITTED_CONSTANTS["moderate_c4"]
     L = theta0.L
     off = std_offset(L)
     mod = np.abs(dft(theta0).values)
@@ -333,7 +329,7 @@ def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
         "chain_min": float(chain.min()),
         "c3_sq_hat": (None if lam.c1_hat is None or lam.c2_hat is None
                       else float(lam.c1_hat / lam.c2_hat)),
-        "passes": bool(ratios.min() >= c4 * (1 - slack)),
+        "passes": bool(ratios.min() >= c4 * (1 - CURVATURE_SLACK)),
     }
 
 

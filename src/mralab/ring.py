@@ -2,7 +2,9 @@
 
 Vectors are functions on Z_L enumerated in the standard parametrization
 {-floor((L-1)/2), ..., 0, ..., ceil((L-1)/2)}; the conversion to machine
-(array) indices is internal and never leaks into results.
+(array) indices is internal and never leaks into results.  `action_index`
+is the one rule for where a group element sends a storage index; shifts,
+reflections, orbit matrices and alignment all gather through it.
 """
 from __future__ import annotations
 
@@ -128,8 +130,7 @@ class GroupElement:
     flip: bool = False
 
     def apply(self, v: Signal) -> Signal:
-        out = reflect(v) if self.flip else v
-        return shift(out, self.shift)
+        return Signal(v.values[action_index(v.L, self.shift, self.flip)])
 
     def inverse(self, L: int) -> "GroupElement":
         # (R_g F)^-1 = F R_{-g} = R_g F since F R_g F = R_{-g}
@@ -152,15 +153,31 @@ def group_elements(L: int, dihedral: bool = False):
     return elems
 
 
+def action_index(L: int, shift, flip) -> np.ndarray:
+    """Storage indices of G = (shift, flip): v.values[action_index(L, g, f)] is G v.
+    (G v)(i) = v(eps (i + shift)), eps = -1 for a flip.  Broadcasts over shift
+    and flip, with storage positions on the last axis."""
+    off = std_offset(L)
+    eps = 1 - 2 * np.asarray(flip, dtype=int)[..., None]
+    return (eps * (np.arange(L) - off + np.asarray(shift)[..., None]) + off) % L
+
+
+def orbit_index(L: int, dihedral: bool) -> np.ndarray:
+    """(|G|, L) indices: row k of theta.values[idx] is G_k theta, where G_k =
+    group_elements(L, dihedral)[k] has shift k % L and flips when k >= L.  The
+    adjoint scatter-adds through idx: it maps W @ Y to sum_i sum_G w_i(G) G^-1 y_i."""
+    flips = np.arange(2 if dihedral else 1)[:, None]
+    return action_index(L, np.arange(L), flips).reshape(-1, L)
+
+
 def shift(v: Signal, g: int) -> Signal:
     """Rotate: output(i) = v(i + g)."""
-    return Signal(np.roll(v.values, -(g % v.L)))
+    return GroupElement(g).apply(v)
 
 
 def reflect(v: Signal) -> Signal:
     """Reflect about the origin: output(i) = v(-i)."""
-    off = std_offset(v.L)
-    return Signal(v.values[(2 * off - np.arange(v.L)) % v.L])
+    return GroupElement(0, True).apply(v)
 
 
 def _cross_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,10 +192,10 @@ def align_rows(rows: np.ndarray, phi: Signal, dihedral: bool = False):
     cross-correlation, then the norm is evaluated exactly at that shift."""
     best = None
     for flip in ((False, True) if dihedral else (False,)):
-        base = (reflect(phi) if flip else phi).values
         # largest <row, G phi> gives the smallest distance
-        g = np.argmax(_cross_correlations(rows, base), axis=-1)
-        d = np.linalg.norm(rows - base[(np.arange(phi.L) + g[..., None]) % phi.L], axis=-1)
+        g = np.argmax(_cross_correlations(rows, phi.values[action_index(phi.L, 0, flip)]),
+                      axis=-1)
+        d = np.linalg.norm(rows - phi.values[action_index(phi.L, g, flip)], axis=-1)
         cand = (g, np.full(g.shape, flip), d)
         best = cand if best is None else tuple(np.where(d < best[2], c, b)
                                                for c, b in zip(cand, best))

@@ -194,6 +194,10 @@ class TestCosineFunctional:
         vals = cosine_functional_all(xi, 9)
         for a in range(9):
             assert vals[a] == pytest.approx(cosine_functional(xi, a, 9))
+        # 1 and 12 are one residue in Z_11: V = 2 cos^2(4 pi / 11) = 0.345
+        assert cosine_functional({1, 12}, 2, 11) == cosine_functional_all({1, 12}, 11)[2]
+        assert cosine_functional({1, 12}, 2, 11) == pytest.approx(
+            2 * np.cos(4 * np.pi / 11) ** 2, rel=1e-12)
 
     def test_check_cosine_generic(self):
         ok, amin, vmin = check_cosine_generic({0, 1}, 0.5, 8)

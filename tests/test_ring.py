@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mralab.ring import (GroupElement, LengthMismatchError, Signal, align,
-                         group_elements, reflect, rho, shift, std_indices,
-                         std_offset, varrho)
+                         group_elements, orbit_index, reflect, rho, shift,
+                         std_indices, std_offset, varrho)
 
 
 def brute_force_rho(theta, phi, dihedral=False):
@@ -122,6 +122,16 @@ class TestGroupElement:
                 w = GroupElement(g, flip).apply(v)
                 for i in std_indices(L):
                     assert w.value_at(int(i)) == v.value_at(eps * (int(i) + g))
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    @pytest.mark.parametrize("L", [2, 7, 8])
+    def test_orbit_index_rows_are_group_elements(self, L, dihedral):
+        v = Signal(np.random.default_rng(L).normal(size=L))
+        orbit = v.values[orbit_index(L, dihedral)]
+        elems = group_elements(L, dihedral)
+        assert orbit.shape == (len(elems), L)
+        for k, g in enumerate(elems):
+            assert Signal(orbit[k]) == g.apply(v)
 
     def test_inverse(self):
         v = Signal(np.random.default_rng(5).normal(size=7))

@@ -157,6 +157,8 @@ class TestToeplitz:
         glin, gquad = second_moment_expansion_generators(theta, h.values)
         np.testing.assert_array_equal(lin, scipy.linalg.circulant(glin))
         np.testing.assert_array_equal(quad, scipy.linalg.circulant(gquad))
+        # the adversarial probe reports ||lin||_F as sqrt(L) ||glin||
+        assert np.sqrt(L) * np.linalg.norm(glin) == pytest.approx(np.linalg.norm(lin), rel=1e-12)
 
     def test_trace_inner_product(self):
         rng = np.random.default_rng(9)
