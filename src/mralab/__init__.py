@@ -4,9 +4,7 @@ restricted-MLE EM, curvature probes, and an experiment harness.
 """
 
 from .ring import GroupElement, Signal, align, reflect, rho, shift, varrho
-from .spectral import (MomentTensor, Spectrum, autocorrelation, convolve,
-                       delta_m, dft, idft, power_spectrum, second_moment,
-                       toeplitz)
+from .spectral import MomentTensor, delta_m, empirical_moments, power_spectrum
 from .gensig import (DiluteClassSpec, GenericSignalSpec, cosine_functional,
                      difference_multiset, gen_collision_free,
                      gen_symm_bernoulli_gaussian, gen_symm_interval,

@@ -15,7 +15,7 @@ import numpy as np
 from .gensig import DiluteClassSpec, cosine_functional_all, is_collision_free
 from .mra import kl_monte_carlo
 from .ring import Signal, align_rows, reflect, std_offset
-from .spectral import delta_m, dft, second_moment_expansion_generators
+from .spectral import delta_m, second_moment_expansion_generators
 
 #: constants fitted on calibration runs (seed 20240801) and frozen
 FITTED_CONSTANTS = {
@@ -57,8 +57,7 @@ class FrequencySet:
                 raise ValueError("frequency %d outside the standard index set" % xi)
 
     def natural_indices(self) -> np.ndarray:
-        off = std_offset(self.L)
-        return np.array(sorted((xi + self.L) % self.L for xi in self.frequencies))
+        return np.array(sorted((xi + self.L) % self.L for xi in self.frequencies), dtype=int)
 
     def size(self) -> int:
         return len(self.frequencies)
@@ -232,9 +231,9 @@ def good_set_report(f: Signal, params: GoodSetParams) -> dict:
     L = f.L
     xi_size = len(sup)
     threshold = xi_size ** (-params.kappa)
-    mod = np.abs(dft(f).values)
+    mod = np.abs(np.fft.fft(f.natural()))
     off = std_offset(L)
-    good = frozenset(int(i) - off for i in np.flatnonzero(mod >= threshold))
+    good = frozenset(np.sort((np.flatnonzero(mod >= threshold) + off) % L - off).tolist())
     v_min = float(cosine_functional_all(sup, L).min())
     frak_a = (FITTED_CONSTANTS["goodset_C"] / (1 - params.eta) * params.zeta ** (-params.eta)
               * max(v_min, 1e-300) ** (-params.eta / 2))
@@ -265,14 +264,13 @@ def lambda_construct(theta: Signal, s: int, a: float, max_tries: int,
     c1_min, c2_max = 0.05, 20.0
     if floor is None:
         floor = spectral_floor(s, tau)
-    mod = np.abs(dft(theta).values)
-    off = std_offset(theta.L)
+    mod = np.abs(np.fft.fft(theta.natural()))
     best, best_key = None, (-1.0, -1.0)
     for t in range(1, max_tries + 1):
         lam = uup_sample(theta.L, a, rng)
         if lam.size() == 0:
             continue
-        m_set = float(min(mod[(xi + off) % theta.L] for xi in lam.frequencies))
+        m_set = float(mod[lam.natural_indices()].min())
         c1, c2 = uup_check(lam, s, 2000, rng)
         lam.c1_hat, lam.c2_hat = c1, c2
         lam.spectral_floor = m_set
@@ -303,8 +301,7 @@ def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
     c4 = FITTED_CONSTANTS["moderate_c4"]
     L = theta0.L
     off = std_offset(L)
-    mod = np.abs(dft(theta0).values)
-    m_set = float(min(mod[(xi + off) % L] for xi in lam.frequencies))
+    m_set = float(np.abs(np.fft.fft(theta0.natural()))[lam.natural_indices()].min())
     # symmetric directions on the support: one Gaussian per index i >= 0, copied to -i
     pos = sorted(i for i in theta0.support if i >= 0)
     mirror = np.zeros((len(pos), L))

@@ -1,15 +1,15 @@
-"""DFT on Z_L, convolution, circulant lifting, and group-averaged moment tensors.
+"""Group-averaged moment tensors in the Fourier domain, from signals and from data.
 
-Convention: unnormalized forward transform hat(v)(xi) = sum_k v(k) e^{-2 pi i xi k / L},
-inverse carries the 1/L factor.  Under this convention Parseval reads
-||v||^2 = ||hat(v)||^2 / L.
+Convention: np.fft's unnormalized forward transform
+hat(v)(xi) = sum_k v(k) e^{-2 pi i xi k / L}, so ||v||^2 = ||hat(v)||^2 / L.
 
-Moment tensors live in the Fourier domain.  E_G[(G theta)^(x m)] is shift
-invariant, so its DFT vanishes off the plane xi_1 + ... + xi_m = 0 (mod L) and
-equals hat(theta)(xi_1) ... hat(theta)(xi_m) on it, in any cyclic indexing:
-the power spectrum for m = 2, the bispectrum hat(theta)(a) hat(theta)(b)
-conj(hat(theta)(a + b)) for m = 3.  Parseval gives ||Delta_m||_F^2 = L^-m
-sum over the plane of |difference|^2, in O(L^(m-1)) work.
+E_G[(G theta)^(x m)] is shift invariant, so its DFT vanishes off the plane
+xi_1 + ... + xi_m = 0 (mod L) and equals hat(theta)(xi_1) ... hat(theta)(xi_m)
+on it, in any cyclic indexing: the power spectrum for m = 2, the bispectrum
+hat(theta)(a) hat(theta)(b) conj(hat(theta)(a + b)) for m = 3.  Parseval gives
+||Delta_m||_F^2 = L^-m sum over the plane of |difference|^2, in O(L^(m-1))
+work.  `delta_m` holds differences of population moments in this form and
+`empirical_moments` holds debiased sample moments of a dataset in it.
 """
 from __future__ import annotations
 
@@ -18,35 +18,12 @@ import numpy as np
 from .ring import LengthMismatchError, Signal, std_offset
 
 
-class Spectrum:
-    """Complex Fourier coefficients indexed by frequencies in standard parametrization."""
-
-    __slots__ = ("L", "values")
-
-    def __init__(self, values):
-        values = np.asarray(values, dtype=complex).copy()
-        values.setflags(write=False)
-        self.L = values.size
-        self.values = values
-
-    def value_at(self, xi: int) -> complex:
-        return complex(self.values[(xi + std_offset(self.L)) % self.L])
-
-    def natural(self) -> np.ndarray:
-        return np.roll(self.values, -std_offset(self.L))
-
-    @classmethod
-    def from_natural(cls, values) -> "Spectrum":
-        values = np.asarray(values, dtype=complex)
-        return cls(np.roll(values, std_offset(values.size)))
-
-
 class MomentTensor:
     """Group-averaged moment tensor E_G[(G theta)^(x m)] or a difference thereof.
 
     Orders 2 and 3 hold `fourier`, the DFT on the plane (module docstring) over
     (xi_1, ..., xi_(m-1)); the dense L^m `data`, in standard order, is built
-    from it on first read.  First and sample moments hold `data` only.
+    from it on first read.  Order 1 holds `data` only.
     """
 
     def __init__(self, order: int, data: np.ndarray | None = None,
@@ -83,57 +60,15 @@ def _moment_fourier(theta: Signal, m: int) -> np.ndarray:
     return np.prod([f[i] for i in _plane(theta.L, m)], axis=0)
 
 
-def dft(v: Signal) -> Spectrum:
-    return Spectrum.from_natural(np.fft.fft(v.natural()))
-
-
-def idft(s: Spectrum) -> Signal:
-    vals = np.fft.ifft(s.natural())
-    return Signal.from_natural(np.real(vals))
-
-
-def convolve(u: Signal, v: Signal) -> Signal:
-    """Cyclic convolution [u * v](k) = sum_g u(g) v(k - g)."""
-    if u.L != v.L:
-        raise LengthMismatchError("signals have lengths %d and %d" % (u.L, v.L))
-    out = np.fft.ifft(np.fft.fft(u.natural()) * np.fft.fft(v.natural()))
-    return Signal.from_natural(np.real(out))
-
-
 def _circulant(c: np.ndarray) -> np.ndarray:
     """L x L matrix with entries c[(i - j) mod L], for c in natural order."""
     i = np.arange(c.size)
     return c[(i[:, None] - i[None, :]) % c.size]
 
 
-def toeplitz(v: Signal) -> np.ndarray:
-    """Circulant matrix M(v) with entries M[i, j] = v(i - j)."""
-    return _circulant(v.natural())
-
-
-def autocorrelation(theta: Signal) -> np.ndarray:
-    """Periodic autocorrelation A(l) = sum_i theta(i) theta(i+l), standard order."""
-    p = np.abs(np.fft.fft(theta.natural())) ** 2
-    return np.roll(np.real(np.fft.ifft(p)), std_offset(theta.L))
-
-
 def power_spectrum(theta: Signal) -> np.ndarray:
     """|hat(theta)|^2 at frequencies in standard order; nonnegative."""
-    return np.abs(dft(theta).values) ** 2
-
-
-def second_moment_generator(theta: Signal) -> np.ndarray:
-    """Circulant generator J (natural residue order) of E_G[(G theta)^(x 2)].
-
-    J(k) = A_theta(k) / L, the scaled periodic autocorrelation.
-    """
-    p = np.abs(np.fft.fft(theta.natural())) ** 2
-    return np.real(np.fft.ifft(p)) / theta.L
-
-
-def second_moment(theta: Signal) -> MomentTensor:
-    """Second moment tensor E_G[(G theta)^(x 2)] = (1/L) M(theta * reflect(theta))."""
-    return MomentTensor(order=2, fourier=_moment_fourier(theta, 2))
+    return np.roll(np.abs(np.fft.fft(theta.natural())) ** 2, std_offset(theta.L))
 
 
 def delta_m(theta: Signal, phi: Signal, m: int) -> MomentTensor:
@@ -172,18 +107,57 @@ def second_moment_difference_expansion(theta: Signal, h: Signal):
     return _circulant(lin), _circulant(quad)
 
 
-def empirical_moments(observations: np.ndarray, order: int, sigma: float) -> MomentTensor:
-    """Sample moment tensors from rows of `observations` (standard-order vectors).
+def _bispectrum_sum(f: np.ndarray) -> np.ndarray:
+    """sum_i f_i(a) f_i(b) conj(f_i(a + b)) over the rows of the DFT f of real rows.
 
-    Order 2 subtracts the known-noise bias sigma^2 I.
+    Rows a <= L/2 are summed in cache-sized row blocks; real data gives the
+    rest by B(-a, b) = conj(B(a, -b)).
     """
-    y = np.asarray(observations, dtype=float)
-    if y.ndim != 2 or y.shape[0] < 1:
-        raise ValueError("observations must be a nonempty n x L array")
-    n, L = y.shape
+    L = f.shape[1]
+    acc = np.zeros((L, L), dtype=complex)
+    for lo in range(0, f.shape[0], 1024):
+        fb = f[lo:lo + 1024]
+        g = np.conj(np.concatenate([fb, fb], axis=1))  # g[:, a + b] = conj(f(a + b))
+        for a in range(L // 2 + 1):
+            acc[a] += fb[:, a] @ (fb * g[:, a:a + L])
+    a = np.arange(1, (L + 1) // 2)
+    acc[L - a] = np.conj(acc[a][:, -np.arange(L) % L])
+    return acc
+
+
+def empirical_moments(data, order: int) -> MomentTensor:
+    """Debiased sample moment of order 1, 2 or 3 of a Dataset or StreamingDataset.
+
+    One pass over data.iter_chunks() takes one FFT per block, so memory does
+    not grow with n.  With sigma from data.config and y-hat the rows' DFT:
+    order 1 is mean(y) * ones; order 2 is mean |y-hat|^2 - L sigma^2 on the
+    plane; order 3 is the mean of y-hat(a) y-hat(b) conj(y-hat(a + b)) less
+    sigma^2 L mean(y-hat(0)) on each of the lines a = 0, b = 0 and a + b = 0,
+    where the noise puts its bias.  Orders 2 and 3 are held as `delta_m` holds
+    them.  Under the dihedral group a reflection conjugates the bispectrum,
+    so the order-3 estimate tends to its reflection average Re B.
+    """
+    if order not in (1, 2, 3):
+        raise ValueError("moment order must be 1, 2 or 3; got %r" % (order,))
+    L, sigma = data.config.L, data.config.sigma
+    n, total, acc = 0, 0.0, 0.0  # total = sum of y-hat(0) = sum of all entries
+    for block in data.iter_chunks():
+        f = np.fft.fft(block, axis=1)
+        n += f.shape[0]
+        total += float(block.sum())
+        if order == 2:
+            acc = acc + np.sum(np.abs(f) ** 2, axis=0)
+        elif order == 3:
+            acc = acc + _bispectrum_sum(f)
+        del block, f  # so that no block is alive while a stream draws the next
+    if n == 0:
+        raise ValueError("empirical moments need at least one observation")
     if order == 1:
-        return MomentTensor(order=1, data=y.mean(axis=0))
+        return MomentTensor(order=1, data=total / (n * L) * np.ones(L))
     if order == 2:
-        data = (y.T @ y) / n - sigma**2 * np.eye(L)
-        return MomentTensor(order=2, data=data)
-    raise ValueError("empirical moments support orders 1 and 2; got %r" % (order,))
+        return MomentTensor(order=2, fourier=acc / n - L * sigma**2)
+    fourier, bias, a = acc / n, sigma**2 * L * total / n, np.arange(L)
+    fourier[0, :] -= bias
+    fourier[:, 0] -= bias
+    fourier[a, -a % L] -= bias
+    return MomentTensor(order=3, fourier=fourier)

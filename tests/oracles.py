@@ -1,0 +1,52 @@
+"""Dense and direct-sum oracles that the package's Fourier-domain code is
+tested against.  None of them calls np.fft."""
+import numpy as np
+
+from mralab.ring import Signal, std_indices, std_offset
+
+
+def dft(v: Signal) -> np.ndarray:
+    """Unnormalized DFT at frequencies in standard order, by the DFT matrix."""
+    idx = std_indices(v.L)
+    return np.exp(-2j * np.pi * np.outer(idx, idx) / v.L) @ v.values
+
+
+def toeplitz(v: Signal) -> np.ndarray:
+    """Circulant matrix M(v) with entries M[a, b] = v(a - b), standard order."""
+    idx = std_indices(v.L)
+    return v.values[(idx[:, None] - idx[None, :] + std_offset(v.L)) % v.L]
+
+
+def convolve(u: Signal, v: Signal) -> Signal:
+    """Cyclic convolution [u * v](k) = sum_g u(g) v(k - g), as M(v) u."""
+    return Signal(toeplitz(v) @ u.values)
+
+
+def shift_average(t: np.ndarray) -> np.ndarray:
+    """(1/L) sum_g of the tensor t with every axis rolled by g."""
+    L = t.shape[0]
+    return sum(np.roll(t, g, axis=tuple(range(t.ndim))) for g in range(L)) / L
+
+
+def second_moment_dense(theta: Signal) -> np.ndarray:
+    """E_G[(G theta)^(x 2)] as an L x L array, summed shift by shift."""
+    return shift_average(np.outer(theta.values, theta.values))
+
+
+def third_moment_dense(theta: Signal) -> np.ndarray:
+    """E_G[(G theta)^(x 3)] as an L^3 array, summed shift by shift."""
+    return shift_average(np.einsum("i,j,k->ijk", theta.values, theta.values, theta.values))
+
+
+def sample_moment_dense(y: np.ndarray, order: int, sigma: float) -> np.ndarray:
+    """Shift-averaged debiased sample moment of the rows y:
+    Y^T Y / n - sigma^2 I for order 2, and for order 3 the mean of y (x) y (x) y
+    less sigma^2 (ybar_i d_jk + ybar_j d_ik + ybar_k d_ij)."""
+    n, L = y.shape
+    eye, ybar = np.eye(L), y.mean(axis=0)
+    if order == 2:
+        return shift_average(y.T @ y / n - sigma**2 * eye)
+    t = np.einsum("ni,nj,nk->ijk", y, y, y) / n
+    t -= sigma**2 * (np.einsum("i,jk->ijk", ybar, eye) + np.einsum("j,ik->ijk", ybar, eye)
+                     + np.einsum("k,ij->ijk", ybar, eye))
+    return shift_average(t)

@@ -21,9 +21,10 @@ from mralab.mra import kl_monte_carlo
 from mralab.probes import (FrequencySet, adversarial_direction,
                            dilute_lower_bound_check, uup_check, uup_sample)
 from mralab.ring import Signal, shift, std_offset, varrho
-from mralab.spectral import (convolve, delta_m, dft, power_spectrum,
-                             second_moment, second_moment_difference_expansion,
-                             toeplitz)
+from mralab.spectral import (delta_m, power_spectrum,
+                             second_moment_difference_expansion)
+
+from oracles import convolve, dft, toeplitz
 
 L_GRID = (4, 5, 16, 21, 64)
 DILUTE = DiluteClassSpec(L=101, s=8, m=1.0, M=1.5, eps=1.0)
@@ -39,13 +40,13 @@ class TestSpectralIdentities:
                 v = Signal(rng.normal(size=L))
                 w = Signal(rng.normal(size=L))
                 # Parseval
-                assert abs(np.linalg.norm(dft(v).values) ** 2 / L
+                assert abs(np.linalg.norm(dft(v)) ** 2 / L
                            - v.norm() ** 2) \
                     <= 1e-10 * v.norm() ** 2
                 # convolution theorem
                 conv = convolve(v, w)
-                lhs = dft(conv).values
-                rhs = dft(v).values * dft(w).values
+                lhs = dft(conv)
+                rhs = dft(v) * dft(w)
                 assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
                 # circulant Frobenius norm
                 M = toeplitz(v)
@@ -70,7 +71,7 @@ class TestSecondMomentOracle:
                     x = shift(theta, g).values
                     brute += np.outer(x, x)
                 brute /= L
-                M = second_moment(theta).data
+                M = delta_m(theta, Signal.zeros(L), 2).data
                 assert np.linalg.norm(M - brute) \
                     <= 1e-12 * max(np.linalg.norm(brute), 1e-300)
 
@@ -97,7 +98,7 @@ class TestAdversarialConstruction:
         for L in (8, 17, 64):
             for _ in range(100):
                 theta0 = Signal(rng.normal(size=L))
-                if np.any(np.abs(dft(theta0).values) < 1e-8):
+                if np.any(np.abs(np.fft.fft(theta0.natural())) < 1e-8):
                     continue  # full-support draws only
                 h = adversarial_direction(theta0, 1e-3)
                 assert abs(h.mean()) <= 1e-14

@@ -8,7 +8,6 @@ from mralab.gensig import (DiluteClassSpec, GenericSignalSpec,
                            gen_symm_bernoulli_gaussian, gen_symm_interval,
                            is_collision_free, positive_part)
 from mralab.ring import Signal, reflect
-from mralab.spectral import dft
 
 
 class TestDifferenceMultiset:
@@ -163,7 +162,7 @@ class TestSymmetricGenerators:
                 x = rng.normal(0, zeta)
                 entries[k] = x
                 entries[-k] = x
-            draws.append(np.real(dft(Signal.from_support(L, entries)).natural()))
+            draws.append(np.real(np.fft.fft(Signal.from_support(L, entries).natural())))
         draws = np.stack(draws)
         xi_set = sorted(set(sup) | set(-k for k in sup))
         for xi in (0, 1, 3, 7, 15):

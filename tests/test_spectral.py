@@ -3,13 +3,15 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from mralab.ring import Signal, reflect, shift, std_indices
-from mralab.spectral import (Spectrum, autocorrelation,
-                             convolve, delta_m, dft, empirical_moments, idft,
-                             power_spectrum, second_moment,
+from mralab.mra import Dataset, MraConfig, StreamingDataset, simulate
+from mralab.ring import (LengthMismatchError, Signal, group_elements, reflect, shift,
+                         std_indices, std_offset)
+from mralab.spectral import (_circulant, delta_m, empirical_moments, power_spectrum,
                              second_moment_difference_expansion,
-                             second_moment_expansion_generators,
-                             second_moment_generator, toeplitz)
+                             second_moment_expansion_generators)
+
+from oracles import (convolve, dft, sample_moment_dense, second_moment_dense,
+                     third_moment_dense, toeplitz)
 
 
 def direct_dft(v: Signal) -> np.ndarray:
@@ -31,14 +33,9 @@ def direct_convolve(u: Signal, v: Signal) -> np.ndarray:
     return out
 
 
-def third_moment_dense(theta: Signal) -> np.ndarray:
-    """E_G[(G theta)^(x 3)] as an L^3 array, summed shift by shift."""
-    L = theta.L
-    acc = np.zeros((L, L, L))
-    for g in range(L):
-        w = np.roll(theta.values, -g)
-        acc += np.einsum("i,j,k->ijk", w, w, w)
-    return acc / L
+def direct_autocorrelation(theta: Signal, lag: int) -> float:
+    """A(lag) = sum_i theta(i) theta(i + lag), summed index by index."""
+    return sum(theta.value_at(i) * theta.value_at(i + lag) for i in range(theta.L))
 
 
 def bispectrum_delta3_norm(theta: Signal, phi: Signal) -> float:
@@ -54,53 +51,60 @@ def bispectrum_delta3_norm(theta: Signal, phi: Signal) -> float:
     return float(np.sqrt(total / L**3))
 
 
+def second_moment(theta: Signal):
+    """E_G[(G theta)^(x 2)] as the package holds it: Delta_2 against the zero signal."""
+    return delta_m(theta, Signal.zeros(theta.L), 2)
+
+
 class TestDft:
+    """The unnormalized, standard-order DFT convention, read through
+    `power_spectrum` and the Fourier form of the moments."""
+
     def test_delta_flat(self):
-        s = dft(Signal.delta(8))
-        assert np.allclose(s.values, 1.0)
+        assert np.allclose(power_spectrum(Signal.delta(8)), 1.0)
 
     def test_constant(self):
-        s = dft(Signal(np.ones(6)))
-        assert s.value_at(0) == pytest.approx(6.0)
-        nat = s.natural()
-        assert np.allclose(nat[1:], 0.0, atol=1e-12)
+        p = Signal(power_spectrum(Signal(np.ones(6))))
+        assert p.value_at(0) == pytest.approx(36.0)
+        assert np.allclose(p.natural()[1:], 0.0, atol=1e-12)
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(0)
         for L in (4, 5, 8):
             v = Signal(rng.normal(size=L))
-            assert np.allclose(dft(v).natural(), direct_dft(v), atol=1e-10)
+            assert np.allclose(Signal(power_spectrum(v)).natural(),
+                               np.abs(direct_dft(v)) ** 2, atol=1e-10)
 
     def test_conjugate_symmetry(self):
+        # B(-a, -b) = conj B(a, b) for a real signal; the empirical order-3 pass relies on it
         v = Signal(np.random.default_rng(1).normal(size=9))
-        s = dft(v)
-        for xi in range(-4, 5):
-            assert s.value_at(-xi) == pytest.approx(np.conj(s.value_at(xi)))
+        b = delta_m(v, Signal.zeros(9), 3).fourier
+        neg = -np.arange(9) % 9
+        assert np.allclose(b[neg][:, neg], np.conj(b), atol=1e-10)
 
     def test_real_symmetric_gives_real_spectrum(self):
         v = Signal.from_support(9, {0: 1.0, 2: 0.5, -2: 0.5})
-        assert np.allclose(np.imag(dft(v).values), 0.0, atol=1e-12)
+        assert np.allclose(np.imag(delta_m(v, Signal.zeros(9), 3).fourier), 0.0, atol=1e-12)
 
     @given(st.sampled_from([4, 5, 16, 21, 64]), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_parseval(self, L, seed):
         v = Signal(np.random.default_rng(seed).normal(size=L))
         lhs = v.norm() ** 2
-        rhs = np.sum(np.abs(dft(v).values) ** 2) / L
+        rhs = np.sum(power_spectrum(v)) / L
         assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_idft_round_trip(self):
-        rng = np.random.default_rng(2)
-        for L in (4, 5, 21):
-            v = Signal(rng.normal(size=L))
-            assert np.allclose(idft(dft(v)).values, v.values, atol=1e-12)
-
-    def test_idft_of_ones(self):
-        assert np.allclose(idft(Spectrum.from_natural(np.ones(7))).values,
-                           Signal.delta(7).values, atol=1e-12)
 
 
 class TestConvolve:
+    """The test oracles `convolve` and `dft` against direct sums, and the
+    power spectrum as the DFT of v * reflect(v)."""
+
+    def test_dft_matches_direct_sum(self):
+        rng = np.random.default_rng(2)
+        for L in (4, 5, 21):
+            v = Signal(rng.normal(size=L))
+            assert np.allclose(np.roll(dft(v), -std_offset(L)), direct_dft(v), atol=1e-10)
+
     def test_identity_element(self):
         v = Signal(np.random.default_rng(3).normal(size=6))
         assert np.allclose(convolve(v, Signal.delta(6)).values, v.values)
@@ -109,8 +113,8 @@ class TestConvolve:
         rng = np.random.default_rng(4)
         for L in (4, 5, 16):
             u, v = Signal(rng.normal(size=L)), Signal(rng.normal(size=L))
-            lhs = dft(convolve(u, v)).values
-            rhs = dft(u).values * dft(v).values
+            lhs = dft(convolve(u, v))
+            rhs = dft(u) * dft(v)
             assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
     def test_matches_direct_sum(self):
@@ -121,21 +125,28 @@ class TestConvolve:
 
     def test_self_reflected_spectrum_is_power(self):
         v = Signal(np.random.default_rng(6).normal(size=8))
-        lhs = dft(convolve(v, reflect(v))).values
-        assert np.allclose(lhs, np.abs(dft(v).values) ** 2, atol=1e-10)
+        lhs = dft(convolve(v, reflect(v)))
+        assert np.allclose(lhs, power_spectrum(v), atol=1e-10)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            convolve(Signal([1.0, 2.0]), Signal([1.0, 2.0, 3.0]))
+        # the package's two-signal functions reject mismatched lengths
+        u, v = Signal([1.0, 2.0]), Signal([1.0, 2.0, 3.0])
+        for call in (lambda: delta_m(u, v, 2), lambda: second_moment_difference_expansion(u, v)):
+            with pytest.raises(LengthMismatchError):
+                call()
 
 
 class TestToeplitz:
+    """`_circulant`, the dense circulant behind the expansion, against the
+    oracle `toeplitz` and scipy."""
+
     def test_delta_is_identity(self):
-        assert np.allclose(toeplitz(Signal.delta(5)), np.eye(5))
+        assert np.allclose(_circulant(Signal.delta(5).natural()), np.eye(5))
 
     def test_entries(self):
         v = Signal(np.random.default_rng(7).normal(size=6))
-        M = toeplitz(v)
+        M = _circulant(v.natural())
+        np.testing.assert_array_equal(M, toeplitz(v))
         idx = std_indices(6)
         for a in range(6):
             for b in range(6):
@@ -145,13 +156,15 @@ class TestToeplitz:
         rng = np.random.default_rng(8)
         for L in (4, 5, 16, 21, 64):
             v = Signal(rng.normal(size=L))
-            assert np.linalg.norm(toeplitz(v)) == pytest.approx(
+            assert np.linalg.norm(_circulant(v.natural())) == pytest.approx(
                 np.sqrt(L) * v.norm(), rel=1e-12)
 
     @pytest.mark.parametrize("L", [2, 7, 16, 21, 64])
     def test_bit_equal_to_scipy_circulant(self, L):
         rng = np.random.default_rng(L)
         v, theta, h = (Signal(rng.normal(size=L)) for _ in range(3))
+        np.testing.assert_array_equal(_circulant(v.natural()),
+                                      scipy.linalg.circulant(v.natural()))
         np.testing.assert_array_equal(toeplitz(v), scipy.linalg.circulant(v.natural()))
         lin, quad = second_moment_difference_expansion(theta, h)
         glin, gquad = second_moment_expansion_generators(theta, h.values)
@@ -164,11 +177,13 @@ class TestToeplitz:
         rng = np.random.default_rng(9)
         for L in (4, 5, 16, 21, 64):
             v, w = Signal(rng.normal(size=L)), Signal(rng.normal(size=L))
-            lhs = np.trace(toeplitz(v) @ toeplitz(w).T)
+            lhs = np.trace(_circulant(v.natural()) @ _circulant(w.natural()).T)
             assert lhs == pytest.approx(L * np.dot(v.values, w.values), rel=1e-10)
 
 
 class TestSecondMoment:
+    """The order-2 tensor E_G[(G theta)^(x 2)], as delta_m(theta, 0, 2)."""
+
     def test_constant_signal(self):
         M = second_moment(Signal(np.ones(5))).data
         assert np.allclose(M, np.ones((5, 5)))
@@ -280,70 +295,142 @@ class TestExpansion:
 
 
 class TestAutocorrelation:
+    """The power spectrum as the DFT of the periodic autocorrelation
+    A(l) = sum_i theta(i) theta(i + l) = L J(l), J the second-moment generator."""
+
     def test_delta(self):
         theta = Signal.delta(7)
         assert np.allclose(power_spectrum(theta), 1.0)
-        a = autocorrelation(theta)
-        assert np.allclose(a, Signal.delta(7).values, atol=1e-12)
+        a = np.real(np.fft.ifft(Signal(power_spectrum(theta)).natural()))
+        assert np.allclose(a, Signal.delta(7).natural(), atol=1e-12)
 
     def test_zero_lag_is_energy(self):
+        # A(0) = ||theta||^2 sits on the diagonal of E_G[(G theta)^(x 2)] as A(0) / L
         theta = Signal(np.random.default_rng(20).normal(size=9))
-        assert Signal(autocorrelation(theta)).value_at(0) == pytest.approx(
-            theta.norm() ** 2)
+        assert np.allclose(np.diag(second_moment(theta).data), theta.norm() ** 2 / 9)
 
     def test_invariant_under_group(self):
         theta = Signal(np.random.default_rng(21).normal(size=8))
-        a = autocorrelation(theta)
+        p = power_spectrum(theta)
         for g in range(8):
-            assert np.allclose(autocorrelation(shift(theta, g)), a, atol=1e-12)
-        assert np.allclose(autocorrelation(reflect(theta)), a, atol=1e-12)
+            assert np.allclose(power_spectrum(shift(theta, g)), p, atol=1e-12)
+        assert np.allclose(power_spectrum(reflect(theta)), p, atol=1e-12)
 
     def test_direct_sum_oracle(self):
         theta = Signal(np.random.default_rng(22).normal(size=11))
-        a = Signal(autocorrelation(theta))
-        for lag in range(-5, 6):
-            direct = sum(theta.value_at(i) * theta.value_at(i + lag)
-                         for i in range(-5, 6))
-            assert a.value_at(lag) == pytest.approx(direct, rel=1e-10)
+        p = power_spectrum(theta)
+        for k, xi in enumerate(std_indices(11)):
+            direct = sum(direct_autocorrelation(theta, lag) * np.exp(-2j * np.pi * xi * lag / 11)
+                         for lag in range(-5, 6))
+            assert p[k] == pytest.approx(direct, rel=1e-10)
 
     def test_matches_scaled_generator(self):
+        # the quadratic generator of Delta_2(0 + theta, 0) is J = A / L
         theta = Signal(np.random.default_rng(23).normal(size=10))
-        gen = second_moment_generator(theta)
-        a_nat = Signal(autocorrelation(theta)).natural()
+        _, gen = second_moment_expansion_generators(Signal.zeros(10), theta.values)
+        a_nat = [direct_autocorrelation(theta, lag) for lag in range(10)]
         assert np.allclose(a_nat, 10 * gen, atol=1e-12)
+        assert np.allclose(_circulant(gen), second_moment(theta).data, atol=1e-12)
 
     def test_power_spectrum_is_dft_of_autocorrelation(self):
         theta = Signal(np.random.default_rng(24).normal(size=12))
         lhs = power_spectrum(theta)
-        rhs = np.real(dft(Signal(autocorrelation(theta))).values)
+        # column 0 of the circulant, in standard order, is J = A / L
+        rhs = np.real(dft(Signal(12 * second_moment(theta).data[:, std_offset(12)])))
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+
+def _orbit_rows(theta: Signal, dihedral: bool) -> np.ndarray:
+    return np.stack([g.apply(theta).values for g in group_elements(theta.L, dihedral)])
+
+
+def _line_count(L: int) -> np.ndarray:
+    """Number of the lines a = 0, b = 0, a + b = 0 (mod L) through each (a, b)."""
+    a, b = np.indices((L, L))
+    return (a == 0).astype(float) + (b == 0) + ((a + b) % L == 0)
 
 
 class TestEmpiricalMoments:
     def test_noiseless_balanced(self):
-        theta = Signal(np.random.default_rng(25).normal(size=6))
-        rows = np.stack([shift(theta, g).values for g in range(6)])
-        t = empirical_moments(rows, 2, sigma=0.0)
-        assert np.allclose(t.data, second_moment(theta).data, atol=1e-12)
+        # every group element once, no noise drawn, sigma > 0 in the config:
+        # what is left after the population moment is exactly the bias removed,
+        # sigma^2 L x-hat(0) on each line and 3 sigma^2 L x-hat(0) at the origin
+        L, sigma = 7, 0.7
+        theta = Signal(np.random.default_rng(25).normal(size=L))
+        zero, x0 = Signal.zeros(L), np.sum(theta.values)
+        b = delta_m(theta, zero, 3).fourier
+        bias = -sigma**2 * L * x0 * _line_count(L)
+        assert bias[0, 0] == pytest.approx(-3 * sigma**2 * L * x0)
+        for dihedral in (False, True):
+            data = Dataset(_orbit_rows(theta, dihedral), MraConfig(L, sigma, dihedral))
+            assert np.allclose(empirical_moments(data, 1).data, delta_m(theta, zero, 1).data,
+                               atol=1e-12)
+            t2 = empirical_moments(data, 2)
+            assert np.allclose(t2.fourier - delta_m(theta, zero, 2).fourier, -L * sigma**2,
+                               atol=1e-10)
+            # a reflection conjugates B, so the dihedral average is Re B
+            t3 = empirical_moments(data, 3)
+            assert np.allclose(t3.fourier - (b.real if dihedral else b), bias, atol=1e-10)
 
     def test_single_observation(self):
-        theta = Signal(np.random.default_rng(26).normal(size=5))
-        t = empirical_moments(theta.values[None, :], 2, sigma=0.0)
-        assert np.allclose(t.data, np.outer(theta.values, theta.values))
+        # one row y gives the group average of y y^T, less sigma^2 I
+        y = Signal(np.random.default_rng(26).normal(size=5))
+        data = Dataset(y.values[None, :], MraConfig(5, 0.3))
+        t = empirical_moments(data, 2)
+        assert np.allclose(t.data, second_moment_dense(y) - 0.09 * np.eye(5), atol=1e-12)
+        t = empirical_moments(data, 3)
+        assert np.allclose(t.data, sample_moment_dense(data.observations, 3, 0.3), atol=1e-12)
+
+    @pytest.mark.parametrize("L", [7, 8])
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_matches_dense_oracle(self, L, dihedral):
+        rng = np.random.default_rng(50 + L + dihedral)
+        cfg = MraConfig(L, 0.8, dihedral)
+        data = simulate(Signal(rng.normal(size=L)), cfg, 3000, rng)
+        for m in (2, 3):
+            t = empirical_moments(data, m)
+            dense = sample_moment_dense(data.observations, m, cfg.sigma)
+            assert np.linalg.norm(t.data - dense) <= 1e-12 * np.linalg.norm(dense)
+            assert t.frobenius() == pytest.approx(np.linalg.norm(dense), rel=1e-12)
+        t1 = empirical_moments(data, 1).data
+        assert np.allclose(t1, data.observations.mean() * np.ones(L), rtol=1e-12, atol=1e-15)
+
+    def test_streaming_matches_materialised(self):
+        theta = Signal(np.random.default_rng(28).normal(size=9))
+        stream = StreamingDataset(theta, MraConfig(9, 1.5, True), n=5000, seed=3, chunk=700)
+        dense = Dataset(np.concatenate(list(stream.iter_chunks())), stream.config)
+        for m in (1, 2, 3):
+            a, b = empirical_moments(stream, m).data, empirical_moments(dense, m).data
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_monte_carlo_consistency(self):
         rng = np.random.default_rng(27)
         L, n, sigma = 8, 100_000, 1.0
         theta = Signal(rng.normal(size=L))
-        shifts = rng.integers(L, size=n)
-        rows = np.stack([np.roll(theta.values, -g) for g in range(L)])[shifts]
-        rows = rows + sigma * rng.normal(size=(n, L))
-        t = empirical_moments(rows, 2, sigma=sigma)
-        target = second_moment(theta).data
+        data = simulate(theta, MraConfig(L, sigma), n, rng)
+        t = empirical_moments(data, 2)
         # crude per-entry SE scale for a product of two noisy coordinates
         se = 5 * (sigma**2 + theta.norm() ** 2 / np.sqrt(L)) / np.sqrt(n)
-        assert np.max(np.abs(t.data - target)) < 5 * se
+        assert np.max(np.abs(t.data - second_moment_dense(theta))) < 5 * se
+        # order 3 per bispectrum entry: SE from the rows' mean |y(a) y(b) conj(y(a+b))|^2;
+        # the bias left on the lines by a missing correction would be over 30 SE here
+        a, b = np.indices((L, L))
+        f = np.fft.fft(data.observations, axis=1)
+        msq = sum(np.sum(np.abs(fb[:, a] * fb[:, b] * np.conj(fb[:, (a + b) % L])) ** 2, axis=0)
+                  for fb in np.array_split(f, 20)) / n
+        err = np.abs(empirical_moments(data, 3).fourier - delta_m(theta, Signal.zeros(L), 3).fourier)
+        assert np.all(err < 5 * np.sqrt(msq / n))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_moments(np.zeros((0, 4)), 1, 0.0)
+        theta = Signal(np.ones(4))
+        for data in (Dataset(np.zeros((0, 4)), MraConfig(4, 1.0)),
+                     StreamingDataset(theta, MraConfig(4, 1.0), n=0, seed=0)):
+            for m in (1, 2, 3):
+                with pytest.raises(ValueError):
+                    empirical_moments(data, m)
+
+    def test_bad_order(self):
+        data = Dataset(np.ones((3, 4)), MraConfig(4, 1.0))
+        for m in (0, 4):
+            with pytest.raises(ValueError):
+                empirical_moments(data, m)
