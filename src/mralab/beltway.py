@@ -17,7 +17,7 @@ import numpy as np
 
 from .gensig import DiluteClassSpec, difference_multiset, fresh_lags
 from .probes import curvature_terms
-from .ring import Signal, std_offset
+from .ring import Signal
 from .spectral import power_spectrum
 
 #: branch-and-bound guard for exact maximum collision-free size
@@ -248,7 +248,7 @@ def recover_from_power_spectrum(P, class_hint: DiluteClassSpec, tol: float = 1e-
     P = np.asarray(P, dtype=float)
     if P.size != L or np.any(P < -1e-9 * max(1.0, P.max(initial=0.0))):
         raise ValueError("P must be a nonnegative length-%d vector" % L)
-    P_nat = np.roll(P, -std_offset(L))
+    P_nat = Signal(P).natural()
     A_nat = np.real(np.fft.ifft(P_nat))
     threshold = class_hint.m**2 / 2
     lags = [d for d in range(1, L) if abs(A_nat[d]) > threshold]

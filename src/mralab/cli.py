@@ -110,7 +110,7 @@ def cmd_estimate(args):
     else:
         rng = np.random.default_rng(args.seed)
         init = Signal(rng.normal(size=data.L))
-    theta_hat, diag = em_restricted_mle(data, data.config, rclass, init,
+    theta_hat, diag = em_restricted_mle(data, rclass, init,
                                         max_iters=args.max_iters, tol=args.tol)
     _dump_json(theta_hat.to_json_dict(), args.out_signal)
     if args.out_diagnostics:

@@ -70,6 +70,13 @@ class ExperimentConfig:
                              % (self.sigma_grid,))
         if self.trials < 1:
             raise ValueError("need trials >= 1")
+        for name, known in (("dilute", ("s", "m", "M", "eps")),
+                            ("em", ("init", "init_perturb", "max_iters", "tol")),
+                            ("kl", ("direction", "n_mc", "zeta", "h_norm"))):
+            unknown = sorted(set(getattr(self, name)) - set(known))
+            if unknown:
+                raise ValueError("unknown %s key %r; known keys: %s"
+                                 % (name, unknown[0], ", ".join(known)))
         _check_choice("n_rule", self.n_rule, ("fixed", "sigma4"))
         _check_choice("branch", self.branch, ("dilute", "moderate"))
         _check_choice("em.init", self.em.get("init", "perturbed-truth"),
@@ -258,7 +265,7 @@ def _em_cell(cfg: ExperimentConfig, rec: dict, theta0: Signal, sigma: float,
         rclass = RestrictedClass("magnitude-band", theta0.support, m=spec.m, M=spec.M)
     t0 = time.perf_counter()
     theta_hat, diag = em_restricted_mle(
-        data, mcfg, rclass, init,
+        data, rclass, init,
         max_iters=int(em.get("max_iters", 200)),
         tol=float(em.get("tol", 1e-7)))
     err = varrho(theta_hat, theta0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import LengthMismatchError, Signal, orbit_index, reflect, std_offset
+from .ring import LengthMismatchError, Signal, action_index, orbit_index, storage_index
 
 DEFAULT_CHUNK = 65_536
 
@@ -131,8 +131,10 @@ def log_density(theta: Signal, y, sigma: float, dihedral: bool = False) -> float
     return log_likelihood(theta, Dataset(yv[None, :], MraConfig(theta.L, sigma, dihedral)))
 
 
-def _posteriors(theta: Signal, data, cfg: MraConfig):
-    """(observations, log-densities, posterior weights) for each block of the data."""
+def _posteriors(theta: Signal, data):
+    """(observations, log-densities, posterior weights) for each block of the
+    data, under the model of data.config."""
+    cfg = data.config
     orbit = theta.values[orbit_index(cfg.L, cfg.dihedral)]
     for block in data.iter_chunks():
         log_dens, w = _mixture(orbit @ block.T, np.einsum("ij,ij->i", block, block), theta, cfg)
@@ -141,7 +143,7 @@ def _posteriors(theta: Signal, data, cfg: MraConfig):
 
 def log_likelihood(theta: Signal, data) -> float:
     """Sum of observation log-densities over the dataset (0 when empty)."""
-    return float(sum(np.sum(log_dens) for _, log_dens, _ in _posteriors(theta, data, data.config)))
+    return float(sum(np.sum(log_dens) for _, log_dens, _ in _posteriors(theta, data)))
 
 
 def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
@@ -254,15 +256,11 @@ class RestrictedClass:
         if self.kind == "none":
             return theta, False
         L = theta.L
-        off = std_offset(L)
-        v = np.array(theta.values)
         keep = np.zeros(L, dtype=bool)
-        for i in self.support:
-            keep[(int(i) + off) % L] = True
-        v[~keep] = 0.0
+        keep[storage_index(L, list(self.support))] = True
+        v = np.where(keep, theta.values, 0.0)
         if self.kind == "symmetric-support-fixed":
-            w = reflect(Signal(v)).values
-            v = (v + w) / 2
+            v = (v + v[action_index(L, 0, True)]) / 2
         clamped = False
         if self.kind == "magnitude-band":
             on = keep & (v != 0.0)
@@ -278,11 +276,12 @@ class RestrictedClass:
         return Signal(v), clamped
 
 
-def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signal,
+def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
                       max_iters: int = 200, tol: float = 1e-8,
                       track_pre_projection: bool = False):
     """Restricted maximum-likelihood fit by EM with projection onto the class.
 
+    The model (L, sigma, group) is data.config.
     E-step: posterior weights over group elements, from one O(n L |G|)
     matrix product per block.  M-step: posterior-aligned average of the
     observations, then projection.  Returns (theta_hat, diagnostics).
@@ -299,6 +298,7 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
     """
     if data.n == 0:
         raise ValueError("EM needs at least one observation; the dataset is empty")
+    cfg = data.config
     if init.L != cfg.L:
         raise LengthMismatchError("init length %d vs config L=%d" % (init.L, cfg.L))
     L = cfg.L
@@ -313,7 +313,7 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
     for iters in range(1, max_iters + 1):
         S = np.zeros(idx.shape)
         ll = 0.0
-        for block, log_dens, w in _posteriors(theta, data, cfg):
+        for block, log_dens, w in _posteriors(theta, data):
             ll += float(np.sum(log_dens))
             S += w @ block
         if not np.isfinite(ll):
@@ -332,7 +332,7 @@ def em_restricted_mle(data, cfg: MraConfig, rclass: RestrictedClass, init: Signa
             break
     final_ll = 0.0
     group_size = 0.0
-    for _, log_dens, w in _posteriors(theta, data, cfg):
+    for _, log_dens, w in _posteriors(theta, data):
         final_ll += float(np.sum(log_dens))
         # entropy -sum w log w, with 0 log 0 = 0 for weights that underflowed
         entropy = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=0)

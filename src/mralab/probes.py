@@ -14,7 +14,7 @@ import numpy as np
 
 from .gensig import DiluteClassSpec, cosine_functional_all, is_collision_free
 from .mra import kl_monte_carlo
-from .ring import Signal, align_rows, reflect, std_offset
+from .ring import Signal, align_rows, reflect, std_indices, storage_index
 from .spectral import delta_m, second_moment_expansion_generators
 
 #: constants fitted on calibration runs (seed 20240801) and frozen
@@ -51,9 +51,9 @@ class FrequencySet:
 
     def __post_init__(self):
         self.frequencies = frozenset(int(x) for x in self.frequencies)
-        off = std_offset(self.L)
+        idx = std_indices(self.L)
         for xi in self.frequencies:
-            if not -off <= xi < self.L - off:
+            if not idx[0] <= xi <= idx[-1]:
                 raise ValueError("frequency %d outside the standard index set" % xi)
 
     def natural_indices(self) -> np.ndarray:
@@ -163,7 +163,8 @@ def adversarial_direction(theta0: Signal, delta: float) -> Signal:
     Frequencies where |theta0-hat| <= 1e-12 max(|theta0-hat|, 1) are skipped.
     """
     L = theta0.L
-    th = np.fft.fft(theta0.natural())
+    # storage order multiplies theta0-hat by a phase, which cancels in th / |th|
+    th = np.fft.fft(theta0.values)
     scale = max(np.abs(th).max(), 1.0)
     hh = np.zeros(L, dtype=complex)
     for xi in range(1, (L - 1) // 2 + 1):
@@ -173,17 +174,15 @@ def adversarial_direction(theta0: Signal, delta: float) -> Signal:
             continue
         hh[xi] = 1j * delta * th[xi] / abs(th[xi])
         hh[L - xi] = np.conj(hh[xi])
-    h = np.real(np.fft.ifft(hh))
-    return Signal.from_natural(h)
+    return Signal(np.real(np.fft.ifft(hh)))
 
 
 def uup_sample(L: int, a: float, rng: np.random.Generator) -> FrequencySet:
     """Random frequency set, each frequency kept independently with prob a/L."""
     if not 0 < a <= L:
         raise ValueError("need 0 < a <= L")
-    off = std_offset(L)
     mask = rng.random(L) < a / L
-    freqs = frozenset(int(x) - off for x in np.flatnonzero(mask))
+    freqs = frozenset(int(x) for x in std_indices(L)[mask])
     return FrequencySet(L=L, frequencies=freqs, a=float(a))
 
 
@@ -231,9 +230,8 @@ def good_set_report(f: Signal, params: GoodSetParams) -> dict:
     L = f.L
     xi_size = len(sup)
     threshold = xi_size ** (-params.kappa)
-    mod = np.abs(np.fft.fft(f.natural()))
-    off = std_offset(L)
-    good = frozenset(np.sort((np.flatnonzero(mod >= threshold) + off) % L - off).tolist())
+    mod = Signal.from_natural(np.abs(np.fft.fft(f.natural())))
+    good = frozenset(std_indices(L)[mod.values >= threshold].tolist())
     v_min = float(cosine_functional_all(sup, L).min())
     frak_a = (FITTED_CONSTANTS["goodset_C"] / (1 - params.eta) * params.zeta ** (-params.eta)
               * max(v_min, 1e-300) ** (-params.eta / 2))
@@ -300,13 +298,12 @@ def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
         raise ValueError("theta0 must be symmetric and nonzero")
     c4 = FITTED_CONSTANTS["moderate_c4"]
     L = theta0.L
-    off = std_offset(L)
     m_set = float(np.abs(np.fft.fft(theta0.natural()))[lam.natural_indices()].min())
     # symmetric directions on the support: one Gaussian per index i >= 0, copied to -i
     pos = sorted(i for i in theta0.support if i >= 0)
     mirror = np.zeros((len(pos), L))
     for k, i in enumerate(pos):
-        mirror[k, [(i + off) % L, (off - i) % L]] = 1.0
+        mirror[k, storage_index(L, [i, -i])] = 1.0
     rows = rng.normal(size=(trials, len(pos))) @ mirror
     rows *= h_norm / np.linalg.norm(rows, axis=1, keepdims=True)
     d2, r = curvature_terms(theta0, rows)

@@ -2,9 +2,10 @@
 
 Vectors are functions on Z_L enumerated in the standard parametrization
 {-floor((L-1)/2), ..., 0, ..., ceil((L-1)/2)}; the conversion to machine
-(array) indices is internal and never leaks into results.  `action_index`
-is the one rule for where a group element sends a storage index; shifts,
-reflections, orbit matrices and alignment all gather through it.
+(array) indices is internal and never leaks into results.  `std_indices`
+and its inverse `storage_index` are the one rule between the two orders, and
+`action_index` the one rule for where a group element sends a storage
+index; shifts, reflections, orbit matrices and alignment all gather through it.
 """
 from __future__ import annotations
 
@@ -27,6 +28,12 @@ def std_indices(L: int) -> np.ndarray:
     return np.arange(L) - std_offset(L)
 
 
+def storage_index(L: int, i) -> np.ndarray:
+    """Storage positions of standard indices i, read mod L; broadcasts, and
+    inverts `std_indices`: storage_index(L, std_indices(L)) is arange(L)."""
+    return (np.asarray(i, dtype=int) + std_offset(L)) % L
+
+
 class Signal:
     """A real-valued function on Z_L, stored in standard-parametrization order."""
 
@@ -47,7 +54,7 @@ class Signal:
         return frozenset(int(i) for i in idx[self.values != 0.0])
 
     def value_at(self, i: int) -> float:
-        return float(self.values[(i + std_offset(self.L)) % self.L])
+        return float(self.values[storage_index(self.L, i)])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -71,15 +78,14 @@ class Signal:
     @classmethod
     def delta(cls, L: int, i: int = 0, amplitude: float = 1.0) -> "Signal":
         v = np.zeros(L)
-        v[(i + std_offset(L)) % L] = amplitude
+        v[storage_index(L, i)] = amplitude
         return cls(v)
 
     @classmethod
     def from_support(cls, L: int, entries: dict) -> "Signal":
         """Build a signal from a {standard index: value} mapping."""
         v = np.zeros(L)
-        for i, x in entries.items():
-            v[(int(i) + std_offset(L)) % L] = x
+        v[storage_index(L, list(entries))] = list(entries.values())
         return cls(v)
 
     def to_json_dict(self) -> dict:
@@ -180,26 +186,18 @@ def reflect(v: Signal) -> Signal:
     return GroupElement(0, True).apply(v)
 
 
-def _cross_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c[..., g] = sum_k a(k) b(k+g) along the last axis, via one FFT pair;
-    any cyclic enumeration serves, as long as a and b share it."""
-    return np.real(np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(b)))
-
-
 def align_rows(rows: np.ndarray, phi: Signal, dihedral: bool = False):
     """`align` for each row of a stack of standard-order vectors: arrays
-    (shift, flip, distance).  The maximizing shift is located by FFT
-    cross-correlation, then the norm is evaluated exactly at that shift."""
-    best = None
-    for flip in ((False, True) if dihedral else (False,)):
-        # largest <row, G phi> gives the smallest distance
-        g = np.argmax(_cross_correlations(rows, phi.values[action_index(phi.L, 0, flip)]),
-                      axis=-1)
-        d = np.linalg.norm(rows - phi.values[action_index(phi.L, g, flip)], axis=-1)
-        cand = (g, np.full(g.shape, flip), d)
-        best = cand if best is None else tuple(np.where(d < best[2], c, b)
-                                               for c, b in zip(cand, best))
-    return best
+    (shift, flip, distance).  G phi is the cyclic storage shift by `shift` of
+    F^flip phi, so one rfft/irfft pair gives <row, G phi> for all of G,
+    enumerated as `orbit_index` rows k = shift + L flip; the largest gives
+    the smallest distance, which is then evaluated exactly at that element."""
+    L = phi.L
+    flipped = phi.values[action_index(L, 0, np.arange(2 if dihedral else 1))]
+    c = np.fft.irfft(np.conj(np.fft.rfft(rows))[..., None, :] * np.fft.rfft(flipped), n=L)
+    k = np.argmax(c.reshape(c.shape[:-2] + (-1,)), axis=-1)
+    g, flip = k % L, k >= L
+    return g, flip, np.linalg.norm(rows - phi.values[action_index(L, g, flip)], axis=-1)
 
 
 def align(theta: Signal, phi: Signal, dihedral: bool = False):

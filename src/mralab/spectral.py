@@ -5,7 +5,8 @@ hat(v)(xi) = sum_k v(k) e^{-2 pi i xi k / L}, so ||v||^2 = ||hat(v)||^2 / L.
 
 E_G[(G theta)^(x m)] is shift invariant, so its DFT vanishes off the plane
 xi_1 + ... + xi_m = 0 (mod L) and equals hat(theta)(xi_1) ... hat(theta)(xi_m)
-on it, in any cyclic indexing: the power spectrum for m = 2, the bispectrum
+on it, in any cyclic indexing: L mean(theta) at xi = 0 for m = 1, the power
+spectrum for m = 2, the bispectrum
 hat(theta)(a) hat(theta)(b) conj(hat(theta)(a + b)) for m = 3.  Parseval gives
 ||Delta_m||_F^2 = L^-m sum over the plane of |difference|^2, in O(L^(m-1))
 work.  `delta_m` holds differences of population moments in this form and
@@ -15,37 +16,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ring import LengthMismatchError, Signal, std_offset
+from .ring import LengthMismatchError, Signal
 
 
 class MomentTensor:
     """Group-averaged moment tensor E_G[(G theta)^(x m)] or a difference thereof.
 
-    Orders 2 and 3 hold `fourier`, the DFT on the plane (module docstring) over
-    (xi_1, ..., xi_(m-1)); the dense L^m `data`, in standard order, is built
-    from it on first read.  Order 1 holds `data` only.
+    It holds `fourier`, the DFT on the plane (module docstring) over
+    (xi_1, ..., xi_(m-1)), for orders 1 to 3; order 1 is its one value at
+    xi = 0.  The dense L^m `data`, in standard order, is built from it on
+    first read.
     """
 
-    def __init__(self, order: int, data: np.ndarray | None = None,
-                 fourier: np.ndarray | None = None):
+    def __init__(self, order: int, L: int, fourier: np.ndarray):
         self.order = order
-        self.fourier = fourier
-        self._data = data
+        self.L = L
+        self.fourier = np.asarray(fourier)
+        self._data = None
 
     @property
     def data(self) -> np.ndarray:
         if self._data is None:
-            L = self.fourier.shape[0]
-            full = np.zeros((L,) * self.order, dtype=complex)
-            full[_plane(L, self.order)] = self.fourier
+            full = np.zeros((self.L,) * self.order, dtype=complex)
+            full[_plane(self.L, self.order)] = self.fourier
             self._data = np.real(np.fft.ifftn(full))
         return self._data
 
     def frobenius(self) -> float:
-        if self.fourier is None:
-            return float(np.linalg.norm(self._data.ravel()))
         # Parseval for the m-dimensional transform; the plane holds all of it
-        return float(np.linalg.norm(self.fourier) / self.fourier.shape[0] ** (self.order / 2))
+        return float(np.linalg.norm(self.fourier) / self.L ** (self.order / 2))
 
 
 def _plane(L: int, m: int) -> tuple:
@@ -68,18 +67,15 @@ def _circulant(c: np.ndarray) -> np.ndarray:
 
 def power_spectrum(theta: Signal) -> np.ndarray:
     """|hat(theta)|^2 at frequencies in standard order; nonnegative."""
-    return np.roll(np.abs(np.fft.fft(theta.natural())) ** 2, std_offset(theta.L))
+    return Signal.from_natural(np.abs(np.fft.fft(theta.natural())) ** 2).values
 
 
 def delta_m(theta: Signal, phi: Signal, m: int) -> MomentTensor:
     """Difference of order-m group-averaged moment tensors of theta and phi."""
     if theta.L != phi.L:
         raise LengthMismatchError("signals have lengths %d and %d" % (theta.L, phi.L))
-    if m == 1:
-        # E_G[G theta] = mean(theta) * ones
-        return MomentTensor(order=1, data=(theta.mean() - phi.mean()) * np.ones(theta.L))
-    if m in (2, 3):
-        return MomentTensor(order=m, fourier=_moment_fourier(theta, m) - _moment_fourier(phi, m))
+    if m in (1, 2, 3):
+        return MomentTensor(m, theta.L, _moment_fourier(theta, m) - _moment_fourier(phi, m))
     raise ValueError("moment order must be 1, 2 or 3; got %r" % (m,))
 
 
@@ -130,12 +126,12 @@ def empirical_moments(data, order: int) -> MomentTensor:
 
     One pass over data.iter_chunks() takes one FFT per block, so memory does
     not grow with n.  With sigma from data.config and y-hat the rows' DFT:
-    order 1 is mean(y) * ones; order 2 is mean |y-hat|^2 - L sigma^2 on the
+    order 1 is mean y-hat(0); order 2 is mean |y-hat|^2 - L sigma^2 on the
     plane; order 3 is the mean of y-hat(a) y-hat(b) conj(y-hat(a + b)) less
     sigma^2 L mean(y-hat(0)) on each of the lines a = 0, b = 0 and a + b = 0,
-    where the noise puts its bias.  Orders 2 and 3 are held as `delta_m` holds
-    them.  Under the dihedral group a reflection conjugates the bispectrum,
-    so the order-3 estimate tends to its reflection average Re B.
+    where the noise puts its bias.  All are held as `delta_m` holds them.
+    Under the dihedral group a reflection conjugates the bispectrum, so the
+    order-3 estimate tends to its reflection average Re B.
     """
     if order not in (1, 2, 3):
         raise ValueError("moment order must be 1, 2 or 3; got %r" % (order,))
@@ -153,11 +149,11 @@ def empirical_moments(data, order: int) -> MomentTensor:
     if n == 0:
         raise ValueError("empirical moments need at least one observation")
     if order == 1:
-        return MomentTensor(order=1, data=total / (n * L) * np.ones(L))
+        return MomentTensor(1, L, total / n)
     if order == 2:
-        return MomentTensor(order=2, fourier=acc / n - L * sigma**2)
+        return MomentTensor(2, L, acc / n - L * sigma**2)
     fourier, bias, a = acc / n, sigma**2 * L * total / n, np.arange(L)
     fourier[0, :] -= bias
     fourier[:, 0] -= bias
     fourier[a, -a % L] -= bias
-    return MomentTensor(order=3, fourier=fourier)
+    return MomentTensor(3, L, fourier)

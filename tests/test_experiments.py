@@ -72,6 +72,14 @@ class TestConfig:
             ExperimentConfig(scenario="dilute-rate", L=8, sigma_grid=(1.0,),
                              seed=0, em={"init": "perturbed_truth"})
 
+    @pytest.mark.parametrize("sub, key", [("em", "max_iter"), ("kl", "nmc"),
+                                          ("dilute", "sparsity")])
+    def test_unknown_sub_key_named(self, sub, key):
+        # a misspelt key would otherwise leave its default silently in force
+        with pytest.raises(ValueError, match="unknown %s key '%s'" % (sub, key)):
+            ExperimentConfig(scenario="dilute-rate", L=8, sigma_grid=(1.0,),
+                             seed=0, **{sub: {key: 1}})
+
     def test_sparsity_scan_needs_one_sigma(self):
         with pytest.raises(ValueError, match="sigma_grid"):
             ExperimentConfig(scenario="sparsity-scan", L=16,

@@ -86,8 +86,8 @@ class TestSimulate:
         memory = Dataset(np.concatenate(blocks), cfg)
         init = Signal(theta.values + 0.1)
         rc = RestrictedClass("none")
-        a, diag_a = em_restricted_mle(stream, cfg, rc, init, max_iters=15)
-        b, diag_b = em_restricted_mle(memory, cfg, rc, init, max_iters=15)
+        a, diag_a = em_restricted_mle(stream, rc, init, max_iters=15)
+        b, diag_b = em_restricted_mle(memory, rc, init, max_iters=15)
         np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
         assert diag_a["iterations"] == diag_b["iterations"]
         assert diag_a["converged"] == diag_b["converged"]
@@ -255,7 +255,7 @@ class TestEm:
 
     def test_near_noiseless(self):
         data = simulate(PLANAR, self.CFG_SMALL, 100, np.random.default_rng(26))
-        theta_hat, diag = em_restricted_mle(data, self.CFG_SMALL, self.RC, PLANAR)
+        theta_hat, diag = em_restricted_mle(data, self.RC, PLANAR)
         assert varrho(theta_hat, PLANAR) <= 1e-3
         assert diag["converged"]
         # PLANAR has no rotational symmetry: each posterior sits on one shift
@@ -266,7 +266,7 @@ class TestEm:
         cfg = MraConfig(9, 0.5, dihedral)
         data = simulate(Signal(np.random.default_rng(45).normal(size=9)), cfg, 40,
                         np.random.default_rng(46))
-        _, diag = em_restricted_mle(data, cfg, RestrictedClass("none"), Signal.zeros(9),
+        _, diag = em_restricted_mle(data, RestrictedClass("none"), Signal.zeros(9),
                                     max_iters=0)
         assert diag["mean_effective_group_size"] == pytest.approx(18 if dihedral else 9,
                                                                   rel=1e-12)
@@ -280,7 +280,7 @@ class TestEm:
         theta = Signal(np.tile([1.0, -0.5, 0.2], 3) + 0.01 * rng.normal(size=9))
         cfg = MraConfig(9, sigma, dihedral)
         data = simulate(theta, cfg, 60, np.random.default_rng(49))
-        _, diag = em_restricted_mle(data, cfg, RestrictedClass("none"), theta,
+        _, diag = em_restricted_mle(data, RestrictedClass("none"), theta,
                                     max_iters=0)
         logw = np.array([[-np.sum((y - g.apply(theta).values) ** 2) / (2 * sigma**2)
                           for g in group_elements(9, dihedral)]
@@ -302,9 +302,9 @@ class TestEm:
         cfg = MraConfig(21, 0.5)
         data = simulate(PLANAR, cfg, 300, np.random.default_rng(50))
         init = Signal(PLANAR.values + 0.1 * np.random.default_rng(51).normal(size=21))
-        iterates = [em_restricted_mle(data, cfg, Rotate(), init, max_iters=k, tol=0)[0]
+        iterates = [em_restricted_mle(data, Rotate(), init, max_iters=k, tol=0)[0]
                     for k in range(4)]
-        _, diag = em_restricted_mle(data, cfg, Rotate(), init, max_iters=3, tol=0)
+        _, diag = em_restricted_mle(data, Rotate(), init, max_iters=3, tol=0)
         for k, step in enumerate(diag["varrho_steps"]):
             new, old = iterates[k + 1], iterates[k]
             assert step == pytest.approx(
@@ -320,7 +320,7 @@ class TestEm:
 
         cfg = MraConfig(21, 0.3)
         data = simulate(PLANAR, cfg, 300, np.random.default_rng(47))
-        _, diag = em_restricted_mle(data, cfg, Shrink(), Signal(2 * PLANAR.values),
+        _, diag = em_restricted_mle(data, Shrink(), Signal(2 * PLANAR.values),
                                     max_iters=10, tol=0)
         trace = diag["log_likelihood_trace"]
         falls = [{"iteration": k, "drop": trace[k - 1] - trace[k]}
@@ -332,14 +332,14 @@ class TestEm:
         cfg = MraConfig(21, 0.3)
         n = 2000
         data = simulate(PLANAR, cfg, n, np.random.default_rng(27))
-        theta_hat, _ = em_restricted_mle(data, cfg, self.RC, PLANAR)
+        theta_hat, _ = em_restricted_mle(data, self.RC, PLANAR)
         assert varrho(theta_hat, PLANAR) <= 10 / np.sqrt(n)
 
     def test_surrogate_monotone(self):
         cfg = MraConfig(21, 0.5)
         data = simulate(PLANAR, cfg, 500, np.random.default_rng(28))
         init = Signal(PLANAR.values + 0.2 * np.random.default_rng(29).normal(size=21))
-        _, diag = em_restricted_mle(data, cfg, self.RC, init,
+        _, diag = em_restricted_mle(data, self.RC, init,
                                     track_pre_projection=True, max_iters=20)
         for pre, cur in zip(diag["pre_projection_log_likelihood"],
                             diag["log_likelihood_trace"]):
@@ -356,14 +356,14 @@ class TestEm:
         init = min(
             (Signal(sgn * c.values) for c in cands for sgn in (1.0, -1.0)),
             key=lambda c: varrho(c, PLANAR, dihedral=True))
-        theta_hat, _ = em_restricted_mle(data, cfg, self.RC, init)
+        theta_hat, _ = em_restricted_mle(data, self.RC, init)
         assert min(varrho(theta_hat, Signal(sgn * PLANAR.values), dihedral=True)
                    for sgn in (1.0, -1.0)) <= 0.05
 
     def test_nonconvergence_flagged(self):
         cfg = MraConfig(21, 1.0)
         data = simulate(PLANAR, cfg, 200, np.random.default_rng(31))
-        _, diag = em_restricted_mle(data, cfg, self.RC, PLANAR, max_iters=1,
+        _, diag = em_restricted_mle(data, self.RC, PLANAR, max_iters=1,
                                     tol=1e-300)
         assert not diag["converged"]
         assert diag["iterations"] == 1
@@ -371,7 +371,7 @@ class TestEm:
     def test_empty_dataset_rejected(self):
         data = Dataset(np.empty((0, 21)), self.CFG_SMALL)
         with pytest.raises(ValueError, match="empty"):
-            em_restricted_mle(data, self.CFG_SMALL, self.RC, PLANAR)
+            em_restricted_mle(data, self.RC, PLANAR)
 
     @pytest.mark.parametrize("L", [2, 7, 8])
     @pytest.mark.parametrize("dihedral", [False, True])
@@ -391,7 +391,7 @@ class TestEm:
             w = np.exp(logits - logits.max())
             w /= w.sum()
             acc += sum(wg * g.inverse(L).apply(Signal(y)).values for wg, g in zip(w, elems))
-        theta_hat, diag = em_restricted_mle(data, cfg, RestrictedClass("none"), init,
+        theta_hat, diag = em_restricted_mle(data, RestrictedClass("none"), init,
                                             max_iters=1, tol=0)
         assert diag["iterations"] == 1
         np.testing.assert_allclose(theta_hat.values, acc / data.n, rtol=0, atol=1e-12)
@@ -403,7 +403,7 @@ class TestEm:
         data = simulate(Signal(rng.normal(size=8)), cfg, 25, rng)
         rc = RestrictedClass("support-fixed", frozenset({-2, 0, 1, 3}))
         init = Signal(rng.normal(size=8))
-        _, diag = em_restricted_mle(data, cfg, rc, init, max_iters=1, tol=0)
+        _, diag = em_restricted_mle(data, rc, init, max_iters=1, tol=0)
         start, _ = rc.project(init)
         direct = sum(direct_log_density(start, y, 0.9, dihedral) for y in data.observations)
         assert diag["log_likelihood_trace"][0] == pytest.approx(direct, rel=1e-12)
@@ -411,6 +411,6 @@ class TestEm:
     def test_dihedral_em_runs(self):
         cfg = MraConfig(21, 0.2, dihedral=True)
         data = simulate(PLANAR, cfg, 1000, np.random.default_rng(32))
-        theta_hat, _ = em_restricted_mle(data, cfg, self.RC, PLANAR)
+        theta_hat, _ = em_restricted_mle(data, self.RC, PLANAR)
         assert min(varrho(theta_hat, Signal(s * PLANAR.values), dihedral=True)
                    for s in (1.0, -1.0)) <= 0.05

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mralab.ring import (GroupElement, LengthMismatchError, Signal, align,
+from mralab.ring import (GroupElement, LengthMismatchError, Signal, align, align_rows,
                          group_elements, orbit_index, reflect, rho, shift,
-                         std_indices, std_offset, varrho)
+                         std_indices, std_offset, storage_index, varrho)
 
 
 def brute_force_rho(theta, phi, dihedral=False):
@@ -17,9 +17,13 @@ def brute_force_rho(theta, phi, dihedral=False):
 class TestIndexing:
     def test_std_indices_odd(self):
         assert list(std_indices(5)) == [-2, -1, 0, 1, 2]
+        assert list(storage_index(5, std_indices(5))) == [0, 1, 2, 3, 4]
+        assert list(storage_index(5, [3, -3, 7])) == list(storage_index(5, [-2, 2, 2]))
 
     def test_std_indices_even(self):
         assert list(std_indices(4)) == [-1, 0, 1, 2]
+        assert list(storage_index(4, std_indices(4))) == [0, 1, 2, 3]
+        assert storage_index(4, [[-2], [6]]).tolist() == [[3], [3]]
 
     def test_offset(self):
         assert std_offset(4) == 1
@@ -190,6 +194,25 @@ class TestRho:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             rho(Signal([1.0, 2.0]), Signal([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    @pytest.mark.parametrize("L", [2, 7, 8, 257])
+    def test_align_rows_matches_brute_force(self, L, dihedral):
+        rng = np.random.default_rng(L + dihedral)
+        v = rng.normal(size=L)
+        # phi equals its reflection, so every row ties a rotation with a reflection
+        sym = Signal(v + reflect(Signal(v)).values)
+        orbit = sym.values[orbit_index(L, dihedral)]
+        for phi in (Signal(v), sym):
+            near = orbit[rng.integers(len(orbit), size=3)] + 1e-3 * rng.normal(size=(3, L))
+            rows = np.vstack([rng.normal(size=(6, L)), sym.values, near])
+            g, flip, d = align_rows(rows, phi, dihedral)
+            assert dihedral or not flip.any()
+            for row, gk, fk, dk in zip(rows, g, flip, d):
+                assert dk == pytest.approx(brute_force_rho(Signal(row), phi, dihedral),
+                                           rel=1e-12, abs=1e-12)
+                attained = GroupElement(int(gk), bool(fk)).apply(phi).values
+                assert np.linalg.norm(row - attained) == pytest.approx(dk, rel=1e-12, abs=1e-12)
 
     def test_align_returns_argmin(self):
         rng = np.random.default_rng(11)
