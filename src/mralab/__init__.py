@@ -5,10 +5,9 @@ restricted-MLE EM, curvature probes, and an experiment harness.
 
 from .ring import GroupElement, Signal, align, reflect, rho, shift, varrho
 from .spectral import MomentTensor, delta_m, empirical_moments, power_spectrum
-from .gensig import (DiluteClassSpec, GenericSignalSpec, cosine_functional,
-                     difference_multiset, gen_collision_free,
-                     gen_symm_bernoulli_gaussian, gen_symm_interval,
-                     is_collision_free)
+from .gensig import (DiluteClassSpec, cosine_functional, difference_multiset,
+                     gen_collision_free, gen_symm_bernoulli_gaussian,
+                     gen_symm_interval, is_collision_free)
 from .beltway import (DifferenceProfile, max_collision_free_size,
                       recover_from_power_spectrum, solve_beltway)
 from .mra import (Dataset, MraConfig, RestrictedClass, em_restricted_mle,

@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gensig import DiluteClassSpec, difference_multiset, fresh_lags
-from .probes import curvature_terms
+from .gensig import difference_multiset, fresh_lags
 from .ring import Signal
-from .spectral import power_spectrum
 
 #: branch-and-bound guard for exact maximum collision-free size
 MAX_SIZE_GUARD_L = 40
@@ -235,24 +233,24 @@ def _refine_values(support, vals, P_nat, L: int):
     return v
 
 
-def recover_from_power_spectrum(P, class_hint: DiluteClassSpec, tol: float = 1e-5):
-    """Candidate signals whose power spectrum matches P, for a dilute class.
+def recover_from_power_spectrum(P, s: int, m: float, tol: float = 1e-5):
+    """Candidate signals with s collision-free support points, each of
+    magnitude at least m, whose power spectrum matches P.
 
-    P is a length-L nonnegative vector in standard frequency order.  Pipeline:
-    autocorrelation by inverse DFT, support differences by thresholding at m^2/2,
-    backtracking support solve, values from pairwise products, least-squares
-    refinement.  Candidates are returned with canonical sign (first nonzero
-    value positive) and only if their relative spectral residual is <= tol.
+    P is a nonnegative vector in standard frequency order, of length L = P.size.
+    Pipeline: autocorrelation by inverse DFT, support differences by
+    thresholding at m^2/2, backtracking support solve, values from pairwise
+    products, least-squares refinement.  Candidates are returned with
+    canonical sign (first nonzero value positive) and only if their relative
+    spectral residual is <= tol.
     """
-    L = class_hint.L
     P = np.asarray(P, dtype=float)
-    if P.size != L or np.any(P < -1e-9 * max(1.0, P.max(initial=0.0))):
-        raise ValueError("P must be a nonnegative length-%d vector" % L)
+    if P.ndim != 1 or np.any(P < -1e-9 * max(1.0, P.max(initial=0.0))):
+        raise ValueError("P must be a nonnegative vector")
+    L = P.size
     P_nat = Signal(P).natural()
     A_nat = np.real(np.fft.ifft(P_nat))
-    threshold = class_hint.m**2 / 2
-    lags = [d for d in range(1, L) if abs(A_nat[d]) > threshold]
-    s = class_hint.s
+    lags = [d for d in range(1, L) if abs(A_nat[d]) > m**2 / 2]
     if len(lags) != s * (s - 1) and s > 1:
         raise ProfileInconsistencyError(
             "thresholding found %d lags, expected s(s-1) = %d" % (len(lags), s * (s - 1))
@@ -275,32 +273,6 @@ def recover_from_power_spectrum(P, class_hint: DiluteClassSpec, tol: float = 1e-
                 x = -x
             out.append(Signal.from_natural(x))
     return out
-
-
-def local_uniqueness_probe(theta0: Signal, radius: float, trials: int,
-                           rng: np.random.Generator, dihedral: bool = False) -> dict:
-    """Ratio ||Delta_2(theta, theta0)||_F / rho(theta, theta0) over random
-    support-preserving perturbations with varrho <= radius.
-
-    A strictly positive floor across trials evidences local uniqueness of
-    recovery from the second moment (equivalently the power spectrum).
-    """
-    L = theta0.L
-    idx = np.flatnonzero(theta0.values)
-    if not idx.size:
-        raise ValueError("theta0 must be nonzero")
-    rows = np.zeros((trials, L))
-    for t in range(trials):
-        h = rng.normal(size=idx.size)
-        rows[t, idx] = h * (radius * np.sqrt(L) * rng.random() / np.linalg.norm(h))
-    d2, r = curvature_terms(theta0, rows, dihedral)
-    ratios = d2[r > 0] / r[r > 0]
-    return {
-        "trials": int(ratios.size),
-        "radius": float(radius),
-        "min_ratio": float(ratios.min()) if ratios.size else float("nan"),
-        "median_ratio": float(np.median(ratios)) if ratios.size else float("nan"),
-    }
 
 
 def max_collision_free_size(L: int) -> int:

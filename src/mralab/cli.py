@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import beltway, experiments, gensig, probes
-from .experiments import config_hash
+from .experiments import check_keys, config_hash
 from .mra import Dataset, MraConfig, RestrictedClass, em_restricted_mle, simulate
 from .ring import Signal
 from .spectral import second_moment_expansion_generators
@@ -26,6 +26,15 @@ MAGIC = b"MRA2"
 HEADERS = {b"MRA1": struct.Struct("<IQd"), MAGIC: struct.Struct("<IQdB")}
 #: the group byte's names, also the choices of --group
 GROUPS = ("cyclic", "dihedral")
+#: probe kind -> the config keys it reads; any other key is an error
+PROBE_KEYS = {
+    "dilute-lb": ("L", "s", "m", "M", "eps", "signal", "trials", "h_norm", "seed"),
+    "adversarial": ("L", "signal", "delta", "seed"),
+    "uup": ("L", "a", "s", "trials", "seed"),
+    "lambda": ("L", "s", "a", "signal", "zeta", "max_tries", "tau", "seed"),
+    "moderate-lb": ("signal", "s", "a", "max_tries", "tau", "trials", "h_norm", "seed"),
+    "sandwich": ("theta", "phi", "sigma_grid", "n_mc", "seed"),
+}
 
 
 def write_container(path, data: Dataset):
@@ -135,13 +144,17 @@ def cmd_pr_recover(args):
                 continue
             i, v = line.split(",")
             P[int(i)] = float(v)
+    # the class check: admissibility and a collision-free s in Z_L
     spec = gensig.DiluteClassSpec(L=args.L, s=args.s, m=args.m, M=args.M, eps=args.eps)
-    cands = beltway.recover_from_power_spectrum(P, spec, tol=args.tol)
+    cands = beltway.recover_from_power_spectrum(P, spec.s, spec.m, tol=args.tol)
     _dump_json({"candidates": [c.to_json_dict() for c in cands]}, args.out)
     return 0
 
 
 def _probe_report(kind: str, cfg: dict) -> dict:
+    if kind not in PROBE_KEYS:
+        raise ValueError("unknown probe %r" % (kind,))
+    check_keys(kind, cfg, PROBE_KEYS[kind])
     seed = int(cfg.get("seed", 0))
     rng = np.random.default_rng(seed)
     if kind == "dilute-lb":
@@ -193,14 +206,12 @@ def _probe_report(kind: str, cfg: dict) -> dict:
         report = probes.moderate_curvature_check(
             theta0, lam, int(cfg.get("trials", 200)),
             float(cfg.get("h_norm", 1e-3)), rng)
-    elif kind == "sandwich":
+    else:  # sandwich
         theta = Signal.from_json_dict(cfg["theta"])
         phi = Signal.from_json_dict(cfg["phi"])
         report = probes.moment_sandwich_probe(
             theta, phi, cfg.get("sigma_grid", [2, 4, 8]),
             int(cfg.get("n_mc", 100000)), rng)
-    else:
-        raise ValueError("unknown probe %r" % (kind,))
     report["probe"] = kind
     report["seed"] = seed
     report["config_hash"] = config_hash(cfg)
@@ -274,8 +285,7 @@ def build_parser():
     sp.set_defaults(func=cmd_pr_recover)
 
     sp = sub.add_parser("probe", help="run a verification probe")
-    sp.add_argument("kind", choices=["dilute-lb", "adversarial", "uup", "lambda",
-                                     "moderate-lb", "sandwich"])
+    sp.add_argument("kind", choices=list(PROBE_KEYS))
     sp.add_argument("--config", required=True, help="probe config JSON file")
     sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_probe)

@@ -35,6 +35,14 @@ class ExperimentFailureError(RuntimeError):
     """More than 10% of a scan's cells failed."""
 
 
+def check_keys(name: str, cfg: dict, known: tuple):
+    """Reject the first key of cfg, in sorted order, that is not in known."""
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ValueError("unknown %s key %r; known keys: %s"
+                         % (name, unknown[0], ", ".join(known)))
+
+
 def _check_choice(name: str, value, choices: tuple):
     if value not in choices:
         raise ValueError("%s must be one of %s, got %r" % (name, ", ".join(choices), value))
@@ -73,10 +81,7 @@ class ExperimentConfig:
         for name, known in (("dilute", ("s", "m", "M", "eps")),
                             ("em", ("init", "init_perturb", "max_iters", "tol")),
                             ("kl", ("direction", "n_mc", "zeta", "h_norm"))):
-            unknown = sorted(set(getattr(self, name)) - set(known))
-            if unknown:
-                raise ValueError("unknown %s key %r; known keys: %s"
-                                 % (name, unknown[0], ", ".join(known)))
+            check_keys(name, getattr(self, name), known)
         _check_choice("n_rule", self.n_rule, ("fixed", "sigma4"))
         _check_choice("branch", self.branch, ("dilute", "moderate"))
         _check_choice("em.init", self.em.get("init", "perturbed-truth"),
@@ -215,14 +220,13 @@ def _base_signal(cfg: ExperimentConfig, rng, full_support: bool) -> tuple:
     return s, gen_collision_free(_dilute_spec(cfg, s), rng)
 
 
-def _support_perturbation(theta0: Signal, h_norm: float, rng,
-                          demean: bool = True) -> Signal:
-    """Random direction on supp(theta0); mean-zero by default so the
-    first-moment KL term cannot mask the second-order curvature."""
+def _support_perturbation(theta0: Signal, h_norm: float, rng) -> Signal:
+    """Random direction on supp(theta0), mean-zero when the support has two
+    or more points, so the first-moment KL term cannot mask the curvature."""
     idx = np.flatnonzero(theta0.values)
     h = np.zeros(theta0.L)
     g = rng.normal(size=idx.size)
-    if demean and idx.size > 1:
+    if idx.size > 1:
         g -= g.mean()
     h[idx] = g / np.linalg.norm(g) * h_norm
     return Signal(h)

@@ -21,25 +21,20 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class DiluteClassSpec:
-    """Admissible collision-free sparse class: magnitude band [m, M], slack eps.
-
-    strict=False skips the admissibility inequality (useful as a recovery
-    hint for very small supports where the curvature bound is not claimed).
-    """
+    """Admissible collision-free sparse class: magnitude band [m, M], slack eps."""
 
     L: int
     s: int
     m: float
     M: float
     eps: float
-    strict: bool = True
 
     def __post_init__(self):
         if not (0 < self.m <= self.M):
             raise ValueError("need 0 < m <= M")
         if self.eps <= 0:
             raise ValueError("need eps > 0")
-        if self.strict and self.s < (2 + self.eps) * self.M**2 / self.m**2:
+        if self.s < (2 + self.eps) * self.M**2 / self.m**2:
             raise ValueError(
                 "class admissibility requires s >= (2+eps) M^2/m^2; "
                 "got s=%d, bound=%.3f" % (self.s, (2 + self.eps) * self.M**2 / self.m**2)
@@ -53,25 +48,6 @@ class DiluteClassSpec:
     def curvature_constant(self) -> float:
         """sqrt(2 eps / (2 + eps)), the normalized second-moment curvature floor."""
         return float(np.sqrt(2 * self.eps / (2 + self.eps)))
-
-
-@dataclass(frozen=True)
-class GenericSignalSpec:
-    """Generic sparse symmetric signal: dispersion zeta^2, sparsity constants
-    (alpha, beta), cosine-genericity index tau."""
-
-    L: int
-    s: int
-    zeta: float
-    alpha: float = 0.5
-    beta: float = 2.0
-    tau: float = 1.0
-
-    def __post_init__(self):
-        if self.zeta <= 0 or self.alpha <= 0 or self.beta <= 0 or self.tau <= 0:
-            raise ValueError("parameters must be positive")
-        if self.alpha > self.beta:
-            raise ValueError("need alpha <= beta")
 
 
 def difference_multiset(support, L: int) -> Counter:

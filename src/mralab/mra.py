@@ -40,7 +40,6 @@ class Dataset:
 
     observations: np.ndarray
     config: MraConfig
-    theta0: Signal | None = None
     shifts: np.ndarray | None = None
     flips: np.ndarray | None = None
 
@@ -103,7 +102,7 @@ def simulate(theta0: Signal, cfg: MraConfig, n: int, rng: np.random.Generator) -
     if theta0.L != cfg.L:
         raise LengthMismatchError("signal length %d vs config L=%d" % (theta0.L, cfg.L))
     rows, shifts, flips = _draw_block(theta0.values[orbit_index(cfg.L, cfg.dihedral)], cfg, n, rng)
-    return Dataset(rows, cfg, theta0=theta0, shifts=shifts, flips=flips)
+    return Dataset(rows, cfg, shifts=shifts, flips=flips)
 
 
 def _mixture(c: np.ndarray, ysq: np.ndarray, theta: Signal, cfg: MraConfig):
@@ -133,17 +132,23 @@ def log_density(theta: Signal, y, sigma: float, dihedral: bool = False) -> float
 
 def _posteriors(theta: Signal, data):
     """(observations, log-densities, posterior weights) for each block of the
-    data, under the model of data.config."""
+    data, under the model of data.config.  Consumers drop each triple before
+    the next, as this generator does, so none is alive while a stream draws."""
     cfg = data.config
     orbit = theta.values[orbit_index(cfg.L, cfg.dihedral)]
     for block in data.iter_chunks():
         log_dens, w = _mixture(orbit @ block.T, np.einsum("ij,ij->i", block, block), theta, cfg)
         yield block, log_dens, w
+        del block, log_dens, w
 
 
 def log_likelihood(theta: Signal, data) -> float:
     """Sum of observation log-densities over the dataset (0 when empty)."""
-    return float(sum(np.sum(log_dens) for _, log_dens, _ in _posteriors(theta, data)))
+    total = 0.0
+    for block, log_dens, w in _posteriors(theta, data):
+        total += np.sum(log_dens)
+        del block, log_dens, w
+    return float(total)
 
 
 def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
@@ -277,8 +282,7 @@ class RestrictedClass:
 
 
 def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
-                      max_iters: int = 200, tol: float = 1e-8,
-                      track_pre_projection: bool = False):
+                      max_iters: int = 200, tol: float = 1e-8):
     """Restricted maximum-likelihood fit by EM with projection onto the class.
 
     The model (L, sigma, group) is data.config.
@@ -305,7 +309,6 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
     idx = orbit_index(L, cfg.dihedral)
     theta, _ = rclass.project(init)
     steps = []
-    pre_projection_ll = []
     current_ll = []
     clamp_any = False
     converged = False
@@ -316,12 +319,11 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
         for block, log_dens, w in _posteriors(theta, data):
             ll += float(np.sum(log_dens))
             S += w @ block
+            del block, log_dens, w
         if not np.isfinite(ll):
             raise FloatingPointError("non-finite log-likelihood during EM")
         current_ll.append(ll)
         raw = Signal(np.bincount(idx.ravel(), weights=S.ravel(), minlength=L) / data.n)
-        if track_pre_projection:
-            pre_projection_ll.append(log_likelihood(raw, data))
         new, clamped = rclass.project(raw)
         clamp_any = clamp_any or clamped
         step = float(np.linalg.norm(new.values - theta.values)) / np.sqrt(L)
@@ -332,11 +334,12 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
             break
     final_ll = 0.0
     group_size = 0.0
-    for _, log_dens, w in _posteriors(theta, data):
+    for block, log_dens, w in _posteriors(theta, data):
         final_ll += float(np.sum(log_dens))
         # entropy -sum w log w, with 0 log 0 = 0 for weights that underflowed
         entropy = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=0)
         group_size += float(np.sum(np.exp(entropy)))
+        del block, log_dens, w
     diagnostics = {
         "iterations": iters,
         "converged": converged,
@@ -346,7 +349,6 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
             {"iteration": k, "drop": current_ll[k - 1] - current_ll[k]}
             for k in range(1, len(current_ll)) if current_ll[k] < current_ll[k - 1]],
         "mean_effective_group_size": group_size / data.n,
-        "pre_projection_log_likelihood": pre_projection_ll,
         "varrho_steps": steps,
         "clamp_active": clamp_any,
     }

@@ -65,18 +65,16 @@ class FrequencySet:
 
 @dataclass(frozen=True)
 class GoodSetParams:
-    """Threshold exponent kappa, negative-moment order eta, genericity index
-    tau, dispersion zeta."""
+    """Threshold exponent kappa, negative-moment order eta, dispersion zeta."""
 
     kappa: float
     eta: float
-    tau: float = 1.0
     zeta: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.eta < 1:
             raise ValueError("need 0 < eta < 1")
-        if self.kappa <= 0 or self.tau <= 0 or self.zeta <= 0:
+        if self.kappa <= 0 or self.zeta <= 0:
             raise ValueError("parameters must be positive")
 
 
@@ -121,6 +119,32 @@ def curvature_terms(theta0: Signal, rows: np.ndarray, dihedral: bool = False):
     k = np.arange(dp.shape[-1])
     d2 = np.sqrt(dp**2 @ (2.0 - (k == 0) - (2 * k == L))) / L
     return d2, align_rows(thetas, theta0, dihedral)[2]
+
+
+def local_uniqueness_probe(theta0: Signal, radius: float, trials: int,
+                           rng: np.random.Generator, dihedral: bool = False) -> dict:
+    """Ratio ||Delta_2(theta, theta0)||_F / rho(theta, theta0) over random
+    support-preserving perturbations with varrho <= radius.
+
+    A strictly positive floor across trials evidences local uniqueness of
+    recovery from the second moment (equivalently the power spectrum).
+    """
+    L = theta0.L
+    idx = np.flatnonzero(theta0.values)
+    if not idx.size:
+        raise ValueError("theta0 must be nonzero")
+    rows = np.zeros((trials, L))
+    for t in range(trials):
+        h = rng.normal(size=idx.size)
+        rows[t, idx] = h * (radius * np.sqrt(L) * rng.random() / np.linalg.norm(h))
+    d2, r = curvature_terms(theta0, rows, dihedral)
+    ratios = d2[r > 0] / r[r > 0]
+    return {
+        "trials": int(ratios.size),
+        "radius": float(radius),
+        "min_ratio": float(ratios.min()) if ratios.size else float("nan"),
+        "median_ratio": float(np.median(ratios)) if ratios.size else float("nan"),
+    }
 
 
 def dilute_lower_bound_check(theta0: Signal, spec: DiluteClassSpec, trials: int,
@@ -254,14 +278,12 @@ def spectral_floor(s: int, tau: float) -> float:
 
 
 def lambda_construct(theta: Signal, s: int, a: float, max_tries: int,
-                     rng: np.random.Generator, floor: float | None = None,
-                     tau: float = 1.0) -> FrequencySet:
+                     rng: np.random.Generator, tau: float = 1.0) -> FrequencySet:
     """Resample frequency sets until one passes both the energy-ratio check
     (2000 trials, c1_hat >= 0.05, c2_hat <= 20) and the spectral floor
-    min |theta-hat| >= floor on the set."""
+    min |theta-hat| >= spectral_floor(s, tau) on the set."""
     c1_min, c2_max = 0.05, 20.0
-    if floor is None:
-        floor = spectral_floor(s, tau)
+    floor = spectral_floor(s, tau)
     mod = np.abs(np.fft.fft(theta.natural()))
     best, best_key = None, (-1.0, -1.0)
     for t in range(1, max_tries + 1):

@@ -124,12 +124,13 @@ def _bispectrum_sum(f: np.ndarray) -> np.ndarray:
 def empirical_moments(data, order: int) -> MomentTensor:
     """Debiased sample moment of order 1, 2 or 3 of a Dataset or StreamingDataset.
 
-    One pass over data.iter_chunks() takes one FFT per block, so memory does
-    not grow with n.  With sigma from data.config and y-hat the rows' DFT:
-    order 1 is mean y-hat(0); order 2 is mean |y-hat|^2 - L sigma^2 on the
-    plane; order 3 is the mean of y-hat(a) y-hat(b) conj(y-hat(a + b)) less
-    sigma^2 L mean(y-hat(0)) on each of the lines a = 0, b = 0 and a + b = 0,
-    where the noise puts its bias.  All are held as `delta_m` holds them.
+    One pass over data.iter_chunks(), with one FFT per block for orders 2
+    and 3, so memory does not grow with n.  With sigma from data.config and
+    y-hat the rows' DFT: order 1 is mean y-hat(0); order 2 is mean
+    |y-hat|^2 - L sigma^2 on the plane; order 3 is the mean of
+    y-hat(a) y-hat(b) conj(y-hat(a + b)) less sigma^2 L mean(y-hat(0)) on
+    each of the lines a = 0, b = 0 and a + b = 0, where the noise puts its
+    bias.  All are held as `delta_m` holds them.
     Under the dihedral group a reflection conjugates the bispectrum, so the
     order-3 estimate tends to its reflection average Re B.
     """
@@ -138,14 +139,13 @@ def empirical_moments(data, order: int) -> MomentTensor:
     L, sigma = data.config.L, data.config.sigma
     n, total, acc = 0, 0.0, 0.0  # total = sum of y-hat(0) = sum of all entries
     for block in data.iter_chunks():
-        f = np.fft.fft(block, axis=1)
-        n += f.shape[0]
+        n += block.shape[0]
         total += float(block.sum())
-        if order == 2:
-            acc = acc + np.sum(np.abs(f) ** 2, axis=0)
-        elif order == 3:
-            acc = acc + _bispectrum_sum(f)
-        del block, f  # so that no block is alive while a stream draws the next
+        if order > 1:
+            f = np.fft.fft(block, axis=1)
+            acc = acc + (np.sum(np.abs(f) ** 2, axis=0) if order == 2 else _bispectrum_sum(f))
+            del f
+        del block  # so that no block is alive while a stream draws the next
     if n == 0:
         raise ValueError("empirical moments need at least one observation")
     if order == 1:

@@ -200,12 +200,12 @@ class TestPhaseRetrievalRoundTrip:
             theta = gen_collision_free(DILUTE, rng)
             P = power_spectrum(theta)
 
-            cands = recover_from_power_spectrum(P, DILUTE, tol=1e-8)
+            cands = recover_from_power_spectrum(P, DILUTE.s, DILUTE.m, tol=1e-8)
             assert cands
             assert self._orbit_error(theta, cands) <= 1e-8
 
             noisy = P * (1 + 1e-6 * rng.normal(size=P.size))
-            cands = recover_from_power_spectrum(noisy, DILUTE, tol=1e-4)
+            cands = recover_from_power_spectrum(noisy, DILUTE.s, DILUTE.m, tol=1e-4)
             assert cands
             assert self._orbit_error(theta, cands) <= 1e-4
 

@@ -8,11 +8,11 @@ import scipy.optimize
 from mralab import beltway
 from mralab.beltway import (DifferenceProfile, ProfileInconsistencyError,
                             SearchBudgetError, canonical_orbit,
-                            local_uniqueness_probe, max_collision_free_size,
-                            recover_from_power_spectrum, solve_beltway)
+                            max_collision_free_size, recover_from_power_spectrum,
+                            solve_beltway)
 from mralab.gensig import (DiluteClassSpec, difference_multiset,
                            gen_collision_free, is_collision_free)
-from mralab.probes import adversarial_direction
+from mralab.probes import adversarial_direction, local_uniqueness_probe
 from mralab.ring import Signal, varrho
 from mralab.spectral import power_spectrum
 
@@ -178,16 +178,15 @@ class TestRecovery:
         rng = np.random.default_rng(2)
         for _ in range(10):
             theta = gen_collision_free(self.SPEC, rng)
-            cands = recover_from_power_spectrum(power_spectrum(theta), self.SPEC,
-                                                tol=1e-8)
+            cands = recover_from_power_spectrum(power_spectrum(theta), self.SPEC.s,
+                                                self.SPEC.m, tol=1e-8)
             assert cands
             assert min(orbit_distance(theta, c) for c in cands) < 1e-8
 
     def test_single_spike(self):
         c = 2.5
         theta = Signal.delta(11, 2, -c)
-        one = DiluteClassSpec(L=11, s=1, m=2.0, M=3.0, eps=1.0, strict=False)
-        cands = recover_from_power_spectrum(power_spectrum(theta), one, tol=1e-8)
+        cands = recover_from_power_spectrum(power_spectrum(theta), s=1, m=2.0, tol=1e-8)
         assert len(cands) == 1
         vals = cands[0].values[cands[0].values != 0]
         assert vals[0] == pytest.approx(c)
@@ -198,7 +197,7 @@ class TestRecovery:
             theta = gen_collision_free(self.SPEC, rng)
             P = power_spectrum(theta)
             P = P * (1 + 1e-6 * rng.normal(size=P.size))
-            cands = recover_from_power_spectrum(P, self.SPEC, tol=1e-4)
+            cands = recover_from_power_spectrum(P, self.SPEC.s, self.SPEC.m, tol=1e-4)
             assert cands
             assert min(orbit_distance(theta, c) for c in cands) <= 1e-4
 
@@ -206,21 +205,21 @@ class TestRecovery:
         rng = np.random.default_rng(4)
         theta = gen_collision_free(self.SPEC, rng)
         P = power_spectrum(theta)
-        for c in recover_from_power_spectrum(P, self.SPEC, tol=1e-8):
+        for c in recover_from_power_spectrum(P, self.SPEC.s, self.SPEC.m, tol=1e-8):
             assert np.linalg.norm(power_spectrum(c) - P) <= 1e-8 * np.linalg.norm(P)
 
     def test_canonical_sign(self):
         rng = np.random.default_rng(5)
         theta = gen_collision_free(self.SPEC, rng)
-        for c in recover_from_power_spectrum(power_spectrum(theta), self.SPEC,
-                                             tol=1e-8):
+        for c in recover_from_power_spectrum(power_spectrum(theta), self.SPEC.s,
+                                             self.SPEC.m, tol=1e-8):
             nz = c.natural()[c.natural() != 0]
             assert nz[0] > 0
 
     def test_inconsistent_threshold_detected(self):
         # a flat spectrum of the wrong scale thresholds to the wrong lag count
         with pytest.raises(ProfileInconsistencyError):
-            recover_from_power_spectrum(np.full(101, 4.0), self.SPEC)
+            recover_from_power_spectrum(np.full(101, 4.0), self.SPEC.s, self.SPEC.m)
 
 
 def minpack_refine(support, vals, P_nat, L: int):
@@ -249,10 +248,10 @@ class TestRefineValuesOracle:
             for _ in range(3):
                 P = power_spectrum(gen_collision_free(spec, rng))
                 P = P * (1 + noise * rng.normal(size=L))
-                ours = recover_from_power_spectrum(P, spec, tol=tol)
+                ours = recover_from_power_spectrum(P, s, spec.m, tol=tol)
                 with monkeypatch.context() as m:
                     m.setattr(beltway, "_refine_values", minpack_refine)
-                    ref = recover_from_power_spectrum(P, spec, tol=tol)
+                    ref = recover_from_power_spectrum(P, s, spec.m, tol=tol)
                 assert ours and len(ours) == len(ref)
                 for a, b in zip(ours, ref):
                     if noise == 0.0:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -182,6 +183,22 @@ class TestProbe:
         rep = json.loads(out.read_text())
         assert rep["set_size"] > 0
         assert rep["c1_hat"] > 0
+
+    @pytest.mark.parametrize("kind, cfg, bad", [
+        ("dilute-lb", {"L": 101, "s": 8, "m": 1.0, "M": 1.5, "eps": 1.0, "trails": 10},
+         "trails"),
+        ("adversarial", {"L": 16, "detla": 1e-3}, "detla"),
+        ("uup", {"L": 512, "a": 256, "s": 8, "trails": 50}, "trails"),
+        ("lambda", {"L": 128, "s": 13, "a": 64, "max_try": 5}, "max_try"),
+        ("moderate-lb", {"s": 13, "a": 64, "h-norm": 1e-3}, "h-norm"),
+        ("sandwich", {"sigmas": [2, 4]}, "sigmas"),
+    ])
+    def test_misspelled_key_named(self, tmp_path, kind, cfg, bad):
+        path = tmp_path / "cfg.json"
+        _write_json(path, cfg)
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown %s key %r; known keys: " % (kind, bad))):
+            main(["probe", kind, "--config", str(path)])
 
 
 class TestScan:

@@ -129,12 +129,6 @@ class TestSupportPerturbation:
         assert h.support <= theta0.support
         assert abs(h.values.sum()) < 1e-15
 
-    def test_demean_off(self):
-        rng = np.random.default_rng(1)
-        theta0 = gen_collision_free(self.SPEC, rng)
-        h = _support_perturbation(theta0, 1e-2, rng, demean=False)
-        assert h.norm() == pytest.approx(1e-2)
-
 
 SMALL_RATE = dict(scenario="dilute-rate", L=11, sigma_grid=(0.5, 1.0), seed=7,
                   trials=2, n_base=300, n_rule="fixed",

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from mralab.gensig import (DiluteClassSpec, GenericSignalSpec,
-                           check_cosine_generic, check_typically_sparse,
+from mralab.gensig import (DiluteClassSpec, check_cosine_generic, check_typically_sparse,
                            cosine_functional, cosine_functional_all,
                            difference_multiset, gen_collision_free,
                            gen_symm_bernoulli_gaussian, gen_symm_interval,
@@ -215,12 +214,3 @@ class TestTypicalSparsity:
     def test_out_of_band(self):
         assert not check_typically_sparse(set(range(11)), 5, 0.5, 2.0)
 
-
-class TestGenericSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GenericSignalSpec(L=64, s=8, zeta=-1.0)
-        with pytest.raises(ValueError):
-            GenericSignalSpec(L=64, s=8, zeta=1.0, alpha=3.0, beta=2.0)
-        spec = GenericSignalSpec(L=64, s=8, zeta=1.0)
-        assert spec.alpha == 0.5 and spec.beta == 2.0

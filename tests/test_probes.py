@@ -313,14 +313,14 @@ class TestLambdaConstruct:
         spec[3] = spec[L - 3] = 0.0  # theta-hat vanishes at xi = +-3
         theta = Signal.from_natural(np.fft.ifft(spec).real * L)
         rng = np.random.default_rng(18)
-        lam = lambda_construct(theta, 3, 8, 200, rng, floor=1e-6)
+        lam = lambda_construct(theta, 3, 8, 200, rng)
         assert 3 not in lam.frequencies and -3 not in lam.frequencies
 
     def test_budget_error_carries_best(self):
         theta = Signal.delta(32, 0, 1e-9)  # spectrum far below any floor
         rng = np.random.default_rng(19)
         with pytest.raises(LambdaConstructionError) as err:
-            lambda_construct(theta, 3, 16, 5, rng, floor=1.0)
+            lambda_construct(theta, 3, 16, 5, rng)
         assert err.value.best is not None
         assert err.value.stats["tries"] == 5
 
