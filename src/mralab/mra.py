@@ -110,10 +110,11 @@ def _mixture(c: np.ndarray, ysq: np.ndarray, theta: Signal, cfg: MraConfig):
 
     c[G, i] = <y_i, G theta>, and ||y - G theta||^2 = ||y||^2 - 2 c[G] +
     ||theta||^2, so the weights, shape (|G|, n), are the softmax of
-    c / sigma^2 over G, formed with max subtraction.
+    c / sigma^2 over G, formed with max subtraction in c's own storage:
+    c is overwritten by the weights.
     """
     sig2 = cfg.sigma**2
-    w = c / sig2
+    w = np.divide(c, sig2, out=c)
     top = w.max(axis=0)
     w -= top
     np.exp(w, out=w)
@@ -188,12 +189,14 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
             ysq = np.einsum("ij,ij->i", Y, Y)
             c0 = orbit0 @ Y.T
             c1 = orbit1 @ Y.T
+            if use_cv:
+                # <y, G d> = <y, G theta> - <y, G theta0> by linearity; formed
+                # before _mixture overwrites c0 and c1
+                q = (c1 - c0 - td) / sigma**2
             ld0, w = _mixture(c0, ysq, theta0, cfg)
             x = ld0 - _mixture(c1, ysq, theta, cfg)[0]
             sx[b] += x.sum()
             if use_cv:
-                # <y, G d> = <y, G theta> - <y, G theta0> by linearity
-                q = (c1 - c0 - td) / sigma**2
                 score = np.sum(w * q, axis=0)
                 bart = np.sum(w * q * q, axis=0) - dsq / sigma**2
                 C = np.stack([score, bart], axis=1)

@@ -1,6 +1,11 @@
 """Numerical probes for curvature lower bounds, the degenerate perturbation
 construction, frequency-subsampling energy ratios, and moment sandwich scaling.
 
+Random trials are built and scored in tiles of at most TILE_ENTRIES // L rows
+of length L.  Whatever its trial count, a probe holds one tile of rows with
+its FFT and alignment temporaries at a time, besides trials x s draws and one
+number per trial.
+
 Universal constants that theory leaves unspecified are fitted once on a
 calibration run and frozen here; tests pin against these values.
 """
@@ -26,6 +31,9 @@ FITTED_CONSTANTS = {
 
 #: relative slack of the curvature-floor checks
 CURVATURE_SLACK = 0.05
+
+#: float64 entries (1 MiB) in one tile of trial rows
+TILE_ENTRIES = 2**17
 
 
 class LambdaConstructionError(RuntimeError):
@@ -105,20 +113,46 @@ def support_restricted_min_ratio(theta0: Signal, n_support: int) -> float:
     return float(smin / np.sqrt(n_support / L))
 
 
+def _tiles(trials: int, L: int) -> list:
+    """Consecutive slices of range(trials), each of at most TILE_ENTRIES // L
+    (and at least one) rows."""
+    step = max(1, TILE_ENTRIES // L)
+    return [slice(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+
+
 def curvature_terms(theta0: Signal, rows: np.ndarray, dihedral: bool = False):
     """(||Delta_2(theta0 + h, theta0)||_F, rho(theta0 + h, theta0)) for each
     row h of a trials x L matrix of standard-order values.
 
-    One rfft gives every Delta_2 norm from power spectra (see `spectral`);
-    `ring.align_rows` gives the orbit distances.
+    Per tile of rows, one rfft gives every Delta_2 norm from power spectra
+    (see `spectral`), and `ring.align_rows` gives the orbit distances.
     """
     L = theta0.L
-    thetas = theta0.values + rows
-    dp = np.abs(np.fft.rfft(thetas)) ** 2 - np.abs(np.fft.rfft(theta0.values)) ** 2
+    p0 = np.abs(np.fft.rfft(theta0.values)) ** 2
     # bins 0 and L/2 hold one frequency each, every other bin both +xi and -xi
-    k = np.arange(dp.shape[-1])
-    d2 = np.sqrt(dp**2 @ (2.0 - (k == 0) - (2 * k == L))) / L
-    return d2, align_rows(thetas, theta0, dihedral)[2]
+    k = np.arange(p0.size)
+    weights = 2.0 - (k == 0) - (2 * k == L)
+    d2, r = np.empty(len(rows)), np.empty(len(rows))
+    for t in _tiles(len(rows), L):
+        thetas = theta0.values + rows[t]
+        dp = np.abs(np.fft.rfft(thetas)) ** 2 - p0
+        d2[t] = np.sqrt(dp**2 @ weights) / L
+        r[t] = align_rows(thetas, theta0, dihedral)[2]
+    return d2, r
+
+
+def _support_curvature(theta0: Signal, vals: np.ndarray, dihedral: bool = False):
+    """`curvature_terms` of the rows that equal vals (trials x |support|) on
+    theta0's support, in storage order, and 0 elsewhere, built one tile at a
+    time."""
+    L = theta0.L
+    idx = np.flatnonzero(theta0.values)
+    d2, r = np.empty(len(vals)), np.empty(len(vals))
+    for t in _tiles(len(vals), L):
+        rows = np.zeros((t.stop - t.start, L))
+        rows[:, idx] = vals[t]
+        d2[t], r[t] = curvature_terms(theta0, rows, dihedral)
+    return d2, r
 
 
 def local_uniqueness_probe(theta0: Signal, radius: float, trials: int,
@@ -133,11 +167,11 @@ def local_uniqueness_probe(theta0: Signal, radius: float, trials: int,
     idx = np.flatnonzero(theta0.values)
     if not idx.size:
         raise ValueError("theta0 must be nonzero")
-    rows = np.zeros((trials, L))
+    vals = np.empty((trials, idx.size))
     for t in range(trials):
         h = rng.normal(size=idx.size)
-        rows[t, idx] = h * (radius * np.sqrt(L) * rng.random() / np.linalg.norm(h))
-    d2, r = curvature_terms(theta0, rows, dihedral)
+        vals[t] = h * (radius * np.sqrt(L) * rng.random() / np.linalg.norm(h))
+    d2, r = _support_curvature(theta0, vals, dihedral)
     ratios = d2[r > 0] / r[r > 0]
     return {
         "trials": int(ratios.size),
@@ -160,10 +194,7 @@ def dilute_lower_bound_check(theta0: Signal, spec: DiluteClassSpec, trials: int,
         h_norm = 1e-3 * spec.m
     L, s = theta0.L, spec.s
     h = rng.normal(size=(trials, s))
-    rows = np.zeros((trials, L))
-    rows[:, np.flatnonzero(theta0.values)] = h * (
-        h_norm / np.linalg.norm(h, axis=1, keepdims=True))
-    d2, r = curvature_terms(theta0, rows)
+    d2, r = _support_curvature(theta0, h * (h_norm / np.linalg.norm(h, axis=1, keepdims=True)))
     ratios = d2 / (np.sqrt(s / L) * r)
     bound = spec.curvature_constant()
     return {
@@ -210,18 +241,24 @@ def uup_sample(L: int, a: float, rng: np.random.Generator) -> FrequencySet:
     return FrequencySet(L=L, frequencies=freqs, a=float(a))
 
 
-def _random_sparse_rows(L: int, s: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm rows with s-point random supports and Gaussian values."""
-    rows = np.zeros((trials, L))
-    keys = rng.random((trials, L))
-    # argsort(keys)[:, :s] without the full sort: partition, then order the s picks
-    picks = np.argpartition(keys, s - 1, axis=1)[:, :s]
-    picks = np.take_along_axis(
-        picks, np.argsort(np.take_along_axis(keys, picks, axis=1), axis=1), axis=1)
+def _sparse_picks(L: int, s: int, trials: int, rng: np.random.Generator):
+    """(positions, values), both trials x s, of unit-norm rows with s-point
+    random supports and Gaussian values.
+
+    Positions are each row's s smallest keys of rng.random((trials, L)), in
+    key order; the keys are drawn one tile at a time (the same doubles as one
+    call), and the values after all of them.
+    """
+    picks = np.empty((trials, s), dtype=np.intp)
+    for t in _tiles(trials, L):
+        keys = rng.random((t.stop - t.start, L))
+        # argsort(keys)[:, :s] without the full sort: partition, then order the s picks
+        p = np.argpartition(keys, s - 1, axis=1)[:, :s]
+        picks[t] = np.take_along_axis(
+            p, np.argsort(np.take_along_axis(keys, p, axis=1), axis=1), axis=1)
     vals = rng.normal(size=(trials, s))
     vals /= np.linalg.norm(vals, axis=1, keepdims=True)
-    np.put_along_axis(rows, picks, vals, axis=1)
-    return rows
+    return picks, vals
 
 
 def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
@@ -229,16 +266,23 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
 
     Ratio = [(1/|set|) sum_set |h-hat|^2] / [(1/L) sum_all |h-hat|^2] over
     random unit-norm s-sparse vectors; by Parseval the denominator is
-    ||h||^2 = 1.
+    ||h||^2 = 1.  The vectors are built and scored one tile at a time.
     """
     if lam.size() == 0:
         raise ValueError("empty frequency set")
     L = lam.L
+    if not 1 <= s <= L or trials < 1:
+        raise ValueError("need 1 <= s <= L and trials >= 1; got s=%d, L=%d, trials=%d"
+                         % (s, L, trials))
+    picks, vals = _sparse_picks(L, s, trials, rng)
     nat = lam.natural_indices()
-    rows = _random_sparse_rows(L, s, trials, rng)
     # |h-hat|^2 is even in xi, so frequency n sits in rfft bin min(n, L - n)
-    on_set = np.fft.rfft(rows)[:, np.minimum(nat, L - nat)]
-    ratios = np.mean(np.abs(on_set) ** 2, axis=1)
+    bins = np.minimum(nat, L - nat)
+    ratios = np.empty(trials)
+    for t in _tiles(trials, L):
+        rows = np.zeros((t.stop - t.start, L))
+        np.put_along_axis(rows, picks[t], vals[t], axis=1)
+        ratios[t] = np.mean(np.abs(np.fft.rfft(rows)[:, bins]) ** 2, axis=1)
     return float(ratios.min()), float(ratios.max())
 
 
@@ -326,15 +370,19 @@ def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
     mirror = np.zeros((len(pos), L))
     for k, i in enumerate(pos):
         mirror[k, storage_index(L, [i, -i])] = 1.0
-    rows = rng.normal(size=(trials, len(pos))) @ mirror
-    rows *= h_norm / np.linalg.norm(rows, axis=1, keepdims=True)
-    d2, r = curvature_terms(theta0, rows)
-    ratios = d2 * np.sqrt(L) / (m_set * r)
+    coef = rng.normal(size=(trials, len(pos)))
     nat = lam.natural_indices()
     bins = np.minimum(nat, L - nat)
-    th, hh = np.fft.rfft(theta0.values)[bins], np.fft.rfft(rows)[:, bins]
-    chain = (np.sum(np.abs(th * hh) ** 2, axis=1) / L
-             / (m_set**2 * np.sum(rows**2, axis=1)))
+    th = np.fft.rfft(theta0.values)[bins]
+    ratios, chain = np.empty(trials), np.empty(trials)
+    for t in _tiles(trials, L):
+        rows = coef[t] @ mirror
+        rows *= h_norm / np.linalg.norm(rows, axis=1, keepdims=True)
+        d2, r = curvature_terms(theta0, rows)
+        ratios[t] = d2 * np.sqrt(L) / (m_set * r)
+        hh = np.fft.rfft(rows)[:, bins]
+        chain[t] = (np.sum(np.abs(th * hh) ** 2, axis=1) / L
+                    / (m_set**2 * np.sum(rows**2, axis=1)))
     return {
         "trials": trials,
         "h_norm": float(h_norm),

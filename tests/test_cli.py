@@ -184,6 +184,12 @@ class TestProbe:
         assert rep["set_size"] > 0
         assert rep["c1_hat"] > 0
 
+    def test_uup_zero_trials_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        _write_json(cfg, {"L": 128, "a": 64, "s": 4, "trials": 0, "seed": 5})
+        with pytest.raises(ValueError, match="s=4, L=128, trials=0"):
+            main(["probe", "uup", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
+
     @pytest.mark.parametrize("kind, cfg, bad", [
         ("dilute-lb", {"L": 101, "s": 8, "m": 1.0, "M": 1.5, "eps": 1.0, "trails": 10},
          "trails"),

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mralab import probes
 from mralab.gensig import (DiluteClassSpec, gen_collision_free,
                            gen_symm_bernoulli_gaussian, gen_symm_interval)
-from mralab.probes import (FrequencySet, GoodSetParams,
-                           LambdaConstructionError, _random_sparse_rows,
+from mralab.probes import (TILE_ENTRIES, FrequencySet, GoodSetParams,
+                           LambdaConstructionError, _sparse_picks,
                            adversarial_direction, curvature_terms,
                            dilute_lower_bound_check, good_set_report,
                            lambda_construct, moderate_curvature_check,
@@ -46,10 +47,24 @@ class TestCurvatureTerms:
         d2, r = curvature_terms(theta0, rows, dihedral)
         assert np.allclose(d2 / r, loop_ratios(theta0, rows, dihedral), rtol=1e-10, atol=0)
 
-    def test_dilute_check_matches_per_trial_draws(self):
+    @pytest.mark.parametrize("L", [512, 513])
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_tiles_match_rows_alone(self, L, dihedral):
+        # several full tiles and a partial one, against each row scored on its own
+        trials = 2 * (TILE_ENTRIES // L) + 3
+        rng = np.random.default_rng(L)
+        theta0 = Signal(rng.normal(size=L))
+        rows = 1e-3 * rng.normal(size=(trials, L))
+        for t in range(0, trials, 7):
+            rows[t] += shift(reflect(theta0) if t % 2 else theta0, t).values - theta0.values
+        d2, r = curvature_terms(theta0, rows, dihedral)
+        alone = np.array([curvature_terms(theta0, row[None, :], dihedral) for row in rows])
+        assert np.allclose(d2, alone[:, 0, 0], rtol=1e-12, atol=0)
+        assert np.allclose(r, alone[:, 1, 0], rtol=1e-12, atol=0)
+
+    def test_dilute_check_matches_per_trial_draws(self, monkeypatch):
         spec = DiluteClassSpec(L=101, s=8, m=1.0, M=1.5, eps=1.0)
         theta0 = gen_collision_free(spec, np.random.default_rng(41))
-        rep = dilute_lower_bound_check(theta0, spec, 200, np.random.default_rng(42))
         rng = np.random.default_rng(42)
         idx = [(i + std_offset(101)) % 101 for i in sorted(theta0.support)]
         rows = np.zeros((200, 101))
@@ -57,14 +72,17 @@ class TestCurvatureTerms:
             h = rng.normal(size=8)
             rows[t, idx] = h * (1e-3 / np.linalg.norm(h))
         ratios = loop_ratios(theta0, rows) / np.sqrt(8 / 101)
-        assert rep["min_ratio"] == pytest.approx(ratios.min(), rel=1e-10)
-        assert rep["median_ratio"] == pytest.approx(np.median(ratios), rel=1e-10)
+        # one tile, then 29 tiles of 7 rows ending in a partial one
+        for entries in (TILE_ENTRIES, 7 * 101):
+            monkeypatch.setattr(probes, "TILE_ENTRIES", entries)
+            rep = dilute_lower_bound_check(theta0, spec, 200, np.random.default_rng(42))
+            assert rep["min_ratio"] == pytest.approx(ratios.min(), rel=1e-10)
+            assert rep["median_ratio"] == pytest.approx(np.median(ratios), rel=1e-10)
 
-    def test_moderate_check_matches_per_trial_draws(self):
+    def test_moderate_check_matches_per_trial_draws(self, monkeypatch):
         rng = np.random.default_rng(21)
         theta0 = gen_symm_interval(128, 6, 1.0, rng)
         lam = lambda_construct(theta0, 13, 64, 50, rng)
-        rep = moderate_curvature_check(theta0, lam, 100, 1e-3, np.random.default_rng(43))
         rng = np.random.default_rng(43)
         rows = []
         for _ in range(100):
@@ -73,13 +91,19 @@ class TestCurvatureTerms:
                 entries[i] = entries[-i] = rng.normal()
             h = Signal.from_support(128, entries).values
             rows.append(h * (1e-3 / np.linalg.norm(h)))
-        ratios = loop_ratios(theta0, np.array(rows)) * np.sqrt(128) / rep["spectral_floor"]
         th = np.fft.fft(theta0.natural())[lam.natural_indices()]
+        m_set = np.abs(np.fft.fft(theta0.natural()))[lam.natural_indices()].min()
+        ratios = loop_ratios(theta0, np.array(rows)) * np.sqrt(128) / m_set
         chain = [np.sum(np.abs(th * np.fft.fft(Signal(h).natural())[lam.natural_indices()]) ** 2)
-                 / 128 / (rep["spectral_floor"] ** 2 * np.sum(h**2)) for h in rows]
-        assert rep["min_ratio"] == pytest.approx(ratios.min(), rel=1e-10)
-        assert rep["median_ratio"] == pytest.approx(np.median(ratios), rel=1e-10)
-        assert rep["chain_min"] == pytest.approx(min(chain), rel=1e-10)
+                 / 128 / (m_set**2 * np.sum(h**2)) for h in rows]
+        # one tile, then 34 tiles of 3 rows ending in a partial one
+        for entries in (TILE_ENTRIES, 3 * 128):
+            monkeypatch.setattr(probes, "TILE_ENTRIES", entries)
+            rep = moderate_curvature_check(theta0, lam, 100, 1e-3, np.random.default_rng(43))
+            assert rep["spectral_floor"] == pytest.approx(m_set, rel=1e-12)
+            assert rep["min_ratio"] == pytest.approx(ratios.min(), rel=1e-10)
+            assert rep["median_ratio"] == pytest.approx(np.median(ratios), rel=1e-10)
+            assert rep["chain_min"] == pytest.approx(min(chain), rel=1e-10)
 
 
 class TestDiluteLowerBound:
@@ -212,31 +236,48 @@ class TestUup:
         assert c2 == pytest.approx(1.0, rel=1e-10)
 
     @staticmethod
-    def sorted_sparse_rows(L, s, trials, rng):
-        """Unit-norm s-sparse rows, supports from a full argsort of the keys."""
-        rows = np.zeros((trials, L))
+    def sorted_sparse_picks(L, s, trials, rng):
+        """(positions, values) of unit-norm s-sparse rows, supports from a full
+        argsort of the keys."""
         picks = np.argsort(rng.random((trials, L)), axis=1)[:, :s]
         vals = rng.normal(size=(trials, s))
         vals /= np.linalg.norm(vals, axis=1, keepdims=True)
-        np.put_along_axis(rows, picks, vals, axis=1)
-        return rows
+        return picks, vals
+
+    @staticmethod
+    def tiled_trials(L):
+        """A trial count spanning two full tiles and ending in a partial one."""
+        return 2 * (TILE_ENTRIES // L) + 3
 
     def test_sparse_rows_match_full_sort(self):
         # at s = 200 of 512, argpartition leaves most rows' picks unordered
-        for L, s in ((64, 5), (65, 5), (512, 200)):
-            assert np.array_equal(
-                _random_sparse_rows(L, s, 100, np.random.default_rng(47)),
-                self.sorted_sparse_rows(L, s, 100, np.random.default_rng(47)))
+        for L, s, trials in ((64, 5, 100), (65, 5, 100), (512, 200, 100),
+                             (64, 5, self.tiled_trials(64)),
+                             (512, 200, self.tiled_trials(512))):
+            picks, vals = _sparse_picks(L, s, trials, np.random.default_rng(47))
+            ref_picks, ref_vals = self.sorted_sparse_picks(L, s, trials,
+                                                           np.random.default_rng(47))
+            assert np.array_equal(picks, ref_picks)
+            assert np.array_equal(vals, ref_vals)
 
     @pytest.mark.parametrize("L", [64, 65])
     def test_matches_full_fft_formula(self, L):
         lam = uup_sample(L, L / 2, np.random.default_rng(45))
-        c1, c2 = uup_check(lam, 5, 500, np.random.default_rng(46))
-        rows = self.sorted_sparse_rows(L, 5, 500, np.random.default_rng(46))
-        spec2 = np.abs(np.fft.fft(rows, axis=1)) ** 2
-        ratios = spec2[:, lam.natural_indices()].mean(axis=1) / spec2.mean(axis=1)
-        assert c1 == pytest.approx(ratios.min(), rel=1e-12)
-        assert c2 == pytest.approx(ratios.max(), rel=1e-12)
+        for trials in (500, self.tiled_trials(L)):
+            c1, c2 = uup_check(lam, 5, trials, np.random.default_rng(46))
+            picks, vals = self.sorted_sparse_picks(L, 5, trials, np.random.default_rng(46))
+            rows = np.zeros((trials, L))
+            np.put_along_axis(rows, picks, vals, axis=1)
+            spec2 = np.abs(np.fft.fft(rows, axis=1)) ** 2
+            ratios = spec2[:, lam.natural_indices()].mean(axis=1) / spec2.mean(axis=1)
+            assert c1 == pytest.approx(ratios.min(), rel=1e-12)
+            assert c2 == pytest.approx(ratios.max(), rel=1e-12)
+
+    @pytest.mark.parametrize("s, trials", [(0, 10), (17, 10), (2, 0), (2, -1)])
+    def test_bad_sizes_rejected(self, s, trials):
+        lam = uup_sample(16, 8, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="s=%d, L=16, trials=%d" % (s, trials)):
+            uup_check(lam, s, trials, np.random.default_rng(0))
 
     def test_sample_size_mean(self):
         rng = np.random.default_rng(13)
