@@ -181,11 +181,14 @@ def _probe_report(kind: str, cfg: dict) -> dict:
             "linear_term_frobenius": float(np.sqrt(theta0.L) * np.linalg.norm(lin)),
         }
     elif kind == "uup":
+        s, trials = int(cfg["s"]), int(cfg.get("trials", 10000))
+        # checked before sampling, so an empty set does not hide a bad size
+        probes.check_uup_sizes(int(cfg["L"]), s, trials)
         lam = probes.uup_sample(cfg["L"], cfg["a"], rng)
         if lam.size() == 0:
             report = {"set_size": 0, "c1_hat": None, "c2_hat": None}
         else:
-            c1, c2 = probes.uup_check(lam, int(cfg["s"]), int(cfg.get("trials", 10000)), rng)
+            c1, c2 = probes.uup_check(lam, s, trials, rng)
             report = {"set_size": lam.size(), "c1_hat": c1, "c2_hat": c2,
                       "frequencies": sorted(lam.frequencies)}
     elif kind == "lambda":

@@ -21,8 +21,9 @@ from .mra import (MraConfig, RestrictedClass, StreamingDataset, em_restricted_ml
 from .probes import adversarial_direction
 from .ring import Signal, varrho
 
-#: streaming datasets beyond this size are regenerated per pass
-IN_MEMORY_LIMIT = 2_000_000
+#: datasets of more bytes than this, at 8 (L + 1) per row for the observations
+#: and their cached norms, stream: they are regenerated per pass
+IN_MEMORY_LIMIT = 352_000_000
 
 
 def config_hash(cfg: dict) -> str:
@@ -233,7 +234,7 @@ def _support_perturbation(theta0: Signal, h_norm: float, rng) -> Signal:
 
 
 def _make_dataset(theta0, mcfg, n, seed):
-    if n > IN_MEMORY_LIMIT:
+    if 8 * (mcfg.L + 1) * n > IN_MEMORY_LIMIT:
         # StreamingDataset keys its chunks on (seed, chunk index), so flatten
         flat = int(np.random.SeedSequence(list(seed)).generate_state(1)[0])
         return StreamingDataset(theta0, mcfg, n, flat)

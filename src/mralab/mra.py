@@ -2,15 +2,16 @@
 likelihood, Monte-Carlo KL estimation, and the restricted MLE via EM.
 
 All three share one path: `ring.orbit_index` gathers theta's orbit matrix
-(row G holds G theta), one matrix product gives <y_i, G theta> for a block of
-observations, and `_mixture` gives log-densities and posterior weights.
-Observations are drawn as rows of the same orbit matrix plus noise.  The
-EM M-step accumulates W @ Y and folds it onto Z_L once per iteration.  A
-pass costs O(n L |G|); no FFT is taken, so a prime L costs no extra.
+scaled by 1/sigma^2 (row G holds G theta / sigma^2), one matrix product gives
+the logits <y_i, G theta> / sigma^2 of a block of observations, and `_softmax`
+gives their log-sum-exps and posterior weights.  A `Dataset` computes ||y_i||^2
+once; KL needs none.  Observations are drawn as rows of theta0's orbit matrix
+plus noise.  The EM M-step accumulates W @ Y and folds it onto Z_L once per
+iteration.  A pass costs O(n L |G|); no FFT is taken, so a prime L costs no extra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,17 +37,20 @@ class MraConfig:
 
 @dataclass
 class Dataset:
-    """n observations (rows, standard-parametrization order) plus provenance."""
+    """n observations (rows, standard-parametrization order) plus provenance,
+    and their squared norms ||y_i||^2, computed once at construction."""
 
     observations: np.ndarray
     config: MraConfig
     shifts: np.ndarray | None = None
     flips: np.ndarray | None = None
+    sq_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.observations = np.asarray(self.observations, dtype=float)
         if self.observations.ndim != 2 or self.observations.shape[1] != self.config.L:
             raise LengthMismatchError("observations must be n x L")
+        self.sq_norms = np.einsum("ij,ij->i", self.observations, self.observations)
 
     @property
     def n(self) -> int:
@@ -59,6 +63,10 @@ class Dataset:
     def iter_chunks(self):
         for lo in range(0, self.n, DEFAULT_CHUNK):
             yield self.observations[lo:lo + DEFAULT_CHUNK]
+
+    def iter_norm_chunks(self):
+        for lo in range(0, self.n, DEFAULT_CHUNK):
+            yield self.observations[lo:lo + DEFAULT_CHUNK], self.sq_norms[lo:lo + DEFAULT_CHUNK]
 
 
 @dataclass
@@ -86,6 +94,9 @@ class StreamingDataset:
             rng = np.random.default_rng((self.seed, c))
             yield _draw_block(orbit, self.config, m, rng)[0]
 
+    def iter_norm_chunks(self):
+        return ((block, np.einsum("ij,ij->i", block, block)) for block in self.iter_chunks())
+
 
 def _draw_block(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Generator):
     """m observations in standard order, with the latent shifts and flips,
@@ -105,24 +116,17 @@ def simulate(theta0: Signal, cfg: MraConfig, n: int, rng: np.random.Generator) -
     return Dataset(rows, cfg, shifts=shifts, flips=flips)
 
 
-def _mixture(c: np.ndarray, ysq: np.ndarray, theta: Signal, cfg: MraConfig):
-    """(log-density per row, posterior weights over G) from c and ||y||^2.
-
-    c[G, i] = <y_i, G theta>, and ||y - G theta||^2 = ||y||^2 - 2 c[G] +
-    ||theta||^2, so the weights, shape (|G|, n), are the softmax of
-    c / sigma^2 over G, formed with max subtraction in c's own storage:
-    c is overwritten by the weights.
-    """
-    sig2 = cfg.sigma**2
-    w = np.divide(c, sig2, out=c)
-    top = w.max(axis=0)
-    w -= top
-    np.exp(w, out=w)
-    mass = w.sum(axis=0)
-    w /= mass
-    log_dens = (top + np.log(mass) - (ysq + theta.norm() ** 2) / (2 * sig2)
-                - np.log(len(w)) - (cfg.L / 2) * np.log(2 * np.pi * sig2))
-    return log_dens, w
+def _softmax(c: np.ndarray, weights: bool = True):
+    """(log-sum-exp of the logits c over axis 0, c's storage).  c is
+    overwritten by exp(c - column max), normalised to the softmax over axis 0
+    when `weights`."""
+    top = c.max(axis=0)
+    c -= top
+    np.exp(c, out=c)
+    mass = c.sum(axis=0)
+    if weights:
+        c /= mass
+    return top + np.log(mass), c
 
 
 def log_density(theta: Signal, y, sigma: float, dihedral: bool = False) -> float:
@@ -134,13 +138,20 @@ def log_density(theta: Signal, y, sigma: float, dihedral: bool = False) -> float
 def _posteriors(theta: Signal, data):
     """(observations, log-densities, posterior weights) for each block of the
     data, under the model of data.config.  Consumers drop each triple before
-    the next, as this generator does, so none is alive while a stream draws."""
+    the next, as this generator does, so none is alive while a stream draws.
+    With c[G, i] = <y_i, G theta> / sigma^2, ||y_i - G theta||^2 / (2 sigma^2) =
+    (||y_i||^2 + ||theta||^2) / (2 sigma^2) - c[G, i], so the weights, shape
+    (|G|, n), are the softmax of c over G."""
     cfg = data.config
-    orbit = theta.values[orbit_index(cfg.L, cfg.dihedral)]
-    for block in data.iter_chunks():
-        log_dens, w = _mixture(orbit @ block.T, np.einsum("ij,ij->i", block, block), theta, cfg)
+    sig2 = cfg.sigma**2
+    orbit = (theta.values / sig2)[orbit_index(cfg.L, cfg.dihedral)]
+    tsq = theta.norm() ** 2
+    for block, ysq in data.iter_norm_chunks():
+        lse, w = _softmax(orbit @ block.T)
+        log_dens = (lse - (ysq + tsq) / (2 * sig2)
+                    - np.log(len(w)) - (cfg.L / 2) * np.log(2 * np.pi * sig2))
         yield block, log_dens, w
-        del block, log_dens, w
+        del block, ysq, lse, log_dens, w
 
 
 def log_likelihood(theta: Signal, data) -> float:
@@ -178,27 +189,32 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     scc = np.zeros((n_blocks, k, k))
     sxc = np.zeros((n_blocks, k))
     cnt = np.diff(bounds).astype(float)
+    sig2 = sigma**2
     idx = orbit_index(cfg.L, dihedral)
-    orbit0, orbit1 = theta0.values[idx], theta.values[idx]
-    td = float(np.dot(theta0.values, d.values))
+    orbit0 = theta0.values[idx]
+    scaled0, scaled1 = (theta0.values / sig2)[idx], (theta.values / sig2)[idx]
+    # log p_theta0(y) - log p_theta(y): ||y||^2, log|G| and the Gaussian
+    # normalisation cancel, leaving the log-sum-exps and the signal norms
+    norm_gap = (theta0.norm() ** 2 - theta.norm() ** 2) / (2 * sig2)
+    tds = float(np.dot(theta0.values, d.values)) / sig2
     dsq = d.norm() ** 2
     for b in range(n_blocks):
         m = bounds[b + 1] - bounds[b]
         for lo in range(0, m, DEFAULT_CHUNK):
             Y, _, _ = _draw_block(orbit0, cfg, min(DEFAULT_CHUNK, m - lo), rng)
-            ysq = np.einsum("ij,ij->i", Y, Y)
-            c0 = orbit0 @ Y.T
-            c1 = orbit1 @ Y.T
+            c0 = scaled0 @ Y.T
+            c1 = scaled1 @ Y.T
             if use_cv:
-                # <y, G d> = <y, G theta> - <y, G theta0> by linearity; formed
-                # before _mixture overwrites c0 and c1
-                q = (c1 - c0 - td) / sigma**2
-            ld0, w = _mixture(c0, ysq, theta0, cfg)
-            x = ld0 - _mixture(c1, ysq, theta, cfg)[0]
+                # <y, G d> / sigma^2 by linearity; formed before _softmax
+                # overwrites c0 and c1
+                q = c1 - c0 - tds
+            lse0, w = _softmax(c0, weights=use_cv)
+            x = lse0 - _softmax(c1, weights=False)[0] - norm_gap
             sx[b] += x.sum()
             if use_cv:
-                score = np.sum(w * q, axis=0)
-                bart = np.sum(w * q * q, axis=0) - dsq / sigma**2
+                wq = np.multiply(w, q, out=w)
+                score = wq.sum(axis=0)
+                bart = np.multiply(wq, q, out=q).sum(axis=0) - dsq / sig2
                 C = np.stack([score, bart], axis=1)
                 sc[b] += C.sum(axis=0)
                 scc[b] += C.T @ C

@@ -261,6 +261,13 @@ def _sparse_picks(L: int, s: int, trials: int, rng: np.random.Generator):
     return picks, vals
 
 
+def check_uup_sizes(L: int, s: int, trials: int):
+    """Raise ValueError unless 1 <= s <= L and trials >= 1."""
+    if not 1 <= s <= L or trials < 1:
+        raise ValueError("need 1 <= s <= L and trials >= 1; got s=%d, L=%d, trials=%d"
+                         % (s, L, trials))
+
+
 def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     """(c1_hat, c2_hat): extreme ratios of mean energy on the set vs overall.
 
@@ -271,9 +278,7 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     if lam.size() == 0:
         raise ValueError("empty frequency set")
     L = lam.L
-    if not 1 <= s <= L or trials < 1:
-        raise ValueError("need 1 <= s <= L and trials >= 1; got s=%d, L=%d, trials=%d"
-                         % (s, L, trials))
+    check_uup_sizes(L, s, trials)
     picks, vals = _sparse_picks(L, s, trials, rng)
     nat = lam.natural_indices()
     # |h-hat|^2 is even in xi, so frequency n sits in rfft bin min(n, L - n)

@@ -1,8 +1,9 @@
 """Dense and direct-sum oracles that the package's Fourier-domain code is
-tested against.  None of them calls np.fft."""
+tested against, and the divide-after-product posterior that its scaled-orbit
+kernel is tested against.  None of them calls np.fft."""
 import numpy as np
 
-from mralab.ring import Signal, std_indices, std_offset
+from mralab.ring import Signal, orbit_index, std_indices, std_offset
 
 
 def dft(v: Signal) -> np.ndarray:
@@ -50,3 +51,29 @@ def sample_moment_dense(y: np.ndarray, order: int, sigma: float) -> np.ndarray:
     t -= sigma**2 * (np.einsum("i,jk->ijk", ybar, eye) + np.einsum("j,ik->ijk", ybar, eye)
                      + np.einsum("k,ij->ijk", ybar, eye))
     return shift_average(t)
+
+
+def posterior_divide_after(theta: Signal, y: np.ndarray, sigma: float, dihedral: bool = False):
+    """(log-densities, posterior weights over G) of the rows y: the logits
+    <y_i, G theta> come from one product with the unscaled orbit and are then
+    divided by sigma^2; ||y_i||^2 is formed here."""
+    L = theta.L
+    c = theta.values[orbit_index(L, dihedral)] @ y.T / sigma**2
+    top = c.max(axis=0)
+    w = np.exp(c - top)
+    mass = w.sum(axis=0)
+    w /= mass
+    ysq = np.einsum("ij,ij->i", y, y)
+    log_dens = (top + np.log(mass) - (ysq + theta.norm() ** 2) / (2 * sigma**2)
+                - np.log(len(w)) - (L / 2) * np.log(2 * np.pi * sigma**2))
+    return log_dens, w
+
+
+def em_iteration(theta: Signal, y: np.ndarray, sigma: float, dihedral: bool = False):
+    """(unprojected EM update, log-likelihood at theta) from the posteriors of
+    `posterior_divide_after`: sum_i sum_G w_i(G) G^-1 y_i / n, folded onto Z_L."""
+    idx = orbit_index(theta.L, dihedral)
+    log_dens, w = posterior_divide_after(theta, y, sigma, dihedral)
+    S = w @ y
+    update = np.bincount(idx.ravel(), weights=S.ravel(), minlength=theta.L) / len(y)
+    return update, float(np.sum(log_dens))

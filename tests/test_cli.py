@@ -190,6 +190,14 @@ class TestProbe:
         with pytest.raises(ValueError, match="s=4, L=128, trials=0"):
             main(["probe", "uup", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
 
+    def test_uup_bad_sizes_rejected_with_empty_set(self, tmp_path):
+        # a = 0.01 at L = 4 samples an empty set, which must not skip the size check
+        cfg = tmp_path / "cfg.json"
+        _write_json(cfg, {"L": 4, "a": 0.01, "s": 9, "trials": 0})
+        with pytest.raises(ValueError, match="s=9, L=4, trials=0"):
+            main(["probe", "uup", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
+        assert not (tmp_path / "rep.json").exists()
+
     @pytest.mark.parametrize("kind, cfg, bad", [
         ("dilute-lb", {"L": 101, "s": 8, "m": 1.0, "M": 1.5, "eps": 1.0, "trails": 10},
          "trails"),

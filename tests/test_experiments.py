@@ -9,6 +9,7 @@ from mralab.experiments import (ExperimentConfig, ExperimentFailureError,
                                 _support_perturbation, fit_loglog_slope,
                                 run_experiment)
 from mralab.gensig import DiluteClassSpec, gen_collision_free
+from mralab.mra import Dataset, MraConfig, StreamingDataset
 from mralab.ring import Signal
 
 
@@ -316,3 +317,21 @@ class TestFitMedians:
             assert ci == ref_ci
         else:
             np.testing.assert_allclose(ci, ref_ci, rtol=1e-12, atol=0)
+
+
+class TestMakeDataset:
+    @pytest.mark.parametrize("L", [8, 21, 101])
+    def test_streams_exactly_beyond_byte_limit(self, monkeypatch, L):
+        n = 40
+        monkeypatch.setattr(experiments, "IN_MEMORY_LIMIT", 8 * (L + 1) * n)
+        theta0, cfg = Signal(np.ones(L)), MraConfig(L, 1.0)
+        assert type(experiments._make_dataset(theta0, cfg, n, (3, 1))) is Dataset
+        assert type(experiments._make_dataset(theta0, cfg, n + 1, (3, 1))) is StreamingDataset
+
+    def test_default_limit_keeps_two_million_rows_at_l21(self, monkeypatch):
+        # the boundary of the L=21 rate scans; simulate is stubbed, so no rows are drawn
+        monkeypatch.setattr(experiments, "simulate", lambda *args: "in-memory")
+        theta0, cfg = Signal(np.ones(21)), MraConfig(21, 1.0)
+        assert experiments._make_dataset(theta0, cfg, 2_000_000, (3, 1)) == "in-memory"
+        assert isinstance(experiments._make_dataset(theta0, cfg, 2_000_001, (3, 1)),
+                          StreamingDataset)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.special
 
+from mralab import mra
 from mralab.mra import (Dataset, MraConfig, RestrictedClass, StreamingDataset,
-                        em_restricted_mle, kl_monte_carlo, log_density,
+                        _draw_block, em_restricted_mle, kl_monte_carlo, log_density,
                         log_likelihood, simulate)
-from mralab.ring import Signal, group_elements, reflect, shift, varrho
+from mralab.ring import Signal, group_elements, orbit_index, reflect, shift, varrho
+from oracles import em_iteration
 
 PLANAR = Signal.from_natural(
     np.array([0, 0, 0, 1.1, 0, 0, -1.0, 1.05, 0, 0, 0, 0,
@@ -76,6 +78,16 @@ class TestSimulate:
         b = np.concatenate(list(ds.iter_chunks()))
         assert a.shape == (1000, 5)
         assert np.array_equal(a, b)
+
+    def test_cached_norms_match_rows(self, monkeypatch):
+        data = simulate(PLANAR, MraConfig(21, 0.7), 300, np.random.default_rng(9))
+        assert np.array_equal(data.sq_norms,
+                              np.einsum("ij,ij->i", data.observations, data.observations))
+        monkeypatch.setattr(mra, "DEFAULT_CHUNK", 64)  # five blocks, the last partial
+        chunks = list(data.iter_norm_chunks())
+        assert [len(b) for b, _ in chunks] == [64] * 4 + [44]
+        for block, ysq in chunks:
+            assert np.array_equal(ysq, np.einsum("ij,ij->i", block, block))
 
     def test_streaming_em_matches_in_memory(self):
         theta = Signal(np.random.default_rng(33).normal(size=7))
@@ -200,6 +212,24 @@ class TestKlMonteCarlo:
                                     np.random.default_rng(21))
             vals.append(kl * sigma**4)
         assert max(vals) / min(vals) < 4.0
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_plain_mean_matches_direct_log_densities(self, dihedral):
+        # replays the estimator's stream: one _draw_block call per jackknife block
+        rng = np.random.default_rng(25)
+        L, sigma, n_mc = 8, 0.9, 250
+        theta0 = Signal(rng.normal(size=L))
+        theta = Signal(theta0.values + 0.3 * rng.normal(size=L))
+        kl, _ = kl_monte_carlo(theta0, theta, sigma, n_mc, np.random.default_rng(26),
+                               dihedral=dihedral, control_variate=False)
+        draws = np.random.default_rng(26)
+        orbit0 = theta0.values[orbit_index(L, dihedral)]
+        total = 0.0
+        for m in np.diff(np.linspace(0, n_mc, 101).astype(int)):
+            Y = _draw_block(orbit0, MraConfig(L, sigma, dihedral), m, draws)[0]
+            total += sum(direct_log_density(theta0, y, sigma, dihedral)
+                         - direct_log_density(theta, y, sigma, dihedral) for y in Y)
+        assert kl == pytest.approx(total / n_mc, rel=1e-12)
 
     def test_control_variate_reduces_error(self):
         theta0 = Signal(np.random.default_rng(22).normal(size=8))
@@ -395,6 +425,25 @@ class TestEm:
                                             max_iters=1, tol=0)
         assert diag["iterations"] == 1
         np.testing.assert_allclose(theta_hat.values, acc / data.n, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 0.3, 1.7])
+    def test_one_iteration_matches_divide_after_product(self, sigma, dihedral):
+        # scaling the orbit by a power of two commutes with every rounding, so
+        # at sigma^2 = 1/4, 1 and 4 the fit is bit for bit the oracle's
+        rng = np.random.default_rng(45)
+        cfg = MraConfig(21, sigma, dihedral)
+        data = simulate(PLANAR, cfg, 2000, rng)
+        init = Signal(PLANAR.values + 0.2 * rng.normal(size=21))
+        theta_hat, diag = em_restricted_mle(data, RestrictedClass("none"), init,
+                                            max_iters=1, tol=0)
+        update, ll = em_iteration(init, data.observations, sigma, dihedral)
+        if sigma in (0.5, 1.0, 2.0):
+            assert np.array_equal(theta_hat.values, update)
+            assert diag["log_likelihood_trace"] == [ll]
+        else:
+            np.testing.assert_allclose(theta_hat.values, update, rtol=0, atol=1e-12)
+            assert diag["log_likelihood_trace"][0] == pytest.approx(ll, rel=1e-12)
 
     @pytest.mark.parametrize("dihedral", [False, True])
     def test_first_trace_is_log_likelihood_at_projected_init(self, dihedral):
