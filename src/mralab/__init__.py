@@ -5,15 +5,12 @@ restricted-MLE EM, curvature probes, and an experiment harness.
 
 from .ring import GroupElement, Signal, align, reflect, rho, shift, varrho
 from .spectral import MomentTensor, delta_m, empirical_moments, power_spectrum
-from .gensig import (DiluteClassSpec, cosine_functional, difference_multiset,
-                     gen_collision_free, gen_symm_bernoulli_gaussian,
-                     gen_symm_interval, is_collision_free)
-from .beltway import (DifferenceProfile, max_collision_free_size,
-                      recover_from_power_spectrum, solve_beltway)
+from .gensig import (DiluteClassSpec, difference_multiset, gen_collision_free,
+                     gen_symm_bernoulli_gaussian, gen_symm_interval, is_collision_free)
+from .beltway import DifferenceProfile, recover_from_power_spectrum, solve_beltway
 from .mra import (Dataset, MraConfig, RestrictedClass, em_restricted_mle,
-                  kl_monte_carlo, log_density, log_likelihood, simulate)
-from .probes import (FrequencySet, GoodSetParams, adversarial_direction,
-                     dilute_lower_bound_check, good_set_report,
+                  kl_monte_carlo, log_likelihood, simulate)
+from .probes import (FrequencySet, adversarial_direction, dilute_lower_bound_check,
                      lambda_construct, moderate_curvature_check,
                      moment_sandwich_probe, uup_check, uup_sample)
 from .experiments import ExperimentConfig, ExperimentResult, run_experiment

@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gensig import difference_multiset, fresh_lags
+from .gensig import difference_multiset
 from .ring import Signal
-
-#: branch-and-bound guard for exact maximum collision-free size
-MAX_SIZE_GUARD_L = 40
 
 #: default node budget for the backtracking solver
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -274,33 +271,3 @@ def recover_from_power_spectrum(P, s: int, m: float, tol: float = 1e-5):
             out.append(Signal.from_natural(x))
     return out
 
-
-def max_collision_free_size(L: int) -> int:
-    """Exact maximum size of a collision-free subset of Z_L (branch and bound)."""
-    if L > MAX_SIZE_GUARD_L:
-        raise ValueError("exact search guarded at L <= %d; got %d" % (MAX_SIZE_GUARD_L, L))
-    if L <= 1:
-        return L
-    best = [1]
-
-    def extend(points, used):
-        k = len(points)
-        if k > best[0]:
-            best[0] = k
-        # the (k+1)-th point consumes 2k fresh differences; bound the number of
-        # points still addable by the count of unused differences
-        free = L - 1 - len(used)
-        add = 0
-        while (add + 1) * (2 * k + add) <= free:
-            add += 1
-        if k + add <= best[0]:
-            return
-        for x in range(points[-1] + 1, L):
-            new = fresh_lags(x, points, used, L)
-            if new is not None:
-                points.append(x)
-                extend(points, used | new)
-                points.pop()
-
-    extend([0], set())
-    return best[0]

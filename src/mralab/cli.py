@@ -136,14 +136,24 @@ def cmd_beltway_solve(args):
 
 
 def cmd_pr_recover(args):
-    P = np.zeros(args.L)
+    P, seen = np.zeros(args.L), set()
     with open(args.spectrum) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("index"):
                 continue
             i, v = line.split(",")
-            P[int(i)] = float(v)
+            i = int(i)
+            if not 0 <= i < args.L:
+                raise ValueError("%s line %d: index %d is outside 0..%d"
+                                 % (args.spectrum, lineno, i, args.L - 1))
+            if i in seen:
+                raise ValueError("%s line %d: index %d is repeated" % (args.spectrum, lineno, i))
+            seen.add(i)
+            P[i] = float(v)
+    if len(seen) < args.L:
+        raise ValueError("%s has no row for index %d"
+                         % (args.spectrum, min(set(range(args.L)) - seen)))
     # the class check: admissibility and a collision-free s in Z_L
     spec = gensig.DiluteClassSpec(L=args.L, s=args.s, m=args.m, M=args.M, eps=args.eps)
     cands = beltway.recover_from_power_spectrum(P, spec.s, spec.m, tol=args.tol)

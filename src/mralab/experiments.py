@@ -79,6 +79,9 @@ class ExperimentConfig:
                              % (self.sigma_grid,))
         if self.trials < 1:
             raise ValueError("need trials >= 1")
+        if self.signal is not None and int(self.signal["L"]) != self.L:
+            raise ValueError("signal has length %d but the config has L=%d"
+                             % (int(self.signal["L"]), self.L))
         for name, known in (("dilute", ("s", "m", "M", "eps")),
                             ("em", ("init", "init_perturb", "max_iters", "tol")),
                             ("kl", ("direction", "n_mc", "zeta", "h_norm"))):

@@ -1,5 +1,5 @@
 """Signal generators for the dilute and moderate sparsity regimes, plus
-support diagnostics: collision-freeness, the cosine functional, typical sparsity.
+the collision-freeness test of a support.
 """
 from __future__ import annotations
 
@@ -127,14 +127,7 @@ def gen_collision_free(spec: DiluteClassSpec, rng: np.random.Generator) -> Signa
         )
     mags = rng.uniform(spec.m, spec.M, size=s)
     signs = rng.choice([-1.0, 1.0], size=s)
-    return _signal_from_residues(L, support, mags * signs)
-
-
-def _signal_from_residues(L: int, residues, values) -> Signal:
-    v = np.zeros(L)
-    for r, x in zip(residues, values):
-        v[int(r) % L] = x
-    return Signal.from_natural(v)
+    return Signal.from_support(L, dict(zip(support, mags * signs)))
 
 
 def positive_part(L: int) -> np.ndarray:
@@ -173,34 +166,3 @@ def gen_symm_interval(L: int, s: int, zeta: float, rng: np.random.Generator) -> 
         entries[-k] = vals[k]
     return Signal.from_support(L, entries)
 
-
-def cosine_functional(xi_set, a: int, L: int) -> float:
-    """V(Xi, a) = 1_{0 in Xi} + 2 sum_{k in Xi \\ {0}} cos^2(2 pi a k / L),
-    with Xi taken as a set of residues mod L."""
-    return float(cosine_functional_all(xi_set, L)[a % L])
-
-
-def cosine_functional_all(xi_set, L: int) -> np.ndarray:
-    """V(Xi, a) for every a in Z_L at once (natural frequency order)."""
-    ks = np.array(sorted(set(int(k) % L for k in xi_set)))
-    has_zero = float(np.any(ks == 0))
-    ks = ks[ks != 0]
-    a = np.arange(L)
-    if ks.size == 0:
-        return np.full(L, has_zero)
-    c = np.cos(2 * np.pi * np.outer(a, ks) / L)
-    return has_zero + 2 * np.sum(c * c, axis=1)
-
-
-def check_cosine_generic(xi_set, gamma: float, L: int):
-    """(passes, argmin frequency, min value) for min_a V(Xi, a) >= gamma."""
-    vals = cosine_functional_all(xi_set, L)
-    a_min = int(np.argmin(vals))
-    v_min = float(vals[a_min])
-    return v_min >= gamma, a_min, v_min
-
-
-def check_typically_sparse(xi_set, s: int, alpha: float, beta: float) -> bool:
-    """alpha*s <= |Xi| <= beta*s."""
-    n = len(set(int(k) for k in xi_set))
-    return alpha * s <= n <= beta * s

@@ -73,15 +73,14 @@ class Dataset:
 class StreamingDataset:
     """Observations regenerated on the fly from a seed; constant memory.
 
-    Chunk c is drawn from default_rng((seed, c)), so every pass over the
-    stream sees the identical data.
+    Chunk c, the DEFAULT_CHUNK rows from c * DEFAULT_CHUNK, is drawn from
+    default_rng((seed, c)), so every pass over the stream sees the identical data.
     """
 
     theta0: Signal
     config: MraConfig
     n: int
     seed: int
-    chunk: int = DEFAULT_CHUNK
 
     @property
     def L(self) -> int:
@@ -89,8 +88,8 @@ class StreamingDataset:
 
     def iter_chunks(self):
         orbit = self.theta0.values[orbit_index(self.L, self.config.dihedral)]
-        for c, lo in enumerate(range(0, self.n, self.chunk)):
-            m = min(self.chunk, self.n - lo)
+        for c, lo in enumerate(range(0, self.n, DEFAULT_CHUNK)):
+            m = min(DEFAULT_CHUNK, self.n - lo)
             rng = np.random.default_rng((self.seed, c))
             yield _draw_block(orbit, self.config, m, rng)[0]
 
@@ -127,12 +126,6 @@ def _softmax(c: np.ndarray, weights: bool = True):
     if weights:
         c /= mass
     return top + np.log(mass), c
-
-
-def log_density(theta: Signal, y, sigma: float, dihedral: bool = False) -> float:
-    """log p_theta(y): uniform Gaussian mixture over the group orbit of theta."""
-    yv = y.values if isinstance(y, Signal) else np.asarray(y, dtype=float)
-    return log_likelihood(theta, Dataset(yv[None, :], MraConfig(theta.L, sigma, dihedral)))
 
 
 def _posteriors(theta: Signal, data):

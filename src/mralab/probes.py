@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gensig import DiluteClassSpec, cosine_functional_all, is_collision_free
+from .gensig import DiluteClassSpec, is_collision_free
 from .mra import kl_monte_carlo
 from .ring import Signal, align_rows, reflect, std_indices, storage_index
 from .spectral import delta_m, second_moment_expansion_generators
@@ -26,7 +26,6 @@ from .spectral import delta_m, second_moment_expansion_generators
 FITTED_CONSTANTS = {
     "moderate_c4": 0.5,
     "spectral_floor_prefactor": 0.5,
-    "goodset_C": 1.0,
 }
 
 #: relative slack of the curvature-floor checks
@@ -69,21 +68,6 @@ class FrequencySet:
 
     def size(self) -> int:
         return len(self.frequencies)
-
-
-@dataclass(frozen=True)
-class GoodSetParams:
-    """Threshold exponent kappa, negative-moment order eta, dispersion zeta."""
-
-    kappa: float
-    eta: float
-    zeta: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.eta < 1:
-            raise ValueError("need 0 < eta < 1")
-        if self.kappa <= 0 or self.zeta <= 0:
-            raise ValueError("parameters must be positive")
 
 
 def _check_dilute_member(theta: Signal, spec: DiluteClassSpec):
@@ -141,7 +125,7 @@ def curvature_terms(theta0: Signal, rows: np.ndarray, dihedral: bool = False):
     return d2, r
 
 
-def _support_curvature(theta0: Signal, vals: np.ndarray, dihedral: bool = False):
+def _support_curvature(theta0: Signal, vals: np.ndarray):
     """`curvature_terms` of the rows that equal vals (trials x |support|) on
     theta0's support, in storage order, and 0 elsewhere, built one tile at a
     time."""
@@ -151,34 +135,8 @@ def _support_curvature(theta0: Signal, vals: np.ndarray, dihedral: bool = False)
     for t in _tiles(len(vals), L):
         rows = np.zeros((t.stop - t.start, L))
         rows[:, idx] = vals[t]
-        d2[t], r[t] = curvature_terms(theta0, rows, dihedral)
+        d2[t], r[t] = curvature_terms(theta0, rows)
     return d2, r
-
-
-def local_uniqueness_probe(theta0: Signal, radius: float, trials: int,
-                           rng: np.random.Generator, dihedral: bool = False) -> dict:
-    """Ratio ||Delta_2(theta, theta0)||_F / rho(theta, theta0) over random
-    support-preserving perturbations with varrho <= radius.
-
-    A strictly positive floor across trials evidences local uniqueness of
-    recovery from the second moment (equivalently the power spectrum).
-    """
-    L = theta0.L
-    idx = np.flatnonzero(theta0.values)
-    if not idx.size:
-        raise ValueError("theta0 must be nonzero")
-    vals = np.empty((trials, idx.size))
-    for t in range(trials):
-        h = rng.normal(size=idx.size)
-        vals[t] = h * (radius * np.sqrt(L) * rng.random() / np.linalg.norm(h))
-    d2, r = _support_curvature(theta0, vals, dihedral)
-    ratios = d2[r > 0] / r[r > 0]
-    return {
-        "trials": int(ratios.size),
-        "radius": float(radius),
-        "min_ratio": float(ratios.min()) if ratios.size else float("nan"),
-        "median_ratio": float(np.median(ratios)) if ratios.size else float("nan"),
-    }
 
 
 def dilute_lower_bound_check(theta0: Signal, spec: DiluteClassSpec, trials: int,
@@ -289,36 +247,6 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
         np.put_along_axis(rows, picks[t], vals[t], axis=1)
         ratios[t] = np.mean(np.abs(np.fft.rfft(rows)[:, bins]) ** 2, axis=1)
     return float(ratios.min()), float(ratios.max())
-
-
-def good_set_report(f: Signal, params: GoodSetParams) -> dict:
-    """High-magnitude frequency set {xi : |f-hat(xi)| >= |support|^-kappa}.
-
-    Reports its size fraction and the negative-moment size floor computed
-    from the cosine functional of the support.
-    """
-    sup = f.support
-    if not sup:
-        raise ValueError("empty support")
-    L = f.L
-    xi_size = len(sup)
-    threshold = xi_size ** (-params.kappa)
-    mod = Signal.from_natural(np.abs(np.fft.fft(f.natural())))
-    good = frozenset(std_indices(L)[mod.values >= threshold].tolist())
-    v_min = float(cosine_functional_all(sup, L).min())
-    frak_a = (FITTED_CONSTANTS["goodset_C"] / (1 - params.eta) * params.zeta ** (-params.eta)
-              * max(v_min, 1e-300) ** (-params.eta / 2))
-    floor = 1 - frak_a * xi_size ** (-params.kappa * params.eta / 2)
-    frac = len(good) / L
-    return {
-        "good_set": good,
-        "threshold": float(threshold),
-        "fraction": float(frac),
-        "min_cosine": v_min,
-        "frak_a": float(frak_a),
-        "size_floor": float(floor),
-        "meets_floor": bool(frac >= floor),
-    }
 
 
 def spectral_floor(s: int, tau: float) -> float:

@@ -9,7 +9,6 @@ index; shifts, reflections, orbit matrices and alignment all gather through it.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +51,6 @@ class Signal:
     def support(self) -> frozenset:
         idx = std_indices(self.L)
         return frozenset(int(i) for i in idx[self.values != 0.0])
-
-    def value_at(self, i: int) -> float:
-        return float(self.values[storage_index(self.L, i)])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -104,13 +100,6 @@ class Signal:
             raise ValueError("unknown signal format: %r" % d.get("format"))
         return cls.from_support(int(d["L"]), dict(zip(d["support"], d["values"])))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "Signal":
-        return cls.from_json_dict(json.loads(s))
-
     def __eq__(self, other):
         return (
             isinstance(other, Signal)
@@ -144,20 +133,6 @@ class GroupElement:
             return GroupElement(self.shift % L, True)
         return GroupElement((-self.shift) % L, False)
 
-    def compose(self, other: "GroupElement", L: int) -> "GroupElement":
-        """self o other."""
-        # R_a F^p o R_b F^q = R_{a + (-1)^p b} F^{p xor q}
-        sgn = -1 if self.flip else 1
-        return GroupElement((self.shift + sgn * other.shift) % L, self.flip ^ other.flip)
-
-
-def group_elements(L: int, dihedral: bool = False):
-    """All enabled isometries: L rotations, doubled with reflections if dihedral."""
-    elems = [GroupElement(g, False) for g in range(L)]
-    if dihedral:
-        elems += [GroupElement(g, True) for g in range(L)]
-    return elems
-
 
 def action_index(L: int, shift, flip) -> np.ndarray:
     """Storage indices of G = (shift, flip): v.values[action_index(L, g, f)] is G v.
@@ -170,7 +145,7 @@ def action_index(L: int, shift, flip) -> np.ndarray:
 
 def orbit_index(L: int, dihedral: bool) -> np.ndarray:
     """(|G|, L) indices: row k of theta.values[idx] is G_k theta, where G_k =
-    group_elements(L, dihedral)[k] has shift k % L and flips when k >= L.  The
+    GroupElement(k % L, k >= L): the L rotations, then the L reflections.  The
     adjoint scatter-adds through idx: it maps W @ Y to sum_i sum_G w_i(G) G^-1 y_i."""
     flips = np.arange(2 if dihedral else 1)[:, None]
     return action_index(L, np.arange(L), flips).reshape(-1, L)

@@ -24,23 +24,13 @@ class MomentTensor:
 
     It holds `fourier`, the DFT on the plane (module docstring) over
     (xi_1, ..., xi_(m-1)), for orders 1 to 3; order 1 is its one value at
-    xi = 0.  The dense L^m `data`, in standard order, is built from it on
-    first read.
+    xi = 0.
     """
 
     def __init__(self, order: int, L: int, fourier: np.ndarray):
         self.order = order
         self.L = L
         self.fourier = np.asarray(fourier)
-        self._data = None
-
-    @property
-    def data(self) -> np.ndarray:
-        if self._data is None:
-            full = np.zeros((self.L,) * self.order, dtype=complex)
-            full[_plane(self.L, self.order)] = self.fourier
-            self._data = np.real(np.fft.ifftn(full))
-        return self._data
 
     def frobenius(self) -> float:
         # Parseval for the m-dimensional transform; the plane holds all of it

@@ -1,9 +1,75 @@
 """Dense and direct-sum oracles that the package's Fourier-domain code is
-tested against, and the divide-after-product posterior that its scaled-orbit
-kernel is tested against.  None of them calls np.fft."""
+tested against, the divide-after-product posterior that its scaled-orbit
+kernel is tested against, and the exhaustive group, cosine-functional and
+collision-free-size references of the paper's claims.  None of them calls
+np.fft except `dense`, which reads a moment tensor back in full."""
 import numpy as np
 
-from mralab.ring import Signal, orbit_index, std_indices, std_offset
+from mralab.gensig import fresh_lags
+from mralab.ring import GroupElement, Signal, orbit_index, std_indices, std_offset
+from mralab.spectral import MomentTensor, _plane
+
+#: branch-and-bound guard for exact maximum collision-free size
+MAX_SIZE_GUARD_L = 40
+
+
+def group_elements(L: int, dihedral: bool = False):
+    """All enabled isometries: L rotations, doubled with reflections if dihedral."""
+    elems = [GroupElement(g, False) for g in range(L)]
+    if dihedral:
+        elems += [GroupElement(g, True) for g in range(L)]
+    return elems
+
+
+def dense(t: MomentTensor) -> np.ndarray:
+    """The dense L^m tensor of t, in standard order, from its plane."""
+    full = np.zeros((t.L,) * t.order, dtype=complex)
+    full[_plane(t.L, t.order)] = t.fourier
+    return np.real(np.fft.ifftn(full))
+
+
+def cosine_functional_all(xi_set, L: int) -> np.ndarray:
+    """V(Xi, a) = 1_{0 in Xi} + 2 sum_{k in Xi \\ {0}} cos^2(2 pi a k / L) for
+    every a in Z_L at once (natural frequency order), Xi read mod L."""
+    ks = np.array(sorted(set(int(k) % L for k in xi_set)))
+    has_zero = float(np.any(ks == 0))
+    ks = ks[ks != 0]
+    a = np.arange(L)
+    if ks.size == 0:
+        return np.full(L, has_zero)
+    c = np.cos(2 * np.pi * np.outer(a, ks) / L)
+    return has_zero + 2 * np.sum(c * c, axis=1)
+
+
+def max_collision_free_size(L: int) -> int:
+    """Exact maximum size of a collision-free subset of Z_L (branch and bound)."""
+    if L > MAX_SIZE_GUARD_L:
+        raise ValueError("exact search guarded at L <= %d; got %d" % (MAX_SIZE_GUARD_L, L))
+    if L <= 1:
+        return L
+    best = [1]
+
+    def extend(points, used):
+        k = len(points)
+        if k > best[0]:
+            best[0] = k
+        # the (k+1)-th point consumes 2k fresh differences; bound the number of
+        # points still addable by the count of unused differences
+        free = L - 1 - len(used)
+        add = 0
+        while (add + 1) * (2 * k + add) <= free:
+            add += 1
+        if k + add <= best[0]:
+            return
+        for x in range(points[-1] + 1, L):
+            new = fresh_lags(x, points, used, L)
+            if new is not None:
+                points.append(x)
+                extend(points, used | new)
+                points.pop()
+
+    extend([0], set())
+    return best[0]
 
 
 def dft(v: Signal) -> np.ndarray:

@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from mralab.beltway import (DifferenceProfile, canonical_orbit,
-                            max_collision_free_size,
                             recover_from_power_spectrum, solve_beltway)
 from mralab.experiments import ExperimentConfig, fit_loglog_slope, run_experiment
-from mralab.gensig import (DiluteClassSpec, check_cosine_generic,
-                           difference_multiset, gen_collision_free,
+from mralab.gensig import (DiluteClassSpec, difference_multiset, gen_collision_free,
                            is_collision_free, positive_part)
 from mralab.mra import kl_monte_carlo
 from mralab.probes import (FrequencySet, adversarial_direction,
@@ -24,7 +22,8 @@ from mralab.ring import Signal, shift, std_offset, varrho
 from mralab.spectral import (delta_m, power_spectrum,
                              second_moment_difference_expansion)
 
-from oracles import convolve, dft, toeplitz
+from oracles import (convolve, cosine_functional_all, dense, dft,
+                     max_collision_free_size, toeplitz)
 
 L_GRID = (4, 5, 16, 21, 64)
 DILUTE = DiluteClassSpec(L=101, s=8, m=1.0, M=1.5, eps=1.0)
@@ -71,7 +70,7 @@ class TestSecondMomentOracle:
                     x = shift(theta, g).values
                     brute += np.outer(x, x)
                 brute /= L
-                M = delta_m(theta, Signal.zeros(L), 2).data
+                M = dense(delta_m(theta, Signal.zeros(L), 2))
                 assert np.linalg.norm(M - brute) \
                     <= 1e-12 * max(np.linalg.norm(brute), 1e-300)
 
@@ -243,8 +242,7 @@ class TestCosineGenericity:
     def test_interval_exact(self):
         L = 4096
         xi = range(-32, 33)
-        passes, _, v_min = check_cosine_generic(xi, 2.0, L)
-        assert passes
+        v_min = cosine_functional_all(xi, L).min()
         assert v_min >= 2.0
 
     def test_bernoulli_supports(self):
@@ -257,8 +255,7 @@ class TestCosineGenericity:
             xi = set(int(k) for k in chosen) | set(-int(k) for k in chosen)
             if not xi:
                 continue
-            passes, _, _ = check_cosine_generic(xi, s / 32, L)
-            hits += passes
+            hits += cosine_functional_all(xi, L).min() >= s / 32
         assert hits >= 190
 
 

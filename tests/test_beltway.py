@@ -8,13 +8,39 @@ import scipy.optimize
 from mralab import beltway
 from mralab.beltway import (DifferenceProfile, ProfileInconsistencyError,
                             SearchBudgetError, canonical_orbit,
-                            max_collision_free_size, recover_from_power_spectrum,
-                            solve_beltway)
+                            recover_from_power_spectrum, solve_beltway)
 from mralab.gensig import (DiluteClassSpec, difference_multiset,
                            gen_collision_free, is_collision_free)
-from mralab.probes import adversarial_direction, local_uniqueness_probe
+from mralab.probes import _support_curvature, adversarial_direction
 from mralab.ring import Signal, varrho
 from mralab.spectral import power_spectrum
+from oracles import max_collision_free_size
+
+
+def local_uniqueness_probe(theta0: Signal, radius: float, trials: int,
+                           rng: np.random.Generator) -> dict:
+    """Ratio ||Delta_2(theta, theta0)||_F / rho(theta, theta0) over random
+    support-preserving perturbations with varrho <= radius.
+
+    A strictly positive floor across trials evidences local uniqueness of
+    recovery from the second moment (equivalently the power spectrum).
+    """
+    L = theta0.L
+    idx = np.flatnonzero(theta0.values)
+    if not idx.size:
+        raise ValueError("theta0 must be nonzero")
+    vals = np.empty((trials, idx.size))
+    for t in range(trials):
+        h = rng.normal(size=idx.size)
+        vals[t] = h * (radius * np.sqrt(L) * rng.random() / np.linalg.norm(h))
+    d2, r = _support_curvature(theta0, vals)
+    ratios = d2[r > 0] / r[r > 0]
+    return {
+        "trials": int(ratios.size),
+        "radius": float(radius),
+        "min_ratio": float(ratios.min()) if ratios.size else float("nan"),
+        "median_ratio": float(np.median(ratios)) if ratios.size else float("nan"),
+    }
 
 
 def brute_force_solutions(profile: DifferenceProfile, s: int):

@@ -149,6 +149,19 @@ class TestPrRecover:
                        for sgn in (1.0, -1.0)) for c in cands)
         assert best < 1e-8
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: ["-21,1.0"] + rows[1:], "line 2: index -21 is outside 0..20"),
+        (lambda rows: rows + ["3,0.0"], "line 23: index 3 is repeated"),
+        (lambda rows: rows[:5] + rows[6:], "has no row for index 5"),
+    ], ids=["out-of-range", "repeated", "missing"])
+    def test_bad_rows_rejected(self, tmp_path, edit, message):
+        rows = ["%d,%.17g" % (i, v) for i, v in enumerate(power_spectrum(Signal.delta(21)))]
+        csv_path = tmp_path / "spec.csv"
+        csv_path.write_text("\n".join(["index,value"] + edit(rows)))
+        with pytest.raises(ValueError, match=message):
+            main(["pr-recover", "--spectrum", str(csv_path), "--L", "21", "--s", "4",
+                  "--m", "1.0", "--M", "1.1", "--out", str(tmp_path / "cands.json")])
+
 
 class TestProbe:
     def test_dilute_lb_report(self, tmp_path):

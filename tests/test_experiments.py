@@ -86,6 +86,14 @@ class TestConfig:
             ExperimentConfig(scenario="sparsity-scan", L=16,
                              sigma_grid=(1.0, 2.0), seed=0, s_grid=(2, 3))
 
+    def test_signal_length_must_match_l(self):
+        signal = Signal.from_support(8, {0: 1.0, 1: -1.0}).to_json_dict()
+        with pytest.raises(ValueError, match="signal has length 8 but the config has L=21"):
+            ExperimentConfig(scenario="kl-curvature-scan", L=21, sigma_grid=(2.0,),
+                             seed=0, signal=signal)
+        ExperimentConfig(scenario="kl-curvature-scan", L=8, sigma_grid=(2.0,),
+                         seed=0, signal=signal)
+
     def test_from_json_dict_round_trip(self):
         a = ExperimentConfig(scenario="kl-curvature-scan", L=8,
                              sigma_grid=(2.0, 4.0), seed=3,

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from mralab.gensig import (DiluteClassSpec, check_cosine_generic, check_typically_sparse,
-                           cosine_functional, cosine_functional_all,
-                           difference_multiset, gen_collision_free,
+from mralab.gensig import (DiluteClassSpec, difference_multiset, gen_collision_free,
                            gen_symm_bernoulli_gaussian, gen_symm_interval,
                            is_collision_free, positive_part)
 from mralab.ring import Signal, reflect
+from oracles import cosine_functional_all
 
 
 class TestDifferenceMultiset:
@@ -165,7 +164,7 @@ class TestSymmetricGenerators:
         draws = np.stack(draws)
         xi_set = sorted(set(sup) | set(-k for k in sup))
         for xi in (0, 1, 3, 7, 15):
-            v = cosine_functional(xi_set, xi, L)
+            v = cosine_functional_all(xi_set, L)[xi]
             emp = np.var(draws[:, xi])
             se = zeta**2 * v * np.sqrt(2 / draws.shape[0])
             assert abs(emp - zeta**2 * v) < 4 * max(se, 1e-6)
@@ -173,44 +172,32 @@ class TestSymmetricGenerators:
 
 class TestCosineFunctional:
     def test_zero_only(self):
-        for a in range(7):
-            assert cosine_functional({0}, a, 7) == pytest.approx(1.0)
+        assert np.allclose(cosine_functional_all({0}, 7), 1.0)
 
     def test_a_zero(self):
         xi = {0, 1, 3, -2}
-        assert cosine_functional(xi, 0, 11) == pytest.approx(1 + 2 * 3)
+        assert cosine_functional_all(xi, 11)[0] == pytest.approx(1 + 2 * 3)
 
     def test_periodicity_and_symmetry(self):
         xi = {0, 2, 5, -5}
+        vals = cosine_functional_all(xi, 13)
         for a in range(13):
-            v = cosine_functional(xi, a, 13)
-            assert cosine_functional(xi, -a, 13) == pytest.approx(v)
-            assert cosine_functional(xi, a + 13, 13) == pytest.approx(v)
+            assert vals[-a % 13] == pytest.approx(vals[a])
+        assert np.array_equal(cosine_functional_all(xi | {18}, 13), vals)
 
     def test_all_matches_scalar(self):
         xi = {0, 1, 4}
         vals = cosine_functional_all(xi, 9)
         for a in range(9):
-            assert vals[a] == pytest.approx(cosine_functional(xi, a, 9))
+            assert vals[a] == pytest.approx(
+                1 + 2 * sum(np.cos(2 * np.pi * a * k / 9) ** 2 for k in (1, 4)))
         # 1 and 12 are one residue in Z_11: V = 2 cos^2(4 pi / 11) = 0.345
-        assert cosine_functional({1, 12}, 2, 11) == cosine_functional_all({1, 12}, 11)[2]
-        assert cosine_functional({1, 12}, 2, 11) == pytest.approx(
+        assert cosine_functional_all({1, 12}, 11)[2] == pytest.approx(
             2 * np.cos(4 * np.pi / 11) ** 2, rel=1e-12)
 
     def test_check_cosine_generic(self):
-        ok, amin, vmin = check_cosine_generic({0, 1}, 0.5, 8)
-        assert vmin == pytest.approx(min(cosine_functional({0, 1}, a, 8)
-                                         for a in range(8)))
-        assert ok == (vmin >= 0.5)
-
-
-class TestTypicalSparsity:
-    def test_exact(self):
-        assert check_typically_sparse(set(range(5)), 5, 1.0, 1.0)
-
-    def test_empty_fails(self):
-        assert not check_typically_sparse(set(), 5, 0.5, 2.0)
-
-    def test_out_of_band(self):
-        assert not check_typically_sparse(set(range(11)), 5, 0.5, 2.0)
-
+        # V(a) = 1 + 2 cos^2(2 pi a / 8) is smallest, 1, where the cosine vanishes
+        vals = cosine_functional_all({0, 1}, 8)
+        assert int(np.argmin(vals)) == 2
+        assert vals.min() == pytest.approx(1.0)
+        assert vals.min() >= 0.5

@@ -4,14 +4,19 @@ import scipy.special
 
 from mralab import mra
 from mralab.mra import (Dataset, MraConfig, RestrictedClass, StreamingDataset,
-                        _draw_block, em_restricted_mle, kl_monte_carlo, log_density,
+                        _draw_block, em_restricted_mle, kl_monte_carlo,
                         log_likelihood, simulate)
-from mralab.ring import Signal, group_elements, orbit_index, reflect, shift, varrho
-from oracles import em_iteration
+from mralab.ring import Signal, orbit_index, reflect, shift, storage_index, varrho
+from oracles import em_iteration, group_elements
 
 PLANAR = Signal.from_natural(
     np.array([0, 0, 0, 1.1, 0, 0, -1.0, 1.05, 0, 0, 0, 0,
               1.2, 0, -1.15, 0, 0, 0, 0, 0, 0.0]))
+
+
+def log_density(theta, y, sigma, dihedral=False):
+    """log p_theta(y) of one observation y, through `log_likelihood`."""
+    return log_likelihood(theta, Dataset(y[None, :], MraConfig(theta.L, sigma, dihedral)))
 
 
 def direct_log_density(theta, y, sigma, dihedral=False):
@@ -70,10 +75,11 @@ class TestSimulate:
             base = reflect(theta) if f else theta
             assert np.allclose(row, shift(base, int(g)).values)
 
-    def test_streaming_dataset_deterministic(self):
+    def test_streaming_dataset_deterministic(self, monkeypatch):
+        monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
         theta = Signal(np.random.default_rng(8).normal(size=5))
         cfg = MraConfig(5, 0.5)
-        ds = StreamingDataset(theta, cfg, 1000, seed=99, chunk=128)
+        ds = StreamingDataset(theta, cfg, 1000, seed=99)
         a = np.concatenate(list(ds.iter_chunks()))
         b = np.concatenate(list(ds.iter_chunks()))
         assert a.shape == (1000, 5)
@@ -89,10 +95,11 @@ class TestSimulate:
         for block, ysq in chunks:
             assert np.array_equal(ysq, np.einsum("ij,ij->i", block, block))
 
-    def test_streaming_em_matches_in_memory(self):
+    def test_streaming_em_matches_in_memory(self, monkeypatch):
+        monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
         theta = Signal(np.random.default_rng(33).normal(size=7))
         cfg = MraConfig(7, 0.8)
-        stream = StreamingDataset(theta, cfg, 1000, seed=5, chunk=128)
+        stream = StreamingDataset(theta, cfg, 1000, seed=5)
         blocks = list(stream.iter_chunks())
         assert [len(b) for b in blocks] == [128] * 7 + [104]
         memory = Dataset(np.concatenate(blocks), cfg)
@@ -264,15 +271,15 @@ class TestRestrictedClass:
     def test_symmetrization(self):
         rc = RestrictedClass("symmetric-support-fixed", frozenset({-1, 1}))
         out, _ = rc.project(Signal.from_support(5, {-1: 1.0, 1: 3.0}))
-        assert out.value_at(1) == pytest.approx(2.0)
+        assert out.values[storage_index(5, 1)] == pytest.approx(2.0)
         assert out == reflect(out)
 
     def test_clamp(self):
         rc = RestrictedClass("magnitude-band", frozenset({0, 1}), m=1.0, M=2.0)
         out, clamped = rc.project(Signal.from_support(5, {0: 0.2, 1: -5.0}))
         assert clamped
-        assert out.value_at(0) == pytest.approx(1.0)
-        assert out.value_at(1) == pytest.approx(-2.0)
+        assert out.values[storage_index(5, 0)] == pytest.approx(1.0)
+        assert out.values[storage_index(5, 1)] == pytest.approx(-2.0)
 
     def test_asymmetric_support_rejected(self):
         with pytest.raises(ValueError):

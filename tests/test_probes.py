@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,15 +7,63 @@ import scipy.linalg
 from mralab import probes
 from mralab.gensig import (DiluteClassSpec, gen_collision_free,
                            gen_symm_bernoulli_gaussian, gen_symm_interval)
-from mralab.probes import (TILE_ENTRIES, FrequencySet, GoodSetParams,
-                           LambdaConstructionError, _sparse_picks,
-                           adversarial_direction, curvature_terms,
-                           dilute_lower_bound_check, good_set_report,
-                           lambda_construct, moderate_curvature_check,
-                           moment_sandwich_probe, spectral_floor,
-                           support_restricted_min_ratio, uup_check, uup_sample)
-from mralab.ring import Signal, group_elements, reflect, shift, std_offset
+from mralab.probes import (TILE_ENTRIES, FrequencySet, LambdaConstructionError,
+                           _sparse_picks, adversarial_direction, curvature_terms,
+                           dilute_lower_bound_check, lambda_construct,
+                           moderate_curvature_check, moment_sandwich_probe,
+                           spectral_floor, support_restricted_min_ratio, uup_check,
+                           uup_sample)
+from mralab.ring import Signal, reflect, shift, std_indices, std_offset
 from mralab.spectral import delta_m, second_moment_difference_expansion
+from oracles import cosine_functional_all, group_elements
+
+#: the good-set constant C, fitted on calibration runs (seed 20240801) and frozen
+GOODSET_C = 1.0
+
+
+@dataclass(frozen=True)
+class GoodSetParams:
+    """Threshold exponent kappa, negative-moment order eta, dispersion zeta."""
+
+    kappa: float
+    eta: float
+    zeta: float = 1.0
+
+    def __post_init__(self):
+        if not 0 < self.eta < 1:
+            raise ValueError("need 0 < eta < 1")
+        if self.kappa <= 0 or self.zeta <= 0:
+            raise ValueError("parameters must be positive")
+
+
+def good_set_report(f: Signal, params: GoodSetParams) -> dict:
+    """High-magnitude frequency set {xi : |f-hat(xi)| >= |support|^-kappa}.
+
+    Reports its size fraction and the negative-moment size floor computed
+    from the cosine functional of the support.
+    """
+    sup = f.support
+    if not sup:
+        raise ValueError("empty support")
+    L = f.L
+    xi_size = len(sup)
+    threshold = xi_size ** (-params.kappa)
+    mod = Signal.from_natural(np.abs(np.fft.fft(f.natural())))
+    good = frozenset(std_indices(L)[mod.values >= threshold].tolist())
+    v_min = float(cosine_functional_all(sup, L).min())
+    frak_a = (GOODSET_C / (1 - params.eta) * params.zeta ** (-params.eta)
+              * max(v_min, 1e-300) ** (-params.eta / 2))
+    floor = 1 - frak_a * xi_size ** (-params.kappa * params.eta / 2)
+    frac = len(good) / L
+    return {
+        "good_set": good,
+        "threshold": float(threshold),
+        "fraction": float(frac),
+        "min_cosine": v_min,
+        "frak_a": float(frak_a),
+        "size_floor": float(floor),
+        "meets_floor": bool(frac >= floor),
+    }
 
 
 def loop_ratios(theta0: Signal, rows: np.ndarray, dihedral: bool = False) -> np.ndarray:

@@ -3,15 +3,16 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from mralab import mra
 from mralab.mra import Dataset, MraConfig, StreamingDataset, simulate
-from mralab.ring import (LengthMismatchError, Signal, group_elements, reflect, shift,
-                         std_indices, std_offset)
+from mralab.ring import (LengthMismatchError, Signal, reflect, shift, std_indices,
+                         std_offset, storage_index)
 from mralab.spectral import (_circulant, delta_m, empirical_moments, power_spectrum,
                              second_moment_difference_expansion,
                              second_moment_expansion_generators)
 
-from oracles import (convolve, dft, sample_moment_dense, second_moment_dense,
-                     third_moment_dense, toeplitz)
+from oracles import (convolve, dense, dft, group_elements, sample_moment_dense,
+                     second_moment_dense, third_moment_dense, toeplitz)
 
 
 def direct_dft(v: Signal) -> np.ndarray:
@@ -35,7 +36,9 @@ def direct_convolve(u: Signal, v: Signal) -> np.ndarray:
 
 def direct_autocorrelation(theta: Signal, lag: int) -> float:
     """A(lag) = sum_i theta(i) theta(i + lag), summed index by index."""
-    return sum(theta.value_at(i) * theta.value_at(i + lag) for i in range(theta.L))
+    v = theta.values
+    return sum(v[storage_index(theta.L, i)] * v[storage_index(theta.L, i + lag)]
+               for i in range(theta.L))
 
 
 def bispectrum_delta3_norm(theta: Signal, phi: Signal) -> float:
@@ -65,7 +68,7 @@ class TestDft:
 
     def test_constant(self):
         p = Signal(power_spectrum(Signal(np.ones(6))))
-        assert p.value_at(0) == pytest.approx(36.0)
+        assert p.values[storage_index(6, 0)] == pytest.approx(36.0)
         assert np.allclose(p.natural()[1:], 0.0, atol=1e-12)
 
     def test_matches_direct_sum(self):
@@ -150,7 +153,7 @@ class TestToeplitz:
         idx = std_indices(6)
         for a in range(6):
             for b in range(6):
-                assert M[a, b] == pytest.approx(v.value_at(int(idx[a] - idx[b])))
+                assert M[a, b] == pytest.approx(v.values[storage_index(6, idx[a] - idx[b])])
 
     def test_frobenius_identity(self):
         rng = np.random.default_rng(8)
@@ -185,11 +188,11 @@ class TestSecondMoment:
     """The order-2 tensor E_G[(G theta)^(x 2)], as delta_m(theta, 0, 2)."""
 
     def test_constant_signal(self):
-        M = second_moment(Signal(np.ones(5))).data
+        M = dense(second_moment(Signal(np.ones(5))))
         assert np.allclose(M, np.ones((5, 5)))
 
     def test_delta_signal(self):
-        M = second_moment(Signal.delta(6)).data
+        M = dense(second_moment(Signal.delta(6)))
         assert np.allclose(M, np.eye(6) / 6)
 
     def test_brute_force_equivalence(self):
@@ -197,7 +200,7 @@ class TestSecondMoment:
         for L in (4, 5, 8, 21):
             for _ in range(25):
                 theta = Signal(rng.normal(size=L))
-                M = second_moment(theta).data
+                M = dense(second_moment(theta))
                 B = np.zeros((L, L))
                 for g in range(L):
                     w = shift(theta, g).values
@@ -208,13 +211,13 @@ class TestSecondMoment:
     def test_frobenius_from_generator(self):
         theta = Signal(np.random.default_rng(11).normal(size=16))
         t = second_moment(theta)
-        assert t.frobenius() == pytest.approx(np.linalg.norm(t.data), rel=1e-12)
+        assert t.frobenius() == pytest.approx(np.linalg.norm(dense(t)), rel=1e-12)
 
     def test_shift_invariance(self):
         theta = Signal(np.random.default_rng(12).normal(size=9))
         for g in range(9):
-            assert np.allclose(second_moment(theta).data,
-                               second_moment(shift(theta, g)).data, atol=1e-12)
+            assert np.allclose(dense(second_moment(theta)),
+                               dense(second_moment(shift(theta, g))), atol=1e-12)
 
 
 class TestDeltaM:
@@ -223,13 +226,13 @@ class TestDeltaM:
         for g in range(7):
             for m in (1, 2, 3):
                 t = delta_m(theta, shift(theta, g), m)
-                assert np.allclose(t.data, 0.0, atol=1e-12)
+                assert np.allclose(dense(t), 0.0, atol=1e-12)
 
     def test_first_moment_formula(self):
         rng = np.random.default_rng(14)
         a, b = Signal(rng.normal(size=8)), Signal(rng.normal(size=8))
         t = delta_m(a, b, 1)
-        assert np.allclose(t.data, (a.mean() - b.mean()) * np.ones(8), atol=1e-12)
+        assert np.allclose(dense(t), (a.mean() - b.mean()) * np.ones(8), atol=1e-12)
 
     def test_centering_decomposition(self):
         rng = np.random.default_rng(15)
@@ -237,8 +240,8 @@ class TestDeltaM:
             a, b = Signal(rng.normal(size=6)), Signal(rng.normal(size=6))
             ac = Signal(a.values - a.mean())
             bc = Signal(b.values - b.mean())
-            full = delta_m(a, b, 2).data
-            centered = delta_m(ac, bc, 2).data
+            full = dense(delta_m(a, b, 2))
+            centered = dense(delta_m(ac, bc, 2))
             extra = (a.mean() ** 2 - b.mean() ** 2) * np.ones((6, 6))
             assert np.allclose(full, centered + extra, atol=1e-10)
 
@@ -250,14 +253,14 @@ class TestDeltaM:
         for L in (4, 5, 8, 13):
             theta, phi = Signal(rng.normal(size=L)), Signal(rng.normal(size=L))
             t = delta_m(theta, phi, 3)
-            dense = third_moment_dense(theta) - third_moment_dense(phi)
-            assert t.frobenius() == pytest.approx(np.linalg.norm(dense), rel=1e-12)
-            assert np.allclose(t.data, dense, rtol=1e-12, atol=1e-12)
+            ref = third_moment_dense(theta) - third_moment_dense(phi)
+            assert t.frobenius() == pytest.approx(np.linalg.norm(ref), rel=1e-12)
+            assert np.allclose(dense(t), ref, rtol=1e-12, atol=1e-12)
 
     def test_third_moment_brute_force(self):
         rng = np.random.default_rng(16)
         theta, phi = Signal(rng.normal(size=4)), Signal(rng.normal(size=4))
-        t = delta_m(theta, phi, 3).data
+        t = dense(delta_m(theta, phi, 3))
         acc = np.zeros((4, 4, 4))
         for g in range(4):
             for sgn, sig in ((1, theta), (-1, phi)):
@@ -283,7 +286,7 @@ class TestExpansion:
             theta = Signal(rng.normal(size=L))
             h = Signal(rng.normal(size=L))
             lin, quad = second_moment_difference_expansion(theta, h)
-            direct = delta_m(Signal(theta.values + h.values), theta, 2).data
+            direct = dense(delta_m(Signal(theta.values + h.values), theta, 2))
             assert np.allclose(lin + quad, direct, rtol=1e-10, atol=1e-10)
 
     def test_quadratic_part_bound(self):
@@ -307,7 +310,7 @@ class TestAutocorrelation:
     def test_zero_lag_is_energy(self):
         # A(0) = ||theta||^2 sits on the diagonal of E_G[(G theta)^(x 2)] as A(0) / L
         theta = Signal(np.random.default_rng(20).normal(size=9))
-        assert np.allclose(np.diag(second_moment(theta).data), theta.norm() ** 2 / 9)
+        assert np.allclose(np.diag(dense(second_moment(theta))), theta.norm() ** 2 / 9)
 
     def test_invariant_under_group(self):
         theta = Signal(np.random.default_rng(21).normal(size=8))
@@ -330,13 +333,13 @@ class TestAutocorrelation:
         _, gen = second_moment_expansion_generators(Signal.zeros(10), theta.values)
         a_nat = [direct_autocorrelation(theta, lag) for lag in range(10)]
         assert np.allclose(a_nat, 10 * gen, atol=1e-12)
-        assert np.allclose(_circulant(gen), second_moment(theta).data, atol=1e-12)
+        assert np.allclose(_circulant(gen), dense(second_moment(theta)), atol=1e-12)
 
     def test_power_spectrum_is_dft_of_autocorrelation(self):
         theta = Signal(np.random.default_rng(24).normal(size=12))
         lhs = power_spectrum(theta)
         # column 0 of the circulant, in standard order, is J = A / L
-        rhs = np.real(dft(Signal(12 * second_moment(theta).data[:, std_offset(12)])))
+        rhs = np.real(dft(Signal(12 * dense(second_moment(theta))[:, std_offset(12)])))
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
@@ -363,8 +366,8 @@ class TestEmpiricalMoments:
         assert bias[0, 0] == pytest.approx(-3 * sigma**2 * L * x0)
         for dihedral in (False, True):
             data = Dataset(_orbit_rows(theta, dihedral), MraConfig(L, sigma, dihedral))
-            assert np.allclose(empirical_moments(data, 1).data, delta_m(theta, zero, 1).data,
-                               atol=1e-12)
+            assert np.allclose(dense(empirical_moments(data, 1)),
+                               dense(delta_m(theta, zero, 1)), atol=1e-12)
             t2 = empirical_moments(data, 2)
             assert np.allclose(t2.fourier - delta_m(theta, zero, 2).fourier, -L * sigma**2,
                                atol=1e-10)
@@ -377,9 +380,9 @@ class TestEmpiricalMoments:
         y = Signal(np.random.default_rng(26).normal(size=5))
         data = Dataset(y.values[None, :], MraConfig(5, 0.3))
         t = empirical_moments(data, 2)
-        assert np.allclose(t.data, second_moment_dense(y) - 0.09 * np.eye(5), atol=1e-12)
+        assert np.allclose(dense(t), second_moment_dense(y) - 0.09 * np.eye(5), atol=1e-12)
         t = empirical_moments(data, 3)
-        assert np.allclose(t.data, sample_moment_dense(data.observations, 3, 0.3), atol=1e-12)
+        assert np.allclose(dense(t), sample_moment_dense(data.observations, 3, 0.3), atol=1e-12)
 
     @pytest.mark.parametrize("L", [7, 8])
     @pytest.mark.parametrize("dihedral", [False, True])
@@ -389,18 +392,19 @@ class TestEmpiricalMoments:
         data = simulate(Signal(rng.normal(size=L)), cfg, 3000, rng)
         for m in (2, 3):
             t = empirical_moments(data, m)
-            dense = sample_moment_dense(data.observations, m, cfg.sigma)
-            assert np.linalg.norm(t.data - dense) <= 1e-12 * np.linalg.norm(dense)
-            assert t.frobenius() == pytest.approx(np.linalg.norm(dense), rel=1e-12)
-        t1 = empirical_moments(data, 1).data
+            ref = sample_moment_dense(data.observations, m, cfg.sigma)
+            assert np.linalg.norm(dense(t) - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert t.frobenius() == pytest.approx(np.linalg.norm(ref), rel=1e-12)
+        t1 = dense(empirical_moments(data, 1))
         assert np.allclose(t1, data.observations.mean() * np.ones(L), rtol=1e-12, atol=1e-15)
 
-    def test_streaming_matches_materialised(self):
+    def test_streaming_matches_materialised(self, monkeypatch):
+        monkeypatch.setattr(mra, "DEFAULT_CHUNK", 700)
         theta = Signal(np.random.default_rng(28).normal(size=9))
-        stream = StreamingDataset(theta, MraConfig(9, 1.5, True), n=5000, seed=3, chunk=700)
-        dense = Dataset(np.concatenate(list(stream.iter_chunks())), stream.config)
+        stream = StreamingDataset(theta, MraConfig(9, 1.5, True), n=5000, seed=3)
+        memory = Dataset(np.concatenate(list(stream.iter_chunks())), stream.config)
         for m in (1, 2, 3):
-            a, b = empirical_moments(stream, m).data, empirical_moments(dense, m).data
+            a, b = dense(empirical_moments(stream, m)), dense(empirical_moments(memory, m))
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_monte_carlo_consistency(self):
@@ -411,7 +415,7 @@ class TestEmpiricalMoments:
         t = empirical_moments(data, 2)
         # crude per-entry SE scale for a product of two noisy coordinates
         se = 5 * (sigma**2 + theta.norm() ** 2 / np.sqrt(L)) / np.sqrt(n)
-        assert np.max(np.abs(t.data - second_moment_dense(theta))) < 5 * se
+        assert np.max(np.abs(dense(t) - second_moment_dense(theta))) < 5 * se
         # order 3 per bispectrum entry: SE from the rows' mean |y(a) y(b) conj(y(a+b))|^2;
         # the bias left on the lines by a missing correction would be over 30 SE here
         a, b = np.indices((L, L))
