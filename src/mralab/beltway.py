@@ -18,7 +18,7 @@ import numpy as np
 from .gensig import difference_multiset
 from .ring import Signal
 
-#: default node budget for the backtracking solver
+#: node budget of the backtracking solver, read at each call
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
@@ -85,12 +85,12 @@ def canonical_orbit(support, L: int) -> tuple:
     return best
 
 
-def solve_beltway(profile: DifferenceProfile, s: int, node_budget: int = DEFAULT_NODE_BUDGET):
+def solve_beltway(profile: DifferenceProfile, s: int):
     """All supports of size s realizing the given cyclic difference multiset.
 
     Returns canonical orbit representatives (sorted residue tuples); an empty
     list means the profile is infeasible.  Each call of the search counts
-    one node against `node_budget`; exceeding it raises SearchBudgetError.
+    one node against DEFAULT_NODE_BUDGET; exceeding it raises SearchBudgetError.
     """
     L = profile.L
     if s < 1:
@@ -122,8 +122,8 @@ def solve_beltway(profile: DifferenceProfile, s: int, node_budget: int = DEFAULT
         """cands: sorted residues above points[-1] whose lags to every placed
         point are still unused."""
         nodes[0] += 1
-        if nodes[0] > node_budget:
-            raise SearchBudgetError("node budget %d exceeded" % node_budget)
+        if nodes[0] > DEFAULT_NODE_BUDGET:
+            raise SearchBudgetError("node budget %d exceeded" % DEFAULT_NODE_BUDGET)
         if len(points) == s:
             if not any(remaining):
                 found[canonical_orbit(points, L)] = tuple(points)
@@ -156,18 +156,14 @@ def _values_from_products(support, A_nat, L: int):
     theta(i) theta(j) = A((j - i) mod L) since each lag is hit by one pair.
     """
     s = len(support)
-    pts = list(support)
+    pts = np.asarray(support)
     if s == 1:
         return np.array([np.sqrt(max(A_nat[0], 0.0))])
-    prod = {}
-    for a in range(s):
-        for b in range(s):
-            if a != b:
-                prod[(a, b)] = A_nat[(pts[b] - pts[a]) % L]
+    prod = A_nat[(pts[None, :] - pts[:, None]) % L]
     mags = np.empty(s)
     if s == 2:
         # x^2 y^2 = A(d)^2 and x^2 + y^2 = A(0): solve the quadratic in x^2
-        p, a0 = prod[(0, 1)], A_nat[0]
+        p, a0 = prod[0, 1], A_nat[0]
         disc = max(a0 * a0 - 4 * p * p, 0.0)
         u = (a0 + np.sqrt(disc)) / 2
         v = max(a0 - u, 0.0)
@@ -175,16 +171,16 @@ def _values_from_products(support, A_nat, L: int):
     else:
         for a in range(s):
             b, c = (a + 1) % s, (a + 2) % s
-            denom = prod[(b, c)]
+            denom = prod[b, c]
             if denom == 0:
                 return None
-            t2 = prod[(a, b)] * prod[(a, c)] / denom
+            t2 = prod[a, b] * prod[a, c] / denom
             if t2 < 0:
                 t2 = abs(t2)
             mags[a] = np.sqrt(t2)
     signs = np.ones(s)
     for a in range(1, s):
-        signs[a] = 1.0 if prod[(0, a)] >= 0 else -1.0
+        signs[a] = 1.0 if prod[0, a] >= 0 else -1.0
     return mags * signs
 
 

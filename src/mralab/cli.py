@@ -3,8 +3,7 @@ probe suites, and experiment scans.
 
 Dataset container format: magic "MRA2", little-endian u32 L, u64 n, f64 sigma,
 u8 dihedral (1 for the dihedral group, 0 for the cyclic one), then n*L
-row-major f64 observations in standard-parametrization order.  The older
-"MRA1" layout, the same without the group byte, is still read as cyclic.
+row-major f64 observations in standard-parametrization order.
 """
 from __future__ import annotations
 
@@ -22,8 +21,8 @@ from .ring import Signal
 from .spectral import second_moment_expansion_generators
 
 MAGIC = b"MRA2"
-#: magic -> header layout: u32 L, u64 n, f64 sigma, and in MRA2 u8 dihedral
-HEADERS = {b"MRA1": struct.Struct("<IQd"), MAGIC: struct.Struct("<IQdB")}
+#: header after the magic: u32 L, u64 n, f64 sigma, u8 dihedral
+HEADER = struct.Struct("<IQdB")
 #: the group byte's names, also the choices of --group
 GROUPS = ("cyclic", "dihedral")
 #: probe kind -> the config keys it reads; any other key is an error
@@ -40,27 +39,20 @@ PROBE_KEYS = {
 def write_container(path, data: Dataset):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(HEADERS[MAGIC].pack(data.L, data.n, data.config.sigma, data.config.dihedral))
+        fh.write(HEADER.pack(data.L, data.n, data.config.sigma, data.config.dihedral))
         fh.write(np.ascontiguousarray(data.observations, dtype="<f8").tobytes())
 
 
-def read_container(path, dihedral: bool | None = None) -> Dataset:
-    """Load a container.  An MRA2 header fixes the group, and an explicit
-    `dihedral` must agree with it; an MRA1 file is cyclic unless told otherwise."""
+def read_container(path) -> Dataset:
+    """Load a container; its header fixes the group."""
     with open(path, "rb") as fh:
-        head = HEADERS.get(fh.read(4))
-        if head is None:
+        if fh.read(4) != MAGIC:
             raise ValueError("not a dataset container (bad magic)")
-        header = fh.read(head.size)
-        if len(header) != head.size:
+        header = fh.read(HEADER.size)
+        if len(header) != HEADER.size:
             raise ValueError("truncated container: header has %d of %d bytes"
-                             % (len(header), head.size))
-        L, n, sigma, *group = head.unpack(header)
-        if group:
-            if dihedral is not None and dihedral != bool(group[0]):
-                raise ValueError("container records the %s group, but %s was requested"
-                                 % (GROUPS[not dihedral], GROUPS[dihedral]))
-            dihedral = bool(group[0])
+                             % (len(header), HEADER.size))
+        L, n, sigma, dihedral = HEADER.unpack(header)
         payload = fh.read(n * L * 8)
         if len(payload) != n * L * 8:
             raise ValueError("truncated container: expected %d payload bytes (n=%d, L=%d), got %d"
@@ -112,7 +104,10 @@ def _restricted_class_from_json(d: dict) -> RestrictedClass:
 
 
 def cmd_estimate(args):
-    data = read_container(args.data, None if args.group is None else args.group == "dihedral")
+    data = read_container(args.data)
+    if args.group is not None and args.group != GROUPS[data.config.dihedral]:
+        raise ValueError("container records the %s group, but %s was requested"
+                         % (GROUPS[data.config.dihedral], args.group))
     rclass = _restricted_class_from_json(_load_json(args.restriction))
     if args.init:
         init = Signal.from_json_dict(_load_json(args.init))
@@ -142,15 +137,19 @@ def cmd_pr_recover(args):
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("index"):
                 continue
-            i, v = line.split(",")
-            i = int(i)
+            try:
+                i, v = line.split(",")
+                i, v = int(i), float(v)
+            except ValueError:
+                raise ValueError("%s line %d: expected an 'index,value' row, got %r"
+                                 % (args.spectrum, lineno, line)) from None
             if not 0 <= i < args.L:
                 raise ValueError("%s line %d: index %d is outside 0..%d"
                                  % (args.spectrum, lineno, i, args.L - 1))
             if i in seen:
                 raise ValueError("%s line %d: index %d is repeated" % (args.spectrum, lineno, i))
             seen.add(i)
-            P[i] = float(v)
+            P[i] = v
     if len(seen) < args.L:
         raise ValueError("%s has no row for index %d"
                          % (args.spectrum, min(set(range(args.L)) - seen)))
@@ -162,8 +161,6 @@ def cmd_pr_recover(args):
 
 
 def _probe_report(kind: str, cfg: dict) -> dict:
-    if kind not in PROBE_KEYS:
-        raise ValueError("unknown probe %r" % (kind,))
     check_keys(kind, cfg, PROBE_KEYS[kind])
     seed = int(cfg.get("seed", 0))
     rng = np.random.default_rng(seed)
@@ -239,19 +236,14 @@ def cmd_probe(args):
 
 
 def cmd_scan(args):
-    cfg = experiments.ExperimentConfig.from_json_dict(_load_json(args.config))
+    cfg = experiments.ExperimentConfig(**_load_json(args.config))
     if experiments.SCENARIOS[cfg.scenario].subcommand != args.command:
         raise SystemExit("config scenario %r is not run by %s" % (cfg.scenario, args.command))
     result = experiments.run_experiment(cfg)
     if args.out_csv:
         result.to_csv(args.out_csv)
-    if args.out_json:
-        result.to_json(args.out_json)
-    else:
-        _dump_json(result.summary_dict(), None)
-    if result.fits.get("passes") is False:
-        return 2
-    return 0
+    _dump_json(result.summary_dict(), args.out_json)
+    return 2 if result.fits.get("passes") is False else 0
 
 
 def build_parser():

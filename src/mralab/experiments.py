@@ -93,6 +93,8 @@ class ExperimentConfig:
         _check_choice("kl.direction", self.kl.get("direction", "dilute"),
                       ("dilute", "adversarial"))
         if self.scenario == "sparsity-scan":
+            if self.signal is not None:
+                raise ValueError("a sparsity-scan draws its signals; drop the 'signal' field")
             if not self.s_grid:
                 raise ValueError("s_grid of a sparsity-scan must be nonempty")
             if len(self.sigma_grid) != 1:
@@ -105,10 +107,6 @@ class ExperimentConfig:
             if small:
                 raise ValueError("n_base %r gives fewer than 1 observation under n_rule %r "
                                  "at sigma %r" % (self.n_base, self.n_rule, small))
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(**d)
 
     def hash(self) -> str:
         return config_hash(asdict(self))
@@ -146,10 +144,6 @@ class ExperimentResult:
             "n_records": len(self.records),
             "fits": self.fits,
         }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, default=list)
 
 
 def fit_loglog_slope(x, y):

@@ -60,10 +60,6 @@ class Dataset:
     def L(self) -> int:
         return self.config.L
 
-    def iter_chunks(self):
-        for lo in range(0, self.n, DEFAULT_CHUNK):
-            yield self.observations[lo:lo + DEFAULT_CHUNK]
-
     def iter_norm_chunks(self):
         for lo in range(0, self.n, DEFAULT_CHUNK):
             yield self.observations[lo:lo + DEFAULT_CHUNK], self.sq_norms[lo:lo + DEFAULT_CHUNK]
@@ -86,15 +82,13 @@ class StreamingDataset:
     def L(self) -> int:
         return self.config.L
 
-    def iter_chunks(self):
+    def iter_norm_chunks(self):
         orbit = self.theta0.values[orbit_index(self.L, self.config.dihedral)]
         for c, lo in enumerate(range(0, self.n, DEFAULT_CHUNK)):
             m = min(DEFAULT_CHUNK, self.n - lo)
-            rng = np.random.default_rng((self.seed, c))
-            yield _draw_block(orbit, self.config, m, rng)[0]
-
-    def iter_norm_chunks(self):
-        return ((block, np.einsum("ij,ij->i", block, block)) for block in self.iter_chunks())
+            block = _draw_block(orbit, self.config, m, np.random.default_rng((self.seed, c)))[0]
+            yield block, np.einsum("ij,ij->i", block, block)
+            del block  # so that no block is alive while the next is drawn
 
 
 def _draw_block(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Generator):

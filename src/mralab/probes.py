@@ -50,7 +50,6 @@ class FrequencySet:
 
     L: int
     frequencies: frozenset
-    a: float | None = None
     c1_hat: float | None = None
     c2_hat: float | None = None
     spectral_floor: float | None = None
@@ -104,25 +103,21 @@ def _tiles(trials: int, L: int) -> list:
     return [slice(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
-def curvature_terms(theta0: Signal, rows: np.ndarray, dihedral: bool = False):
+def curvature_terms(theta0: Signal, rows: np.ndarray):
     """(||Delta_2(theta0 + h, theta0)||_F, rho(theta0 + h, theta0)) for each
-    row h of a trials x L matrix of standard-order values.
+    row h of a tile of standard-order values.
 
-    Per tile of rows, one rfft gives every Delta_2 norm from power spectra
-    (see `spectral`), and `ring.align_rows` gives the orbit distances.
+    One rfft gives every Delta_2 norm from power spectra (see `spectral`),
+    and `ring.align_rows` gives the cyclic orbit distances.
     """
     L = theta0.L
     p0 = np.abs(np.fft.rfft(theta0.values)) ** 2
     # bins 0 and L/2 hold one frequency each, every other bin both +xi and -xi
     k = np.arange(p0.size)
     weights = 2.0 - (k == 0) - (2 * k == L)
-    d2, r = np.empty(len(rows)), np.empty(len(rows))
-    for t in _tiles(len(rows), L):
-        thetas = theta0.values + rows[t]
-        dp = np.abs(np.fft.rfft(thetas)) ** 2 - p0
-        d2[t] = np.sqrt(dp**2 @ weights) / L
-        r[t] = align_rows(thetas, theta0, dihedral)[2]
-    return d2, r
+    thetas = theta0.values + rows
+    dp = np.abs(np.fft.rfft(thetas)) ** 2 - p0
+    return np.sqrt(dp**2 @ weights) / L, align_rows(thetas, theta0)[2]
 
 
 def _support_curvature(theta0: Signal, vals: np.ndarray):
@@ -196,7 +191,7 @@ def uup_sample(L: int, a: float, rng: np.random.Generator) -> FrequencySet:
         raise ValueError("need 0 < a <= L")
     mask = rng.random(L) < a / L
     freqs = frozenset(int(x) for x in std_indices(L)[mask])
-    return FrequencySet(L=L, frequencies=freqs, a=float(a))
+    return FrequencySet(L=L, frequencies=freqs)
 
 
 def _sparse_picks(L: int, s: int, trials: int, rng: np.random.Generator):
@@ -340,10 +335,10 @@ def moment_sandwich_probe(theta: Signal, phi: Signal, sigma_grid, n_mc: int,
     tol = 1e-10 * max(theta.norm(), phi.norm(), 1.0)
     if abs(theta.mean()) > tol or abs(phi.mean()) > tol:
         raise ValueError("both signals must be centered")
+    norms = [delta_m(theta, phi, m).frobenius() for m in (1, 2, 3)]
     rows = []
     for sigma in sigma_grid:
         kl, se = kl_monte_carlo(theta, phi, float(sigma), n_mc, rng)
-        norms = [delta_m(theta, phi, m).frobenius() for m in (1, 2, 3)]
         series = sum(norms[m - 1] ** 2 / ((3 * sigma**2) ** m * math.factorial(m))
                      for m in (1, 2, 3))
         rows.append({

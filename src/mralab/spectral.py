@@ -114,7 +114,7 @@ def _bispectrum_sum(f: np.ndarray) -> np.ndarray:
 def empirical_moments(data, order: int) -> MomentTensor:
     """Debiased sample moment of order 1, 2 or 3 of a Dataset or StreamingDataset.
 
-    One pass over data.iter_chunks(), with one FFT per block for orders 2
+    One pass over data.iter_norm_chunks(), with one FFT per block for orders 2
     and 3, so memory does not grow with n.  With sigma from data.config and
     y-hat the rows' DFT: order 1 is mean y-hat(0); order 2 is mean
     |y-hat|^2 - L sigma^2 on the plane; order 3 is the mean of
@@ -128,7 +128,7 @@ def empirical_moments(data, order: int) -> MomentTensor:
         raise ValueError("moment order must be 1, 2 or 3; got %r" % (order,))
     L, sigma = data.config.L, data.config.sigma
     n, total, acc = 0, 0.0, 0.0  # total = sum of y-hat(0) = sum of all entries
-    for block in data.iter_chunks():
+    for block, _ in data.iter_norm_chunks():
         n += block.shape[0]
         total += float(block.sum())
         if order > 1:

@@ -114,12 +114,13 @@ class TestSolveBeltway:
         for sup in sols:
             assert dict(difference_multiset(sup, 12)) == dict(p.multiplicities)
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
         rng = np.random.default_rng(0)
         sup = rng.choice(64, size=8, replace=False)
         p = DifferenceProfile.from_support(sup, 64)
-        with pytest.raises(SearchBudgetError):
-            solve_beltway(p, 8, node_budget=3)
+        monkeypatch.setattr(beltway, "DEFAULT_NODE_BUDGET", 3)
+        with pytest.raises(SearchBudgetError, match="node budget 3 exceeded"):
+            solve_beltway(p, 8)
 
     def test_exhaustive_oracle_agreement(self):
         rng = np.random.default_rng(1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mralab
-from mralab.cli import HEADERS, main, read_container, write_container
+from mralab.cli import main, read_container, write_container
 from mralab.gensig import DiluteClassSpec, gen_collision_free
 from mralab.mra import MraConfig, simulate
 from mralab.ring import Signal, varrho
@@ -38,26 +38,15 @@ class TestContainer:
         data = simulate(theta, MraConfig(5, 0.7, dihedral=True), 13, np.random.default_rng(0))
         p = tmp_path / "d.mra"
         write_container(p, data)
-        assert read_container(p, dihedral=True).config.dihedral
-        with pytest.raises(ValueError, match="records the dihedral group, but cyclic"):
-            read_container(p, dihedral=False)
         restr = tmp_path / "restr.json"
         _write_json(restr, {"kind": "none"})
-        with pytest.raises(ValueError, match="records the dihedral group"):
-            main(["estimate", "--data", str(p), "--restriction", str(restr),
-                  "--group", "cyclic", "--max-iters", "1"])
-
-    def test_mra1_still_reads(self, tmp_path):
-        obs = np.random.default_rng(1).normal(size=(3, 4))
-        p = tmp_path / "old.mra"
-        p.write_bytes(b"MRA1" + HEADERS[b"MRA1"].pack(4, 3, 0.5)
-                      + obs.astype("<f8").tobytes())
-        back = read_container(p)
-        assert back.L == 4 and back.n == 3 and back.config.sigma == 0.5
-        assert not back.config.dihedral
-        np.testing.assert_array_equal(back.observations, obs)
-        # an MRA1 header records no group, so an explicit one is taken as given
-        assert read_container(p, dihedral=True).config.dihedral
+        argv = ["estimate", "--data", str(p), "--restriction", str(restr), "--max-iters", "1",
+                "--out-signal", str(tmp_path / "hat.json")]
+        with pytest.raises(ValueError,
+                           match="records the dihedral group, but cyclic was requested"):
+            main(argv + ["--group", "cyclic"])
+        assert not (tmp_path / "hat.json").exists()
+        assert main(argv + ["--group", "dihedral"]) == 0
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.mra"
@@ -76,7 +65,7 @@ class TestContainer:
 
     def test_truncated_header_rejected(self, tmp_path):
         p = tmp_path / "d.mra"
-        p.write_bytes(b"MRA1" + b"\x00" * 7)
+        p.write_bytes(b"MRA2" + b"\x00" * 7)
         with pytest.raises(ValueError, match="truncated container"):
             read_container(p)
 
@@ -153,7 +142,11 @@ class TestPrRecover:
         (lambda rows: ["-21,1.0"] + rows[1:], "line 2: index -21 is outside 0..20"),
         (lambda rows: rows + ["3,0.0"], "line 23: index 3 is repeated"),
         (lambda rows: rows[:5] + rows[6:], "has no row for index 5"),
-    ], ids=["out-of-range", "repeated", "missing"])
+        (lambda rows: rows[:2] + ["2;1.0"] + rows[3:],
+         "line 4: expected an 'index,value' row, got '2;1.0'"),
+        (lambda rows: rows[:2] + ["2,abc"] + rows[3:],
+         "line 4: expected an 'index,value' row, got '2,abc'"),
+    ], ids=["out-of-range", "repeated", "missing", "no-comma", "not-a-number"])
     def test_bad_rows_rejected(self, tmp_path, edit, message):
         rows = ["%d,%.17g" % (i, v) for i, v in enumerate(power_spectrum(Signal.delta(21)))]
         csv_path = tmp_path / "spec.csv"
@@ -247,6 +240,18 @@ class TestScan:
         summary = json.loads(out_json.read_text())
         assert code == (0 if summary["fits"]["passes"] else 2)
         assert out_csv.exists()
+
+    def test_out_json_is_stdout(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        _write_json(p, {"scenario": "dilute-rate", "L": 11, "sigma_grid": [0.5, 1.0],
+                        "seed": 7, "n_base": 200, "n_rule": "fixed",
+                        "dilute": {"s": 3, "m": 1.0, "M": 1.05, "eps": 0.5},
+                        "em": {"max_iters": 10}})
+        out_json = tmp_path / "fit.json"
+        main(["rate-scan", "--config", str(p), "--out-json", str(out_json)])
+        assert capsys.readouterr().out == ""
+        main(["rate-scan", "--config", str(p)])
+        assert out_json.read_text() == capsys.readouterr().out
 
     def test_family_mismatch_rejected(self, tmp_path):
         p = self._kl_cfg(tmp_path, "dilute", 1000)

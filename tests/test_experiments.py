@@ -94,11 +94,18 @@ class TestConfig:
         ExperimentConfig(scenario="kl-curvature-scan", L=8, sigma_grid=(2.0,),
                          seed=0, signal=signal)
 
+    def test_sparsity_scan_rejects_signal(self):
+        # a sparsity-scan draws one signal per s, so a configured one would be ignored
+        signal = Signal.from_support(64, {0: 5.0, 3: 5.0}).to_json_dict()
+        with pytest.raises(ValueError, match="'signal'"):
+            ExperimentConfig(scenario="sparsity-scan", L=64, sigma_grid=(0.5,), seed=0,
+                             s_grid=(3,), signal=signal)
+
     def test_from_json_dict_round_trip(self):
         a = ExperimentConfig(scenario="kl-curvature-scan", L=8,
                              sigma_grid=(2.0, 4.0), seed=3,
                              kl={"direction": "dilute", "n_mc": 1000})
-        b = ExperimentConfig.from_json_dict(json.loads(json.dumps(
+        b = ExperimentConfig(**json.loads(json.dumps(
             {"scenario": a.scenario, "L": a.L, "sigma_grid": list(a.sigma_grid),
              "seed": a.seed, "kl": a.kl})))
         assert a.hash() == b.hash()
@@ -166,15 +173,13 @@ class TestRateScan:
     def test_csv_json_round_trip(self, tmp_path):
         res = run_experiment(ExperimentConfig(**SMALL_RATE))
         csv_path = tmp_path / "records.csv"
-        json_path = tmp_path / "summary.json"
         res.to_csv(csv_path)
-        res.to_json(json_path)
         import csv as csvmod
         with open(csv_path) as fh:
             rows = list(csvmod.DictReader(fh))
         assert len(rows) == len(res.records)
         assert float(rows[0]["sigma"]) == res.records[0]["sigma"]
-        summary = json.loads(json_path.read_text())
+        summary = json.loads(json.dumps(res.summary_dict(), sort_keys=True))
         assert summary["config_hash"] == res.config_hash
         assert summary["n_records"] == len(res.records)
 

@@ -80,8 +80,8 @@ class TestSimulate:
         theta = Signal(np.random.default_rng(8).normal(size=5))
         cfg = MraConfig(5, 0.5)
         ds = StreamingDataset(theta, cfg, 1000, seed=99)
-        a = np.concatenate(list(ds.iter_chunks()))
-        b = np.concatenate(list(ds.iter_chunks()))
+        a = np.concatenate([block for block, _ in ds.iter_norm_chunks()])
+        b = np.concatenate([block for block, _ in ds.iter_norm_chunks()])
         assert a.shape == (1000, 5)
         assert np.array_equal(a, b)
 
@@ -100,7 +100,7 @@ class TestSimulate:
         theta = Signal(np.random.default_rng(33).normal(size=7))
         cfg = MraConfig(7, 0.8)
         stream = StreamingDataset(theta, cfg, 1000, seed=5)
-        blocks = list(stream.iter_chunks())
+        blocks = [block for block, _ in stream.iter_norm_chunks()]
         assert [len(b) for b in blocks] == [128] * 7 + [104]
         memory = Dataset(np.concatenate(blocks), cfg)
         init = Signal(theta.values + 0.1)
