@@ -5,11 +5,18 @@ The support solver is the turnpike/beltway backtracking of Skiena, Smith &
 Lemke (1990), "Reconstructing sets from interpoint distances".  It anchors
 the pair (0, d_min) at the smallest lag, places further points in increasing
 order from a candidate list (the residues whose lags to every placed point
-are still unused), and checks the full multiset before each placement.
-Exponential worst case is accepted; desk-scale instances finish quickly.
+are still unused), and takes a point's lags from the remaining multiset one
+by one, giving them back at the first lag that is used up.  Mirror rule: the
+reflection y -> d_min - y (mod L) maps a solution anchored at (0, d_min) to
+another such solution and swaps its gap above d_min, p_3 - d_min, with its
+top gap, L - p_s; the search keeps only branches with p_3 - d_min <= L - p_s,
+so it walks one of each mirror pair (both when the gaps tie), and
+`canonical_orbit` merges what is left.  Exponential worst case is accepted;
+desk-scale instances finish quickly.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -115,38 +122,62 @@ def solve_beltway(profile: DifferenceProfile, s: int):
     remaining[(-d_min) % L] -= 1
     if remaining[d_min] < 0:
         return []
-    found = {}
+    found = set()
     nodes = [0]
+
+    def take(points, x):
+        """Use the lags x - y and L - (x - y) of x to every placed y < x.
+
+        Returns False, with nothing taken, if some lag is used up.  remaining
+        stays symmetric, remaining[d] == remaining[L - d], so checking d
+        covers both, and d = L/2 twice."""
+        for k, y in enumerate(points):
+            d = x - y
+            remaining[d] -= 1
+            remaining[L - d] -= 1
+            if remaining[d] < 0:
+                give_back(points[:k + 1], x)
+                return False
+        return True
+
+    def give_back(points, x):
+        for y in points:
+            remaining[x - y] += 1
+            remaining[L - x + y] += 1
 
     def backtrack(points, cands):
         """cands: sorted residues above points[-1] whose lags to every placed
-        point are still unused."""
+        point are still unused (and, from the fourth point on, within the
+        mirror bound)."""
         nodes[0] += 1
         if nodes[0] > DEFAULT_NODE_BUDGET:
             raise SearchBudgetError("node budget %d exceeded" % DEFAULT_NODE_BUDGET)
         if len(points) == s:
             if not any(remaining):
-                found[canonical_orbit(points, L)] = tuple(points)
+                found.add(canonical_orbit(points, L))
             return
         need = s - len(points)
         for i in range(len(cands) - need + 1):
             x = cands[i]
-            used: Counter = Counter()
-            for y in points:
-                used[(x - y) % L] += 1
-                used[(y - x) % L] += 1
-            if any(remaining[d] < m for d, m in used.items()):
+            end = len(cands)
+            if len(points) == 2:
+                # mirror rule: y -> d_min - y (mod L) fixes the anchor pair
+                # and swaps the gap x - d_min with the top gap L - p_s, so
+                # keep x - d_min <= L - p_s: x and every later point stay at
+                # or below L - (x - d_min)
+                top = L - (x - d_min)
+                if x > top:
+                    break
+                end = bisect_right(cands, top)
+            if not take(points, x):
                 continue
-            for d, m in used.items():
-                remaining[d] -= m
             points.append(x)
-            backtrack(points, [c for c in cands[i + 1:] if remaining[(c - x) % L]])
+            backtrack(points, [c for c in cands[i + 1:end] if remaining[c - x]])
             points.pop()
-            for d, m in used.items():
-                remaining[d] += m
+            give_back(points, x)
 
     backtrack([0, d_min], [c for c in range(d_min + 1, L)
-                           if remaining[c] and remaining[(c - d_min) % L]])
+                           if remaining[c] and remaining[c - d_min]])
     return sorted(found)
 
 
@@ -238,7 +269,12 @@ def recover_from_power_spectrum(P, s: int, m: float, tol: float = 1e-5):
     spectral residual is <= tol.
     """
     P = np.asarray(P, dtype=float)
-    if P.ndim != 1 or np.any(P < -1e-9 * max(1.0, P.max(initial=0.0))):
+    if P.ndim != 1:
+        raise ValueError("P must be a nonnegative vector")
+    bad = np.flatnonzero(~np.isfinite(P))
+    if bad.size:
+        raise ValueError("P[%d] = %r is not finite" % (bad[0], float(P[bad[0]])))
+    if np.any(P < -1e-9 * max(1.0, P.max(initial=0.0))):
         raise ValueError("P must be a nonnegative vector")
     L = P.size
     P_nat = Signal(P).natural()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import struct
 import sys
 
@@ -53,11 +54,13 @@ def read_container(path) -> Dataset:
             raise ValueError("truncated container: header has %d of %d bytes"
                              % (len(header), HEADER.size))
         L, n, sigma, dihedral = HEADER.unpack(header)
-        payload = fh.read(n * L * 8)
-        if len(payload) != n * L * 8:
+        # compare with the bytes on disk before reading, so a corrupt
+        # header cannot ask for an unrepresentable or huge read
+        need, left = n * L * 8, os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < need:
             raise ValueError("truncated container: expected %d payload bytes (n=%d, L=%d), got %d"
-                             % (n * L * 8, n, L, len(payload)))
-        obs = np.frombuffer(payload, dtype="<f8").reshape(n, L)
+                             % (need, n, L, left))
+        obs = np.frombuffer(fh.read(need), dtype="<f8").reshape(n, L)
     return Dataset(obs.astype(float), MraConfig(int(L), float(sigma), bool(dihedral)))
 
 
@@ -143,6 +146,9 @@ def cmd_pr_recover(args):
             except ValueError:
                 raise ValueError("%s line %d: expected an 'index,value' row, got %r"
                                  % (args.spectrum, lineno, line)) from None
+            if not np.isfinite(v):
+                raise ValueError("%s line %d: value %r is not finite"
+                                 % (args.spectrum, lineno, v))
             if not 0 <= i < args.L:
                 raise ValueError("%s line %d: index %d is outside 0..%d"
                                  % (args.spectrum, lineno, i, args.L - 1))

@@ -122,16 +122,17 @@ def _softmax(c: np.ndarray, weights: bool = True):
     return top + np.log(mass), c
 
 
-def _posteriors(theta: Signal, data):
+def _posteriors(theta: Signal, data, idx):
     """(observations, log-densities, posterior weights) for each block of the
-    data, under the model of data.config.  Consumers drop each triple before
-    the next, as this generator does, so none is alive while a stream draws.
+    data, under the model of data.config, whose `orbit_index` the caller
+    passes as idx.  Consumers drop each triple before the next, as this
+    generator does, so none is alive while a stream draws.
     With c[G, i] = <y_i, G theta> / sigma^2, ||y_i - G theta||^2 / (2 sigma^2) =
     (||y_i||^2 + ||theta||^2) / (2 sigma^2) - c[G, i], so the weights, shape
     (|G|, n), are the softmax of c over G."""
     cfg = data.config
     sig2 = cfg.sigma**2
-    orbit = (theta.values / sig2)[orbit_index(cfg.L, cfg.dihedral)]
+    orbit = (theta.values / sig2)[idx]
     tsq = theta.norm() ** 2
     for block, ysq in data.iter_norm_chunks():
         lse, w = _softmax(orbit @ block.T)
@@ -144,7 +145,8 @@ def _posteriors(theta: Signal, data):
 def log_likelihood(theta: Signal, data) -> float:
     """Sum of observation log-densities over the dataset (0 when empty)."""
     total = 0.0
-    for block, log_dens, w in _posteriors(theta, data):
+    idx = orbit_index(data.config.L, data.config.dihedral)
+    for block, log_dens, w in _posteriors(theta, data, idx):
         total += np.sum(log_dens)
         del block, log_dens, w
     return float(total)
@@ -322,7 +324,7 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
     for iters in range(1, max_iters + 1):
         S = np.zeros(idx.shape)
         ll = 0.0
-        for block, log_dens, w in _posteriors(theta, data):
+        for block, log_dens, w in _posteriors(theta, data, idx):
             ll += float(np.sum(log_dens))
             S += w @ block
             del block, log_dens, w
@@ -340,7 +342,7 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
             break
     final_ll = 0.0
     group_size = 0.0
-    for block, log_dens, w in _posteriors(theta, data):
+    for block, log_dens, w in _posteriors(theta, data, idx):
         final_ll += float(np.sum(log_dens))
         # entropy -sum w log w, with 0 log 0 = 0 for weights that underflowed
         entropy = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=0)

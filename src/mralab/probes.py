@@ -234,13 +234,16 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     check_uup_sizes(L, s, trials)
     picks, vals = _sparse_picks(L, s, trials, rng)
     nat = lam.natural_indices()
-    # |h-hat|^2 is even in xi, so frequency n sits in rfft bin min(n, L - n)
-    bins = np.minimum(nat, L - nat)
+    # |h-hat|^2 is even in xi, so frequency n sits in rfft bin min(n, L - n);
+    # w[b] is the share of the set's frequencies in bin b
+    w = np.bincount(np.minimum(nat, L - nat), minlength=L // 2 + 1) / nat.size
     ratios = np.empty(trials)
     for t in _tiles(trials, L):
         rows = np.zeros((t.stop - t.start, L))
         np.put_along_axis(rows, picks[t], vals[t], axis=1)
-        ratios[t] = np.mean(np.abs(np.fft.rfft(rows)[:, bins]) ** 2, axis=1)
+        f = np.fft.rfft(rows)
+        # a per-row sum, so a row scores the same in any tile
+        ratios[t] = np.sum((f.real**2 + f.imag**2) * w, axis=1)
     return float(ratios.min()), float(ratios.max())
 
 

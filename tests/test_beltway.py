@@ -172,6 +172,43 @@ class TestSolveBeltway:
             checked += 1
 
 
+class TestMirrorPruning:
+    """Oracle agreement at s = 6-7, where the mirror rule cuts branches from
+    the third point on."""
+
+    def test_random_oracle_agreement(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            s = int(rng.integers(6, 8))
+            L = int(rng.integers(s + 1, 17))
+            sup = rng.choice(L, size=s, replace=False)
+            p = DifferenceProfile.from_support(sup, L)
+            got = solve_beltway(p, s)
+            assert got == brute_force_solutions(p, s), (L, sorted(sup))
+            assert canonical_orbit(sup, L) in got
+
+    @pytest.mark.parametrize("L, support", [
+        (12, (0, 1, 2, 4, 7, 9)),         # smallest lag 1 occurs twice
+        (14, (0, 1, 2, 3, 5, 8, 11)),     # smallest lag 1 occurs three times
+        (16, (0, 2, 5, 8, 10, 13)),       # fixed by y -> 2 - y: the gaps tie
+        (16, (0, 2, 5, 7, 10, 13)),       # the gaps tie, not fixed by the mirror
+        (15, (0, 1, 3, 5, 8, 11, 13)),    # fixed by y -> 1 - y, odd L
+        (12, (0, 1, 3, 6, 7, 9)),         # three pairs at lag L/2, each taken twice
+        (16, (0, 1, 2, 8, 9, 10, 13)),    # lag 1 four times, lag L/2 six times
+    ])
+    def test_edge_cases_match_oracle(self, L, support):
+        p = DifferenceProfile.from_support(support, L)
+        got = solve_beltway(p, len(support))
+        assert got == brute_force_solutions(p, len(support))
+        assert canonical_orbit(support, L) in got
+
+    @pytest.mark.parametrize("L, s", [(12, 6), (14, 7), (16, 7)])
+    def test_half_period_smallest_lag(self, L, s):
+        # d_min = L/2 leaves only the lag L/2, which no s >= 3 points realize
+        p = DifferenceProfile(L, Counter({L // 2: s * (s - 1)}))
+        assert solve_beltway(p, s) == brute_force_solutions(p, s) == []
+
+
 class TestMaxCollisionFreeSize:
     def test_small_values(self):
         assert max_collision_free_size(2) == 1
@@ -242,6 +279,14 @@ class TestRecovery:
                                              self.SPEC.m, tol=1e-8):
             nz = c.natural()[c.natural() != 0]
             assert nz[0] > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spectrum_rejected(self, bad):
+        rng = np.random.default_rng(8)
+        P = power_spectrum(gen_collision_free(self.SPEC, rng)).copy()
+        P[2] = P[7] = bad
+        with pytest.raises(ValueError, match=r"P\[2\] = -?(nan|inf) is not finite"):
+            recover_from_power_spectrum(P, self.SPEC.s, self.SPEC.m)
 
     def test_inconsistent_threshold_detected(self):
         # a flat spectrum of the wrong scale thresholds to the wrong lag count

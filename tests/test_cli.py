@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -67,6 +68,15 @@ class TestContainer:
         p = tmp_path / "d.mra"
         p.write_bytes(b"MRA2" + b"\x00" * 7)
         with pytest.raises(ValueError, match="truncated container"):
+            read_container(p)
+
+    def test_huge_header_rejected_before_reading(self, tmp_path):
+        # 25 bytes: magic and a header claiming L = 2^32 - 1, n = 2^63, no payload
+        p = tmp_path / "d.mra"
+        p.write_bytes(b"MRA2" + struct.pack("<IQdB", 2**32 - 1, 2**63, 1.0, 0))
+        assert p.stat().st_size == 25
+        with pytest.raises(ValueError, match="truncated container: expected %d payload bytes"
+                                             % ((2**32 - 1) * 2**63 * 8)):
             read_container(p)
 
 
@@ -146,7 +156,9 @@ class TestPrRecover:
          "line 4: expected an 'index,value' row, got '2;1.0'"),
         (lambda rows: rows[:2] + ["2,abc"] + rows[3:],
          "line 4: expected an 'index,value' row, got '2,abc'"),
-    ], ids=["out-of-range", "repeated", "missing", "no-comma", "not-a-number"])
+        (lambda rows: rows[:2] + ["2,nan"] + rows[3:], "line 4: value nan is not finite"),
+        (lambda rows: rows[:2] + ["2,inf"] + rows[3:], "line 4: value inf is not finite"),
+    ], ids=["out-of-range", "repeated", "missing", "no-comma", "not-a-number", "nan", "inf"])
     def test_bad_rows_rejected(self, tmp_path, edit, message):
         rows = ["%d,%.17g" % (i, v) for i, v in enumerate(power_spectrum(Signal.delta(21)))]
         csv_path = tmp_path / "spec.csv"
