@@ -5,8 +5,8 @@ restricted-MLE EM, curvature probes, and an experiment harness.
 
 from .ring import GroupElement, Signal, align, reflect, rho, shift, varrho
 from .spectral import MomentTensor, delta_m, empirical_moments, power_spectrum
-from .gensig import (DiluteClassSpec, difference_multiset, gen_collision_free,
-                     gen_symm_bernoulli_gaussian, gen_symm_interval, is_collision_free)
+from .gensig import (DiluteClassSpec, gen_collision_free, gen_symm_bernoulli_gaussian,
+                     gen_symm_interval, is_collision_free, lag_counts)
 from .beltway import DifferenceProfile, recover_from_power_spectrum, solve_beltway
 from .mra import (Dataset, MraConfig, RestrictedClass, em_restricted_mle,
                   kl_monte_carlo, log_likelihood, simulate)

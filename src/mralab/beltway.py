@@ -1,5 +1,6 @@
 """Recovery of point sets on the discrete circle from pairwise difference
-multisets, and of sparse signals from their power spectra.
+multisets, and of sparse signals from their power spectra.  A multiset is a
+`DifferenceProfile`, the validated lag-count array of `gensig.lag_counts`.
 
 The support solver is the turnpike/beltway backtracking of Skiena, Smith &
 Lemke (1990), "Reconstructing sets from interpoint distances".  It anchors
@@ -17,12 +18,11 @@ desk-scale instances finish quickly.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gensig import difference_multiset
+from .gensig import lag_counts
 from .ring import Signal
 
 #: node budget of the backtracking solver, read at each call
@@ -39,45 +39,51 @@ class ProfileInconsistencyError(ValueError):
 
 @dataclass
 class DifferenceProfile:
-    """Multiset of nonzero cyclic differences, mult(d) = mult(-d)."""
+    """Multiset of nonzero cyclic differences as lag counts: counts[d] is the
+    multiplicity of lag d, with counts[0] == 0 and counts[d] == counts[-d]."""
 
     L: int
-    multiplicities: Counter = field(default_factory=Counter)
+    counts: np.ndarray
 
     def __post_init__(self):
-        clean: Counter = Counter()
-        for d, m in self.multiplicities.items():
-            d = int(d) % self.L
-            if d == 0:
-                raise ValueError("difference profiles exclude 0")
-            if m < 0:
-                raise ValueError("negative multiplicity")
-            if m > 0:
-                clean[d] = int(m)
-        for d, m in clean.items():
-            if clean[(-d) % self.L] != m:
-                raise ValueError("profile must satisfy mult(d) = mult(-d)")
-        self.multiplicities = clean
+        counts = np.asarray(self.counts)
+        if self.L < 1 or counts.shape != (self.L,) or counts.dtype.kind not in "iu":
+            raise ValueError("counts must be %d integers, one per lag" % self.L)
+        # checked as a list: numpy reductions here raised pr-recover's peak RSS
+        c = counts.tolist()
+        if c[0]:
+            raise ValueError("difference profiles exclude 0")
+        if min(c) < 0:
+            raise ValueError("negative multiplicity")
+        if c != [c[-d] for d in range(self.L)]:
+            raise ValueError("profile must satisfy mult(d) = mult(-d)")
+        self.counts = counts
 
     @classmethod
     def from_support(cls, support, L: int) -> "DifferenceProfile":
-        if len(set(int(i) % L for i in support)) <= 1:
-            return cls(L, Counter())
-        return cls(L, difference_multiset(support, L))
-
-    def total(self) -> int:
-        return sum(self.multiplicities.values())
+        return cls(L, lag_counts(support, L))
 
     def to_json_dict(self) -> dict:
-        return {
-            "L": self.L,
-            "differences": sorted(self.multiplicities),
-            "multiplicities": [self.multiplicities[d] for d in sorted(self.multiplicities)],
-        }
+        lags = np.flatnonzero(self.counts)
+        return {"L": self.L, "differences": lags.tolist(),
+                "multiplicities": self.counts[lags].tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DifferenceProfile":
-        return cls(int(d["L"]), Counter(dict(zip(d["differences"], d["multiplicities"]))))
+        """Read two integer lists of equal length, each residue mod L given once."""
+        L, lags, mults = int(d["L"]), d["differences"], d["multiplicities"]
+        if len(lags) != len(mults):
+            raise ValueError("%d differences but %d multiplicities" % (len(lags), len(mults)))
+        bad = [v for v in list(lags) + list(mults) if not isinstance(v, int)]
+        if bad:
+            raise ValueError("differences and multiplicities must be integers, got %r" % bad[0])
+        res = [k % L for k in lags]
+        twice = [r for r in res if res.count(r) > 1]
+        if twice:
+            raise ValueError("residue %d mod %d is given twice" % (twice[0], L))
+        counts = np.zeros(L, dtype=np.int64)
+        counts[res] = mults
+        return cls(L, counts)
 
 
 def canonical_orbit(support, L: int) -> tuple:
@@ -102,10 +108,9 @@ def solve_beltway(profile: DifferenceProfile, s: int):
     L = profile.L
     if s < 1:
         raise ValueError("target size must be >= 1")
-    if profile.total() != s * (s - 1):
-        raise ValueError(
-            "profile has %d differences, need s(s-1) = %d" % (profile.total(), s * (s - 1))
-        )
+    total = int(profile.counts.sum())
+    if total != s * (s - 1):
+        raise ValueError("profile has %d differences, need s(s-1) = %d" % (total, s * (s - 1)))
     if s == 1:
         return [(0,)]
 
@@ -113,13 +118,11 @@ def solve_beltway(profile: DifferenceProfile, s: int):
     # (0, d_min).  No point lies strictly between them, since its lag to 0
     # would be smaller than d_min, so further points are placed in increasing
     # order above d_min.
-    d_min = min(profile.multiplicities)
+    d_min = int(np.flatnonzero(profile.counts)[0])
     # remaining[d]: multiplicity of lag d not yet used by a placed pair
-    remaining = [0] * L
-    for d, m in profile.multiplicities.items():
-        remaining[d] = m
+    remaining = profile.counts.tolist()
     remaining[d_min] -= 1
-    remaining[(-d_min) % L] -= 1
+    remaining[L - d_min] -= 1
     if remaining[d_min] < 0:
         return []
     found = set()
@@ -205,13 +208,9 @@ def _values_from_products(support, A_nat, L: int):
             denom = prod[b, c]
             if denom == 0:
                 return None
-            t2 = prod[a, b] * prod[a, c] / denom
-            if t2 < 0:
-                t2 = abs(t2)
-            mags[a] = np.sqrt(t2)
-    signs = np.ones(s)
-    for a in range(1, s):
-        signs[a] = 1.0 if prod[0, a] >= 0 else -1.0
+            mags[a] = np.sqrt(abs(prod[a, b] * prod[a, c] / denom))
+    signs = np.where(prod[0] >= 0, 1.0, -1.0)
+    signs[0] = 1.0
     return mags * signs
 
 
@@ -279,13 +278,13 @@ def recover_from_power_spectrum(P, s: int, m: float, tol: float = 1e-5):
     L = P.size
     P_nat = Signal(P).natural()
     A_nat = np.real(np.fft.ifft(P_nat))
-    lags = [d for d in range(1, L) if abs(A_nat[d]) > m**2 / 2]
-    if len(lags) != s * (s - 1) and s > 1:
+    counts = (np.abs(A_nat) > m**2 / 2).astype(np.int64)
+    counts[0] = 0
+    if counts.sum() != s * (s - 1) and s > 1:
         raise ProfileInconsistencyError(
-            "thresholding found %d lags, expected s(s-1) = %d" % (len(lags), s * (s - 1))
+            "thresholding found %d lags, expected s(s-1) = %d" % (counts.sum(), s * (s - 1))
         )
-    profile = DifferenceProfile(L, Counter({d: 1 for d in lags}))
-    supports = solve_beltway(profile, s)
+    supports = solve_beltway(DifferenceProfile(L, counts), s)
     p_norm = float(np.linalg.norm(P_nat))
     out = []
     for sup in supports:

@@ -1,10 +1,12 @@
 """Signal generators for the dilute and moderate sparsity regimes, plus
 the collision-freeness test of a support.
+
+A support's difference multiset is held as one length-L int array of lag
+counts (`lag_counts`), the form `beltway` solves from and `probes` tests.
 """
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,59 +52,32 @@ class DiluteClassSpec:
         return float(np.sqrt(2 * self.eps / (2 + self.eps)))
 
 
-def difference_multiset(support, L: int) -> Counter:
-    """All ordered pairwise differences i - j (i != j) mod L, with multiplicities.
-
-    Keys are natural residues in 1..L-1.
-    """
-    pts = sorted(int(i) % L for i in support)
-    if not pts:
+def lag_counts(support, L: int) -> np.ndarray:
+    """The difference multiset of a support (points mod L, repeats once) as a
+    length-L int array: counts[d] ordered pairs of points with i - j = d mod L,
+    so counts[0] == 0 and counts[d] == counts[-d]."""
+    pts = np.flatnonzero(np.bincount(np.fromiter(support, dtype=np.int64) % L))
+    if not pts.size:
         raise ValueError("support must be nonempty")
-    out: Counter = Counter()
-    for i in pts:
-        for j in pts:
-            if i != j:
-                out[(i - j) % L] += 1
-    return out
+    counts = np.bincount(((pts[:, None] - pts) % L).ravel(), minlength=L)
+    counts[0] = 0
+    return counts
 
 
 def is_collision_free(support, L: int) -> bool:
-    """True iff every nonzero cyclic difference of the support occurs exactly once."""
-    pts = set(int(i) % L for i in support)
-    if not pts:
-        raise ValueError("support must be nonempty")
-    if len(pts) == 1:
-        return True
-    diffs = difference_multiset(pts, L)
-    return max(diffs.values()) == 1
-
-
-def fresh_lags(x: int, points, used: set, L: int):
-    """The set of lags +-(x - y) mod L to the points y, or None when one of
-    them repeats: a lag in `used`, another new lag, or 0."""
-    new = set()
-    for y in points:
-        d1, d2 = (x - y) % L, (y - x) % L
-        # d1 == d2 (lag 0, or L/2) is a repeated difference all by itself
-        if d1 == d2 or d1 in used or d2 in used or d1 in new or d2 in new:
-            return None
-        new.add(d1)
-        new.add(d2)
-    return new
+    """True iff every nonzero cyclic difference of the support occurs at most once."""
+    return bool(lag_counts(support, L).max() <= 1)
 
 
 def _greedy_collision_free(L: int, s: int, rng: np.random.Generator):
     """Incrementally add random points that keep the difference multiset simple."""
     pts = [int(rng.integers(L))]
-    seen = set()
     candidates = list(range(L))
     for _ in range(s - 1):
         rng.shuffle(candidates)
         for x in candidates:
-            new = fresh_lags(x, pts, seen, L)
-            if new is not None:
+            if x not in pts and is_collision_free(pts + [x], L):
                 pts.append(x)
-                seen |= new
                 break
         else:
             return None
@@ -113,13 +88,12 @@ def gen_collision_free(spec: DiluteClassSpec, rng: np.random.Generator) -> Signa
     """Draw a dilute-class signal: collision-free support of size s, magnitudes
     uniform in [m, M] with independent random signs."""
     L, s = spec.L, spec.s
-    support = None
     for _ in range(COLLISION_FREE_RETRY_BUDGET):
         cand = rng.choice(L, size=s, replace=False)
         if is_collision_free(cand, L):
             support = [int(c) for c in cand]
             break
-    if support is None:
+    else:
         support = _greedy_collision_free(L, s, rng)
     if support is None:
         raise GenerationError(

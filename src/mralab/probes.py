@@ -117,7 +117,8 @@ def curvature_terms(theta0: Signal, rows: np.ndarray):
     weights = 2.0 - (k == 0) - (2 * k == L)
     thetas = theta0.values + rows
     dp = np.abs(np.fft.rfft(thetas)) ** 2 - p0
-    return np.sqrt(dp**2 @ weights) / L, align_rows(thetas, theta0)[2]
+    # a per-row sum, unlike a BLAS mat-vec, gives a row the same bits in any tile
+    return np.sqrt(np.sum(dp**2 * weights, axis=1)) / L, align_rows(thetas, theta0)[2]
 
 
 def _support_curvature(theta0: Signal, vals: np.ndarray):

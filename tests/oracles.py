@@ -1,11 +1,12 @@
 """Dense and direct-sum oracles that the package's Fourier-domain code is
 tested against, the divide-after-product posterior that its scaled-orbit
-kernel is tested against, and the exhaustive group, cosine-functional and
-collision-free-size references of the paper's claims.  None of them calls
-np.fft except `dense`, which reads a moment tensor back in full."""
+kernel is tested against, the double-loop lag counts and set-based greedy
+builder that `gensig` is tested against, and the exhaustive group,
+cosine-functional and collision-free-size references of the paper's claims.
+None of them calls np.fft except `dense`, which reads a moment tensor back in
+full."""
 import numpy as np
 
-from mralab.gensig import fresh_lags
 from mralab.ring import GroupElement, Signal, orbit_index, std_indices, std_offset
 from mralab.spectral import MomentTensor, _plane
 
@@ -39,6 +40,53 @@ def cosine_functional_all(xi_set, L: int) -> np.ndarray:
         return np.full(L, has_zero)
     c = np.cos(2 * np.pi * np.outer(a, ks) / L)
     return has_zero + 2 * np.sum(c * c, axis=1)
+
+
+def difference_multiset(support, L: int) -> np.ndarray:
+    """Lag counts of the distinct points of a support mod L, by a pure-Python
+    double loop over ordered pairs."""
+    pts = sorted(set(int(i) % L for i in support))
+    if not pts:
+        raise ValueError("support must be nonempty")
+    out = [0] * L
+    for i in pts:
+        for j in pts:
+            if i != j:
+                out[(i - j) % L] += 1
+    return np.array(out)
+
+
+def fresh_lags(x: int, points, used: set, L: int):
+    """The set of lags +-(x - y) mod L to the points y, or None when one of
+    them repeats: a lag in `used`, another new lag, or 0."""
+    new = set()
+    for y in points:
+        d1, d2 = (x - y) % L, (y - x) % L
+        # d1 == d2 (lag 0, or L/2) is a repeated difference all by itself
+        if d1 == d2 or d1 in used or d2 in used or d1 in new or d2 in new:
+            return None
+        new.add(d1)
+        new.add(d2)
+    return new
+
+
+def greedy_collision_free(L: int, s: int, rng: np.random.Generator):
+    """Random greedy collision-free support that tracks its used lags in a set:
+    one shuffle of range(L) per added point, first fresh candidate taken."""
+    pts = [int(rng.integers(L))]
+    seen = set()
+    candidates = list(range(L))
+    for _ in range(s - 1):
+        rng.shuffle(candidates)
+        for x in candidates:
+            new = fresh_lags(x, pts, seen, L)
+            if new is not None:
+                pts.append(x)
+                seen |= new
+                break
+        else:
+            return None
+    return pts
 
 
 def max_collision_free_size(L: int) -> int:

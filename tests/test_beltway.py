@@ -1,4 +1,3 @@
-from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -9,12 +8,11 @@ from mralab import beltway
 from mralab.beltway import (DifferenceProfile, ProfileInconsistencyError,
                             SearchBudgetError, canonical_orbit,
                             recover_from_power_spectrum, solve_beltway)
-from mralab.gensig import (DiluteClassSpec, difference_multiset,
-                           gen_collision_free, is_collision_free)
+from mralab.gensig import DiluteClassSpec, gen_collision_free, is_collision_free
 from mralab.probes import _support_curvature, adversarial_direction
 from mralab.ring import Signal, varrho
 from mralab.spectral import power_spectrum
-from oracles import max_collision_free_size
+from oracles import difference_multiset, max_collision_free_size
 
 
 def local_uniqueness_probe(theta0: Signal, radius: float, trials: int,
@@ -46,12 +44,18 @@ def local_uniqueness_probe(theta0: Signal, radius: float, trials: int,
 def brute_force_solutions(profile: DifferenceProfile, s: int):
     """All orbits from exhaustive subset enumeration."""
     L = profile.L
-    target = dict(profile.multiplicities)
     orbits = set()
     for cand in combinations(range(L), s):
-        if s == 1 or dict(difference_multiset(cand, L)) == target:
+        if np.array_equal(difference_multiset(cand, L), profile.counts):
             orbits.add(canonical_orbit(cand, L))
     return sorted(orbits)
+
+
+def counts(L: int, mults: dict) -> np.ndarray:
+    """Lag counts with the given multiplicities and 0 elsewhere."""
+    c = np.zeros(L, dtype=np.int64)
+    c[list(mults)] = list(mults.values())
+    return c
 
 
 def orbit_distance(theta, cand, dihedral=True):
@@ -62,21 +66,56 @@ def orbit_distance(theta, cand, dihedral=True):
 class TestDifferenceProfile:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
-            DifferenceProfile(7, Counter({1: 1}))
+            DifferenceProfile(7, counts(7, {1: 1}))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            DifferenceProfile(7, Counter({0: 1, 1: 1, 6: 1}))
+            DifferenceProfile(7, counts(7, {0: 1, 1: 1, 6: 1}))
 
     def test_from_support(self):
         p = DifferenceProfile.from_support({0, 1, 3}, 7)
-        assert p.total() == 6
-        assert all(m == 1 for m in p.multiplicities.values())
+        assert p.counts.tolist() == [0, 1, 1, 1, 1, 1, 1]
+        # one point has no lags
+        assert not DifferenceProfile.from_support({4, 11}, 7).counts.any()
 
     def test_json_round_trip(self):
         p = DifferenceProfile.from_support({0, 2, 3}, 9)
         q = DifferenceProfile.from_json_dict(p.to_json_dict())
-        assert q.L == p.L and q.multiplicities == p.multiplicities
+        assert q.L == p.L and np.array_equal(q.counts, p.counts)
+        assert p.to_json_dict() == {"L": 9, "differences": [1, 2, 3, 6, 7, 8],
+                                    "multiplicities": [1, 1, 1, 1, 1, 1]}
+
+    def test_counts_shape_and_sign_enforced(self):
+        with pytest.raises(ValueError, match="7 integers"):
+            DifferenceProfile(7, np.zeros(6, dtype=int))
+        with pytest.raises(ValueError, match="7 integers"):
+            DifferenceProfile(7, np.zeros(7))
+        with pytest.raises(ValueError, match="0 integers"):
+            DifferenceProfile.from_json_dict({"L": 0, "differences": [], "multiplicities": []})
+        with pytest.raises(ValueError, match="negative"):
+            DifferenceProfile(7, counts(7, {1: -1, 6: -1}))
+
+    def test_json_unequal_lengths_rejected(self):
+        # a 7th multiplicity for 6 differences
+        with pytest.raises(ValueError, match="6 differences but 7 multiplicities"):
+            DifferenceProfile.from_json_dict({"L": 7, "differences": [1, 2, 3, 4, 5, 6],
+                                              "multiplicities": [1] * 7})
+
+    def test_json_residue_twice_rejected(self):
+        # 1 and 8 are the same residue mod 7
+        with pytest.raises(ValueError, match="residue 1 mod 7 is given twice"):
+            DifferenceProfile.from_json_dict({"L": 7, "differences": [1, 6, 8, 13],
+                                              "multiplicities": [1, 1, 1, 1]})
+
+    def test_json_repeated_difference_rejected(self):
+        with pytest.raises(ValueError, match="residue 1 mod 7 is given twice"):
+            DifferenceProfile.from_json_dict({"L": 7, "differences": [1, 6, 1, 6],
+                                              "multiplicities": [5, 5, 1, 1]})
+
+    def test_json_non_integer_multiplicity_rejected(self):
+        with pytest.raises(ValueError, match="must be integers, got 1.7"):
+            DifferenceProfile.from_json_dict({"L": 7, "differences": [1, 6],
+                                              "multiplicities": [1.7, 1.2]})
 
 
 class TestCanonicalOrbit:
@@ -92,7 +131,7 @@ class TestCanonicalOrbit:
 
 class TestSolveBeltway:
     def test_two_point(self):
-        p = DifferenceProfile(9, Counter({2: 1, 7: 1}))
+        p = DifferenceProfile(9, counts(9, {2: 1, 7: 1}))
         assert solve_beltway(p, 2) == [(0, 2)]
 
     def test_perfect_difference_set(self):
@@ -100,7 +139,7 @@ class TestSolveBeltway:
         assert solve_beltway(p, 3) == [(0, 1, 3)]
 
     def test_singleton(self):
-        assert solve_beltway(DifferenceProfile(5, Counter()), 1) == [(0,)]
+        assert solve_beltway(DifferenceProfile(5, counts(5, {})), 1) == [(0,)]
 
     def test_count_mismatch_rejected(self):
         p = DifferenceProfile.from_support({0, 1, 3}, 7)
@@ -109,10 +148,10 @@ class TestSolveBeltway:
 
     def test_infeasible_profile_empty(self):
         # multiplicity 2 at distance 1 but support of size 2 cannot do that
-        p = DifferenceProfile(12, Counter({1: 1, 11: 1, 2: 1, 10: 1, 5: 1, 7: 1}))
+        p = DifferenceProfile(12, counts(12, {1: 1, 11: 1, 2: 1, 10: 1, 5: 1, 7: 1}))
         sols = solve_beltway(p, 3)
         for sup in sols:
-            assert dict(difference_multiset(sup, 12)) == dict(p.multiplicities)
+            assert np.array_equal(difference_multiset(sup, 12), p.counts)
 
     def test_budget_error(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -137,7 +176,7 @@ class TestSolveBeltway:
             assert got == want, (L, sorted(sup))
             assert canonical_orbit(sup, L) in got
             for cand in got:
-                assert dict(difference_multiset(cand, L)) == dict(p.multiplicities)
+                assert np.array_equal(difference_multiset(cand, L), p.counts)
             checked += 1
 
     @pytest.mark.parametrize("L, support", [
@@ -155,7 +194,7 @@ class TestSolveBeltway:
 
     def test_half_period_profile_infeasible_for_three_points(self):
         # six copies of the lag L/2 fit no 3-point set
-        p = DifferenceProfile(8, Counter({4: 6}))
+        p = DifferenceProfile(8, counts(8, {4: 6}))
         assert solve_beltway(p, 3) == brute_force_solutions(p, 3) == []
 
     def test_exhaustive_oracle_agreement_wide(self):
@@ -205,7 +244,7 @@ class TestMirrorPruning:
     @pytest.mark.parametrize("L, s", [(12, 6), (14, 7), (16, 7)])
     def test_half_period_smallest_lag(self, L, s):
         # d_min = L/2 leaves only the lag L/2, which no s >= 3 points realize
-        p = DifferenceProfile(L, Counter({L // 2: s * (s - 1)}))
+        p = DifferenceProfile(L, counts(L, {L // 2: s * (s - 1)}))
         assert solve_beltway(p, s) == brute_force_solutions(p, s) == []
 
 

@@ -1,28 +1,38 @@
 import numpy as np
 import pytest
 
-from mralab.gensig import (DiluteClassSpec, difference_multiset, gen_collision_free,
+from mralab.gensig import (DiluteClassSpec, _greedy_collision_free, gen_collision_free,
                            gen_symm_bernoulli_gaussian, gen_symm_interval,
-                           is_collision_free, positive_part)
+                           is_collision_free, lag_counts, positive_part)
 from mralab.ring import Signal, reflect
-from oracles import cosine_functional_all
+from oracles import cosine_functional_all, difference_multiset, greedy_collision_free
 
 
 class TestDifferenceMultiset:
     def test_singleton(self):
-        assert difference_multiset({3}, 7) == {}
+        assert lag_counts({3}, 7).tolist() == [0] * 7
 
     def test_pair(self):
-        d = difference_multiset({0, 1}, 5)
-        assert d == {1: 1, 4: 1}
+        assert lag_counts({0, 1}, 5).tolist() == [0, 1, 0, 0, 1]
 
     def test_perfect_difference_set(self):
-        d = difference_multiset({0, 1, 3}, 7)
-        assert d == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
+        assert lag_counts({0, 1, 3}, 7).tolist() == [0, 1, 1, 1, 1, 1, 1]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            difference_multiset(set(), 5)
+            lag_counts(set(), 5)
+
+    def test_matches_double_loop_oracle(self):
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            L = int(rng.integers(1, 40))
+            # repeated points, negative indices and, at even L, lags L/2
+            sup = rng.integers(-2 * L, 2 * L, size=int(rng.integers(1, 12)))
+            if L % 2 == 0 and rng.random() < 0.5:
+                sup = np.append(sup, sup[0] + L // 2)
+            got = lag_counts(sup, L)
+            assert got.shape == (L,) and got.dtype.kind == "i"
+            assert np.array_equal(got, difference_multiset(sup, L)), (L, sup)
 
 
 class TestCollisionFree:
@@ -77,6 +87,16 @@ class TestGenCollisionFree:
         rng = np.random.default_rng(2)
         theta = gen_collision_free(spec, rng)
         assert is_collision_free(theta.support, 21)
+
+    def test_greedy_matches_fresh_lag_oracle(self):
+        # same picks, same None and the same stream left behind
+        for L in range(2, 41):
+            for s in range(1, 7):
+                for seed in range(3):
+                    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    assert (_greedy_collision_free(L, s, rng)
+                            == greedy_collision_free(L, s, ref)), (L, s, seed)
+                    assert rng.integers(2**62) == ref.integers(2**62)
 
     def test_acceptance_rate_decays_with_s(self):
         rng = np.random.default_rng(3)

@@ -97,6 +97,16 @@ class TestCurvatureTerms:
         d2, r = curvature_terms(theta0, rows)
         assert np.allclose(d2 / r, loop_ratios(theta0, rows, dihedral), rtol=1e-10, atol=0)
 
+    def test_row_alone_equals_row_in_tile(self):
+        # a row's score does not depend on the tile around it, bit for bit
+        rng = np.random.default_rng(44)
+        theta0 = Signal(rng.normal(size=257))
+        rows = 0.1 * rng.normal(size=(1500, 257))
+        d2, r = curvature_terms(theta0, rows)
+        for t in range(1500):
+            d2_t, r_t = curvature_terms(theta0, rows[t:t + 1])
+            assert d2_t[0] == d2[t] and r_t[0] == r[t], t
+
     def test_dilute_check_matches_per_trial_draws(self, monkeypatch):
         spec = DiluteClassSpec(L=101, s=8, m=1.0, M=1.5, eps=1.0)
         theta0 = gen_collision_free(spec, np.random.default_rng(41))
