@@ -8,6 +8,7 @@ row-major f64 observations in standard-parametrization order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import struct
@@ -252,6 +253,7 @@ def cmd_scan(args):
     return 2 if result.fits.get("passes") is False else 0
 
 
+@functools.cache  # one parser per process: in-process callers reuse it
 def build_parser():
     p = argparse.ArgumentParser(prog="mralab",
                                 description="alignment-model simulation and probes")

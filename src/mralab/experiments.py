@@ -86,6 +86,9 @@ class ExperimentConfig:
                             ("em", ("init", "init_perturb", "max_iters", "tol")),
                             ("kl", ("direction", "n_mc", "zeta", "h_norm"))):
             check_keys(name, getattr(self, name), known)
+        # checked here, since a scan records a cell's error and goes on
+        if int(self.kl.get("n_mc", 2)) < 2:
+            raise ValueError("kl.n_mc must be at least 2, got %r" % (self.kl["n_mc"],))
         _check_choice("n_rule", self.n_rule, ("fixed", "sigma4"))
         _check_choice("branch", self.branch, ("dilute", "moderate"))
         _check_choice("em.init", self.em.get("init", "perturbed-truth"),

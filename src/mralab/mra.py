@@ -163,15 +163,20 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     d/dt log p|_0 and the Bartlett combination d^2/dt^2 log p + (d/dt log p)^2.
     These cancel the O(||d||) and O(||d||^2) sampling fluctuations, which
     matters when KL is tiny against the per-sample spread.  The SE comes from
-    a delete-one-block jackknife, over 100 blocks, of the regression-adjusted mean.
+    a delete-one-block jackknife, over min(100, n_mc) blocks, of the
+    regression-adjusted mean: every leave-one-out estimate reads the totals
+    less one block's sums of x, C, C C^T and x C (C the control variates), all
+    at once, with each 2 x 2 regression solved in closed form.
     """
     if theta0.L != theta.L:
         raise LengthMismatchError("signals have lengths %d and %d" % (theta0.L, theta.L))
+    if n_mc < 2:
+        raise ValueError("n_mc must be at least 2 for a jackknife SE, got %r" % (n_mc,))
     cfg = MraConfig(theta0.L, sigma, dihedral)
     d = Signal(theta.values - theta0.values)
     use_cv = control_variate and d.norm() > 0
     k = 2 if use_cv else 0
-    n_blocks = max(2, min(100, n_mc))
+    n_blocks = min(100, n_mc)
     bounds = np.linspace(0, n_mc, n_blocks + 1).astype(int)
     sx = np.zeros(n_blocks)
     sc = np.zeros((n_blocks, k))
@@ -209,29 +214,25 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
                 scc[b] += C.T @ C
                 sxc[b] += x @ C
 
-    def estimate(mask):
-        n = cnt[mask].sum()
-        mx = sx[mask].sum() / n
-        if not use_cv:
-            return mx
-        mc = sc[mask].sum(axis=0) / n
-        cov_cc = scc[mask].sum(axis=0) / n - np.outer(mc, mc)
-        cov_xc = sxc[mask].sum(axis=0) / n - mx * mc
-        try:
-            beta = np.linalg.solve(cov_cc, cov_xc)
-        except np.linalg.LinAlgError:
-            return mx
-        # both control variates have exact mean zero under p_theta0
-        return mx - float(beta @ mc)
+    def stacked(a):  # row 0 sums all blocks, row 1 + b all blocks but b
+        total = a.sum(axis=0)
+        return np.concatenate([total[None], total - a])
 
-    full = estimate(np.ones(n_blocks, dtype=bool))
-    loo = np.empty(n_blocks)
-    for b in range(n_blocks):
-        mask = np.ones(n_blocks, dtype=bool)
-        mask[b] = False
-        loo[b] = estimate(mask)
+    n = stacked(cnt)
+    est = mx = stacked(sx) / n
+    if use_cv:
+        mc = stacked(sc) / n[:, None]
+        cov_cc = stacked(scc) / n[:, None, None] - mc[:, :, None] * mc[:, None, :]
+        cov_xc = stacked(sxc) / n[:, None] - mx[:, None] * mc
+        (a, b), (c, e) = cov_cc[:, 0].T, cov_cc[:, 1].T
+        (x0, x1), (m0, m1), det = cov_xc.T, mc.T, a * e - b * c
+        # beta . mc with beta = cov_cc^-1 cov_xc; both control variates have
+        # exact mean zero under p_theta0, and a singular cov_cc keeps the plain mean
+        bmc = ((e * x0 - b * x1) * m0 + (a * x1 - c * x0) * m1) / np.where(det != 0, det, 1.0)
+        est = np.where(det != 0, mx - bmc, mx)
+    loo = est[1:]
     se = float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((loo - loo.mean()) ** 2)))
-    return float(full), se
+    return float(est[0]), se
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ construction, frequency-subsampling energy ratios, and moment sandwich scaling.
 Random trials are built and scored in tiles of at most TILE_ENTRIES // L rows
 of length L.  Whatever its trial count, a probe holds one tile of rows with
 its FFT and alignment temporaries at a time, besides trials x s draws and one
-number per trial.
+number per trial.  The UUP check builds no rows: it scores tiles of trials x
+s^2 lags from the frequency set's lag table.
 
 Universal constants that theory leaves unspecified are fitted once on a
 calibration run and frozen here; tests pin against these values.
@@ -19,7 +20,7 @@ import numpy as np
 
 from .gensig import DiluteClassSpec, is_collision_free
 from .mra import kl_monte_carlo
-from .ring import Signal, align_rows, reflect, std_indices, storage_index
+from .ring import Signal, align_spectra, reflect, std_indices, storage_index
 from .spectral import delta_m, second_moment_expansion_generators
 
 #: constants fitted on calibration runs (seed 20240801) and frozen
@@ -96,10 +97,10 @@ def support_restricted_min_ratio(theta0: Signal, n_support: int) -> float:
     return float(smin / np.sqrt(n_support / L))
 
 
-def _tiles(trials: int, L: int) -> list:
-    """Consecutive slices of range(trials), each of at most TILE_ENTRIES // L
-    (and at least one) rows."""
-    step = max(1, TILE_ENTRIES // L)
+def _tiles(trials: int, width: int) -> list:
+    """Consecutive slices of range(trials), each of at most
+    TILE_ENTRIES // width (and at least one) rows."""
+    step = max(1, TILE_ENTRIES // width)
     return [slice(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
@@ -107,8 +108,8 @@ def curvature_terms(theta0: Signal, rows: np.ndarray):
     """(||Delta_2(theta0 + h, theta0)||_F, rho(theta0 + h, theta0)) for each
     row h of a tile of standard-order values.
 
-    One rfft gives every Delta_2 norm from power spectra (see `spectral`),
-    and `ring.align_rows` gives the cyclic orbit distances.
+    One rfft per tile gives every Delta_2 norm from power spectra (see
+    `spectral`) and, through `ring.align_spectra`, the cyclic orbit distances.
     """
     L = theta0.L
     p0 = np.abs(np.fft.rfft(theta0.values)) ** 2
@@ -116,9 +117,10 @@ def curvature_terms(theta0: Signal, rows: np.ndarray):
     k = np.arange(p0.size)
     weights = 2.0 - (k == 0) - (2 * k == L)
     thetas = theta0.values + rows
-    dp = np.abs(np.fft.rfft(thetas)) ** 2 - p0
+    f = np.fft.rfft(thetas)
     # a per-row sum, unlike a BLAS mat-vec, gives a row the same bits in any tile
-    return np.sqrt(np.sum(dp**2 * weights, axis=1)) / L, align_rows(thetas, theta0)[2]
+    d2 = np.sqrt(np.sum((np.abs(f) ** 2 - p0) ** 2 * weights, axis=1)) / L
+    return d2, align_spectra(thetas, f, theta0)[2]
 
 
 def _support_curvature(theta0: Signal, vals: np.ndarray):
@@ -226,8 +228,11 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     """(c1_hat, c2_hat): extreme ratios of mean energy on the set vs overall.
 
     Ratio = [(1/|set|) sum_set |h-hat|^2] / [(1/L) sum_all |h-hat|^2] over
-    random unit-norm s-sparse vectors; by Parseval the denominator is
-    ||h||^2 = 1.  The vectors are built and scored one tile at a time.
+    random unit-norm s-sparse vectors h; by Parseval the denominator is
+    ||h||^2 = 1.  With values v_j at positions p_j, the numerator is
+    sum_{j,k} v_j v_k kappa[|p_j - p_k|], where the lag table kappa[d] =
+    (1/|set|) sum_{n in set} cos(2 pi n d / L) comes from one FFT of the
+    set's indicator: O(s^2) per trial, in tiles of TILE_ENTRIES // s^2 trials.
     """
     if lam.size() == 0:
         raise ValueError("empty frequency set")
@@ -235,16 +240,13 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     check_uup_sizes(L, s, trials)
     picks, vals = _sparse_picks(L, s, trials, rng)
     nat = lam.natural_indices()
-    # |h-hat|^2 is even in xi, so frequency n sits in rfft bin min(n, L - n);
-    # w[b] is the share of the set's frequencies in bin b
-    w = np.bincount(np.minimum(nat, L - nat), minlength=L // 2 + 1) / nat.size
+    kappa = np.fft.fft(np.bincount(nat, minlength=L)).real / nat.size
     ratios = np.empty(trials)
-    for t in _tiles(trials, L):
-        rows = np.zeros((t.stop - t.start, L))
-        np.put_along_axis(rows, picks[t], vals[t], axis=1)
-        f = np.fft.rfft(rows)
-        # a per-row sum, so a row scores the same in any tile
-        ratios[t] = np.sum((f.real**2 + f.imag**2) * w, axis=1)
+    for t in _tiles(trials, s * s):
+        p, v = picks[t], vals[t]
+        K = kappa[np.abs(p[:, :, None] - p[:, None, :])]
+        # v^T K v per row, so a row scores the same in any tile
+        ratios[t] = np.sum((K @ v[:, :, None])[:, :, 0] * v, axis=1)
     return float(ratios.min()), float(ratios.max())
 
 

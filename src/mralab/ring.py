@@ -163,14 +163,21 @@ def reflect(v: Signal) -> Signal:
 
 def align_rows(rows: np.ndarray, phi: Signal, dihedral: bool = False):
     """`align` for each row of a stack of standard-order vectors: arrays
-    (shift, flip, distance).  G phi is the cyclic storage shift by `shift` of
-    F^flip phi, so one rfft/irfft pair gives <row, G phi> for all of G,
-    enumerated as `orbit_index` rows k = shift + L flip; the largest gives
-    the smallest distance, which is then evaluated exactly at that element."""
+    (shift, flip, distance), from `align_spectra` of the rows' rfft."""
+    return align_spectra(rows, np.fft.rfft(rows), phi, dihedral)
+
+
+def align_spectra(rows: np.ndarray, spectra: np.ndarray, phi: Signal, dihedral: bool = False):
+    """`align_rows` of rows whose rfft the caller holds as spectra.  G phi is
+    the cyclic storage shift by `shift` of F^flip phi, so one irfft gives
+    <row, G phi> for all of G, enumerated as `orbit_index` rows k = shift +
+    L flip; the largest gives the smallest distance, which is then evaluated
+    exactly at that element."""
     L = phi.L
     flipped = phi.values[action_index(L, 0, np.arange(2 if dihedral else 1))]
-    c = np.fft.irfft(np.conj(np.fft.rfft(rows))[..., None, :] * np.fft.rfft(flipped), n=L)
+    c = np.fft.irfft(np.conj(spectra)[..., None, :] * np.fft.rfft(flipped), n=L)
     k = np.argmax(c.reshape(c.shape[:-2] + (-1,)), axis=-1)
+    del c  # freed before the distances' temporaries
     g, flip = k % L, k >= L
     return g, flip, np.linalg.norm(rows - phi.values[action_index(L, g, flip)], axis=-1)
 

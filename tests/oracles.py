@@ -1,12 +1,14 @@
 """Dense and direct-sum oracles that the package's Fourier-domain code is
 tested against, the divide-after-product posterior that its scaled-orbit
-kernel is tested against, the double-loop lag counts and set-based greedy
+kernel is tested against, the masked-loop KL jackknife that its block-sum
+jackknife is tested against, the double-loop lag counts and set-based greedy
 builder that `gensig` is tested against, and the exhaustive group,
 cosine-functional and collision-free-size references of the paper's claims.
 None of them calls np.fft except `dense`, which reads a moment tensor back in
 full."""
 import numpy as np
 
+from mralab.mra import DEFAULT_CHUNK, MraConfig, _draw_block
 from mralab.ring import GroupElement, Signal, orbit_index, std_indices, std_offset
 from mralab.spectral import MomentTensor, _plane
 
@@ -191,3 +193,70 @@ def em_iteration(theta: Signal, y: np.ndarray, sigma: float, dihedral: bool = Fa
     S = w @ y
     update = np.bincount(idx.ravel(), weights=S.ravel(), minlength=theta.L) / len(y)
     return update, float(np.sum(log_dens))
+
+
+def kl_masked_jackknife(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
+                        rng: np.random.Generator, dihedral: bool = False,
+                        control_variate: bool = True):
+    """(KL, jackknife SE) as `mra.kl_monte_carlo` defines them, on the same
+    draws: each sample's log-density ratio and control variates come from
+    divide-after logits and the orbit of d = theta - theta0, and each of the
+    n_blocks + 1 estimates sums its blocks through a mask and solves its
+    regression with np.linalg.solve."""
+    L = theta0.L
+    cfg = MraConfig(L, sigma, dihedral)
+    idx = orbit_index(L, dihedral)
+    d = theta.values - theta0.values
+    use_cv = control_variate and np.linalg.norm(d) > 0
+    n_blocks = min(100, n_mc)
+    bounds = np.linspace(0, n_mc, n_blocks + 1).astype(int)
+    cnt = np.diff(bounds).astype(float)
+    sx, sc = np.zeros(n_blocks), np.zeros((n_blocks, 2))
+    scc, sxc = np.zeros((n_blocks, 2, 2)), np.zeros((n_blocks, 2))
+
+    def lse(c):
+        top = c.max(axis=0)
+        return top + np.log(np.exp(c - top).sum(axis=0))
+
+    orbit0 = theta0.values[idx]
+    for b in range(n_blocks):
+        m = bounds[b + 1] - bounds[b]
+        for lo in range(0, m, DEFAULT_CHUNK):
+            y = _draw_block(orbit0, cfg, min(DEFAULT_CHUNK, m - lo), rng)[0]
+            c0 = orbit0 @ y.T / sigma**2
+            c1 = theta.values[idx] @ y.T / sigma**2
+            x = (lse(c0) - lse(c1)
+                 - (theta0.norm() ** 2 - theta.norm() ** 2) / (2 * sigma**2))
+            w = np.exp(c0 - lse(c0))
+            # d/dt and d^2/dt^2 of log p_{theta0 + t d}(y) at t = 0
+            q = (d[idx] @ y.T - np.dot(theta0.values, d)) / sigma**2
+            score = np.sum(w * q, axis=0)
+            bart = np.sum(w * q**2, axis=0) - np.dot(d, d) / sigma**2
+            C = np.stack([score, bart], axis=1)
+            sx[b] += x.sum()
+            sc[b] += C.sum(axis=0)
+            scc[b] += C.T @ C
+            sxc[b] += x @ C
+
+    def estimate(mask):
+        n = cnt[mask].sum()
+        mx = sx[mask].sum() / n
+        if not use_cv:
+            return mx
+        mc = sc[mask].sum(axis=0) / n
+        cov_cc = scc[mask].sum(axis=0) / n - np.outer(mc, mc)
+        cov_xc = sxc[mask].sum(axis=0) / n - mx * mc
+        try:
+            beta = np.linalg.solve(cov_cc, cov_xc)
+        except np.linalg.LinAlgError:
+            return mx
+        return mx - float(beta @ mc)
+
+    full = estimate(np.ones(n_blocks, dtype=bool))
+    loo = np.empty(n_blocks)
+    for b in range(n_blocks):
+        mask = np.ones(n_blocks, dtype=bool)
+        mask[b] = False
+        loo[b] = estimate(mask)
+    se = float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((loo - loo.mean()) ** 2)))
+    return float(full), se

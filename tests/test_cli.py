@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mralab
-from mralab.cli import main, read_container, write_container
+from mralab.cli import build_parser, main, read_container, write_container
 from mralab.gensig import DiluteClassSpec, gen_collision_free
 from mralab.mra import MraConfig, simulate
 from mralab.ring import Signal, varrho
@@ -216,6 +216,16 @@ class TestProbe:
             main(["probe", "uup", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
         assert not (tmp_path / "rep.json").exists()
 
+    def test_sandwich_single_sample_rejected(self, tmp_path):
+        # one sample has no jackknife standard error
+        theta = {"L": 4, "format": "standard-parametrization", "support": [-1, 0, 1, 2],
+                 "values": [1.0, -1.0, 0.5, -0.5]}
+        cfg = tmp_path / "cfg.json"
+        _write_json(cfg, {"theta": theta, "phi": theta, "sigma_grid": [2], "n_mc": 1})
+        with pytest.raises(ValueError, match="n_mc must be at least 2"):
+            main(["probe", "sandwich", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
+        assert not (tmp_path / "rep.json").exists()
+
     @pytest.mark.parametrize("kind, cfg, bad", [
         ("dilute-lb", {"L": 101, "s": 8, "m": 1.0, "M": 1.5, "eps": 1.0, "trails": 10},
          "trails"),
@@ -265,10 +275,37 @@ class TestScan:
         main(["rate-scan", "--config", str(p)])
         assert out_json.read_text() == capsys.readouterr().out
 
+    def test_kl_scan_without_samples_rejected(self, tmp_path):
+        p = self._kl_cfg(tmp_path, "dilute", 0)
+        with pytest.raises(ValueError, match="kl.n_mc must be at least 2"):
+            main(["kl-scan", "--config", str(p), "--out-json", str(tmp_path / "fit.json")])
+        assert not (tmp_path / "fit.json").exists()
+
     def test_family_mismatch_rejected(self, tmp_path):
         p = self._kl_cfg(tmp_path, "dilute", 1000)
         with pytest.raises(SystemExit):
             main(["rate-scan", "--config", str(p)])
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # the parser is built once; a call that exits on a usage error leaves
+        # nothing behind for the next call
+        probe = tmp_path / "adv.json"
+        _write_json(probe, {"L": 16, "seed": 4, "delta": 1e-3})
+        prof = tmp_path / "profile.json"
+        _write_json(prof, {"L": 7, "differences": [1, 2, 3, 4, 5, 6],
+                           "multiplicities": [1, 1, 1, 1, 1, 1]})
+        first = ["probe", "adversarial", "--config", str(probe), "--out"]
+        assert main(first + [str(tmp_path / "a.json")]) == 0
+        assert main(["beltway-solve", "--profile", str(prof), "--s", "3",
+                     "--out", str(tmp_path / "b.json")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", "adversarial", "--out", str(tmp_path / "c.json")])
+        assert exc.value.code == 2
+        assert main(first + [str(tmp_path / "d.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "d.json").read_bytes()
+        assert build_parser() is build_parser()
 
 
 #: runs each argv list given as JSON in argv[1] through cli.main, with every

@@ -52,6 +52,13 @@ class TestConfig:
         ExperimentConfig(scenario="sparsity-scan", L=16, sigma_grid=(1.0,), seed=0,
                          s_grid=(2,), n_base=0, n_rule="fixed", branch="moderate")
 
+    @pytest.mark.parametrize("n_mc", [0, 1])
+    def test_kl_n_mc_below_two_rejected(self, n_mc):
+        # a scan cell would record the error and go on, so the config checks it
+        with pytest.raises(ValueError, match="kl.n_mc must be at least 2"):
+            ExperimentConfig(scenario="kl-curvature-scan", L=8, sigma_grid=(2.0,), seed=0,
+                             s_grid=(3,), kl={"n_mc": n_mc})
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(scenario="dilute-rate", L=8, sigma_grid=(1.0, 2.0),
                              seed=0)

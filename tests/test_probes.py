@@ -13,7 +13,7 @@ from mralab.probes import (TILE_ENTRIES, FrequencySet, LambdaConstructionError,
                            moderate_curvature_check, moment_sandwich_probe,
                            spectral_floor, support_restricted_min_ratio, uup_check,
                            uup_sample)
-from mralab.ring import Signal, reflect, shift, std_indices, std_offset
+from mralab.ring import Signal, align_rows, reflect, shift, std_indices, std_offset
 from mralab.spectral import delta_m, second_moment_difference_expansion
 from oracles import cosine_functional_all, group_elements
 
@@ -106,6 +106,15 @@ class TestCurvatureTerms:
         for t in range(1500):
             d2_t, r_t = curvature_terms(theta0, rows[t:t + 1])
             assert d2_t[0] == d2[t] and r_t[0] == r[t], t
+
+    def test_distances_equal_align_rows(self):
+        # curvature_terms hands its rfft to align_spectra; the distances keep
+        # the bits of align_rows, which takes its own
+        rng = np.random.default_rng(48)
+        theta0 = Signal(rng.normal(size=101))
+        rows = 1e-3 * rng.normal(size=(300, 101))
+        assert np.array_equal(curvature_terms(theta0, rows)[1],
+                              align_rows(theta0.values + rows, theta0)[2])
 
     def test_dilute_check_matches_per_trial_draws(self, monkeypatch):
         spec = DiluteClassSpec(L=101, s=8, m=1.0, M=1.5, eps=1.0)
@@ -283,8 +292,11 @@ class TestUup:
     @staticmethod
     def sorted_sparse_picks(L, s, trials, rng):
         """(positions, values) of unit-norm s-sparse rows, supports from a full
-        argsort of the keys."""
-        picks = np.argsort(rng.random((trials, L)), axis=1)[:, :s]
+        argsort of the keys, drawn 4096 rows at a time (the same doubles as
+        one call)."""
+        picks = np.concatenate([
+            np.argsort(rng.random((min(4096, trials - lo), L)), axis=1)[:, :s]
+            for lo in range(0, trials, 4096)])
         vals = rng.normal(size=(trials, s))
         vals /= np.linalg.norm(vals, axis=1, keepdims=True)
         return picks, vals
@@ -305,18 +317,23 @@ class TestUup:
             assert np.array_equal(picks, ref_picks)
             assert np.array_equal(vals, ref_vals)
 
-    @pytest.mark.parametrize("L", [64, 65])
-    def test_matches_full_fft_formula(self, L):
+    @pytest.mark.parametrize("L, s", [(64, 5), (65, 5), (128, 13), (512, 8), (65, 1),
+                                      (16, 16)])
+    def test_matches_full_fft_formula(self, L, s):
         lam = uup_sample(L, L / 2, np.random.default_rng(45))
-        for trials in (500, self.tiled_trials(L)):
-            c1, c2 = uup_check(lam, 5, trials, np.random.default_rng(46))
-            picks, vals = self.sorted_sparse_picks(L, 5, trials, np.random.default_rng(46))
-            rows = np.zeros((trials, L))
-            np.put_along_axis(rows, picks, vals, axis=1)
+        # two full lag tiles of TILE_ENTRIES // s^2 trials and a partial one
+        trials = 2 * (TILE_ENTRIES // s**2) + 3
+        c1, c2 = uup_check(lam, s, trials, np.random.default_rng(46))
+        picks, vals = self.sorted_sparse_picks(L, s, trials, np.random.default_rng(46))
+        ratios = []
+        for lo in range(0, trials, 4096):
+            rows = np.zeros((len(picks[lo:lo + 4096]), L))
+            np.put_along_axis(rows, picks[lo:lo + 4096], vals[lo:lo + 4096], axis=1)
             spec2 = np.abs(np.fft.fft(rows, axis=1)) ** 2
-            ratios = spec2[:, lam.natural_indices()].mean(axis=1) / spec2.mean(axis=1)
-            assert c1 == pytest.approx(ratios.min(), rel=1e-12)
-            assert c2 == pytest.approx(ratios.max(), rel=1e-12)
+            ratios.append(spec2[:, lam.natural_indices()].mean(axis=1) / spec2.mean(axis=1))
+        ratios = np.concatenate(ratios)
+        assert c1 == pytest.approx(ratios.min(), rel=1e-12)
+        assert c2 == pytest.approx(ratios.max(), rel=1e-12)
 
     @pytest.mark.parametrize("s, trials", [(0, 10), (17, 10), (2, 0), (2, -1)])
     def test_bad_sizes_rejected(self, s, trials):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mralab.ring import (GroupElement, LengthMismatchError, Signal, align, align_rows,
-                         orbit_index, reflect, rho, shift,
+                         align_spectra, orbit_index, reflect, rho, shift,
                          std_indices, std_offset, storage_index, varrho)
 from oracles import group_elements
 
@@ -209,6 +209,15 @@ class TestRho:
                                            rel=1e-12, abs=1e-12)
                 attained = GroupElement(int(gk), bool(fk)).apply(phi).values
                 assert np.linalg.norm(row - attained) == pytest.approx(dk, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_align_spectra_equals_align_rows(self, dihedral):
+        rng = np.random.default_rng(12 + dihedral)
+        phi = Signal(rng.normal(size=64))
+        rows = phi.values + 0.1 * rng.normal(size=(50, 64))
+        for got, want in zip(align_spectra(rows, np.fft.rfft(rows), phi, dihedral),
+                             align_rows(rows, phi, dihedral)):
+            assert np.array_equal(got, want)
 
     def test_align_returns_argmin(self):
         rng = np.random.default_rng(11)
