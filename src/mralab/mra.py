@@ -166,7 +166,9 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     a delete-one-block jackknife, over min(100, n_mc) blocks, of the
     regression-adjusted mean: every leave-one-out estimate reads the totals
     less one block's sums of x, C, C C^T and x C (C the control variates), all
-    at once, with each 2 x 2 regression solved in closed form.
+    at once, with each 2 x 2 regression solved in closed form.  The control
+    variates are used only when every one of those regressions has at least
+    4 samples (n_mc >= 5); below that the plain mean is returned.
     """
     if theta0.L != theta.L:
         raise LengthMismatchError("signals have lengths %d and %d" % (theta0.L, theta.L))
@@ -174,15 +176,17 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
         raise ValueError("n_mc must be at least 2 for a jackknife SE, got %r" % (n_mc,))
     cfg = MraConfig(theta0.L, sigma, dihedral)
     d = Signal(theta.values - theta0.values)
-    use_cv = control_variate and d.norm() > 0
-    k = 2 if use_cv else 0
     n_blocks = min(100, n_mc)
     bounds = np.linspace(0, n_mc, n_blocks + 1).astype(int)
+    cnt = np.diff(bounds).astype(float)
+    # the smallest regression, the jackknife fit without the largest block, needs
+    # 4 samples: its intercept and two slopes would fit 3 exactly, leaving noise
+    use_cv = control_variate and d.norm() > 0 and n_mc - cnt.max() >= 4
+    k = 2 if use_cv else 0
     sx = np.zeros(n_blocks)
     sc = np.zeros((n_blocks, k))
     scc = np.zeros((n_blocks, k, k))
     sxc = np.zeros((n_blocks, k))
-    cnt = np.diff(bounds).astype(float)
     sig2 = sigma**2
     idx = orbit_index(cfg.L, dihedral)
     orbit0 = theta0.values[idx]

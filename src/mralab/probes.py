@@ -4,8 +4,10 @@ construction, frequency-subsampling energy ratios, and moment sandwich scaling.
 Random trials are built and scored in tiles of at most TILE_ENTRIES // L rows
 of length L.  Whatever its trial count, a probe holds one tile of rows with
 its FFT and alignment temporaries at a time, besides trials x s draws and one
-number per trial.  The UUP check builds no rows: it scores tiles of trials x
-s^2 lags from the frequency set's lag table.
+number per trial.  The UUP check builds no rows: it draws each trial's
+support by Floyd's algorithm, s bounded integers per trial with no key
+matrix, so its draws take trials x s, and it scores tiles of trials x s^2
+lags from the frequency set's lag table.
 
 Universal constants that theory leaves unspecified are fitted once on a
 calibration run and frozen here; tests pin against these values.
@@ -201,17 +203,20 @@ def _sparse_picks(L: int, s: int, trials: int, rng: np.random.Generator):
     """(positions, values), both trials x s, of unit-norm rows with s-point
     random supports and Gaussian values.
 
-    Positions are each row's s smallest keys of rng.random((trials, L)), in
-    key order; the keys are drawn one tile at a time (the same doubles as one
-    call), and the values after all of them.
+    Each row's positions are a uniform s-subset of range(L), drawn by Floyd's
+    algorithm for all rows at once: for k, j in enumerate(range(L - s, L)),
+    draw t = rng.integers(j + 1, size=trials) and pick j where t is already
+    among a row's k picks, t elsewhere.  The values are drawn after all
+    positions.  Positions are not in sorted order, but a row's score does not
+    depend on the order of its (position, value) pairs.
     """
-    picks = np.empty((trials, s), dtype=np.intp)
-    for t in _tiles(trials, L):
-        keys = rng.random((t.stop - t.start, L))
-        # argsort(keys)[:, :s] without the full sort: partition, then order the s picks
-        p = np.argpartition(keys, s - 1, axis=1)[:, :s]
-        picks[t] = np.take_along_axis(
-            p, np.argsort(np.take_along_axis(keys, p, axis=1), axis=1), axis=1)
+    # drawn pick-major: the membership test then reduces over k contiguous
+    # rows, several times faster than over k columns of a trials x s array
+    cols = np.empty((s, trials), dtype=np.intp)
+    for k, j in enumerate(range(L - s, L)):
+        t = rng.integers(j + 1, size=trials)
+        cols[k] = np.where((cols[:k] == t).any(axis=0), j, t)
+    picks = np.ascontiguousarray(cols.T)
     vals = rng.normal(size=(trials, s))
     vals /= np.linalg.norm(vals, axis=1, keepdims=True)
     return picks, vals

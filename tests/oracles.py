@@ -202,15 +202,18 @@ def kl_masked_jackknife(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     draws: each sample's log-density ratio and control variates come from
     divide-after logits and the orbit of d = theta - theta0, and each of the
     n_blocks + 1 estimates sums its blocks through a mask and solves its
-    regression with np.linalg.solve."""
+    regression with np.linalg.solve.  Below 4 samples in some delete-one-block
+    fit, it is the plain mean."""
     L = theta0.L
     cfg = MraConfig(L, sigma, dihedral)
     idx = orbit_index(L, dihedral)
     d = theta.values - theta0.values
-    use_cv = control_variate and np.linalg.norm(d) > 0
     n_blocks = min(100, n_mc)
     bounds = np.linspace(0, n_mc, n_blocks + 1).astype(int)
     cnt = np.diff(bounds).astype(float)
+    # control variates only when every delete-one-block fit has 4 samples
+    use_cv = (control_variate and np.linalg.norm(d) > 0
+              and min(cnt.sum() - cnt[b] for b in range(n_blocks)) >= 4)
     sx, sc = np.zeros(n_blocks), np.zeros((n_blocks, 2))
     scc, sxc = np.zeros((n_blocks, 2, 2)), np.zeros((n_blocks, 2))
 

@@ -1,0 +1,40 @@
+"""Recomputed outputs against the golden files under tests/golden/.
+
+Integers, flags, strings and frequency sets must match exactly; floats within
+1e-12 relative, since another BLAS may round differently.  Regenerate with
+`PYTHONPATH=src python tests/regenerate_golden.py`.
+"""
+import json
+
+import pytest
+
+from regenerate_golden import GOLDEN, probes_stream
+
+
+def assert_matches(got, want, path="$"):
+    """Compare JSON values: floats within 1e-12 relative, all else exactly."""
+    if isinstance(want, float):
+        assert isinstance(got, float), path
+        assert got == pytest.approx(want, rel=1e-12, abs=0), path
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_matches(got[key], want[key], "%s.%s" % (path, key))
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, "%s[%d]" % (path, i))
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+def test_probes_stream(tmp_path):
+    want = json.loads((GOLDEN / "probes_stream.json").read_text())
+    assert_matches(probes_stream(tmp_path), want)
+
+
+def test_assert_matches_tolerance():
+    assert_matches({"a": [1, 0.5, None]}, {"a": [1, 0.5 * (1 + 5e-13), None]})
+    for got, want in ((1.0 + 1e-11, 1.0), (2, 3), (1, 1.0), (True, 1), ([1, 2], [1])):
+        with pytest.raises(AssertionError):
+            assert_matches(got, want)

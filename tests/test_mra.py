@@ -255,6 +255,24 @@ class TestKlMonteCarlo:
         assert kl == pytest.approx(ref_kl, rel=1e-12)
         assert se == pytest.approx(ref_se, rel=1e-9)
 
+    @pytest.mark.parametrize("n_mc", [2, 3, 4, 5])
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_control_variates_need_four_samples_per_fit(self, dihedral, n_mc):
+        # the smallest jackknife regression is fitted to n_mc - 1 samples, so
+        # control variates start at n_mc = 5; below that, the plain mean
+        rng = np.random.default_rng(3)
+        theta0 = Signal(rng.normal(size=21))
+        theta = Signal(theta0.values + 0.3 * rng.normal(size=21))
+        args = (theta0, theta, 2.0, n_mc)
+        kl, se = kl_monte_carlo(*args, np.random.default_rng(5), dihedral=dihedral)
+        plain = kl_monte_carlo(*args, np.random.default_rng(5), dihedral=dihedral,
+                               control_variate=False)
+        ref_kl, ref_se = kl_masked_jackknife(*args, np.random.default_rng(5),
+                                             dihedral=dihedral)
+        assert kl == pytest.approx(ref_kl, rel=1e-12)
+        assert se == pytest.approx(ref_se, rel=1e-9)
+        assert ((kl, se) == plain) == (n_mc < 5)
+
     @pytest.mark.parametrize("n_mc", [0, 1])
     def test_fewer_than_two_samples_rejected(self, n_mc):
         theta = Signal(np.arange(4.0))

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,32 +291,57 @@ class TestUup:
         assert c2 == pytest.approx(1.0, rel=1e-10)
 
     @staticmethod
-    def sorted_sparse_picks(L, s, trials, rng):
-        """(positions, values) of unit-norm s-sparse rows, supports from a full
-        argsort of the keys, drawn 4096 rows at a time (the same doubles as
-        one call)."""
-        picks = np.concatenate([
-            np.argsort(rng.random((min(4096, trials - lo), L)), axis=1)[:, :s]
-            for lo in range(0, trials, 4096)])
+    def floyd_sparse_picks(L, s, trials, rng):
+        """(positions, values) of unit-norm s-sparse rows: the same
+        rng.integers draws as `_sparse_picks`, each row then built by Floyd's
+        algorithm one pick at a time with a set."""
+        draws = [rng.integers(j + 1, size=trials) for j in range(L - s, L)]
+        picks = np.empty((trials, s), dtype=int)
+        for i in range(trials):
+            chosen = set()
+            for k, j in enumerate(range(L - s, L)):
+                t = int(draws[k][i])
+                picks[i, k] = j if t in chosen else t
+                chosen.add(int(picks[i, k]))
         vals = rng.normal(size=(trials, s))
         vals /= np.linalg.norm(vals, axis=1, keepdims=True)
         return picks, vals
 
-    @staticmethod
-    def tiled_trials(L):
-        """A trial count spanning two full tiles and ending in a partial one."""
-        return 2 * (TILE_ENTRIES // L) + 3
-
-    def test_sparse_rows_match_full_sort(self):
-        # at s = 200 of 512, argpartition leaves most rows' picks unordered
+    def test_sparse_rows_match_floyd_reference(self):
+        # at s = 200 of 512, about 45 of a row's picks take j: t was already picked
         for L, s, trials in ((64, 5, 100), (65, 5, 100), (512, 200, 100),
-                             (64, 5, self.tiled_trials(64)),
-                             (512, 200, self.tiled_trials(512))):
+                             (64, 5, 4099), (512, 200, 515)):
             picks, vals = _sparse_picks(L, s, trials, np.random.default_rng(47))
-            ref_picks, ref_vals = self.sorted_sparse_picks(L, s, trials,
-                                                           np.random.default_rng(47))
+            ref_picks, ref_vals = self.floyd_sparse_picks(L, s, trials,
+                                                          np.random.default_rng(47))
             assert np.array_equal(picks, ref_picks)
             assert np.array_equal(vals, ref_vals)
+
+    @pytest.mark.parametrize("L, s", [(64, 5), (65, 13), (16, 16), (16, 1)])
+    def test_sparse_picks_distribution(self, L, s):
+        trials = 20_000
+        picks, vals = _sparse_picks(L, s, trials, np.random.default_rng(48))
+        rows = np.sort(picks, axis=1)
+        assert rows[:, 0].min() >= 0 and rows[:, -1].max() < L
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert np.allclose(np.linalg.norm(vals, axis=1), 1.0, rtol=1e-14)
+        # each position is in a uniform s-subset with probability s / L
+        p = s / L
+        freq = np.bincount(picks.ravel(), minlength=L) / trials
+        assert np.all(np.abs(freq - p) <= 4 * np.sqrt(p * (1 - p) / trials))
+        if s == L:
+            assert np.array_equal(rows, np.broadcast_to(np.arange(L), rows.shape))
+
+    def test_sparse_picks_uniform_subsets(self):
+        # all C(6, 3) = 20 supports, each with probability 1/20
+        L, s, trials = 6, 3, 40_000
+        picks, _ = _sparse_picks(L, s, trials, np.random.default_rng(49))
+        codes = np.sum(1 << np.sort(picks, axis=1), axis=1)
+        counts = np.bincount(codes, minlength=1 << L)
+        subsets = [sum(1 << i for i in c) for c in itertools.combinations(range(L), s)]
+        assert counts.sum() == counts[subsets].sum() == trials
+        p = 1 / len(subsets)
+        assert np.all(np.abs(counts[subsets] / trials - p) <= 4 * np.sqrt(p * (1 - p) / trials))
 
     @pytest.mark.parametrize("L, s", [(64, 5), (65, 5), (128, 13), (512, 8), (65, 1),
                                       (16, 16)])
@@ -324,7 +350,7 @@ class TestUup:
         # two full lag tiles of TILE_ENTRIES // s^2 trials and a partial one
         trials = 2 * (TILE_ENTRIES // s**2) + 3
         c1, c2 = uup_check(lam, s, trials, np.random.default_rng(46))
-        picks, vals = self.sorted_sparse_picks(L, s, trials, np.random.default_rng(46))
+        picks, vals = self.floyd_sparse_picks(L, s, trials, np.random.default_rng(46))
         ratios = []
         for lo in range(0, trials, 4096):
             rows = np.zeros((len(picks[lo:lo + 4096]), L))
