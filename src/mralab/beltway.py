@@ -188,6 +188,7 @@ def _values_from_products(support, A_nat, L: int):
     """Magnitudes and signs on a collision-free support from pairwise products.
 
     theta(i) theta(j) = A((j - i) mod L) since each lag is hit by one pair.
+    No product is 0: every lag of the support passed the threshold |A| > m^2 / 2.
     """
     s = len(support)
     pts = np.asarray(support)
@@ -205,10 +206,7 @@ def _values_from_products(support, A_nat, L: int):
     else:
         for a in range(s):
             b, c = (a + 1) % s, (a + 2) % s
-            denom = prod[b, c]
-            if denom == 0:
-                return None
-            mags[a] = np.sqrt(abs(prod[a, b] * prod[a, c] / denom))
+            mags[a] = np.sqrt(abs(prod[a, b] * prod[a, c] / prod[b, c]))
     signs = np.where(prod[0] >= 0, 1.0, -1.0)
     signs[0] = 1.0
     return mags * signs
@@ -288,10 +286,7 @@ def recover_from_power_spectrum(P, s: int, m: float, tol: float = 1e-5):
     p_norm = float(np.linalg.norm(P_nat))
     out = []
     for sup in supports:
-        vals = _values_from_products(sup, A_nat, L)
-        if vals is None:
-            continue
-        vals = _refine_values(sup, vals, P_nat, L)
+        vals = _refine_values(sup, _values_from_products(sup, A_nat, L), P_nat, L)
         x = np.zeros(L)
         x[np.array(sup)] = vals
         res = float(np.linalg.norm(np.abs(np.fft.fft(x)) ** 2 - P_nat)) / max(p_norm, 1e-300)

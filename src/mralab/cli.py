@@ -20,7 +20,7 @@ from . import beltway, experiments, gensig, probes
 from .experiments import check_keys, config_hash
 from .mra import Dataset, MraConfig, RestrictedClass, em_restricted_mle, simulate
 from .ring import Signal
-from .spectral import second_moment_expansion_generators
+from .spectral import second_moment_difference_expansion
 
 MAGIC = b"MRA2"
 #: header after the magic: u32 L, u64 n, f64 sigma, u8 dihedral
@@ -167,6 +167,16 @@ def cmd_pr_recover(args):
     return 0
 
 
+def _probe_signal(cfg: dict, draw) -> Signal:
+    """The config's `signal`, whose length must match its `L` if it has one, or draw()."""
+    if "signal" not in cfg:
+        return draw()
+    theta = Signal.from_json_dict(cfg["signal"])
+    if "L" in cfg and theta.L != cfg["L"]:
+        raise ValueError("signal has length %d but the config has L=%d" % (theta.L, cfg["L"]))
+    return theta
+
+
 def _probe_report(kind: str, cfg: dict) -> dict:
     check_keys(kind, cfg, PROBE_KEYS[kind])
     seed = int(cfg.get("seed", 0))
@@ -174,19 +184,15 @@ def _probe_report(kind: str, cfg: dict) -> dict:
     if kind == "dilute-lb":
         spec = gensig.DiluteClassSpec(L=cfg["L"], s=cfg["s"], m=cfg["m"],
                                       M=cfg["M"], eps=cfg["eps"])
-        theta0 = (Signal.from_json_dict(cfg["signal"]) if "signal" in cfg
-                  else gensig.gen_collision_free(spec, rng))
+        theta0 = _probe_signal(cfg, lambda: gensig.gen_collision_free(spec, rng))
         report = probes.dilute_lower_bound_check(
             theta0, spec, int(cfg.get("trials", 1000)), rng,
             h_norm=cfg.get("h_norm"))
         report["signal"] = theta0.to_json_dict()
     elif kind == "adversarial":
-        if "signal" in cfg:
-            theta0 = Signal.from_json_dict(cfg["signal"])
-        else:
-            theta0 = Signal(rng.normal(size=cfg["L"]))
+        theta0 = _probe_signal(cfg, lambda: Signal(rng.normal(size=cfg["L"])))
         h = probes.adversarial_direction(theta0, float(cfg.get("delta", 1e-3)))
-        lin, _ = second_moment_expansion_generators(theta0, h.values)
+        lin, _ = second_moment_difference_expansion(theta0, h.values)
         report = {
             "h": h.to_json_dict(),
             "h_mean": h.mean(),
@@ -206,9 +212,8 @@ def _probe_report(kind: str, cfg: dict) -> dict:
             report = {"set_size": lam.size(), "c1_hat": c1, "c2_hat": c2,
                       "frequencies": sorted(lam.frequencies)}
     elif kind == "lambda":
-        theta = (Signal.from_json_dict(cfg["signal"]) if "signal" in cfg
-                 else gensig.gen_symm_bernoulli_gaussian(
-                     cfg["L"], cfg["s"], float(cfg.get("zeta", 1.0)), rng))
+        theta = _probe_signal(cfg, lambda: gensig.gen_symm_bernoulli_gaussian(
+            cfg["L"], cfg["s"], float(cfg.get("zeta", 1.0)), rng))
         lam = probes.lambda_construct(theta, int(cfg["s"]), cfg["a"],
                                       int(cfg.get("max_tries", 50)), rng,
                                       tau=float(cfg.get("tau", 1.0)))

@@ -164,11 +164,13 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     These cancel the O(||d||) and O(||d||^2) sampling fluctuations, which
     matters when KL is tiny against the per-sample spread.  The SE comes from
     a delete-one-block jackknife, over min(100, n_mc) blocks, of the
-    regression-adjusted mean: every leave-one-out estimate reads the totals
-    less one block's sums of x, C, C C^T and x C (C the control variates), all
-    at once, with each 2 x 2 regression solved in closed form.  The control
-    variates are used only when every one of those regressions has at least
-    4 samples (n_mc >= 5); below that the plain mean is returned.
+    regression-adjusted mean.  Each block keeps one Gram matrix sum z z^T over
+    its samples z = (1, x, score, Bartlett), or z = (1, x) without control
+    variates: it holds the count and every sum the fit needs.  Every
+    leave-one-out fit reads the total less one block's matrix, all at once,
+    with each 2 x 2 regression solved in closed form.  The control variates
+    are used only when every one of those regressions has at least 4 samples
+    (n_mc >= 5); below that the plain mean is returned.
     """
     if theta0.L != theta.L:
         raise LengthMismatchError("signals have lengths %d and %d" % (theta0.L, theta.L))
@@ -178,15 +180,10 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     d = Signal(theta.values - theta0.values)
     n_blocks = min(100, n_mc)
     bounds = np.linspace(0, n_mc, n_blocks + 1).astype(int)
-    cnt = np.diff(bounds).astype(float)
     # the smallest regression, the jackknife fit without the largest block, needs
     # 4 samples: its intercept and two slopes would fit 3 exactly, leaving noise
-    use_cv = control_variate and d.norm() > 0 and n_mc - cnt.max() >= 4
-    k = 2 if use_cv else 0
-    sx = np.zeros(n_blocks)
-    sc = np.zeros((n_blocks, k))
-    scc = np.zeros((n_blocks, k, k))
-    sxc = np.zeros((n_blocks, k))
+    use_cv = control_variate and d.norm() > 0 and n_mc - np.diff(bounds).max() >= 4
+    gram = np.zeros((n_blocks, 4, 4) if use_cv else (n_blocks, 2, 2))
     sig2 = sigma**2
     idx = orbit_index(cfg.L, dihedral)
     orbit0 = theta0.values[idx]
@@ -208,28 +205,22 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
                 q = c1 - c0 - tds
             lse0, w = _softmax(c0, weights=use_cv)
             x = lse0 - _softmax(c1, weights=False)[0] - norm_gap
-            sx[b] += x.sum()
+            z = [np.ones_like(x), x]
             if use_cv:
                 wq = np.multiply(w, q, out=w)
-                score = wq.sum(axis=0)
-                bart = np.multiply(wq, q, out=q).sum(axis=0) - dsq / sig2
-                C = np.stack([score, bart], axis=1)
-                sc[b] += C.sum(axis=0)
-                scc[b] += C.T @ C
-                sxc[b] += x @ C
-
-    def stacked(a):  # row 0 sums all blocks, row 1 + b all blocks but b
-        total = a.sum(axis=0)
-        return np.concatenate([total[None], total - a])
-
-    n = stacked(cnt)
-    est = mx = stacked(sx) / n
+                z += [wq.sum(axis=0), np.multiply(wq, q, out=q).sum(axis=0) - dsq / sig2]
+            Z = np.stack(z)
+            gram[b] += Z @ Z.T
+    # row 0 sums all blocks, row 1 + b all blocks but b
+    total = gram.sum(axis=0)
+    g = np.concatenate([total[None], total - gram])
+    n = g[:, 0, 0]
+    mean = g[:, 0] / n[:, None]  # (1, x, score, Bartlett) means
+    est = mx = mean[:, 1]
     if use_cv:
-        mc = stacked(sc) / n[:, None]
-        cov_cc = stacked(scc) / n[:, None, None] - mc[:, :, None] * mc[:, None, :]
-        cov_xc = stacked(sxc) / n[:, None] - mx[:, None] * mc
-        (a, b), (c, e) = cov_cc[:, 0].T, cov_cc[:, 1].T
-        (x0, x1), (m0, m1), det = cov_xc.T, mc.T, a * e - b * c
+        cov = g / n[:, None, None] - mean[:, :, None] * mean[:, None, :]
+        (a, b), (c, e) = cov[:, 2, 2:].T, cov[:, 3, 2:].T
+        (x0, x1), (m0, m1), det = cov[:, 1, 2:].T, mean[:, 2:].T, a * e - b * c
         # beta . mc with beta = cov_cc^-1 cov_xc; both control variates have
         # exact mean zero under p_theta0, and a singular cov_cc keeps the plain mean
         bmc = ((e * x0 - b * x1) * m0 + (a * x1 - c * x0) * m1) / np.where(det != 0, det, 1.0)

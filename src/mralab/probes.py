@@ -23,7 +23,7 @@ import numpy as np
 from .gensig import DiluteClassSpec, is_collision_free
 from .mra import kl_monte_carlo
 from .ring import Signal, align_spectra, reflect, std_indices, storage_index
-from .spectral import delta_m, second_moment_expansion_generators
+from .spectral import delta_m, second_moment_difference_expansion
 
 #: constants fitted on calibration runs (seed 20240801) and frozen
 FITTED_CONSTANTS = {
@@ -94,7 +94,7 @@ def support_restricted_min_ratio(theta0: Signal, n_support: int) -> float:
     """
     L = theta0.L
     units = np.eye(L)[np.flatnonzero(theta0.values)]
-    lin, _ = second_moment_expansion_generators(theta0, units)
+    lin, _ = second_moment_difference_expansion(theta0, units)
     smin = np.sqrt(L) * np.linalg.svd(lin, compute_uv=False)[-1]
     return float(smin / np.sqrt(n_support / L))
 

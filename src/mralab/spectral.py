@@ -6,11 +6,11 @@ hat(v)(xi) = sum_k v(k) e^{-2 pi i xi k / L}, so ||v||^2 = ||hat(v)||^2 / L.
 E_G[(G theta)^(x m)] is shift invariant, so its DFT vanishes off the plane
 xi_1 + ... + xi_m = 0 (mod L) and equals hat(theta)(xi_1) ... hat(theta)(xi_m)
 on it, in any cyclic indexing: L mean(theta) at xi = 0 for m = 1, the power
-spectrum for m = 2, the bispectrum
-hat(theta)(a) hat(theta)(b) conj(hat(theta)(a + b)) for m = 3.  Parseval gives
-||Delta_m||_F^2 = L^-m sum over the plane of |difference|^2, in O(L^(m-1))
-work.  `delta_m` holds differences of population moments in this form and
-`empirical_moments` holds debiased sample moments of a dataset in it.
+spectrum for m = 2, the bispectrum hat(theta)(a) hat(theta)(b)
+conj(hat(theta)(a + b)) for m = 3.  Parseval gives ||Delta_m||_F^2 = L^-m sum
+over the plane of |difference|^2, in O(L^(m-1)) work.  `delta_m` holds moment
+differences in this form, and `empirical_moments` debiased sample moments.
+`second_moment_difference_expansion` holds circulants by their generators.
 """
 from __future__ import annotations
 
@@ -49,12 +49,6 @@ def _moment_fourier(theta: Signal, m: int) -> np.ndarray:
     return np.prod([f[i] for i in _plane(theta.L, m)], axis=0)
 
 
-def _circulant(c: np.ndarray) -> np.ndarray:
-    """L x L matrix with entries c[(i - j) mod L], for c in natural order."""
-    i = np.arange(c.size)
-    return c[(i[:, None] - i[None, :]) % c.size]
-
-
 def power_spectrum(theta: Signal) -> np.ndarray:
     """|hat(theta)|^2 at frequencies in standard order; nonnegative."""
     return Signal.from_natural(np.abs(np.fft.fft(theta.natural())) ** 2).values
@@ -69,28 +63,24 @@ def delta_m(theta: Signal, phi: Signal, m: int) -> MomentTensor:
     raise ValueError("moment order must be 1, 2 or 3; got %r" % (m,))
 
 
-def second_moment_expansion_generators(theta: Signal, h: np.ndarray):
-    """Circulant generators (natural lag order) of the linear and quadratic
-    parts of Delta_2(theta + h, theta), for one h or a stack of rows h in
-    standard-order values."""
-    th = np.fft.fft(theta.values)
-    hh = np.fft.fft(h)
-    lin = np.real(np.fft.ifft(2 * np.real(th * np.conj(hh)))) / theta.L
-    quad = np.real(np.fft.ifft(np.abs(hh) ** 2)) / theta.L
-    return lin, quad
-
-
-def second_moment_difference_expansion(theta: Signal, h: Signal):
+def second_moment_difference_expansion(theta: Signal, h: np.ndarray):
     """Split Delta_2(theta + h, theta) into its linear and quadratic parts in h.
 
     Delta_2 = (1/L)[M(theta * reflect(h)) + M(reflect(theta) * h)] (linear)
             + (1/L) M(h * reflect(h))                              (quadratic).
-    Returns (linear_part, quadratic_part) as dense L x L matrices.
+    Each part is the circulant with entries J((i - j) mod L), fixed by its
+    generator J, and ||circulant(J)||_F = sqrt(L) ||J||.  h holds standard-order
+    values, one row (L,) or a stack (k, L); the generators come back in natural
+    lag order with h's shape, and no dense L x L matrix is formed.
     """
-    if theta.L != h.L:
-        raise LengthMismatchError("signals have lengths %d and %d" % (theta.L, h.L))
-    lin, quad = second_moment_expansion_generators(theta, h.values)
-    return _circulant(lin), _circulant(quad)
+    arr = np.asarray(h)  # a Signal becomes a 0-d object array and is rejected
+    if arr.ndim not in (1, 2) or arr.shape[-1] != theta.L:
+        raise LengthMismatchError("h must be an array of shape (%d,) or (k, %d), not a %s of "
+                                  "shape %s" % (theta.L, theta.L, type(h).__name__, arr.shape))
+    th, hh = np.fft.fft(theta.values), np.fft.fft(arr)
+    lin = np.real(np.fft.ifft(2 * np.real(th * np.conj(hh)))) / theta.L
+    quad = np.real(np.fft.ifft(np.abs(hh) ** 2)) / theta.L
+    return lin, quad
 
 
 def _bispectrum_sum(f: np.ndarray) -> np.ndarray:

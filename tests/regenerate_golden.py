@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mralab import cli
+from mralab import cli, experiments
 from mralab.probes import _sparse_picks
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -29,30 +29,72 @@ PROBE_CONFIGS = {
 }
 
 
-def probes_stream(workdir) -> dict:
-    """The first 8 rows of `_sparse_picks(512, 8, 10000, default_rng(1))` and
-    the `mralab probe` report of each config in PROBE_CONFIGS, run in
-    workdir."""
-    picks, vals = _sparse_picks(512, 8, 10000, np.random.default_rng(1))
+#: the CI smoke configs of the probes that read the Delta_2 expansion
+CURVATURE_CONFIGS = {
+    "dilute-lb": {"L": 101, "s": 8, "m": 1.0, "M": 1.05, "eps": 1.0, "trials": 200, "seed": 0},
+    "adversarial": {"L": 101, "seed": 0, "delta": 1e-3},
+}
+
+#: the CI smoke configs of the outputs that read kl_monte_carlo
+KL_CONFIGS = {
+    "sandwich": {"theta": {"L": 4, "format": "standard-parametrization",
+                           "support": [-1, 0, 1, 2], "values": [1.0, -1.0, 0.5, -0.5]},
+                 "phi": {"L": 4, "format": "standard-parametrization",
+                         "support": [-1, 0, 2], "values": [1.0, -0.5, -0.5]},
+                 "sigma_grid": [2, 4], "n_mc": 5000, "seed": 0},
+    "kl-scan": {"scenario": "kl-curvature-scan", "L": 8, "sigma_grid": [2.0, 4.0], "seed": 0,
+                "s_grid": [3], "dilute": {"m": 1.0, "M": 1.05, "eps": 0.5},
+                "kl": {"n_mc": 20000, "h_norm": 0.05}},
+}
+
+
+def probe_reports(configs: dict, workdir) -> dict:
+    """The `mralab probe` report of each kind -> config in configs, run in workdir."""
     reports = {}
-    for kind, cfg in PROBE_CONFIGS.items():
+    for kind, cfg in configs.items():
         cfg_path, out = Path(workdir, kind + ".json"), Path(workdir, kind + "-report.json")
         cfg_path.write_text(json.dumps(cfg))
         if cli.main(["probe", kind, "--config", str(cfg_path), "--out", str(out)]) != 0:
             raise RuntimeError("probe %s failed" % kind)
         reports[kind] = json.loads(out.read_text())
+    return reports
+
+
+def probes_stream(workdir) -> dict:
+    """The first 8 rows of `_sparse_picks(512, 8, 10000, default_rng(1))` and
+    the report of each config in PROBE_CONFIGS."""
+    picks, vals = _sparse_picks(512, 8, 10000, np.random.default_rng(1))
     return {"sparse_picks": {"L": 512, "s": 8, "trials": 10000, "seed": 1,
                              "positions": picks[:8].tolist(), "values": vals[:8].tolist()},
-            "reports": reports}
+            "reports": probe_reports(PROBE_CONFIGS, workdir)}
+
+
+def probes_curvature(workdir) -> dict:
+    """The report of each config in CURVATURE_CONFIGS."""
+    return {"reports": probe_reports(CURVATURE_CONFIGS, workdir)}
+
+
+def kl_outputs(workdir) -> dict:
+    """The sandwich report, and the kl-scan summary and records, of KL_CONFIGS."""
+    result = experiments.run_experiment(experiments.ExperimentConfig(**KL_CONFIGS["kl-scan"]))
+    scan = {"summary": result.summary_dict(), "records": result.records}
+    return {"reports": probe_reports({"sandwich": KL_CONFIGS["sandwich"]}, workdir),
+            "kl-scan": json.loads(json.dumps(scan, default=cli._jsonable))}
+
+
+#: golden file -> the function of a work directory that recomputes it
+FILES = {"probes_stream.json": probes_stream, "probes_curvature.json": probes_curvature,
+         "kl.json": kl_outputs}
 
 
 def main():
-    with tempfile.TemporaryDirectory() as workdir:
-        golden = probes_stream(workdir)
     GOLDEN.mkdir(exist_ok=True)
-    path = GOLDEN / "probes_stream.json"
-    path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print("wrote", path)
+    for name, compute in FILES.items():
+        with tempfile.TemporaryDirectory() as workdir:
+            golden = compute(workdir)
+        path = GOLDEN / name
+        path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        print("wrote", path)
 
 
 if __name__ == "__main__":

@@ -226,6 +226,32 @@ class TestProbe:
             main(["probe", "sandwich", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
         assert not (tmp_path / "rep.json").exists()
 
+    @staticmethod
+    def _signal(L):
+        # a Golomb ruler: collision-free in Z_L for L > 68
+        support = [0, 1, 4, 9, 15, 22, 32, 34]
+        return {"L": L, "format": "standard-parametrization", "support": support,
+                "values": [1.0] * len(support)}
+
+    @pytest.mark.parametrize("kind, cfg", [
+        ("dilute-lb", {"L": 101, "s": 8, "m": 1.0, "M": 1.05, "eps": 1.0, "trials": 10}),
+        ("adversarial", {"L": 101}),
+        ("lambda", {"L": 101, "s": 8, "a": 50}),
+    ])
+    def test_signal_length_must_match_L(self, tmp_path, kind, cfg):
+        # a length-151 signal under L=101 used to run at the signal's length
+        path, out = tmp_path / "cfg.json", tmp_path / "rep.json"
+        _write_json(path, dict(cfg, signal=self._signal(151)))
+        with pytest.raises(ValueError, match="signal has length 151 but the config has L=101"):
+            main(["probe", kind, "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+        # a matching signal, or one given without L, still runs
+        _write_json(path, dict(cfg, signal=self._signal(101)))
+        assert main(["probe", kind, "--config", str(path), "--out", str(out)]) == 0
+        if kind == "adversarial":
+            _write_json(path, {"signal": self._signal(101)})
+            assert main(["probe", kind, "--config", str(path), "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("kind, cfg, bad", [
         ("dilute-lb", {"L": 101, "s": 8, "m": 1.0, "M": 1.5, "eps": 1.0, "trails": 10},
          "trails"),

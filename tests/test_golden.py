@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from regenerate_golden import GOLDEN, probes_stream
+from regenerate_golden import FILES, GOLDEN
 
 
 def assert_matches(got, want, path="$"):
@@ -28,9 +28,22 @@ def assert_matches(got, want, path="$"):
         assert type(got) is type(want) and got == want, path
 
 
+def check_file(name, workdir):
+    assert_matches(FILES[name](workdir), json.loads((GOLDEN / name).read_text()))
+
+
 def test_probes_stream(tmp_path):
-    want = json.loads((GOLDEN / "probes_stream.json").read_text())
-    assert_matches(probes_stream(tmp_path), want)
+    check_file("probes_stream.json", tmp_path)
+
+
+def test_probes_curvature(tmp_path):
+    # dilute-lb and adversarial read the Delta_2 expansion
+    check_file("probes_curvature.json", tmp_path)
+
+
+def test_kl(tmp_path):
+    # the sandwich probe and the kl-scan read kl_monte_carlo's estimate and SE
+    check_file("kl.json", tmp_path)
 
 
 def test_assert_matches_tolerance():

@@ -7,9 +7,8 @@ from mralab import mra
 from mralab.mra import Dataset, MraConfig, StreamingDataset, simulate
 from mralab.ring import (LengthMismatchError, Signal, reflect, shift, std_indices,
                          std_offset, storage_index)
-from mralab.spectral import (_circulant, delta_m, empirical_moments, power_spectrum,
-                             second_moment_difference_expansion,
-                             second_moment_expansion_generators)
+from mralab.spectral import (delta_m, empirical_moments, power_spectrum,
+                             second_moment_difference_expansion)
 
 from oracles import (convolve, dense, dft, group_elements, sample_moment_dense,
                      second_moment_dense, third_moment_dense, toeplitz)
@@ -134,21 +133,23 @@ class TestConvolve:
     def test_length_mismatch(self):
         # the package's two-signal functions reject mismatched lengths
         u, v = Signal([1.0, 2.0]), Signal([1.0, 2.0, 3.0])
-        for call in (lambda: delta_m(u, v, 2), lambda: second_moment_difference_expansion(u, v)):
+        for call in (lambda: delta_m(u, v, 2),
+                     lambda: second_moment_difference_expansion(u, v.values)):
             with pytest.raises(LengthMismatchError):
                 call()
 
 
 class TestToeplitz:
-    """`_circulant`, the dense circulant behind the expansion, against the
-    oracle `toeplitz` and scipy."""
+    """The dense circulant oracles, `toeplitz` and scipy's, and the dense
+    form of the expansion they build from its generators."""
 
     def test_delta_is_identity(self):
-        assert np.allclose(_circulant(Signal.delta(5).natural()), np.eye(5))
+        assert np.allclose(toeplitz(Signal.delta(5)), np.eye(5))
+        assert np.allclose(scipy.linalg.circulant(Signal.delta(5).natural()), np.eye(5))
 
     def test_entries(self):
         v = Signal(np.random.default_rng(7).normal(size=6))
-        M = _circulant(v.natural())
+        M = scipy.linalg.circulant(v.natural())
         np.testing.assert_array_equal(M, toeplitz(v))
         idx = std_indices(6)
         for a in range(6):
@@ -159,20 +160,21 @@ class TestToeplitz:
         rng = np.random.default_rng(8)
         for L in (4, 5, 16, 21, 64):
             v = Signal(rng.normal(size=L))
-            assert np.linalg.norm(_circulant(v.natural())) == pytest.approx(
+            assert np.linalg.norm(scipy.linalg.circulant(v.natural())) == pytest.approx(
                 np.sqrt(L) * v.norm(), rel=1e-12)
 
     @pytest.mark.parametrize("L", [2, 7, 16, 21, 64])
     def test_bit_equal_to_scipy_circulant(self, L):
         rng = np.random.default_rng(L)
         v, theta, h = (Signal(rng.normal(size=L)) for _ in range(3))
-        np.testing.assert_array_equal(_circulant(v.natural()),
-                                      scipy.linalg.circulant(v.natural()))
         np.testing.assert_array_equal(toeplitz(v), scipy.linalg.circulant(v.natural()))
-        lin, quad = second_moment_difference_expansion(theta, h)
-        glin, gquad = second_moment_expansion_generators(theta, h.values)
-        np.testing.assert_array_equal(lin, scipy.linalg.circulant(glin))
-        np.testing.assert_array_equal(quad, scipy.linalg.circulant(gquad))
+        # the expansion's docstring form, term by term, through the oracles
+        glin, gquad = second_moment_difference_expansion(theta, h.values)
+        lin = scipy.linalg.circulant(glin)
+        ref = (toeplitz(convolve(theta, reflect(h))) + toeplitz(convolve(reflect(theta), h))) / L
+        assert np.allclose(lin, ref, rtol=1e-12, atol=1e-12)
+        assert np.allclose(scipy.linalg.circulant(gquad), toeplitz(convolve(h, reflect(h))) / L,
+                           rtol=1e-12, atol=1e-12)
         # the adversarial probe reports ||lin||_F as sqrt(L) ||glin||
         assert np.sqrt(L) * np.linalg.norm(glin) == pytest.approx(np.linalg.norm(lin), rel=1e-12)
 
@@ -180,7 +182,8 @@ class TestToeplitz:
         rng = np.random.default_rng(9)
         for L in (4, 5, 16, 21, 64):
             v, w = Signal(rng.normal(size=L)), Signal(rng.normal(size=L))
-            lhs = np.trace(_circulant(v.natural()) @ _circulant(w.natural()).T)
+            lhs = np.trace(scipy.linalg.circulant(v.natural())
+                           @ scipy.linalg.circulant(w.natural()).T)
             assert lhs == pytest.approx(L * np.dot(v.values, w.values), rel=1e-10)
 
 
@@ -275,26 +278,48 @@ class TestDeltaM:
 
 
 class TestExpansion:
+    """The generators of Delta_2(theta + h, theta), read as dense circulants
+    through scipy."""
+
     def test_zero_h(self):
         theta = Signal(np.random.default_rng(17).normal(size=8))
-        lin, quad = second_moment_difference_expansion(theta, Signal.zeros(8))
-        assert np.allclose(lin, 0.0) and np.allclose(quad, 0.0)
+        lin, quad = second_moment_difference_expansion(theta, np.zeros(8))
+        assert np.allclose(scipy.linalg.circulant(lin), 0.0)
+        assert np.allclose(scipy.linalg.circulant(quad), 0.0)
 
     def test_sums_to_direct_difference(self):
         rng = np.random.default_rng(18)
         for L in (5, 8, 16):
             theta = Signal(rng.normal(size=L))
             h = Signal(rng.normal(size=L))
-            lin, quad = second_moment_difference_expansion(theta, h)
+            lin, quad = second_moment_difference_expansion(theta, h.values)
             direct = dense(delta_m(Signal(theta.values + h.values), theta, 2))
-            assert np.allclose(lin + quad, direct, rtol=1e-10, atol=1e-10)
+            assert np.allclose(scipy.linalg.circulant(lin + quad), direct, rtol=1e-10, atol=1e-10)
 
     def test_quadratic_part_bound(self):
         rng = np.random.default_rng(19)
         for L in (4, 8, 21):
             h = Signal(rng.normal(size=L))
-            _, quad = second_moment_difference_expansion(Signal(rng.normal(size=L)), h)
-            assert np.linalg.norm(quad) <= L * h.norm() ** 2 + 1e-9
+            _, quad = second_moment_difference_expansion(Signal(rng.normal(size=L)), h.values)
+            assert np.linalg.norm(scipy.linalg.circulant(quad)) <= L * h.norm() ** 2 + 1e-9
+
+    @pytest.mark.parametrize("L", [2, 7, 16, 21, 64])
+    def test_stack_matches_single_rows(self, L):
+        rng = np.random.default_rng(L + 100)
+        theta, rows = Signal(rng.normal(size=L)), rng.normal(size=(6, L))
+        lin, quad = second_moment_difference_expansion(theta, rows)
+        assert lin.shape == quad.shape == (6, L)
+        for i, row in enumerate(rows):
+            glin, gquad = second_moment_difference_expansion(theta, row)
+            np.testing.assert_array_equal(lin[i], glin)
+            np.testing.assert_array_equal(quad[i], gquad)
+
+    def test_rejects_bad_shapes_and_signals(self):
+        theta = Signal(np.random.default_rng(25).normal(size=6))
+        for h in (np.zeros(5), np.zeros(7), np.zeros((3, 5)), np.zeros((2, 3, 6)),
+                  np.zeros(()), Signal(np.zeros(6))):
+            with pytest.raises(LengthMismatchError):
+                second_moment_difference_expansion(theta, h)
 
 
 class TestAutocorrelation:
@@ -330,10 +355,10 @@ class TestAutocorrelation:
     def test_matches_scaled_generator(self):
         # the quadratic generator of Delta_2(0 + theta, 0) is J = A / L
         theta = Signal(np.random.default_rng(23).normal(size=10))
-        _, gen = second_moment_expansion_generators(Signal.zeros(10), theta.values)
+        _, gen = second_moment_difference_expansion(Signal.zeros(10), theta.values)
         a_nat = [direct_autocorrelation(theta, lag) for lag in range(10)]
         assert np.allclose(a_nat, 10 * gen, atol=1e-12)
-        assert np.allclose(_circulant(gen), dense(second_moment(theta)), atol=1e-12)
+        assert np.allclose(scipy.linalg.circulant(gen), dense(second_moment(theta)), atol=1e-12)
 
     def test_power_spectrum_is_dft_of_autocorrelation(self):
         theta = Signal(np.random.default_rng(24).normal(size=12))
