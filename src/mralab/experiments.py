@@ -16,8 +16,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .gensig import DiluteClassSpec, gen_collision_free, gen_symm_interval
-from .mra import (MraConfig, RestrictedClass, StreamingDataset, em_restricted_mle,
-                  kl_monte_carlo, simulate)
+from .mra import (MraConfig, RestrictedClass, StreamingDataset, check_sigma_grid,
+                  em_restricted_mle, kl_monte_carlo, simulate)
 from .probes import adversarial_direction
 from .ring import Signal, varrho
 
@@ -70,13 +70,8 @@ class ExperimentConfig:
         _check_choice("scenario", self.scenario, tuple(SCENARIOS))
         if self.schema != 1:
             raise ValueError("unsupported config schema %r" % (self.schema,))
-        self.sigma_grid = tuple(float(x) for x in self.sigma_grid)
+        self.sigma_grid = check_sigma_grid(self.sigma_grid)
         self.s_grid = tuple(int(x) for x in self.s_grid)
-        if not self.sigma_grid:
-            raise ValueError("sigma grid must be nonempty")
-        if not all(x > 0 for x in self.sigma_grid):
-            raise ValueError("sigma_grid must hold positive noise scales, got %r"
-                             % (self.sigma_grid,))
         if self.trials < 1:
             raise ValueError("need trials >= 1")
         if self.signal is not None and int(self.signal["L"]) != self.L:

@@ -5,13 +5,17 @@ All three share one path: `ring.orbit_index` gathers theta's orbit matrix
 scaled by 1/sigma^2 (row G holds G theta / sigma^2), one matrix product gives
 the logits <y_i, G theta> / sigma^2 of a block of observations, and `_softmax`
 gives their log-sum-exps and posterior weights.  A `Dataset` computes ||y_i||^2
-once; KL needs none.  Observations are drawn as rows of theta0's orbit matrix
-plus noise.  The EM M-step accumulates W @ Y and folds it onto Z_L once per
-iteration.  A pass costs O(n L |G|); no FFT is taken, so a prime L costs no extra.
+once; KL needs none.  A block of observations is drawn in place: one
+standard-normal fill scaled by sigma, plus theta0's orbit rows gathered with
+one `take`, which gives the stream and the bits of orbit[pick] + sigma *
+rng.normal(size=(m, L)).  The EM M-step accumulates W @ Y and folds it onto
+Z_L once per iteration.  A pass costs O(n L |G|); no FFT is taken, so a prime
+L costs no extra.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -33,6 +37,16 @@ class MraConfig:
             raise ValueError("noise scale must be positive")
         if self.L < 2:
             raise ValueError("need L >= 2")
+
+
+def check_sigma_grid(grid) -> tuple:
+    """grid as a tuple of floats; a ValueError unless it is a non-empty list
+    or tuple of positive finite numbers."""
+    if not (isinstance(grid, (list, tuple)) and grid and all(
+            isinstance(x, Real) and not isinstance(x, bool) and 0 < x < np.inf for x in grid)):
+        raise ValueError("sigma_grid must be a non-empty list of positive finite noise "
+                         "scales, got %r" % (grid,))
+    return tuple(float(x) for x in grid)
 
 
 @dataclass
@@ -96,8 +110,16 @@ def _draw_block(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Genera
     from theta0's orbit matrix, whose row shift + L flip is (shift, flip) theta0."""
     L = cfg.L
     shifts = rng.integers(L, size=m)
-    flips = rng.integers(2, size=m).astype(bool) if cfg.dihedral else np.zeros(m, dtype=bool)
-    rows = orbit[shifts + L * flips] + cfg.sigma * rng.normal(size=(m, L))
+    if cfg.dihedral:
+        flips = rng.integers(2, size=m).astype(bool)
+        pick = shifts + L * flips
+    else:
+        flips, pick = np.zeros(m, dtype=bool), shifts
+    # normal(0, 1) is 0 + 1 z of this same draw, so the stream and the sums
+    # sigma z + row are those of orbit[pick] + sigma * rng.normal(size=(m, L))
+    rows = rng.standard_normal(size=(m, L))
+    rows *= cfg.sigma
+    rows += orbit.take(pick, axis=0)
     return rows, shifts, flips
 
 
@@ -183,7 +205,8 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     # the smallest regression, the jackknife fit without the largest block, needs
     # 4 samples: its intercept and two slopes would fit 3 exactly, leaving noise
     use_cv = control_variate and d.norm() > 0 and n_mc - np.diff(bounds).max() >= 4
-    gram = np.zeros((n_blocks, 4, 4) if use_cv else (n_blocks, 2, 2))
+    k = 4 if use_cv else 2
+    gram = np.zeros((n_blocks, k, k))
     sig2 = sigma**2
     idx = orbit_index(cfg.L, dihedral)
     orbit0 = theta0.values[idx]
@@ -197,19 +220,24 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
         m = bounds[b + 1] - bounds[b]
         for lo in range(0, m, DEFAULT_CHUNK):
             Y, _, _ = _draw_block(orbit0, cfg, min(DEFAULT_CHUNK, m - lo), rng)
+            # two products: one GEMM of the stacked orbits changes the last bits
             c0 = scaled0 @ Y.T
             c1 = scaled1 @ Y.T
             if use_cv:
                 # <y, G d> / sigma^2 by linearity; formed before _softmax
                 # overwrites c0 and c1
-                q = c1 - c0 - tds
+                q = c1 - c0
+                q -= tds
             lse0, w = _softmax(c0, weights=use_cv)
-            x = lse0 - _softmax(c1, weights=False)[0] - norm_gap
-            z = [np.ones_like(x), x]
+            Z = np.empty((k, len(Y)))  # rows 1, x, score, Bartlett
+            Z[0] = 1.0
+            np.subtract(lse0, _softmax(c1, weights=False)[0], out=Z[1])
+            Z[1] -= norm_gap
             if use_cv:
                 wq = np.multiply(w, q, out=w)
-                z += [wq.sum(axis=0), np.multiply(wq, q, out=q).sum(axis=0) - dsq / sig2]
-            Z = np.stack(z)
+                wq.sum(axis=0, out=Z[2])
+                np.multiply(wq, q, out=q).sum(axis=0, out=Z[3])
+                Z[3] -= dsq / sig2
             gram[b] += Z @ Z.T
     # row 0 sums all blocks, row 1 + b all blocks but b
     total = gram.sum(axis=0)

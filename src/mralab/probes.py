@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gensig import DiluteClassSpec, is_collision_free
-from .mra import kl_monte_carlo
+from .mra import check_sigma_grid, kl_monte_carlo
 from .ring import Signal, align_spectra, reflect, std_indices, storage_index
 from .spectral import delta_m, second_moment_difference_expansion
 
@@ -340,20 +340,22 @@ def moment_sandwich_probe(theta: Signal, phi: Signal, sigma_grid, n_mc: int,
                           rng: np.random.Generator) -> dict:
     """KL against the truncated moment-difference series over a sigma grid.
 
-    Both signals must be centered; the lower series sums
+    Both signals must be centered, and sigma_grid a non-empty list of
+    positive finite noise scales; the lower series sums
     ||Delta_m||^2 / ((sqrt(3) sigma)^(2m) m!) for m = 1..3.
     """
+    sigma_grid = check_sigma_grid(sigma_grid)
     tol = 1e-10 * max(theta.norm(), phi.norm(), 1.0)
     if abs(theta.mean()) > tol or abs(phi.mean()) > tol:
         raise ValueError("both signals must be centered")
     norms = [delta_m(theta, phi, m).frobenius() for m in (1, 2, 3)]
     rows = []
     for sigma in sigma_grid:
-        kl, se = kl_monte_carlo(theta, phi, float(sigma), n_mc, rng)
+        kl, se = kl_monte_carlo(theta, phi, sigma, n_mc, rng)
         series = sum(norms[m - 1] ** 2 / ((3 * sigma**2) ** m * math.factorial(m))
                      for m in (1, 2, 3))
         rows.append({
-            "sigma": float(sigma),
+            "sigma": sigma,
             "kl": kl,
             "kl_se": se,
             "delta_norms": [float(x) for x in norms],

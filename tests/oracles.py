@@ -1,7 +1,8 @@
 """Dense and direct-sum oracles that the package's Fourier-domain code is
-tested against, the divide-after-product posterior that its scaled-orbit
-kernel is tested against, the masked-loop KL jackknife that its block-sum
-jackknife is tested against, the double-loop lag counts and set-based greedy
+tested against, the fancy-index draw that its in-place draw is tested against
+bit for bit, the divide-after-product posterior that its scaled-orbit kernel
+is tested against, the masked-loop KL jackknife that its block-sum jackknife
+is tested against, the double-loop lag counts and set-based greedy
 builder that `gensig` is tested against, and the exhaustive group,
 cosine-functional and collision-free-size references of the paper's claims.
 None of them calls np.fft except `dense`, which reads a moment tensor back in
@@ -167,6 +168,16 @@ def sample_moment_dense(y: np.ndarray, order: int, sigma: float) -> np.ndarray:
     t -= sigma**2 * (np.einsum("i,jk->ijk", ybar, eye) + np.einsum("j,ik->ijk", ybar, eye)
                      + np.einsum("k,ij->ijk", ybar, eye))
     return shift_average(t)
+
+
+def draw_block_reference(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Generator):
+    """(rows, shifts, flips) as `mra._draw_block` returns them, from one
+    expression: the fancy-indexed orbit rows plus sigma times a fresh
+    `rng.normal` array."""
+    L = cfg.L
+    shifts = rng.integers(L, size=m)
+    flips = rng.integers(2, size=m).astype(bool) if cfg.dihedral else np.zeros(m, dtype=bool)
+    return orbit[shifts + L * flips] + cfg.sigma * rng.normal(size=(m, L)), shifts, flips
 
 
 def posterior_divide_after(theta: Signal, y: np.ndarray, sigma: float, dihedral: bool = False):

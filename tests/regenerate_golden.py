@@ -7,6 +7,7 @@ files: integers, flags and frequency sets exactly, floats within 1e-12
 relative.  Regenerate only on purpose, when a random stream or an output is
 meant to change, and say which fields moved and by how much.
 """
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -14,7 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from mralab import cli, experiments
+from mralab.mra import kl_monte_carlo
 from mralab.probes import _sparse_picks
+from mralab.ring import Signal
+from mralab.spectral import empirical_moments
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -82,9 +86,66 @@ def kl_outputs(workdir) -> dict:
             "kl-scan": json.loads(json.dumps(scan, default=cli._jsonable))}
 
 
+#: the CI smoke signal and class of `mralab simulate` and `mralab estimate`
+MRA_SIGNAL = {"L": 21, "format": "standard-parametrization", "support": [-4, -3, 4, 6],
+              "values": [1.0, 1.05, -1.08, 1.04]}
+MRA_CLASS = {"kind": "support-fixed", "support": [-4, -3, 4, 6]}
+#: container name -> its `mralab simulate` arguments after --signal
+MRA_CONTAINERS = {
+    "cyclic": ["--sigma", "0.5", "--n", "500", "--seed", "1"],
+    "dihedral": ["--sigma", "0.7", "--n", "500", "--seed", "2", "--group", "dihedral"],
+}
+
+
+def _cli(*argv):
+    if cli.main([str(a) for a in argv]) != 0:
+        raise RuntimeError("mralab %s failed" % argv[0])
+
+
+def mra_outputs(workdir) -> dict:
+    """kl_monte_carlo's (kl, se) at both groups, with and without control
+    variates, at n_mc 3, 7 and 1001 (the first below the control-variate
+    floor, the second just above it, the last with uneven jackknife blocks);
+    for each container in MRA_CONTAINERS its sha256, and the `mralab estimate`
+    fit and diagnostics from MRA_SIGNAL; and the empirical moments of orders
+    1 to 3 of the cyclic container, as real and imaginary parts."""
+    theta0 = Signal(np.random.default_rng(40).normal(size=7))
+    theta = Signal(theta0.values + 0.4 * np.random.default_rng(41).normal(size=7))
+    kl = []
+    for dihedral in (False, True):
+        for cv in (True, False):
+            for n_mc in (3, 7, 1001):
+                est, se = kl_monte_carlo(theta0, theta, 1.3, n_mc, np.random.default_rng(42),
+                                         dihedral=dihedral, control_variate=cv)
+                kl.append({"dihedral": dihedral, "control_variate": cv, "n_mc": n_mc,
+                           "kl": est, "kl_se": se})
+    work = Path(workdir)
+    signal, rclass = work / "signal.json", work / "class.json"
+    signal.write_text(json.dumps(MRA_SIGNAL))
+    rclass.write_text(json.dumps(MRA_CLASS))
+    fits = {}
+    for name, args in MRA_CONTAINERS.items():
+        data, hat, diag = (work / (name + ext) for ext in (".mra", "-hat.json", "-diag.json"))
+        _cli("simulate", "--signal", signal, *args, "--out", data)
+        _cli("estimate", "--data", data, "--restriction", rclass, "--init", signal,
+             "--max-iters", 20, "--out-signal", hat, "--out-diagnostics", diag)
+        fits[name] = {"sha256": hashlib.sha256(data.read_bytes()).hexdigest(),
+                      "theta_hat": json.loads(hat.read_text()),
+                      "diagnostics": json.loads(diag.read_text())}
+    data = cli.read_container(work / "cyclic.mra")
+    moments = {}
+    for order in (1, 2, 3):
+        f = np.asarray(empirical_moments(data, order).fourier)
+        moments[str(order)] = {"real": f.real.tolist(), "imag": f.imag.tolist()}
+    return {"kl_monte_carlo": {"L": 7, "sigma": 1.3, "theta_seeds": [40, 41], "seed": 42,
+                               "theta0": theta0.values.tolist(), "theta": theta.values.tolist(),
+                               "cases": kl},
+            "containers": fits, "empirical_moments": {"container": "cyclic", "orders": moments}}
+
+
 #: golden file -> the function of a work directory that recomputes it
 FILES = {"probes_stream.json": probes_stream, "probes_curvature.json": probes_curvature,
-         "kl.json": kl_outputs}
+         "kl.json": kl_outputs, "mra.json": mra_outputs}
 
 
 def main():

@@ -226,6 +226,18 @@ class TestProbe:
             main(["probe", "sandwich", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
         assert not (tmp_path / "rep.json").exists()
 
+    @pytest.mark.parametrize("grid", [[], 4, "24", [2, 0], [2, -1.0], [float("inf")],
+                                      [float("nan")], [True], [None]])
+    def test_sandwich_bad_sigma_grid_rejected(self, tmp_path, grid):
+        # an empty grid has no rows to check, so it must not report a pass
+        theta = {"L": 4, "format": "standard-parametrization", "support": [-1, 0, 1, 2],
+                 "values": [1.0, -1.0, 0.5, -0.5]}
+        cfg = tmp_path / "cfg.json"
+        _write_json(cfg, {"theta": theta, "phi": theta, "sigma_grid": grid, "n_mc": 100})
+        with pytest.raises(ValueError, match="sigma_grid"):
+            main(["probe", "sandwich", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
+        assert not (tmp_path / "rep.json").exists()
+
     @staticmethod
     def _signal(L):
         # a Golomb ruler: collision-free in Z_L for L > 68

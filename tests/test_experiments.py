@@ -32,8 +32,13 @@ class TestConfig:
             ExperimentConfig(scenario="dilute-rate", L=8, sigma_grid=(1.0,),
                              seed=0, schema=2)
 
+    @pytest.mark.parametrize("grid", [2.0, "2", [True], [None]])
+    def test_sigma_grid_not_a_list_of_numbers_rejected(self, grid):
+        with pytest.raises(ValueError, match="sigma_grid"):
+            ExperimentConfig(scenario="kl-curvature-scan", L=8, sigma_grid=grid, seed=0)
+
     @pytest.mark.parametrize("scenario", ["dilute-rate", "kl-curvature-scan"])
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_sigma_rejected(self, scenario, bad):
         with pytest.raises(ValueError, match="sigma_grid"):
             ExperimentConfig(scenario=scenario, L=8, sigma_grid=(bad, 1.0), seed=0)

@@ -46,6 +46,11 @@ def test_kl(tmp_path):
     check_file("kl.json", tmp_path)
 
 
+def test_mra(tmp_path):
+    # kl_monte_carlo, and the draw, EM fit and moments behind simulate and estimate
+    check_file("mra.json", tmp_path)
+
+
 def test_assert_matches_tolerance():
     assert_matches({"a": [1, 0.5, None]}, {"a": [1, 0.5 * (1 + 5e-13), None]})
     for got, want in ((1.0 + 1e-11, 1.0), (2, 3), (1, 1.0), (True, 1), ([1, 2], [1])):

@@ -7,7 +7,7 @@ from mralab.mra import (Dataset, MraConfig, RestrictedClass, StreamingDataset,
                         _draw_block, em_restricted_mle, kl_monte_carlo,
                         log_likelihood, simulate)
 from mralab.ring import Signal, orbit_index, reflect, shift, storage_index, varrho
-from oracles import em_iteration, group_elements, kl_masked_jackknife
+from oracles import draw_block_reference, em_iteration, group_elements, kl_masked_jackknife
 
 PLANAR = Signal.from_natural(
     np.array([0, 0, 0, 1.1, 0, 0, -1.0, 1.05, 0, 0, 0, 0,
@@ -114,6 +114,40 @@ class TestSimulate:
             np.testing.assert_allclose(diag_a[key], diag_b[key], rtol=1e-12, atol=1e-12)
         assert diag_a["final_log_likelihood"] == pytest.approx(
             diag_b["final_log_likelihood"], rel=1e-12)
+
+
+class TestDrawStream:
+    """The draw is pinned bit for bit to `draw_block_reference`: same random
+    stream, same rows, shifts and flips."""
+
+    @pytest.mark.parametrize("m", [1, 5, 1000])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("L", [2, 7, 21])
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_draw_block_and_simulate_match_reference(self, dihedral, L, sigma, m):
+        theta = Signal(np.random.default_rng(L).normal(size=L))
+        cfg = MraConfig(L, sigma, dihedral)
+        orbit = theta.values[orbit_index(L, dihedral)]
+        want = draw_block_reference(orbit, cfg, m, np.random.default_rng(m))
+        got = _draw_block(orbit, cfg, m, np.random.default_rng(m))
+        data = simulate(theta, cfg, m, np.random.default_rng(m))
+        for g, d, w in zip(got, (data.observations, data.shifts, data.flips), want):
+            assert g.dtype == d.dtype == w.dtype
+            assert np.array_equal(g, w) and np.array_equal(d, w)
+        assert dihedral or not got[2].any()
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_streaming_chunks_match_reference(self, dihedral, monkeypatch):
+        monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
+        theta = Signal(np.random.default_rng(12).normal(size=7))
+        cfg = MraConfig(7, 0.8, dihedral)
+        orbit = theta.values[orbit_index(7, dihedral)]
+        chunks = list(StreamingDataset(theta, cfg, 300, seed=4).iter_norm_chunks())
+        assert [len(block) for block, _ in chunks] == [128, 128, 44]
+        for c, (block, ysq) in enumerate(chunks):
+            want = draw_block_reference(orbit, cfg, len(block), np.random.default_rng((4, c)))[0]
+            assert np.array_equal(block, want)
+            assert np.array_equal(ysq, np.einsum("ij,ij->i", want, want))
 
 
 class TestLogDensity:
