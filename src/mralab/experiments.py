@@ -22,7 +22,7 @@ from .probes import adversarial_direction
 from .ring import Signal, varrho
 
 #: datasets of more bytes than this, at 8 (L + 1) per row for the observations
-#: and their cached norms, stream: they are regenerated per pass
+#: and their latent shifts, stream: they are regenerated per pass
 IN_MEMORY_LIMIT = 352_000_000
 
 

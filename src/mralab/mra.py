@@ -4,17 +4,16 @@ likelihood, Monte-Carlo KL estimation, and the restricted MLE via EM.
 All three share one path: `ring.orbit_index` gathers theta's orbit matrix
 scaled by 1/sigma^2 (row G holds G theta / sigma^2), one matrix product gives
 the logits <y_i, G theta> / sigma^2 of a block of observations, and `_softmax`
-gives their log-sum-exps and posterior weights.  A `Dataset` computes ||y_i||^2
-once; KL needs none.  A block of observations is drawn in place: one
-standard-normal fill scaled by sigma, plus theta0's orbit rows gathered with
-one `take`, which gives the stream and the bits of orbit[pick] + sigma *
-rng.normal(size=(m, L)).  The EM M-step accumulates W @ Y and folds it onto
-Z_L once per iteration.  A pass costs O(n L |G|); no FFT is taken, so a prime
-L costs no extra.
+gives their log-sum-exps and posterior weights.  A dataset yields bare blocks
+of observations.  A block is drawn in place: one standard-normal fill scaled
+by sigma, plus theta0's orbit rows gathered with one `take`, which gives the
+stream and the bits of orbit[pick] + sigma * rng.normal(size=(m, L)).  The EM
+M-step accumulates W @ Y and folds it onto Z_L once per iteration.  A pass
+costs O(n L |G|); no FFT is taken, so a prime L costs no extra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -51,20 +50,17 @@ def check_sigma_grid(grid) -> tuple:
 
 @dataclass
 class Dataset:
-    """n observations (rows, standard-parametrization order) plus provenance,
-    and their squared norms ||y_i||^2, computed once at construction."""
+    """n observations (rows, standard-parametrization order) plus provenance."""
 
     observations: np.ndarray
     config: MraConfig
     shifts: np.ndarray | None = None
     flips: np.ndarray | None = None
-    sq_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.observations = np.asarray(self.observations, dtype=float)
         if self.observations.ndim != 2 or self.observations.shape[1] != self.config.L:
             raise LengthMismatchError("observations must be n x L")
-        self.sq_norms = np.einsum("ij,ij->i", self.observations, self.observations)
 
     @property
     def n(self) -> int:
@@ -74,9 +70,9 @@ class Dataset:
     def L(self) -> int:
         return self.config.L
 
-    def iter_norm_chunks(self):
+    def blocks(self):
         for lo in range(0, self.n, DEFAULT_CHUNK):
-            yield self.observations[lo:lo + DEFAULT_CHUNK], self.sq_norms[lo:lo + DEFAULT_CHUNK]
+            yield self.observations[lo:lo + DEFAULT_CHUNK]
 
 
 @dataclass
@@ -96,13 +92,12 @@ class StreamingDataset:
     def L(self) -> int:
         return self.config.L
 
-    def iter_norm_chunks(self):
+    def blocks(self):
         orbit = self.theta0.values[orbit_index(self.L, self.config.dihedral)]
         for c, lo in enumerate(range(0, self.n, DEFAULT_CHUNK)):
             m = min(DEFAULT_CHUNK, self.n - lo)
-            block = _draw_block(orbit, self.config, m, np.random.default_rng((self.seed, c)))[0]
-            yield block, np.einsum("ij,ij->i", block, block)
-            del block  # so that no block is alive while the next is drawn
+            # yielded unnamed, so that no block is alive while the next is drawn
+            yield _draw_block(orbit, self.config, m, np.random.default_rng((self.seed, c)))[0]
 
 
 def _draw_block(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Generator):
@@ -145,33 +140,33 @@ def _softmax(c: np.ndarray, weights: bool = True):
 
 
 def _posteriors(theta: Signal, data, idx):
-    """(observations, log-densities, posterior weights) for each block of the
+    """(observations, log-likelihood, posterior weights) for each block of the
     data, under the model of data.config, whose `orbit_index` the caller
     passes as idx.  Consumers drop each triple before the next, as this
     generator does, so none is alive while a stream draws.
     With c[G, i] = <y_i, G theta> / sigma^2, ||y_i - G theta||^2 / (2 sigma^2) =
     (||y_i||^2 + ||theta||^2) / (2 sigma^2) - c[G, i], so the weights, shape
-    (|G|, n), are the softmax of c over G."""
+    (|G|, m), are the softmax of c over G, and the block's log-likelihood is the
+    sum of its log-sum-exps, less sum_i ||y_i||^2 / (2 sigma^2) and m per-row constants."""
     cfg = data.config
     sig2 = cfg.sigma**2
     orbit = (theta.values / sig2)[idx]
-    tsq = theta.norm() ** 2
-    for block, ysq in data.iter_norm_chunks():
+    const = theta.norm() ** 2 / (2 * sig2) + np.log(len(idx)) + cfg.L / 2 * np.log(2 * np.pi * sig2)
+    for block in data.blocks():
         lse, w = _softmax(orbit @ block.T)
-        log_dens = (lse - (ysq + tsq) / (2 * sig2)
-                    - np.log(len(w)) - (cfg.L / 2) * np.log(2 * np.pi * sig2))
-        yield block, log_dens, w
-        del block, ysq, lse, log_dens, w
+        ll = float(lse.sum() - np.vdot(block, block) / (2 * sig2) - len(block) * const)
+        yield block, ll, w
+        del block, lse, w
 
 
 def log_likelihood(theta: Signal, data) -> float:
     """Sum of observation log-densities over the dataset (0 when empty)."""
     total = 0.0
     idx = orbit_index(data.config.L, data.config.dihedral)
-    for block, log_dens, w in _posteriors(theta, data, idx):
-        total += np.sum(log_dens)
-        del block, log_dens, w
-    return float(total)
+    for block, ll, w in _posteriors(theta, data, idx):
+        total += ll
+        del block, w
+    return total
 
 
 def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
@@ -348,10 +343,10 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
     for iters in range(1, max_iters + 1):
         S = np.zeros(idx.shape)
         ll = 0.0
-        for block, log_dens, w in _posteriors(theta, data, idx):
-            ll += float(np.sum(log_dens))
+        for block, block_ll, w in _posteriors(theta, data, idx):
+            ll += block_ll
             S += w @ block
-            del block, log_dens, w
+            del block, w
         if not np.isfinite(ll):
             raise FloatingPointError("non-finite log-likelihood during EM")
         current_ll.append(ll)
@@ -366,12 +361,12 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
             break
     final_ll = 0.0
     group_size = 0.0
-    for block, log_dens, w in _posteriors(theta, data, idx):
-        final_ll += float(np.sum(log_dens))
+    for block, block_ll, w in _posteriors(theta, data, idx):
+        final_ll += block_ll
         # entropy -sum w log w, with 0 log 0 = 0 for weights that underflowed
         entropy = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=0)
         group_size += float(np.sum(np.exp(entropy)))
-        del block, log_dens, w
+        del block, w
     diagnostics = {
         "iterations": iters,
         "converged": converged,

@@ -83,20 +83,20 @@ def _check_dilute_member(theta: Signal, spec: DiluteClassSpec):
         raise ValueError("signal magnitudes leave the band [m, M]")
 
 
-def support_restricted_min_ratio(theta0: Signal, n_support: int) -> float:
+def support_restricted_min_ratio(theta0: Signal) -> float:
     """Smallest normalized curvature over unit directions on the support.
 
     Computes min_h ||linear part of Delta_2(theta0 + h, theta0)||_F with
     supp(h) in supp(theta0) and ||h|| = 1, exactly via the SVD of the linear
-    map, normalized by sqrt(s/L).  The map sends h to a circulant, and
-    ||circulant(J)||_F = sqrt(L) ||J||, so the SVD runs on the L x s matrix
-    of generators.
+    map, normalized by sqrt(s/L), s = |supp(theta0)|.  The map sends h to a
+    circulant, and ||circulant(J)||_F = sqrt(L) ||J||, so the SVD runs on the
+    L x s matrix of generators.
     """
     L = theta0.L
     units = np.eye(L)[np.flatnonzero(theta0.values)]
     lin, _ = second_moment_difference_expansion(theta0, units)
     smin = np.sqrt(L) * np.linalg.svd(lin, compute_uv=False)[-1]
-    return float(smin / np.sqrt(n_support / L))
+    return float(smin / np.sqrt(len(units) / L))
 
 
 def _tiles(trials: int, width: int) -> list:
@@ -162,7 +162,7 @@ def dilute_lower_bound_check(theta0: Signal, spec: DiluteClassSpec, trials: int,
         "slack": CURVATURE_SLACK,
         "min_ratio": float(ratios.min()),
         "median_ratio": float(np.median(ratios)),
-        "exact_direction_min": support_restricted_min_ratio(theta0, s),
+        "exact_direction_min": support_restricted_min_ratio(theta0),
         "passes": bool(ratios.min() >= bound * (1 - CURVATURE_SLACK)),
     }
 
@@ -222,13 +222,6 @@ def _sparse_picks(L: int, s: int, trials: int, rng: np.random.Generator):
     return picks, vals
 
 
-def check_uup_sizes(L: int, s: int, trials: int):
-    """Raise ValueError unless 1 <= s <= L and trials >= 1."""
-    if not 1 <= s <= L or trials < 1:
-        raise ValueError("need 1 <= s <= L and trials >= 1; got s=%d, L=%d, trials=%d"
-                         % (s, L, trials))
-
-
 def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     """(c1_hat, c2_hat): extreme ratios of mean energy on the set vs overall.
 
@@ -238,11 +231,14 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     sum_{j,k} v_j v_k kappa[|p_j - p_k|], where the lag table kappa[d] =
     (1/|set|) sum_{n in set} cos(2 pi n d / L) comes from one FFT of the
     set's indicator: O(s^2) per trial, in tiles of TILE_ENTRIES // s^2 trials.
+    The sizes are checked first; an empty set has no ratio, and gives (None, None).
     """
-    if lam.size() == 0:
-        raise ValueError("empty frequency set")
     L = lam.L
-    check_uup_sizes(L, s, trials)
+    if not 1 <= s <= L or trials < 1:
+        raise ValueError("need 1 <= s <= L and trials >= 1; got s=%d, L=%d, trials=%d"
+                         % (s, L, trials))
+    if lam.size() == 0:
+        return None, None
     picks, vals = _sparse_picks(L, s, trials, rng)
     nat = lam.natural_indices()
     kappa = np.fft.fft(np.bincount(nat, minlength=L)).real / nat.size
@@ -340,15 +336,21 @@ def moment_sandwich_probe(theta: Signal, phi: Signal, sigma_grid, n_mc: int,
                           rng: np.random.Generator) -> dict:
     """KL against the truncated moment-difference series over a sigma grid.
 
-    Both signals must be centered, and sigma_grid a non-empty list of
-    positive finite noise scales; the lower series sums
-    ||Delta_m||^2 / ((sqrt(3) sigma)^(2m) m!) for m = 1..3.
+    Both signals must be centered, sigma_grid a non-empty list of positive
+    finite noise scales, and some ||Delta_m|| above rounding, 1e-12 of
+    max(||theta||, ||phi||)^m; the lower series sums
+    ||Delta_m||^2 / ((sqrt(3) sigma)^(2m) m!) for m = 1..3.  A row whose
+    series underflows to 0 has no ratio, and a grid with none does not pass.
     """
     sigma_grid = check_sigma_grid(sigma_grid)
-    tol = 1e-10 * max(theta.norm(), phi.norm(), 1.0)
+    scale = max(theta.norm(), phi.norm())
+    tol = 1e-10 * max(scale, 1.0)
     if abs(theta.mean()) > tol or abs(phi.mean()) > tol:
         raise ValueError("both signals must be centered")
     norms = [delta_m(theta, phi, m).frobenius() for m in (1, 2, 3)]
+    if all(x <= 1e-12 * scale**m for m, x in enumerate(norms, 1)):
+        raise ValueError("Delta_1, Delta_2 and Delta_3 all vanish: theta and phi share their "
+                         "moments of orders 1 to 3, so the lower series is 0 at every sigma")
     rows = []
     for sigma in sigma_grid:
         kl, se = kl_monte_carlo(theta, phi, sigma, n_mc, rng)
@@ -360,12 +362,10 @@ def moment_sandwich_probe(theta: Signal, phi: Signal, sigma_grid, n_mc: int,
             "kl_se": se,
             "delta_norms": [float(x) for x in norms],
             "lower_series": float(series),
-            "ratio": float(kl / series) if series > 0 else float("inf"),
+            "ratio": float(kl / series) if series > 0 else None,
         })
-    finite = [r["ratio"] for r in rows if np.isfinite(r["ratio"])]
-    fitted = min(finite) if finite else float("nan")
-    passes = all(
-        r["ratio"] >= 1 - 3 * r["kl_se"] / r["lower_series"]
-        for r in rows if r["lower_series"] > 0
-    )
-    return {"rows": rows, "fitted_C_lower": float(fitted), "passes": bool(passes)}
+    rated = [r for r in rows if r["ratio"] is not None]
+    passes = bool(rated) and all(r["ratio"] >= 1 - 3 * r["kl_se"] / r["lower_series"]
+                                 for r in rated)
+    return {"rows": rows, "fitted_C_lower": min((r["ratio"] for r in rated), default=None),
+            "passes": passes}

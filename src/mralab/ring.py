@@ -161,18 +161,13 @@ def reflect(v: Signal) -> Signal:
     return GroupElement(0, True).apply(v)
 
 
-def align_rows(rows: np.ndarray, phi: Signal, dihedral: bool = False):
-    """`align` for each row of a stack of standard-order vectors: arrays
-    (shift, flip, distance), from `align_spectra` of the rows' rfft."""
-    return align_spectra(rows, np.fft.rfft(rows), phi, dihedral)
-
-
 def align_spectra(rows: np.ndarray, spectra: np.ndarray, phi: Signal, dihedral: bool = False):
-    """`align_rows` of rows whose rfft the caller holds as spectra.  G phi is
-    the cyclic storage shift by `shift` of F^flip phi, so one irfft gives
-    <row, G phi> for all of G, enumerated as `orbit_index` rows k = shift +
-    L flip; the largest gives the smallest distance, which is then evaluated
-    exactly at that element."""
+    """`align` for each of a stack of standard-order rows whose rfft the caller
+    holds as spectra: arrays (shift, flip, distance).  G phi is the cyclic
+    storage shift by `shift` of F^flip phi, so one irfft gives <row, G phi>
+    for all of G, enumerated as `orbit_index` rows k = shift + L flip; the
+    largest gives the smallest distance, which is then evaluated exactly at
+    that element."""
     L = phi.L
     flipped = phi.values[action_index(L, 0, np.arange(2 if dihedral else 1))]
     c = np.fft.irfft(np.conj(spectra)[..., None, :] * np.fft.rfft(flipped), n=L)
@@ -186,7 +181,7 @@ def align(theta: Signal, phi: Signal, dihedral: bool = False):
     """Minimize ||theta - G phi|| over the group; returns (argmin G, distance)."""
     if theta.L != phi.L:
         raise LengthMismatchError("signals have lengths %d and %d" % (theta.L, phi.L))
-    g, flip, d = align_rows(theta.values, phi, dihedral)
+    g, flip, d = align_spectra(theta.values, np.fft.rfft(theta.values), phi, dihedral)
     return GroupElement(int(g), bool(flip)), float(d)
 
 

@@ -104,7 +104,7 @@ def _bispectrum_sum(f: np.ndarray) -> np.ndarray:
 def empirical_moments(data, order: int) -> MomentTensor:
     """Debiased sample moment of order 1, 2 or 3 of a Dataset or StreamingDataset.
 
-    One pass over data.iter_norm_chunks(), with one FFT per block for orders 2
+    One pass over data.blocks(), with one FFT per block for orders 2
     and 3, so memory does not grow with n.  With sigma from data.config and
     y-hat the rows' DFT: order 1 is mean y-hat(0); order 2 is mean
     |y-hat|^2 - L sigma^2 on the plane; order 3 is the mean of
@@ -116,18 +116,17 @@ def empirical_moments(data, order: int) -> MomentTensor:
     """
     if order not in (1, 2, 3):
         raise ValueError("moment order must be 1, 2 or 3; got %r" % (order,))
-    L, sigma = data.config.L, data.config.sigma
-    n, total, acc = 0, 0.0, 0.0  # total = sum of y-hat(0) = sum of all entries
-    for block, _ in data.iter_norm_chunks():
-        n += block.shape[0]
+    L, sigma, n = data.config.L, data.config.sigma, data.n
+    if n == 0:
+        raise ValueError("empirical moments need at least one observation")
+    total, acc = 0.0, 0.0  # total = sum of y-hat(0) = sum of all entries
+    for block in data.blocks():
         total += float(block.sum())
         if order > 1:
             f = np.fft.fft(block, axis=1)
             acc = acc + (np.sum(np.abs(f) ** 2, axis=0) if order == 2 else _bispectrum_sum(f))
             del f
         del block  # so that no block is alive while a stream draws the next
-    if n == 0:
-        raise ValueError("empirical moments need at least one observation")
     if order == 1:
         return MomentTensor(1, L, total / n)
     if order == 2:

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from mralab import cli, experiments
+from mralab import cli, experiments, gensig
+from mralab.beltway import recover_from_power_spectrum
 from mralab.mra import kl_monte_carlo
 from mralab.probes import _sparse_picks
 from mralab.ring import Signal
-from mralab.spectral import empirical_moments
+from mralab.spectral import empirical_moments, power_spectrum
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -83,7 +84,7 @@ def kl_outputs(workdir) -> dict:
     result = experiments.run_experiment(experiments.ExperimentConfig(**KL_CONFIGS["kl-scan"]))
     scan = {"summary": result.summary_dict(), "records": result.records}
     return {"reports": probe_reports({"sandwich": KL_CONFIGS["sandwich"]}, workdir),
-            "kl-scan": json.loads(json.dumps(scan, default=cli._jsonable))}
+            "kl-scan": json.loads(json.dumps(scan))}
 
 
 #: the CI smoke signal and class of `mralab simulate` and `mralab estimate`
@@ -143,9 +144,45 @@ def mra_outputs(workdir) -> dict:
             "containers": fits, "empirical_moments": {"container": "cyclic", "orders": moments}}
 
 
+#: the pr-recover benchmark's class, signal generator seed, noise and tolerances
+PR_RECOVER = {"L": 101, "s": 8, "m": 1.0, "M": 1.5, "eps": 1.0, "signal_seed": 110,
+              "noise_seed": 1, "noise": 1e-6, "tol_exact": 1e-8, "tol_noisy": 1e-4}
+#: two-point signals (L, {standard index: value}) recovered at s = 2, m = 1
+TWO_POINT = [(7, {0: 1.0, 2: -1.3}), (9, {-1: 1.2, 3: 1.1})]
+
+
+def beltway_outputs(workdir) -> dict:
+    """The `mralab pr-recover` candidates of the first signal that generator
+    seed PR_RECOVER["signal_seed"] draws, from its exact power spectrum and
+    from a copy with relative noise; and the candidates of each TWO_POINT
+    signal's exact spectrum."""
+    cfg = PR_RECOVER
+    spec = gensig.DiluteClassSpec(L=cfg["L"], s=cfg["s"], m=cfg["m"], M=cfg["M"], eps=cfg["eps"])
+    truth = gensig.gen_collision_free(spec, np.random.default_rng(cfg["signal_seed"]))
+    P = power_spectrum(truth)
+    noisy = P * (1 + cfg["noise"] * np.random.default_rng(cfg["noise_seed"]).normal(size=P.size))
+    recovered = {}
+    for label, spectrum, tol in (("exact", P, cfg["tol_exact"]),
+                                 ("noisy", noisy, cfg["tol_noisy"])):
+        csv, out = Path(workdir, label + ".csv"), Path(workdir, label + ".json")
+        csv.write_text("index,value\n" + "".join("%d,%r\n" % (i, float(x))
+                                                 for i, x in enumerate(spectrum)))
+        _cli("pr-recover", "--spectrum", csv, "--L", cfg["L"], "--s", cfg["s"], "--m", cfg["m"],
+             "--M", cfg["M"], "--tol", tol, "--out", out)
+        recovered[label] = json.loads(out.read_text())["candidates"]
+    two_point = []
+    for L, entries in TWO_POINT:
+        theta = Signal.from_support(L, entries)
+        cands = recover_from_power_spectrum(power_spectrum(theta), 2, 1.0, tol=1e-8)
+        two_point.append({"signal": theta.to_json_dict(),
+                          "candidates": [c.to_json_dict() for c in cands]})
+    return {"pr_recover": dict(cfg, truth=truth.to_json_dict(), **recovered),
+            "two_point": two_point}
+
+
 #: golden file -> the function of a work directory that recomputes it
 FILES = {"probes_stream.json": probes_stream, "probes_curvature.json": probes_curvature,
-         "kl.json": kl_outputs, "mra.json": mra_outputs}
+         "kl.json": kl_outputs, "mra.json": mra_outputs, "beltway.json": beltway_outputs}
 
 
 def main():

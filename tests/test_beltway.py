@@ -294,6 +294,21 @@ class TestRecovery:
         vals = cands[0].values[cands[0].values != 0]
         assert vals[0] == pytest.approx(c)
 
+    @pytest.mark.parametrize("L, entries", [(7, {0: 1.0, 2: -1.3}), (9, {-1: 1.2, 3: 1.1})])
+    def test_two_point_round_trip(self, L, entries):
+        # s = 2 solves a quadratic for the magnitudes; the spectrum cannot see
+        # the global sign, and at L=7 it returns -(theta reflected and shifted)
+        theta = Signal.from_support(L, entries)
+        cands = recover_from_power_spectrum(power_spectrum(theta), 2, 1.0, tol=1e-8)
+        assert len(cands) == 1
+        assert orbit_distance(theta, cands[0]) < 1e-12
+
+    def test_half_period_pair_rejected(self):
+        # {0, L/2} has one lag, L/2 = -L/2, where s = 2 needs two
+        theta = Signal.from_support(8, {0: 1.0, 4: 1.2})
+        with pytest.raises(ProfileInconsistencyError, match="found 1 lags"):
+            recover_from_power_spectrum(power_spectrum(theta), 2, 1.0)
+
     def test_noise_robustness(self):
         rng = np.random.default_rng(3)
         for _ in range(5):

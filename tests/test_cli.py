@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mralab
-from mralab.cli import build_parser, main, read_container, write_container
+from mralab.cli import _dump_json, build_parser, main, read_container, write_container
 from mralab.gensig import DiluteClassSpec, gen_collision_free
 from mralab.mra import MraConfig, simulate
 from mralab.ring import Signal, varrho
@@ -216,14 +216,45 @@ class TestProbe:
             main(["probe", "uup", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
         assert not (tmp_path / "rep.json").exists()
 
+    def test_uup_empty_set_report(self, tmp_path):
+        # a = 0.01 at L = 4 samples an empty set at seed 0: no ratio, no frequencies
+        cfg, out = tmp_path / "cfg.json", tmp_path / "rep.json"
+        _write_json(cfg, {"L": 4, "a": 0.01, "s": 2, "trials": 10})
+        assert main(["probe", "uup", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert (rep["set_size"], rep["c1_hat"], rep["c2_hat"]) == (0, None, None)
+        assert rep["frequencies"] == []
+
+    SANDWICH_THETA = {"L": 4, "format": "standard-parametrization", "support": [-1, 0, 1, 2],
+                      "values": [1.0, -1.0, 0.5, -0.5]}
+    SANDWICH_PHI = {"L": 4, "format": "standard-parametrization", "support": [-1, 0, 2],
+                    "values": [1.0, -0.5, -0.5]}
+
     def test_sandwich_single_sample_rejected(self, tmp_path):
         # one sample has no jackknife standard error
-        theta = {"L": 4, "format": "standard-parametrization", "support": [-1, 0, 1, 2],
-                 "values": [1.0, -1.0, 0.5, -0.5]}
         cfg = tmp_path / "cfg.json"
-        _write_json(cfg, {"theta": theta, "phi": theta, "sigma_grid": [2], "n_mc": 1})
+        _write_json(cfg, {"theta": self.SANDWICH_THETA, "phi": self.SANDWICH_PHI,
+                          "sigma_grid": [2], "n_mc": 1})
         with pytest.raises(ValueError, match="n_mc must be at least 2"):
             main(["probe", "sandwich", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
+        assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("phi", [SANDWICH_THETA, dict(SANDWICH_THETA, support=[0, 1, 2, -1])])
+    def test_sandwich_phi_in_theta_orbit_rejected(self, tmp_path, phi):
+        # phi = theta, or a shift of it: every Delta_m vanishes, and the
+        # probe once wrote "ratio": Infinity and "fitted_C_lower": NaN
+        cfg = tmp_path / "cfg.json"
+        _write_json(cfg, {"theta": self.SANDWICH_THETA, "phi": phi, "sigma_grid": [2],
+                          "n_mc": 100})
+        with pytest.raises(ValueError, match="Delta_1, Delta_2 and Delta_3 all vanish"):
+            main(["probe", "sandwich", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
+        assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_json_refused(self, tmp_path, bad):
+        # NaN and Infinity are not JSON
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _dump_json({"rows": [{"ratio": bad}]}, str(tmp_path / "rep.json"))
         assert not (tmp_path / "rep.json").exists()
 
     @pytest.mark.parametrize("grid", [[], 4, "24", [2, 0], [2, -1.0], [float("inf")],

@@ -14,7 +14,8 @@ from mralab.probes import (TILE_ENTRIES, FrequencySet, LambdaConstructionError,
                            moderate_curvature_check, moment_sandwich_probe,
                            spectral_floor, support_restricted_min_ratio, uup_check,
                            uup_sample)
-from mralab.ring import Signal, align_rows, reflect, shift, std_indices, std_offset
+from mralab.mra import kl_monte_carlo
+from mralab.ring import Signal, align, reflect, shift, std_indices, std_offset
 from mralab.spectral import delta_m, second_moment_difference_expansion
 from oracles import cosine_functional_all, group_elements
 
@@ -109,13 +110,13 @@ class TestCurvatureTerms:
             assert d2_t[0] == d2[t] and r_t[0] == r[t], t
 
     def test_distances_equal_align_rows(self):
-        # curvature_terms hands its rfft to align_spectra; the distances keep
-        # the bits of align_rows, which takes its own
+        # curvature_terms hands its rfft to align_spectra; each distance is
+        # the one `align` finds for its row alone
         rng = np.random.default_rng(48)
         theta0 = Signal(rng.normal(size=101))
         rows = 1e-3 * rng.normal(size=(300, 101))
-        assert np.array_equal(curvature_terms(theta0, rows)[1],
-                              align_rows(theta0.values + rows, theta0)[2])
+        want = [align(Signal(theta0.values + h), theta0)[1] for h in rows]
+        np.testing.assert_allclose(curvature_terms(theta0, rows)[1], want, rtol=1e-14, atol=0)
 
     def test_dilute_check_matches_per_trial_draws(self, monkeypatch):
         spec = DiluteClassSpec(L=101, s=8, m=1.0, M=1.5, eps=1.0)
@@ -186,7 +187,7 @@ class TestDiluteLowerBound:
     def test_exact_minimum_respects_bound(self):
         rng = np.random.default_rng(2)
         theta0 = gen_collision_free(self.SPEC, rng)
-        exact = support_restricted_min_ratio(theta0, self.SPEC.s)
+        exact = support_restricted_min_ratio(theta0)
         assert exact >= self.SPEC.curvature_constant() * 0.95
 
     def test_exact_minimum_matches_dense_svd(self):
@@ -202,7 +203,7 @@ class TestDiluteLowerBound:
                 cols.append(scipy.linalg.circulant(lin).ravel())
             smin = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)[-1]
             s = len(idx)
-            assert support_restricted_min_ratio(theta0, s) == pytest.approx(
+            assert support_restricted_min_ratio(theta0) == pytest.approx(
                 smin / np.sqrt(s / theta0.L), rel=1e-10)
 
     def test_colliding_support_violates_bound(self):
@@ -210,7 +211,7 @@ class TestDiluteLowerBound:
         # floor collapses along a direction in its span
         v = np.zeros(101)
         v[:5] = 1.0
-        exact = support_restricted_min_ratio(Signal.from_natural(v), 5)
+        exact = support_restricted_min_ratio(Signal.from_natural(v))
         spec = DiluteClassSpec(L=101, s=5, m=1.0, M=1.0, eps=1.0)
         assert exact < spec.curvature_constant() * 0.5
 
@@ -381,10 +382,16 @@ class TestUup:
         with pytest.raises(ValueError):
             uup_sample(16, 17, np.random.default_rng(0))
 
-    def test_empty_set_rejected(self):
+    def test_empty_set_has_no_ratio(self):
         lam = FrequencySet(L=16, frequencies=frozenset())
-        with pytest.raises(ValueError):
-            uup_check(lam, 2, 10, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        assert uup_check(lam, 2, 10, rng) == (None, None)
+        # nothing is drawn for an empty set
+        assert rng.random() == np.random.default_rng(0).random()
+        # the sizes are checked first, so an empty set does not hide a bad one
+        for s, trials in ((0, 10), (17, 10), (2, 0)):
+            with pytest.raises(ValueError, match="need 1 <= s <= L and trials >= 1"):
+                uup_check(lam, s, trials, rng)
 
     def test_half_density_constants(self):
         rng = np.random.default_rng(14)
@@ -495,12 +502,33 @@ class TestSandwich:
         return Signal(v), Signal(w)
 
     def test_identical_pair(self):
+        # no Delta_m to compare KL with: the lower series is 0 at every sigma
         theta, _ = self._centered_pair(23)
-        rep = moment_sandwich_probe(theta, theta, [2.0], 20_000,
-                                    np.random.default_rng(24))
-        row = rep["rows"][0]
-        assert row["lower_series"] == 0.0
-        assert abs(row["kl"]) <= max(3 * row["kl_se"], 1e-12)
+        kl, se = kl_monte_carlo(theta, theta, 2.0, 20_000, np.random.default_rng(24))
+        assert abs(kl) <= max(3 * se, 1e-12)
+        for phi in (theta, shift(theta, 3)):
+            with pytest.raises(ValueError, match="Delta_1, Delta_2 and Delta_3 all vanish"):
+                moment_sandwich_probe(theta, phi, [2.0], 100, np.random.default_rng(24))
+
+    def _underflow_pair(self):
+        # theta is 2^-30 from symmetric, so its reflection differs only in
+        # Delta_3, by about 1e-8; at sigma = 1e51 the series underflows to 0
+        e = 2.0**-30
+        theta = Signal([0.5 + e, -1.5, 0.5 - e, 0.5])
+        return theta, reflect(theta)
+
+    def test_underflowed_series_has_no_ratio(self):
+        theta, phi = self._underflow_pair()
+        rep = moment_sandwich_probe(theta, phi, [2.0, 1e51], 1000, np.random.default_rng(0))
+        rated, underflow = rep["rows"]
+        assert underflow["lower_series"] == 0.0 and underflow["ratio"] is None
+        assert rated["lower_series"] > 0 and rep["fitted_C_lower"] == rated["ratio"]
+
+    def test_no_ratio_does_not_pass(self):
+        theta, phi = self._underflow_pair()
+        rep = moment_sandwich_probe(theta, phi, [1e51], 1000, np.random.default_rng(0))
+        assert rep["rows"][0]["ratio"] is None
+        assert rep["fitted_C_lower"] is None and rep["passes"] is False
 
     def test_centered_pair_sandwich(self):
         theta, phi = self._centered_pair(25)

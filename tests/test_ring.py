@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mralab.ring import (GroupElement, LengthMismatchError, Signal, align, align_rows,
-                         align_spectra, orbit_index, reflect, rho, shift,
+from mralab.ring import (GroupElement, LengthMismatchError, Signal, align, align_spectra,
+                         orbit_index, reflect, rho, shift,
                          std_indices, std_offset, storage_index, varrho)
 from oracles import group_elements
 
@@ -202,7 +202,7 @@ class TestRho:
         for phi in (Signal(v), sym):
             near = orbit[rng.integers(len(orbit), size=3)] + 1e-3 * rng.normal(size=(3, L))
             rows = np.vstack([rng.normal(size=(6, L)), sym.values, near])
-            g, flip, d = align_rows(rows, phi, dihedral)
+            g, flip, d = align_spectra(rows, np.fft.rfft(rows), phi, dihedral)
             assert dihedral or not flip.any()
             for row, gk, fk, dk in zip(rows, g, flip, d):
                 assert dk == pytest.approx(brute_force_rho(Signal(row), phi, dihedral),
@@ -212,12 +212,15 @@ class TestRho:
 
     @pytest.mark.parametrize("dihedral", [False, True])
     def test_align_spectra_equals_align_rows(self, dihedral):
+        # the batched alignment finds, for each row, what `align` finds alone
         rng = np.random.default_rng(12 + dihedral)
         phi = Signal(rng.normal(size=64))
         rows = phi.values + 0.1 * rng.normal(size=(50, 64))
-        for got, want in zip(align_spectra(rows, np.fft.rfft(rows), phi, dihedral),
-                             align_rows(rows, phi, dihedral)):
-            assert np.array_equal(got, want)
+        g, flip, d = align_spectra(rows, np.fft.rfft(rows), phi, dihedral)
+        for row, gk, fk, dk in zip(rows, g, flip, d):
+            elem, dist = align(Signal(row), phi, dihedral)
+            assert elem == GroupElement(int(gk), bool(fk))
+            assert dist == pytest.approx(dk, rel=1e-14, abs=0)
 
     def test_align_returns_argmin(self):
         rng = np.random.default_rng(11)

@@ -427,8 +427,7 @@ class TestEmpiricalMoments:
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 700)
         theta = Signal(np.random.default_rng(28).normal(size=9))
         stream = StreamingDataset(theta, MraConfig(9, 1.5, True), n=5000, seed=3)
-        memory = Dataset(np.concatenate([b for b, _ in stream.iter_norm_chunks()]),
-                         stream.config)
+        memory = Dataset(np.concatenate(list(stream.blocks())), stream.config)
         for m in (1, 2, 3):
             a, b = dense(empirical_moments(stream, m)), dense(empirical_moments(memory, m))
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
