@@ -42,7 +42,7 @@ def write_container(path, data: Dataset):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(HEADER.pack(data.L, data.n, data.config.sigma, data.config.dihedral))
-        fh.write(np.ascontiguousarray(data.observations, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(data.observations, dtype="<f8"))
 
 
 def read_container(path) -> Dataset:
@@ -61,8 +61,8 @@ def read_container(path) -> Dataset:
         if left < need:
             raise ValueError("truncated container: expected %d payload bytes (n=%d, L=%d), got %d"
                              % (need, n, L, left))
-        obs = np.frombuffer(fh.read(need), dtype="<f8").reshape(n, L)
-    return Dataset(obs.astype(float), MraConfig(int(L), float(sigma), bool(dihedral)))
+        obs = np.fromfile(fh, dtype="<f8", count=n * L).reshape(n, L)
+    return Dataset(obs, MraConfig(int(L), float(sigma), bool(dihedral)))
 
 
 def _load_json(path):
@@ -90,6 +90,7 @@ def cmd_simulate(args):
 
 
 def _restricted_class_from_json(d: dict) -> RestrictedClass:
+    check_keys("restriction", d, ("kind", "support", "m", "M"))
     return RestrictedClass(
         kind=d.get("kind", "none"),
         support=frozenset(d["support"]) if d.get("support") is not None else None,

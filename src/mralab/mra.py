@@ -6,9 +6,9 @@ scaled by 1/sigma^2 (row G holds G theta / sigma^2), one matrix product gives
 the logits <y_i, G theta> / sigma^2 of a block of observations, and `_softmax`
 gives their log-sum-exps and posterior weights.  A dataset yields bare blocks
 of observations.  A block is drawn in place: one standard-normal fill scaled
-by sigma, plus theta0's orbit rows gathered with one `take`, which gives the
-stream and the bits of orbit[pick] + sigma * rng.normal(size=(m, L)).  The EM
-M-step accumulates W @ Y and folds it onto Z_L once per iteration.  A pass
+by sigma, plus theta0's orbit rows gathered one chunk at a time, which gives
+the stream and the bits of orbit[pick] + sigma * rng.normal(size=(m, L)).  The
+EM M-step accumulates W @ Y and folds it onto Z_L once per iteration.  A pass
 costs O(n L |G|); no FFT is taken, so a prime L costs no extra.
 """
 from __future__ import annotations
@@ -21,6 +21,8 @@ import numpy as np
 from .ring import LengthMismatchError, Signal, action_index, orbit_index, storage_index
 
 DEFAULT_CHUNK = 65_536
+#: EM lists a log-likelihood fall beyond this relative size: rounding moves its n-row sum a few ulp
+DECREASE_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -110,11 +112,12 @@ def _draw_block(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Genera
         pick = shifts + L * flips
     else:
         flips, pick = np.zeros(m, dtype=bool), shifts
-    # normal(0, 1) is 0 + 1 z of this same draw, so the stream and the sums
-    # sigma z + row are those of orbit[pick] + sigma * rng.normal(size=(m, L))
+    # normal(0, 1) is 0 + 1 z of this same draw, so sigma z plus the orbit rows, added a
+    # chunk at a time (no second (m, L) array), is orbit[pick] + sigma * rng.normal(size=(m, L))
     rows = rng.standard_normal(size=(m, L))
     rows *= cfg.sigma
-    rows += orbit.take(pick, axis=0)
+    for lo in range(0, m, DEFAULT_CHUNK):
+        rows[lo:lo + DEFAULT_CHUNK] += orbit.take(pick[lo:lo + DEFAULT_CHUNK], axis=0)
     return rows, shifts, flips
 
 
@@ -312,16 +315,17 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
                       max_iters: int = 200, tol: float = 1e-8):
     """Restricted maximum-likelihood fit by EM with projection onto the class.
 
-    The model (L, sigma, group) is data.config.
+    The model (L, sigma, group) is data.config.  Each iterate is one pass.
     E-step: posterior weights over group elements, from one O(n L |G|)
     matrix product per block.  M-step: posterior-aligned average of the
-    observations, then projection.  Returns (theta_hat, diagnostics).
+    observations, then projection; the pass at theta_hat gives the
+    diagnostics instead.  Returns (theta_hat, diagnostics).
 
     Projected EM need not increase the likelihood, so `log_likelihood_decreases`
-    lists each iteration k whose update lowered it (trace[k] < trace[k-1]) with
-    its drop.  `mean_effective_group_size` is the mean of exp(entropy of the
-    posterior weights) at theta_hat: |G| when the data say nothing about
-    alignment, 1 when every observation is aligned with certainty.
+    lists each iteration k whose update lowered it by more than DECREASE_RTOL
+    |trace[k-1]|, with its drop.  `mean_effective_group_size` is the mean of
+    exp(entropy of the posterior weights) at theta_hat: |G| when the data say
+    nothing about alignment, 1 when every observation is aligned with certainty.
 
     `varrho_steps[k]` is ||theta_k+1 - theta_k|| / sqrt(L), the unaligned
     step.  It bounds varrho(theta_k+1, theta_k) from above, so stopping once
@@ -335,48 +339,41 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
     L = cfg.L
     idx = orbit_index(L, cfg.dihedral)
     theta, _ = rclass.project(init)
-    steps = []
-    current_ll = []
-    clamp_any = False
-    converged = False
-    iters = 0
-    for iters in range(1, max_iters + 1):
+    steps, trace = [], []
+    clamp_any = converged = False
+    while True:
+        last = converged or len(steps) >= max_iters
         S = np.zeros(idx.shape)
-        ll = 0.0
+        ll = group_size = 0.0
         for block, block_ll, w in _posteriors(theta, data, idx):
             ll += block_ll
-            S += w @ block
+            if last:
+                # entropy -sum w log w, with 0 log 0 = 0 for weights that underflowed
+                entropy = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=0)
+                group_size += float(np.sum(np.exp(entropy)))
+            else:
+                S += w @ block
             del block, w
+        if last:
+            break
         if not np.isfinite(ll):
             raise FloatingPointError("non-finite log-likelihood during EM")
-        current_ll.append(ll)
+        trace.append(ll)
         raw = Signal(np.bincount(idx.ravel(), weights=S.ravel(), minlength=L) / data.n)
         new, clamped = rclass.project(raw)
         clamp_any = clamp_any or clamped
-        step = float(np.linalg.norm(new.values - theta.values)) / np.sqrt(L)
-        steps.append(step)
+        steps.append(float(np.linalg.norm(new.values - theta.values)) / np.sqrt(L))
         theta = new
-        if step < tol:
-            converged = True
-            break
-    final_ll = 0.0
-    group_size = 0.0
-    for block, block_ll, w in _posteriors(theta, data, idx):
-        final_ll += block_ll
-        # entropy -sum w log w, with 0 log 0 = 0 for weights that underflowed
-        entropy = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=0)
-        group_size += float(np.sum(np.exp(entropy)))
-        del block, w
-    diagnostics = {
-        "iterations": iters,
+        converged = bool(steps[-1] < tol)
+    return theta, {
+        "iterations": len(steps),
         "converged": converged,
-        "final_log_likelihood": final_ll,
-        "log_likelihood_trace": current_ll,
+        "final_log_likelihood": ll,
+        "log_likelihood_trace": trace,
         "log_likelihood_decreases": [
-            {"iteration": k, "drop": current_ll[k - 1] - current_ll[k]}
-            for k in range(1, len(current_ll)) if current_ll[k] < current_ll[k - 1]],
+            {"iteration": k, "drop": trace[k - 1] - trace[k]} for k in range(1, len(trace))
+            if trace[k - 1] - trace[k] > DECREASE_RTOL * abs(trace[k - 1])],
         "mean_effective_group_size": group_size / data.n,
         "varrho_steps": steps,
         "clamp_active": clamp_any,
     }
-    return theta, diagnostics

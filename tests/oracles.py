@@ -3,10 +3,13 @@ tested against, the fancy-index draw that its in-place draw is tested against
 bit for bit, the divide-after-product posterior that its scaled-orbit kernel
 is tested against, the masked-loop KL jackknife that its block-sum jackknife
 is tested against, the double-loop lag counts and set-based greedy
-builder that `gensig` is tested against, and the exhaustive group,
-cosine-functional and collision-free-size references of the paper's claims.
+builder that `gensig` is tested against, the exhaustive group,
+cosine-functional and collision-free-size references of the paper's claims,
+and `traced_peak`, the memory meter of the tests that data is held once.
 None of them calls np.fft except `dense`, which reads a moment tensor back in
 full."""
+import tracemalloc
+
 import numpy as np
 
 from mralab.mra import DEFAULT_CHUNK, MraConfig, _draw_block
@@ -178,6 +181,17 @@ def draw_block_reference(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.rand
     shifts = rng.integers(L, size=m)
     flips = rng.integers(2, size=m).astype(bool) if cfg.dihedral else np.zeros(m, dtype=bool)
     return orbit[shifts + L * flips] + cfg.sigma * rng.normal(size=(m, L)), shifts, flips
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes that tracemalloc saw allocated during the
+    call, numpy's arrays included; memory held before the call counts 0)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def posterior_divide_after(theta: Signal, y: np.ndarray, sigma: float, dihedral: bool = False):

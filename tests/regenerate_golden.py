@@ -180,9 +180,33 @@ def beltway_outputs(workdir) -> dict:
             "two_point": two_point}
 
 
+#: the CI smoke configs of the EM scans
+SCAN_CONFIGS = {
+    "rate-scan": {"scenario": "dilute-rate", "L": 21, "sigma_grid": [0.5, 1.0], "seed": 0,
+                  "n_base": 2000, "s_grid": [4], "dilute": {"m": 1.0, "M": 1.05, "eps": 0.5},
+                  "em": {"max_iters": 20}},
+    "sparsity-scan": {"scenario": "sparsity-scan", "L": 64, "sigma_grid": [0.5], "seed": 0,
+                      "n_base": 2000, "n_rule": "fixed", "trials": 3, "s_grid": [3, 5],
+                      "dilute": {"m": 1.0, "M": 1.05, "eps": 0.5}, "em": {"max_iters": 20}},
+}
+
+
+def scan_outputs(workdir) -> dict:
+    """The summary and records of each config in SCAN_CONFIGS, less each
+    record's wall_time."""
+    scans = {}
+    for name, cfg in SCAN_CONFIGS.items():
+        result = experiments.run_experiment(experiments.ExperimentConfig(**cfg))
+        records = [{k: v for k, v in r.items() if k != "wall_time"} for r in result.records]
+        scans[name] = json.loads(json.dumps({"summary": result.summary_dict(),
+                                             "records": records}))
+    return scans
+
+
 #: golden file -> the function of a work directory that recomputes it
 FILES = {"probes_stream.json": probes_stream, "probes_curvature.json": probes_curvature,
-         "kl.json": kl_outputs, "mra.json": mra_outputs, "beltway.json": beltway_outputs}
+         "kl.json": kl_outputs, "mra.json": mra_outputs, "beltway.json": beltway_outputs,
+         "scans.json": scan_outputs}
 
 
 def main():

@@ -14,6 +14,7 @@ from mralab.gensig import DiluteClassSpec, gen_collision_free
 from mralab.mra import MraConfig, simulate
 from mralab.ring import Signal, varrho
 from mralab.spectral import power_spectrum
+from oracles import traced_peak
 
 
 def _write_json(path, obj):
@@ -33,6 +34,21 @@ class TestContainer:
             assert back.config.sigma == 0.7
             assert back.config.dihedral is dihedral
             np.testing.assert_array_equal(back.observations, data.observations)
+
+    def test_write_makes_no_copy(self, tmp_path):
+        data = simulate(Signal(np.arange(21.0)), MraConfig(21, 1.0), 200_000,
+                        np.random.default_rng(1))
+        _, peak = traced_peak(write_container, tmp_path / "d.mra", data)
+        assert peak <= 2**20
+
+    def test_read_holds_payload_once(self, tmp_path):
+        data = simulate(Signal(np.arange(21.0)), MraConfig(21, 1.0), 200_000,
+                        np.random.default_rng(1))
+        p = tmp_path / "d.mra"
+        write_container(p, data)
+        back, peak = traced_peak(read_container, p)
+        assert peak <= data.observations.nbytes + 2**20
+        np.testing.assert_array_equal(back.observations, data.observations)
 
     def test_group_mismatch_rejected(self, tmp_path):
         theta = Signal(np.arange(5, dtype=float))
@@ -106,6 +122,17 @@ class TestSimulateEstimate:
         assert diag["iterations"] >= 1
         assert isinstance(diag["log_likelihood_decreases"], list)
         assert 1.0 <= diag["mean_effective_group_size"] <= 21.0
+
+    def test_misspelled_restriction_key_rejected(self, tmp_path):
+        data_path, restr_path = tmp_path / "d.mra", tmp_path / "restr.json"
+        write_container(data_path, simulate(Signal(np.arange(21.0)), MraConfig(21, 0.5), 20,
+                                            np.random.default_rng(0)))
+        _write_json(restr_path, {"knd": "support-fixed", "support": [-4, -3, 4, 6]})
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown restriction key 'knd'; known keys: kind, support, m, M")):
+            main(["estimate", "--data", str(data_path), "--restriction", str(restr_path),
+                  "--out-signal", str(tmp_path / "hat.json")])
+        assert not (tmp_path / "hat.json").exists()
 
     def test_simulate_deterministic(self, tmp_path):
         sig_path = tmp_path / "s.json"

@@ -56,6 +56,11 @@ def test_beltway(tmp_path):
     check_file("beltway.json", tmp_path)
 
 
+def test_scans(tmp_path):
+    # rate-scan and sparsity-scan: the EM fits on simulated cells
+    check_file("scans.json", tmp_path)
+
+
 def test_assert_matches_tolerance():
     assert_matches({"a": [1, 0.5, None]}, {"a": [1, 0.5 * (1 + 5e-13), None]})
     for got, want in ((1.0 + 1e-11, 1.0), (2, 3), (1, 1.0), (True, 1), ([1, 2], [1])):

@@ -7,7 +7,8 @@ from mralab.mra import (Dataset, MraConfig, RestrictedClass, StreamingDataset,
                         _draw_block, em_restricted_mle, kl_monte_carlo,
                         log_likelihood, simulate)
 from mralab.ring import Signal, orbit_index, reflect, shift, storage_index, varrho
-from oracles import draw_block_reference, em_iteration, group_elements, kl_masked_jackknife
+from oracles import (draw_block_reference, em_iteration, group_elements, kl_masked_jackknife,
+                     traced_peak)
 
 PLANAR = Signal.from_natural(
     np.array([0, 0, 0, 1.1, 0, 0, -1.0, 1.05, 0, 0, 0, 0,
@@ -113,6 +114,17 @@ class TestSimulate:
             diag_b["final_log_likelihood"], rel=1e-12)
 
 
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_rows_held_once(self, dihedral):
+        # the rows, their shifts, flips and orbit picks, and one chunk of
+        # gathered orbit rows: no second n x L array
+        n, L = 200_000, 21
+        data, peak = traced_peak(simulate, PLANAR, MraConfig(L, 1.0, dihedral), n,
+                                 np.random.default_rng(3))
+        assert data.observations.nbytes == 8 * L * n
+        assert peak <= 8 * L * n + 17 * n + 8 * L * mra.DEFAULT_CHUNK + 2**20
+
+
 class TestDrawStream:
     """The draw is pinned bit for bit to `draw_block_reference`: same random
     stream, same rows, shifts and flips."""
@@ -132,6 +144,18 @@ class TestDrawStream:
             assert g.dtype == d.dtype == w.dtype
             assert np.array_equal(g, w) and np.array_equal(d, w)
         assert dihedral or not got[2].any()
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_draw_across_chunks_matches_reference(self, dihedral, monkeypatch):
+        # 300 rows gathered in slices of 128: two full slices and a partial one
+        monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
+        theta = Signal(np.random.default_rng(13).normal(size=7))
+        cfg = MraConfig(7, 0.8, dihedral)
+        orbit = theta.values[orbit_index(7, dihedral)]
+        want = draw_block_reference(orbit, cfg, 300, np.random.default_rng(6))
+        data = simulate(theta, cfg, 300, np.random.default_rng(6))
+        for d, w in zip((data.observations, data.shifts, data.flips), want):
+            assert d.dtype == w.dtype and np.array_equal(d, w)
 
     @pytest.mark.parametrize("dihedral", [False, True])
     def test_streaming_chunks_match_reference(self, dihedral, monkeypatch):
@@ -436,6 +460,29 @@ class TestEm:
                  for k in range(1, len(trace)) if trace[k] < trace[k - 1]]
         assert falls
         assert diag["log_likelihood_decreases"] == falls
+
+    def test_rounding_is_not_a_decrease(self):
+        # run past convergence, the iterates agree to the last bits and the
+        # trace wobbles by an ulp or two of rounding; no such fall is listed
+        data = simulate(PLANAR, MraConfig(21, 1.0), 500, np.random.default_rng(53))
+        _, diag = em_restricted_mle(data, self.RC, PLANAR, max_iters=40, tol=0)
+        trace = diag["log_likelihood_trace"]
+        falls = [trace[k - 1] - trace[k] for k in range(1, len(trace)) if trace[k] < trace[k - 1]]
+        assert falls and max(falls) <= 1e-15 * abs(trace[0])
+        assert diag["log_likelihood_decreases"] == []
+
+    @pytest.mark.parametrize("max_iters", [3, 200])
+    def test_final_log_likelihood_at_theta_hat(self, max_iters):
+        # the last pass gives the diagnostics, whether the fit converged or
+        # ran out of iterations
+        data = simulate(PLANAR, MraConfig(21, 0.5), 300, np.random.default_rng(52))
+        init = Signal(PLANAR.values + 0.2 * np.random.default_rng(54).normal(size=21))
+        theta_hat, diag = em_restricted_mle(data, self.RC, init, max_iters=max_iters)
+        assert diag["converged"] is (max_iters == 200)
+        assert diag["iterations"] == len(diag["varrho_steps"]) == len(
+            diag["log_likelihood_trace"])
+        assert (max_iters == 200) is (diag["iterations"] < max_iters)
+        assert diag["final_log_likelihood"] == log_likelihood(theta_hat, data)
 
     def test_self_consistency(self):
         cfg = MraConfig(21, 0.3)
