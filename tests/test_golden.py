@@ -57,7 +57,8 @@ def test_beltway(tmp_path):
 
 
 def test_scans(tmp_path):
-    # rate-scan and sparsity-scan: the EM fits on simulated cells
+    # rate-scan and sparsity-scan: the EM fits on simulated cells; the rate-scan
+    # again with every cell over the in-memory limit
     check_file("scans.json", tmp_path)
 
 
