@@ -16,13 +16,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .gensig import DiluteClassSpec, gen_collision_free, gen_symm_interval
-from .mra import (MraConfig, RestrictedClass, StreamingDataset, check_sigma_grid,
-                  em_restricted_mle, kl_monte_carlo, simulate)
+from .mra import (MraConfig, RestrictedClass, check_sigma_grid, em_restricted_mle,
+                  kl_monte_carlo, simulate, spill)
 from .probes import adversarial_direction
 from .ring import Signal, varrho
 
 #: datasets of more bytes than this, at 8 (L + 1) per row for the observations
-#: and their latent shifts, stream: they are regenerated per pass
+#: and their latent shifts, are drawn once into a mapped temporary file (`mra.spill`)
 IN_MEMORY_LIMIT = 352_000_000
 
 
@@ -230,9 +230,9 @@ def _support_perturbation(theta0: Signal, h_norm: float, rng) -> Signal:
 
 def _make_dataset(theta0, mcfg, n, seed):
     if 8 * (mcfg.L + 1) * n > IN_MEMORY_LIMIT:
-        # StreamingDataset keys its chunks on (seed, chunk index), so flatten
+        # spill keys its chunks on (seed, chunk index), so flatten
         flat = int(np.random.SeedSequence(list(seed)).generate_state(1)[0])
-        return StreamingDataset(theta0, mcfg, n, flat)
+        return spill(theta0, mcfg, n, flat)
     return simulate(theta0, mcfg, n, np.random.default_rng(seed))
 
 

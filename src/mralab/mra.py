@@ -5,14 +5,16 @@ All three share one path: `ring.orbit_index` gathers theta's orbit matrix
 scaled by 1/sigma^2 (row G holds G theta / sigma^2), one matrix product gives
 the logits <y_i, G theta> / sigma^2 of a block of observations, and `_softmax`
 gives their log-sum-exps and posterior weights.  A dataset yields bare blocks
-of observations.  A block is drawn in place: one standard-normal fill scaled
-by sigma, plus theta0's orbit rows gathered one chunk at a time, which gives
-the stream and the bits of orbit[pick] + sigma * rng.normal(size=(m, L)).  The
-EM M-step accumulates W @ Y and folds it onto Z_L once per iteration.  A pass
-costs O(n L |G|); no FFT is taken, so a prime L costs no extra.
+of observations, from memory or from a mapped file (`spill`).  A block is
+drawn in place: one standard-normal fill scaled by sigma, plus theta0's orbit
+rows gathered one chunk at a time, which gives the stream and the bits of
+orbit[pick] + sigma * rng.normal(size=(m, L)).  The EM M-step accumulates
+W @ Y and folds it onto Z_L once per iteration.  A pass costs O(n L |G|); no
+FFT is taken, so a prime L costs no extra.
 """
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass
 from numbers import Real
 
@@ -34,8 +36,8 @@ class MraConfig:
     dihedral: bool = False
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("noise scale must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("noise scale must be positive and finite, got %r" % (self.sigma,))
         if self.L < 2:
             raise ValueError("need L >= 2")
 
@@ -77,29 +79,21 @@ class Dataset:
             yield self.observations[lo:lo + DEFAULT_CHUNK]
 
 
-@dataclass
-class StreamingDataset:
-    """Observations regenerated on the fly from a seed; constant memory.
+def spill(theta0: Signal, cfg: MraConfig, n: int, seed: int) -> Dataset:
+    """n observations drawn once into an anonymous temporary file (under
+    TMPDIR) and mapped read-only, so they take page cache, not heap.
 
     Chunk c, the DEFAULT_CHUNK rows from c * DEFAULT_CHUNK, is drawn from
-    default_rng((seed, c)), so every pass over the stream sees the identical data.
+    default_rng((seed, c)).  The map holds its own handle to the file, which
+    vanishes with the Dataset.  Needs n >= 1: an empty file cannot be mapped.
     """
-
-    theta0: Signal
-    config: MraConfig
-    n: int
-    seed: int
-
-    @property
-    def L(self) -> int:
-        return self.config.L
-
-    def blocks(self):
-        orbit = self.theta0.values[orbit_index(self.L, self.config.dihedral)]
-        for c, lo in enumerate(range(0, self.n, DEFAULT_CHUNK)):
-            m = min(DEFAULT_CHUNK, self.n - lo)
-            # yielded unnamed, so that no block is alive while the next is drawn
-            yield _draw_block(orbit, self.config, m, np.random.default_rng((self.seed, c)))[0]
+    orbit = theta0.values[orbit_index(cfg.L, cfg.dihedral)]
+    with tempfile.TemporaryFile() as fh:
+        for c, lo in enumerate(range(0, n, DEFAULT_CHUNK)):
+            m = min(DEFAULT_CHUNK, n - lo)
+            fh.write(_draw_block(orbit, cfg, m, np.random.default_rng((seed, c)))[0])
+        fh.flush()
+        return Dataset(np.memmap(fh, dtype=float, mode="r", shape=(n, cfg.L)), cfg)
 
 
 def _draw_block(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Generator):
@@ -146,7 +140,7 @@ def _posteriors(theta: Signal, data, idx):
     """(observations, log-likelihood, posterior weights) for each block of the
     data, under the model of data.config, whose `orbit_index` the caller
     passes as idx.  Consumers drop each triple before the next, as this
-    generator does, so none is alive while a stream draws.
+    generator does, so no two blocks' weights are alive at once.
     With c[G, i] = <y_i, G theta> / sigma^2, ||y_i - G theta||^2 / (2 sigma^2) =
     (||y_i||^2 + ||theta||^2) / (2 sigma^2) - c[G, i], so the weights, shape
     (|G|, m), are the softmax of c over G, and the block's log-likelihood is the

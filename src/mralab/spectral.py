@@ -102,7 +102,7 @@ def _bispectrum_sum(f: np.ndarray) -> np.ndarray:
 
 
 def empirical_moments(data, order: int) -> MomentTensor:
-    """Debiased sample moment of order 1, 2 or 3 of a Dataset or StreamingDataset.
+    """Debiased sample moment of order 1, 2 or 3 of a Dataset.
 
     One pass over data.blocks(), with one FFT per block for orders 2
     and 3, so memory does not grow with n.  With sigma from data.config and
@@ -126,7 +126,6 @@ def empirical_moments(data, order: int) -> MomentTensor:
             f = np.fft.fft(block, axis=1)
             acc = acc + (np.sum(np.abs(f) ** 2, axis=0) if order == 2 else _bispectrum_sum(f))
             del f
-        del block  # so that no block is alive while a stream draws the next
     if order == 1:
         return MomentTensor(1, L, total / n)
     if order == 2:

@@ -134,6 +134,16 @@ class TestSimulateEstimate:
                   "--out-signal", str(tmp_path / "hat.json")])
         assert not (tmp_path / "hat.json").exists()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_simulate_non_finite_sigma_rejected(self, tmp_path, sigma):
+        # a container of non-finite rows would only fail later, in estimate
+        sig_path, out = tmp_path / "s.json", tmp_path / "d.mra"
+        _write_json(sig_path, Signal(np.ones(4)).to_json_dict())
+        with pytest.raises(ValueError, match="got %s" % sigma):
+            main(["simulate", "--signal", str(sig_path), "--sigma", sigma, "--n", "5",
+                  "--out", str(out)])
+        assert not out.exists()
+
     def test_simulate_deterministic(self, tmp_path):
         sig_path = tmp_path / "s.json"
         _write_json(sig_path, Signal(np.ones(4)).to_json_dict())

@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from mralab import experiments
+from mralab import experiments, mra
 from mralab.experiments import (ExperimentConfig, ExperimentFailureError,
                                 ExperimentResult, _fit_medians,
                                 _support_perturbation, fit_loglog_slope,
                                 run_experiment)
 from mralab.gensig import DiluteClassSpec, gen_collision_free
-from mralab.mra import Dataset, MraConfig, StreamingDataset
+from mralab.mra import Dataset, MraConfig, RestrictedClass, em_restricted_mle
 from mralab.ring import Signal
 
 
@@ -347,16 +347,43 @@ class TestFitMedians:
 class TestMakeDataset:
     @pytest.mark.parametrize("L", [8, 21, 101])
     def test_streams_exactly_beyond_byte_limit(self, monkeypatch, L):
+        # a cell over the limit is spilled: a read-only Dataset over a mapped file
         n = 40
         monkeypatch.setattr(experiments, "IN_MEMORY_LIMIT", 8 * (L + 1) * n)
         theta0, cfg = Signal(np.ones(L)), MraConfig(L, 1.0)
-        assert type(experiments._make_dataset(theta0, cfg, n, (3, 1))) is Dataset
-        assert type(experiments._make_dataset(theta0, cfg, n + 1, (3, 1))) is StreamingDataset
+        held = experiments._make_dataset(theta0, cfg, n, (3, 1))
+        spilled = experiments._make_dataset(theta0, cfg, n + 1, (3, 1))
+        assert type(held) is type(spilled) is Dataset
+        assert held.observations.flags.writeable
+        assert not isinstance(held.observations.base, np.memmap)
+        assert not spilled.observations.flags.writeable
+        assert isinstance(spilled.observations.base, np.memmap)
+        assert spilled.observations.shape == (n + 1, L)
 
     def test_default_limit_keeps_two_million_rows_at_l21(self, monkeypatch):
-        # the boundary of the L=21 rate scans; simulate is stubbed, so no rows are drawn
+        # the boundary of the L=21 rate scans; simulate and spill are stubbed, so no
+        # rows are drawn
         monkeypatch.setattr(experiments, "simulate", lambda *args: "in-memory")
+        monkeypatch.setattr(experiments, "spill", lambda *args: "spilled")
         theta0, cfg = Signal(np.ones(21)), MraConfig(21, 1.0)
         assert experiments._make_dataset(theta0, cfg, 2_000_000, (3, 1)) == "in-memory"
-        assert isinstance(experiments._make_dataset(theta0, cfg, 2_000_001, (3, 1)),
-                          StreamingDataset)
+        assert experiments._make_dataset(theta0, cfg, 2_000_001, (3, 1)) == "spilled"
+
+    def test_over_limit_cell_is_drawn_once(self, monkeypatch):
+        # an over-limit cell draws each chunk once, however many passes EM makes
+        # over it: 4 iterations and the pass at theta_hat read 8 chunks 5 times
+        calls = []
+        draw = mra._draw_block
+
+        def counted(*args):
+            calls.append(args[2])
+            return draw(*args)
+
+        monkeypatch.setattr(mra, "_draw_block", counted)
+        monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
+        monkeypatch.setattr(experiments, "IN_MEMORY_LIMIT", 0)
+        theta0 = Signal(np.random.default_rng(4).normal(size=7))
+        data = experiments._make_dataset(theta0, MraConfig(7, 0.8), 1000, (3, 1))
+        _, diag = em_restricted_mle(data, RestrictedClass("none"), theta0, max_iters=4, tol=0)
+        assert diag["iterations"] == 4
+        assert calls == [128] * 7 + [104]

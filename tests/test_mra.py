@@ -3,9 +3,8 @@ import pytest
 import scipy.special
 
 from mralab import mra
-from mralab.mra import (Dataset, MraConfig, RestrictedClass, StreamingDataset,
-                        _draw_block, em_restricted_mle, kl_monte_carlo,
-                        log_likelihood, simulate)
+from mralab.mra import (Dataset, MraConfig, RestrictedClass, _draw_block,
+                        em_restricted_mle, kl_monte_carlo, log_likelihood, simulate, spill)
 from mralab.ring import Signal, orbit_index, reflect, shift, storage_index, varrho
 from oracles import (draw_block_reference, em_iteration, group_elements, kl_masked_jackknife,
                      traced_peak)
@@ -34,6 +33,12 @@ def direct_log_density(theta, y, sigma, dihedral=False):
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise scale must be positive and finite, got %r"
+                           % (sigma,)):
+            MraConfig(4, sigma)
+
     def test_noiseless_orbit(self):
         theta = Signal(np.random.default_rng(0).normal(size=8))
         cfg = MraConfig(8, 1e-300)
@@ -77,12 +82,11 @@ class TestSimulate:
             assert np.allclose(row, shift(base, int(g)).values)
 
     def test_streaming_dataset_deterministic(self, monkeypatch):
+        # two spills of one seed hold the same rows
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
         theta = Signal(np.random.default_rng(8).normal(size=5))
         cfg = MraConfig(5, 0.5)
-        ds = StreamingDataset(theta, cfg, 1000, seed=99)
-        a = np.concatenate(list(ds.blocks()))
-        b = np.concatenate(list(ds.blocks()))
+        a, b = (spill(theta, cfg, 1000, seed=99).observations for _ in range(2))
         assert a.shape == (1000, 5)
         assert np.array_equal(a, b)
 
@@ -94,24 +98,37 @@ class TestSimulate:
         assert np.array_equal(np.concatenate(blocks), data.observations)
 
     def test_streaming_em_matches_in_memory(self, monkeypatch):
+        # EM over the mapped spill and over its rows copied to memory agree bit for bit
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
         theta = Signal(np.random.default_rng(33).normal(size=7))
-        cfg = MraConfig(7, 0.8)
-        stream = StreamingDataset(theta, cfg, 1000, seed=5)
-        blocks = list(stream.blocks())
-        assert [len(b) for b in blocks] == [128] * 7 + [104]
-        memory = Dataset(np.concatenate(blocks), cfg)
         init = Signal(theta.values + 0.1)
         rc = RestrictedClass("none")
-        a, diag_a = em_restricted_mle(stream, rc, init, max_iters=15)
-        b, diag_b = em_restricted_mle(memory, rc, init, max_iters=15)
-        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
-        assert diag_a["iterations"] == diag_b["iterations"]
-        assert diag_a["converged"] == diag_b["converged"]
-        for key in ("log_likelihood_trace", "varrho_steps"):
-            np.testing.assert_allclose(diag_a[key], diag_b[key], rtol=1e-12, atol=1e-12)
-        assert diag_a["final_log_likelihood"] == pytest.approx(
-            diag_b["final_log_likelihood"], rel=1e-12)
+        for dihedral in (False, True):
+            cfg = MraConfig(7, 0.8, dihedral)
+            spilled = spill(theta, cfg, 1000, seed=5)
+            assert [len(b) for b in spilled.blocks()] == [128] * 7 + [104]
+            memory = Dataset(np.array(spilled.observations), cfg)
+            a, diag_a = em_restricted_mle(spilled, rc, init, max_iters=15)
+            b, diag_b = em_restricted_mle(memory, rc, init, max_iters=15)
+            assert np.array_equal(a.values, b.values)
+            assert diag_a == diag_b
+            assert log_likelihood(a, spilled) == log_likelihood(a, memory)
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_spill_and_fit_hold_one_chunk(self, dihedral, monkeypatch):
+        # the rows sit in the mapped file, which tracemalloc does not count: the
+        # spill holds one chunk's draw and the fit one chunk's weights and their
+        # entropy temporaries, far below the 8 L n bytes of the rows
+        n, L, C = 200_000, 21, 4096
+        monkeypatch.setattr(mra, "DEFAULT_CHUNK", C)
+        G = 2 * L if dihedral else L
+        cfg = MraConfig(L, 1.0, dihedral)
+        data, peak = traced_peak(spill, PLANAR, cfg, n, 3)
+        assert data.n == n
+        bound = 3 * 8 * (L + G) * C + 2**20
+        assert peak <= bound < 8 * L * n / 4
+        _, peak = traced_peak(em_restricted_mle, data, RestrictedClass("none"), PLANAR, 3, 0.0)
+        assert peak <= bound
 
 
     @pytest.mark.parametrize("dihedral", [False, True])
@@ -159,11 +176,12 @@ class TestDrawStream:
 
     @pytest.mark.parametrize("dihedral", [False, True])
     def test_streaming_chunks_match_reference(self, dihedral, monkeypatch):
+        # spill draws chunk c from default_rng((seed, c)); the last chunk is partial
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
         theta = Signal(np.random.default_rng(12).normal(size=7))
         cfg = MraConfig(7, 0.8, dihedral)
         orbit = theta.values[orbit_index(7, dihedral)]
-        blocks = list(StreamingDataset(theta, cfg, 300, seed=4).blocks())
+        blocks = list(spill(theta, cfg, 300, seed=4).blocks())
         assert [len(block) for block in blocks] == [128, 128, 44]
         for c, block in enumerate(blocks):
             want = draw_block_reference(orbit, cfg, len(block), np.random.default_rng((4, c)))[0]

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mralab import mra
-from mralab.mra import Dataset, MraConfig, StreamingDataset, simulate
+from mralab.mra import Dataset, MraConfig, simulate, spill
 from mralab.ring import (LengthMismatchError, Signal, reflect, shift, std_indices,
                          std_offset, storage_index)
 from mralab.spectral import (delta_m, empirical_moments, power_spectrum,
@@ -424,12 +424,13 @@ class TestEmpiricalMoments:
         assert np.allclose(t1, data.observations.mean() * np.ones(L), rtol=1e-12, atol=1e-15)
 
     def test_streaming_matches_materialised(self, monkeypatch):
+        # the mapped spill against its rows copied to memory, over blocks of 700
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 700)
         theta = Signal(np.random.default_rng(28).normal(size=9))
-        stream = StreamingDataset(theta, MraConfig(9, 1.5, True), n=5000, seed=3)
-        memory = Dataset(np.concatenate(list(stream.blocks())), stream.config)
+        spilled = spill(theta, MraConfig(9, 1.5, True), 5000, seed=3)
+        memory = Dataset(np.array(spilled.observations), spilled.config)
         for m in (1, 2, 3):
-            a, b = dense(empirical_moments(stream, m)), dense(empirical_moments(memory, m))
+            a, b = dense(empirical_moments(spilled, m)), dense(empirical_moments(memory, m))
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_monte_carlo_consistency(self):
@@ -451,12 +452,10 @@ class TestEmpiricalMoments:
         assert np.all(err < 5 * np.sqrt(msq / n))
 
     def test_empty_rejected(self):
-        theta = Signal(np.ones(4))
-        for data in (Dataset(np.zeros((0, 4)), MraConfig(4, 1.0)),
-                     StreamingDataset(theta, MraConfig(4, 1.0), n=0, seed=0)):
-            for m in (1, 2, 3):
-                with pytest.raises(ValueError):
-                    empirical_moments(data, m)
+        data = Dataset(np.zeros((0, 4)), MraConfig(4, 1.0))
+        for m in (1, 2, 3):
+            with pytest.raises(ValueError):
+                empirical_moments(data, m)
 
     def test_bad_order(self):
         data = Dataset(np.ones((3, 4)), MraConfig(4, 1.0))
