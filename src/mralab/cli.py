@@ -1,9 +1,10 @@
 """Command-line entry points: simulation, estimation, support/signal recovery,
 probe suites, and experiment scans.
 
-Dataset container format: magic "MRA2", little-endian u32 L, u64 n, f64 sigma,
+Dataset container format: magic "MRA3", little-endian u32 L, u64 n, f64 sigma,
 u8 dihedral (1 for the dihedral group, 0 for the cyclic one), then n*L
-row-major f64 observations in standard-parametrization order.
+row-major f32 observations in standard-parametrization order.  The older
+"MRA2" layout (f64 observations) is not read.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .mra import Dataset, MraConfig, RestrictedClass, em_restricted_mle, simulat
 from .ring import Signal
 from .spectral import second_moment_difference_expansion
 
-MAGIC = b"MRA2"
+MAGIC = b"MRA3"
 #: header after the magic: u32 L, u64 n, f64 sigma, u8 dihedral
 HEADER = struct.Struct("<IQdB")
 #: the group byte's names, also the choices of --group
@@ -42,13 +43,17 @@ def write_container(path, data: Dataset):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(HEADER.pack(data.L, data.n, data.config.sigma, data.config.dihedral))
-        fh.write(np.ascontiguousarray(data.observations, dtype="<f8"))
+        fh.write(np.ascontiguousarray(data.observations, dtype="<f4"))
 
 
 def read_container(path) -> Dataset:
     """Load a container; its header fixes the group."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        magic = fh.read(4)
+        if magic == b"MRA2":
+            raise ValueError("an MRA2 container (f64 observations) is not read; this version "
+                             "reads MRA3 (f32 observations): simulate the data again")
+        if magic != MAGIC:
             raise ValueError("not a dataset container (bad magic)")
         header = fh.read(HEADER.size)
         if len(header) != HEADER.size:
@@ -57,11 +62,11 @@ def read_container(path) -> Dataset:
         L, n, sigma, dihedral = HEADER.unpack(header)
         # compare with the bytes on disk before reading, so a corrupt
         # header cannot ask for an unrepresentable or huge read
-        need, left = n * L * 8, os.fstat(fh.fileno()).st_size - fh.tell()
+        need, left = n * L * 4, os.fstat(fh.fileno()).st_size - fh.tell()
         if left < need:
             raise ValueError("truncated container: expected %d payload bytes (n=%d, L=%d), got %d"
                              % (need, n, L, left))
-        obs = np.fromfile(fh, dtype="<f8", count=n * L).reshape(n, L)
+        obs = np.fromfile(fh, dtype="<f4", count=n * L).reshape(n, L)
     return Dataset(obs, MraConfig(int(L), float(sigma), bool(dihedral)))
 
 

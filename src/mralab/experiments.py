@@ -21,8 +21,9 @@ from .mra import (MraConfig, RestrictedClass, check_sigma_grid, em_restricted_ml
 from .probes import adversarial_direction
 from .ring import Signal, varrho
 
-#: datasets of more bytes than this, at 8 (L + 1) per row for the observations
-#: and their latent shifts, are drawn once into a mapped temporary file (`mra.spill`)
+#: datasets of more bytes than this, at 4 L + 8 per row for the float32
+#: observations and their int64 latent shift, are drawn once into a mapped
+#: temporary file (`mra.spill`)
 IN_MEMORY_LIMIT = 352_000_000
 
 
@@ -229,7 +230,7 @@ def _support_perturbation(theta0: Signal, h_norm: float, rng) -> Signal:
 
 
 def _make_dataset(theta0, mcfg, n, seed):
-    if 8 * (mcfg.L + 1) * n > IN_MEMORY_LIMIT:
+    if (4 * mcfg.L + 8) * n > IN_MEMORY_LIMIT:
         # spill keys its chunks on (seed, chunk index), so flatten
         flat = int(np.random.SeedSequence(list(seed)).generate_state(1)[0])
         return spill(theta0, mcfg, n, flat)

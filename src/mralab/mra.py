@@ -7,10 +7,19 @@ the logits <y_i, G theta> / sigma^2 of a block of observations, and `_softmax`
 gives their log-sum-exps and posterior weights.  A dataset yields bare blocks
 of observations, from memory or from a mapped file (`spill`).  A block is
 drawn in place: one standard-normal fill scaled by sigma, plus theta0's orbit
-rows gathered one chunk at a time, which gives the stream and the bits of
+rows, which gives the stream and the bits of
 orbit[pick] + sigma * rng.normal(size=(m, L)).  The EM M-step accumulates
 W @ Y and folds it onto Z_L once per iteration.  A pass costs O(n L |G|); no
 FFT is taken, so a prime L costs no extra.
+
+Precision: a Dataset holds its observations in float32, each draw rounded
+from float64 a chunk at a time.  The likelihood and EM gather the scaled
+orbit as float32 and run the logit product, `_softmax` and each block's
+M-step product W @ Y in float32.  The sums are float64: each block's
+log-sum-exps, the rows' squared norms and the M-step's sum over blocks; the
+fold onto Z_L, the projection and theta stay float64.  `kl_monte_carlo`
+and `_draw_block` stay float64 throughout: KL is a small difference of large
+log-likelihoods.
 """
 from __future__ import annotations
 
@@ -23,8 +32,8 @@ import numpy as np
 from .ring import LengthMismatchError, Signal, action_index, orbit_index, storage_index
 
 DEFAULT_CHUNK = 65_536
-#: EM lists a log-likelihood fall beyond this relative size: rounding moves its n-row sum a few ulp
-DECREASE_RTOL = 1e-13
+#: float32 machine epsilon (2^-23), the unit of EM's rounding bound on its log-likelihoods
+EPS32 = float(np.finfo(np.float32).eps)
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,7 @@ class Dataset:
     flips: np.ndarray | None = None
 
     def __post_init__(self):
-        self.observations = np.asarray(self.observations, dtype=float)
+        self.observations = np.asarray(self.observations, dtype=np.float32)
         if self.observations.ndim != 2 or self.observations.shape[1] != self.config.L:
             raise LengthMismatchError("observations must be n x L")
 
@@ -81,7 +90,7 @@ class Dataset:
 
 def spill(theta0: Signal, cfg: MraConfig, n: int, seed: int) -> Dataset:
     """n observations drawn once into an anonymous temporary file (under
-    TMPDIR) and mapped read-only, so they take page cache, not heap.
+    TMPDIR) as float32 and mapped read-only, so they take page cache, not heap.
 
     Chunk c, the DEFAULT_CHUNK rows from c * DEFAULT_CHUNK, is drawn from
     default_rng((seed, c)).  The map holds its own handle to the file, which
@@ -91,35 +100,56 @@ def spill(theta0: Signal, cfg: MraConfig, n: int, seed: int) -> Dataset:
     with tempfile.TemporaryFile() as fh:
         for c, lo in enumerate(range(0, n, DEFAULT_CHUNK)):
             m = min(DEFAULT_CHUNK, n - lo)
-            fh.write(_draw_block(orbit, cfg, m, np.random.default_rng((seed, c)))[0])
+            fh.write(_draw_block(orbit, cfg, m, np.random.default_rng((seed, c)))[0]
+                     .astype(np.float32))
         fh.flush()
-        return Dataset(np.memmap(fh, dtype=float, mode="r", shape=(n, cfg.L)), cfg)
+        return Dataset(np.memmap(fh, dtype=np.float32, mode="r", shape=(n, cfg.L)), cfg)
 
 
-def _draw_block(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Generator):
-    """m observations in standard order, with the latent shifts and flips,
-    from theta0's orbit matrix, whose row shift + L flip is (shift, flip) theta0."""
+def _latent(cfg: MraConfig, m: int, rng: np.random.Generator):
+    """(shifts, flips, pick) of m draws: pick = shift + L flip is the row of
+    theta0's orbit matrix that (shift, flip) gives."""
     L = cfg.L
     shifts = rng.integers(L, size=m)
     if cfg.dihedral:
         flips = rng.integers(2, size=m).astype(bool)
-        pick = shifts + L * flips
-    else:
-        flips, pick = np.zeros(m, dtype=bool), shifts
-    # normal(0, 1) is 0 + 1 z of this same draw, so sigma z plus the orbit rows, added a
-    # chunk at a time (no second (m, L) array), is orbit[pick] + sigma * rng.normal(size=(m, L))
-    rows = rng.standard_normal(size=(m, L))
-    rows *= cfg.sigma
-    for lo in range(0, m, DEFAULT_CHUNK):
-        rows[lo:lo + DEFAULT_CHUNK] += orbit.take(pick[lo:lo + DEFAULT_CHUNK], axis=0)
-    return rows, shifts, flips
+        return shifts, flips, shifts + L * flips
+    return shifts, np.zeros(m, dtype=bool), shifts
+
+
+def _noisy_rows(orbit: np.ndarray, pick: np.ndarray, sigma: float, rng: np.random.Generator):
+    """orbit[pick] + sigma * rng.normal(size=(len(pick), L)) in float64, drawn
+    in place: normal(0, 1) is 0 + 1 z of this same draw, so one
+    standard-normal fill scaled by sigma, plus the gathered orbit rows."""
+    rows = rng.standard_normal(size=(len(pick), orbit.shape[1]))
+    rows *= sigma
+    rows += orbit.take(pick, axis=0)
+    return rows
+
+
+def _draw_block(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Generator):
+    """m float64 observations in standard order, with the latent shifts and
+    flips, from theta0's orbit matrix, whose row shift + L flip is (shift,
+    flip) theta0.  One block: spill and KL draw at most DEFAULT_CHUNK rows."""
+    shifts, flips, pick = _latent(cfg, m, rng)
+    return _noisy_rows(orbit, pick, cfg.sigma, rng), shifts, flips
 
 
 def simulate(theta0: Signal, cfg: MraConfig, n: int, rng: np.random.Generator) -> Dataset:
-    """Draw y_i = R_i theta0 + sigma * noise with uniform latent isometries."""
+    """Draw y_i = R_i theta0 + sigma * noise with uniform latent isometries.
+
+    The stream is `_draw_block`'s for n rows: the latent shifts and flips of
+    all n, then the normals, drawn a DEFAULT_CHUNK of rows at a time (the same
+    values as one draw of all of them) and each chunk rounded into the float32
+    rows, so no (n, L) float64 array is held."""
     if theta0.L != cfg.L:
         raise LengthMismatchError("signal length %d vs config L=%d" % (theta0.L, cfg.L))
-    rows, shifts, flips = _draw_block(theta0.values[orbit_index(cfg.L, cfg.dihedral)], cfg, n, rng)
+    orbit = theta0.values[orbit_index(cfg.L, cfg.dihedral)]
+    shifts, flips, pick = _latent(cfg, n, rng)
+    rows = np.empty((n, cfg.L), dtype=np.float32)
+    for lo in range(0, n, DEFAULT_CHUNK):
+        rows[lo:lo + DEFAULT_CHUNK] = _noisy_rows(orbit, pick[lo:lo + DEFAULT_CHUNK],
+                                                  cfg.sigma, rng)
     return Dataset(rows, cfg, shifts=shifts, flips=flips)
 
 
@@ -136,23 +166,33 @@ def _softmax(c: np.ndarray, weights: bool = True):
     return top + np.log(mass), c
 
 
-def _posteriors(theta: Signal, data, idx):
-    """(observations, log-likelihood, posterior weights) for each block of the
-    data, under the model of data.config, whose `orbit_index` the caller
-    passes as idx.  Consumers drop each triple before the next, as this
-    generator does, so no two blocks' weights are alive at once.
+def _posteriors(theta: Signal, data, idx, ysq: list):
+    """(observations, log-likelihood, sum of squared log-sum-exps, posterior
+    weights) for each block of the data, under the model of data.config, whose
+    `orbit_index` the caller passes as idx.  Consumers drop each tuple before
+    the next, as this generator does, so no two blocks' weights are alive at once.
     With c[G, i] = <y_i, G theta> / sigma^2, ||y_i - G theta||^2 / (2 sigma^2) =
     (||y_i||^2 + ||theta||^2) / (2 sigma^2) - c[G, i], so the weights, shape
     (|G|, m), are the softmax of c over G, and the block's log-likelihood is the
-    sum of its log-sum-exps, less sum_i ||y_i||^2 / (2 sigma^2) and m per-row constants."""
+    sum of its log-sum-exps, less sum_i ||y_i||^2 / (2 sigma^2) and m per-row constants.
+    c, the softmax and the weights are float32 (module docstring), so the
+    likelihood is that of sigma^2 float32(theta / sigma^2), the signal the
+    orbit holds: ||theta||^2 is taken of it too, and theta's rounding moves no
+    term.  The sums are float64.  ysq[k] is block k's sum_i ||y_i||^2: a
+    block missing from the list is summed on its first read and appended, so a
+    caller that keeps the list sums the rows once however many passes it makes."""
     cfg = data.config
     sig2 = cfg.sigma**2
-    orbit = (theta.values / sig2)[idx]
-    const = theta.norm() ** 2 / (2 * sig2) + np.log(len(idx)) + cfg.L / 2 * np.log(2 * np.pi * sig2)
-    for block in data.blocks():
+    scaled = (theta.values / sig2).astype(np.float32)
+    orbit = scaled[idx]
+    const = (sig2 / 2 * float(np.square(scaled, dtype=np.float64).sum()) + np.log(len(idx))
+             + cfg.L / 2 * np.log(2 * np.pi * sig2))
+    for k, block in enumerate(data.blocks()):
+        if k == len(ysq):
+            ysq.append(float(np.einsum("ij,ij->", block, block, dtype=np.float64)))
         lse, w = _softmax(orbit @ block.T)
-        ll = float(lse.sum() - np.vdot(block, block) / (2 * sig2) - len(block) * const)
-        yield block, ll, w
+        ll = float(lse.sum(dtype=np.float64) - ysq[k] / (2 * sig2) - len(block) * const)
+        yield block, ll, float(np.einsum("i,i->", lse, lse, dtype=np.float64)), w
         del block, lse, w
 
 
@@ -160,7 +200,7 @@ def log_likelihood(theta: Signal, data) -> float:
     """Sum of observation log-densities over the dataset (0 when empty)."""
     total = 0.0
     idx = orbit_index(data.config.L, data.config.dihedral)
-    for block, ll, w in _posteriors(theta, data, idx):
+    for block, ll, _, w in _posteriors(theta, data, idx, []):
         total += ll
         del block, w
     return total
@@ -316,14 +356,23 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
     diagnostics instead.  Returns (theta_hat, diagnostics).
 
     Projected EM need not increase the likelihood, so `log_likelihood_decreases`
-    lists each iteration k whose update lowered it by more than DECREASE_RTOL
-    |trace[k-1]|, with its drop.  `mean_effective_group_size` is the mean of
+    lists each iteration k whose update lowered it by more than the rounding
+    bound r[k-1] + r[k] of the two passes, with its drop.  The bound of
+    trace[k] is r[k] = EPS32 sqrt(L sum_i lse_i^2) + 1e-13 |trace[k]|, with
+    lse_i row i's float32 log-sum-exp at pass k: each logit is a float32 inner
+    product of length L, which errs by about sqrt(L) rounding units of its
+    size, and the n rows' errors add in quadrature (probabilistic rounding
+    analysis, as in Higham and Mary 2019); the 1e-13 term covers the float64
+    sum of n rows.  `mean_effective_group_size` is the mean of
     exp(entropy of the posterior weights) at theta_hat: |G| when the data say
     nothing about alignment, 1 when every observation is aligned with certainty.
 
     `varrho_steps[k]` is ||theta_k+1 - theta_k|| / sqrt(L), the unaligned
     step.  It bounds varrho(theta_k+1, theta_k) from above, so stopping once
     it falls below `tol` is conservative, and it costs no orbit alignment.
+    A pass reads theta only through float32(theta / sigma^2): once an update
+    moves theta by less than that rounding, the next step is exactly 0.0, the
+    fixed point of the float32 map, and a fit run past convergence stops there.
     """
     if data.n == 0:
         raise ValueError("EM needs at least one observation; the dataset is empty")
@@ -333,18 +382,19 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
     L = cfg.L
     idx = orbit_index(L, cfg.dihedral)
     theta, _ = rclass.project(init)
-    steps, trace = [], []
+    steps, trace, slack, ysq = [], [], [], []
     clamp_any = converged = False
     while True:
         last = converged or len(steps) >= max_iters
         S = np.zeros(idx.shape)
-        ll = group_size = 0.0
-        for block, block_ll, w in _posteriors(theta, data, idx):
+        ll = lse_sq = group_size = 0.0
+        for block, block_ll, block_lse_sq, w in _posteriors(theta, data, idx, ysq):
             ll += block_ll
+            lse_sq += block_lse_sq
             if last:
                 # entropy -sum w log w, with 0 log 0 = 0 for weights that underflowed
                 entropy = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=0)
-                group_size += float(np.sum(np.exp(entropy)))
+                group_size += float(np.exp(entropy).sum(dtype=np.float64))
             else:
                 S += w @ block
             del block, w
@@ -353,6 +403,7 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
         if not np.isfinite(ll):
             raise FloatingPointError("non-finite log-likelihood during EM")
         trace.append(ll)
+        slack.append(EPS32 * np.sqrt(L * lse_sq) + 1e-13 * abs(ll))
         raw = Signal(np.bincount(idx.ravel(), weights=S.ravel(), minlength=L) / data.n)
         new, clamped = rclass.project(raw)
         clamp_any = clamp_any or clamped
@@ -366,7 +417,7 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
         "log_likelihood_trace": trace,
         "log_likelihood_decreases": [
             {"iteration": k, "drop": trace[k - 1] - trace[k]} for k in range(1, len(trace))
-            if trace[k - 1] - trace[k] > DECREASE_RTOL * abs(trace[k - 1])],
+            if trace[k - 1] - trace[k] > slack[k - 1] + slack[k]],
         "mean_effective_group_size": group_size / data.n,
         "varrho_steps": steps,
         "clamp_active": clamp_any,

@@ -105,9 +105,10 @@ def empirical_moments(data, order: int) -> MomentTensor:
     """Debiased sample moment of order 1, 2 or 3 of a Dataset.
 
     One pass over data.blocks(), with one FFT per block for orders 2
-    and 3, so memory does not grow with n.  With sigma from data.config and
-    y-hat the rows' DFT: order 1 is mean y-hat(0); order 2 is mean
-    |y-hat|^2 - L sigma^2 on the plane; order 3 is the mean of
+    and 3, so memory does not grow with n.  Each float32 block is upcast to
+    float64 first, so its sum and FFT run in double precision.  With sigma
+    from data.config and y-hat the rows' DFT: order 1 is mean y-hat(0);
+    order 2 is mean |y-hat|^2 - L sigma^2 on the plane; order 3 is the mean of
     y-hat(a) y-hat(b) conj(y-hat(a + b)) less sigma^2 L mean(y-hat(0)) on
     each of the lines a = 0, b = 0 and a + b = 0, where the noise puts its
     bias.  All are held as `delta_m` holds them.
@@ -121,6 +122,7 @@ def empirical_moments(data, order: int) -> MomentTensor:
         raise ValueError("empirical moments need at least one observation")
     total, acc = 0.0, 0.0  # total = sum of y-hat(0) = sum of all entries
     for block in data.blocks():
+        block = block.astype(np.float64)
         total += float(block.sum())
         if order > 1:
             f = np.fft.fft(block, axis=1)

@@ -162,7 +162,9 @@ def third_moment_dense(theta: Signal) -> np.ndarray:
 def sample_moment_dense(y: np.ndarray, order: int, sigma: float) -> np.ndarray:
     """Shift-averaged debiased sample moment of the rows y:
     Y^T Y / n - sigma^2 I for order 2, and for order 3 the mean of y (x) y (x) y
-    less sigma^2 (ybar_i d_jk + ybar_j d_ik + ybar_k d_ij)."""
+    less sigma^2 (ybar_i d_jk + ybar_j d_ik + ybar_k d_ij), in float64 from
+    rows of any float dtype."""
+    y = np.asarray(y, dtype=np.float64)
     n, L = y.shape
     eye, ybar = np.eye(L), y.mean(axis=0)
     if order == 2:
@@ -197,7 +199,9 @@ def traced_peak(fn, *args):
 def posterior_divide_after(theta: Signal, y: np.ndarray, sigma: float, dihedral: bool = False):
     """(log-densities, posterior weights over G) of the rows y: the logits
     <y_i, G theta> come from one product with the unscaled orbit and are then
-    divided by sigma^2; ||y_i||^2 is formed here."""
+    divided by sigma^2; ||y_i||^2 is formed here.  All in float64, from rows
+    of any float dtype."""
+    y = np.asarray(y, dtype=np.float64)
     L = theta.L
     c = theta.values[orbit_index(L, dihedral)] @ y.T / sigma**2
     top = c.max(axis=0)
@@ -212,7 +216,9 @@ def posterior_divide_after(theta: Signal, y: np.ndarray, sigma: float, dihedral:
 
 def em_iteration(theta: Signal, y: np.ndarray, sigma: float, dihedral: bool = False):
     """(unprojected EM update, log-likelihood at theta) from the posteriors of
-    `posterior_divide_after`: sum_i sum_G w_i(G) G^-1 y_i / n, folded onto Z_L."""
+    `posterior_divide_after`: sum_i sum_G w_i(G) G^-1 y_i / n, folded onto Z_L,
+    all in float64."""
+    y = np.asarray(y, dtype=np.float64)
     idx = orbit_index(theta.L, dihedral)
     log_dens, w = posterior_divide_after(theta, y, sigma, dihedral)
     S = w @ y
@@ -288,3 +294,19 @@ def kl_masked_jackknife(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
         loo[b] = estimate(mask)
     se = float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((loo - loo.mean()) ** 2)))
     return float(full), se
+
+
+def em_fit(rclass, init: Signal, y: np.ndarray, sigma: float, dihedral: bool = False,
+           max_iters: int = 200, tol: float = 1e-8):
+    """(theta_hat, iterations) of projected EM in float64: `em_iteration`
+    then rclass.project, from rclass.project(init), until the unaligned
+    step ||theta_k+1 - theta_k|| / sqrt(L) falls below tol or max_iters run."""
+    theta, _ = rclass.project(init)
+    for k in range(1, max_iters + 1):
+        update, _ = em_iteration(theta, y, sigma, dihedral)
+        new, _ = rclass.project(Signal(update))
+        step = np.linalg.norm(new.values - theta.values) / np.sqrt(theta.L)
+        theta = new
+        if step < tol:
+            return theta, k
+    return theta, max_iters

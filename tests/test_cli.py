@@ -28,11 +28,12 @@ class TestContainer:
             data = simulate(theta, MraConfig(5, 0.7, dihedral), 13, np.random.default_rng(0))
             p = tmp_path / "d.mra"
             write_container(p, data)
-            assert p.read_bytes()[:4] == b"MRA2"
+            assert p.read_bytes()[:4] == b"MRA3"
             back = read_container(p)
             assert back.L == 5 and back.n == 13
             assert back.config.sigma == 0.7
             assert back.config.dihedral is dihedral
+            assert back.observations.dtype == np.float32
             np.testing.assert_array_equal(back.observations, data.observations)
 
     def test_write_makes_no_copy(self, tmp_path):
@@ -71,28 +72,35 @@ class TestContainer:
         with pytest.raises(ValueError):
             read_container(p)
 
+    def test_mra2_layout_named(self, tmp_path):
+        # the float64 layout of earlier versions is refused by name, not read as float32
+        p = tmp_path / "old.mra"
+        p.write_bytes(b"MRA2" + struct.pack("<IQdB", 5, 2, 0.7, 0) + np.zeros(10).tobytes())
+        with pytest.raises(ValueError, match="MRA2 container .f64 observations. is not read"):
+            read_container(p)
+
     def test_truncated_payload_rejected(self, tmp_path):
         theta = Signal(np.arange(5, dtype=float))
         data = simulate(theta, MraConfig(5, 0.7), 13, np.random.default_rng(0))
         p = tmp_path / "d.mra"
         write_container(p, data)
         p.write_bytes(p.read_bytes()[:-12])
-        with pytest.raises(ValueError, match="expected 520 payload bytes.*got 508"):
+        with pytest.raises(ValueError, match="expected 260 payload bytes.*got 248"):
             read_container(p)
 
     def test_truncated_header_rejected(self, tmp_path):
         p = tmp_path / "d.mra"
-        p.write_bytes(b"MRA2" + b"\x00" * 7)
+        p.write_bytes(b"MRA3" + b"\x00" * 7)
         with pytest.raises(ValueError, match="truncated container"):
             read_container(p)
 
     def test_huge_header_rejected_before_reading(self, tmp_path):
         # 25 bytes: magic and a header claiming L = 2^32 - 1, n = 2^63, no payload
         p = tmp_path / "d.mra"
-        p.write_bytes(b"MRA2" + struct.pack("<IQdB", 2**32 - 1, 2**63, 1.0, 0))
+        p.write_bytes(b"MRA3" + struct.pack("<IQdB", 2**32 - 1, 2**63, 1.0, 0))
         assert p.stat().st_size == 25
         with pytest.raises(ValueError, match="truncated container: expected %d payload bytes"
-                                             % ((2**32 - 1) * 2**63 * 8)):
+                                             % ((2**32 - 1) * 2**63 * 4)):
             read_container(p)
 
 

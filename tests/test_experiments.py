@@ -349,7 +349,7 @@ class TestMakeDataset:
     def test_streams_exactly_beyond_byte_limit(self, monkeypatch, L):
         # a cell over the limit is spilled: a read-only Dataset over a mapped file
         n = 40
-        monkeypatch.setattr(experiments, "IN_MEMORY_LIMIT", 8 * (L + 1) * n)
+        monkeypatch.setattr(experiments, "IN_MEMORY_LIMIT", (4 * L + 8) * n)
         theta0, cfg = Signal(np.ones(L)), MraConfig(L, 1.0)
         held = experiments._make_dataset(theta0, cfg, n, (3, 1))
         spilled = experiments._make_dataset(theta0, cfg, n + 1, (3, 1))
@@ -360,14 +360,15 @@ class TestMakeDataset:
         assert isinstance(spilled.observations.base, np.memmap)
         assert spilled.observations.shape == (n + 1, L)
 
-    def test_default_limit_keeps_two_million_rows_at_l21(self, monkeypatch):
-        # the boundary of the L=21 rate scans; simulate and spill are stubbed, so no
-        # rows are drawn
+    def test_default_limit_keeps_3_8_million_rows_at_l21(self, monkeypatch):
+        # the boundary of the L=21 rate scans, at 4 L + 8 = 92 bytes per row
+        # (float32 rows, int64 shifts): 352e6 // 92 rows, against 2e6 at the 176
+        # bytes of float64 rows; simulate and spill are stubbed, so no rows are drawn
         monkeypatch.setattr(experiments, "simulate", lambda *args: "in-memory")
         monkeypatch.setattr(experiments, "spill", lambda *args: "spilled")
         theta0, cfg = Signal(np.ones(21)), MraConfig(21, 1.0)
-        assert experiments._make_dataset(theta0, cfg, 2_000_000, (3, 1)) == "in-memory"
-        assert experiments._make_dataset(theta0, cfg, 2_000_001, (3, 1)) == "spilled"
+        assert experiments._make_dataset(theta0, cfg, 3_826_086, (3, 1)) == "in-memory"
+        assert experiments._make_dataset(theta0, cfg, 3_826_087, (3, 1)) == "spilled"
 
     def test_over_limit_cell_is_drawn_once(self, monkeypatch):
         # an over-limit cell draws each chunk once, however many passes EM makes

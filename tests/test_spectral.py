@@ -385,6 +385,8 @@ class TestEmpiricalMoments:
         # sigma^2 L x-hat(0) on each line and 3 sigma^2 L x-hat(0) at the origin
         L, sigma = 7, 0.7
         theta = Signal(np.random.default_rng(25).normal(size=L))
+        # a Dataset stores its rows as float32: they are the orbit of theta rounded
+        theta = Signal(theta.values.astype(np.float32))
         zero, x0 = Signal.zeros(L), np.sum(theta.values)
         b = delta_m(theta, zero, 3).fourier
         bias = -sigma**2 * L * x0 * _line_count(L)
@@ -421,7 +423,23 @@ class TestEmpiricalMoments:
             assert np.linalg.norm(dense(t) - ref) <= 1e-12 * np.linalg.norm(ref)
             assert t.frobenius() == pytest.approx(np.linalg.norm(ref), rel=1e-12)
         t1 = dense(empirical_moments(data, 1))
-        assert np.allclose(t1, data.observations.mean() * np.ones(L), rtol=1e-12, atol=1e-15)
+        assert np.allclose(t1, data.observations.mean(dtype=np.float64) * np.ones(L),
+                           rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_float32_rows_summed_in_float64(self, dihedral):
+        # the rows are float32, with an offset that a float32 sum or a complex64
+        # FFT would round well past 1e-12; each block is upcast first
+        rng = np.random.default_rng(29)
+        cfg = MraConfig(8, 0.5, dihedral)
+        data = simulate(Signal(rng.normal(size=8) + 100.0), cfg, 5000, rng)
+        assert data.observations.dtype == np.float32
+        y = data.observations.astype(np.float64)
+        for m in (1, 2, 3):
+            ref = (y.mean() * np.ones(8) if m == 1
+                   else sample_moment_dense(y, m, cfg.sigma))
+            assert np.linalg.norm(dense(empirical_moments(data, m)) - ref) <= (
+                1e-12 * np.linalg.norm(ref))
 
     def test_streaming_matches_materialised(self, monkeypatch):
         # the mapped spill against its rows copied to memory, over blocks of 700
