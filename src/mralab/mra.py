@@ -63,7 +63,7 @@ def check_sigma_grid(grid) -> tuple:
 
 @dataclass
 class Dataset:
-    """n observations (rows, standard-parametrization order) plus provenance."""
+    """n float32 observations (rows, standard-parametrization order) plus provenance."""
 
     observations: np.ndarray
     config: MraConfig
