@@ -74,7 +74,7 @@ class DifferenceProfile:
         L, lags, mults = int(d["L"]), d["differences"], d["multiplicities"]
         if len(lags) != len(mults):
             raise ValueError("%d differences but %d multiplicities" % (len(lags), len(mults)))
-        bad = [v for v in list(lags) + list(mults) if not isinstance(v, int)]
+        bad = [v for v in list(lags) + list(mults) if type(v) is not int]
         if bad:
             raise ValueError("differences and multiplicities must be integers, got %r" % bad[0])
         res = [k % L for k in lags]

@@ -2,7 +2,10 @@
 sparsity and KL-curvature scans, with CSV records and JSON fit summaries.
 
 Every cell derives its RNG deterministically from (seed, grid indices, trial),
-so identical configs reproduce identical records bit for bit.
+so identical configs reproduce identical records bit for bit.  An EM cell
+draws its rows from that one generator whether `mra.simulate` keeps them in
+memory or, past `mra.IN_MEMORY_LIMIT`, in a mapped file, so both give the
+same record.
 """
 from __future__ import annotations
 
@@ -17,14 +20,9 @@ import numpy as np
 
 from .gensig import DiluteClassSpec, gen_collision_free, gen_symm_interval
 from .mra import (MraConfig, RestrictedClass, check_sigma_grid, em_restricted_mle,
-                  kl_monte_carlo, simulate, spill)
+                  kl_monte_carlo, simulate)
 from .probes import adversarial_direction
 from .ring import Signal, varrho
-
-#: datasets of more bytes than this, at 4 L + 8 per row for the float32
-#: observations and their int64 latent shift, are drawn once into a mapped
-#: temporary file (`mra.spill`)
-IN_MEMORY_LIMIT = 352_000_000
 
 
 def config_hash(cfg: dict) -> str:
@@ -229,14 +227,6 @@ def _support_perturbation(theta0: Signal, h_norm: float, rng) -> Signal:
     return Signal(h)
 
 
-def _make_dataset(theta0, mcfg, n, seed):
-    if (4 * mcfg.L + 8) * n > IN_MEMORY_LIMIT:
-        # spill keys its chunks on (seed, chunk index), so flatten
-        flat = int(np.random.SeedSequence(list(seed)).generate_state(1)[0])
-        return spill(theta0, mcfg, n, flat)
-    return simulate(theta0, mcfg, n, np.random.default_rng(seed))
-
-
 def _direction(theta0: Signal, kind: str, h_norm: float, rng) -> Signal:
     """A perturbation of norm h_norm: the adversarial direction of
     `probes.adversarial_direction`, or else a random one on the support."""
@@ -251,8 +241,7 @@ def _em_cell(cfg: ExperimentConfig, rec: dict, theta0: Signal, sigma: float,
     """One EM fit on n = cfg.n_for(sigma) fresh draws; writes n, the error,
     iterations and time into rec and returns sqrt(n) varrho."""
     n = rec["n"] = cfg.n_for(sigma)
-    mcfg = MraConfig(cfg.L, sigma)
-    data = _make_dataset(theta0, mcfg, n, cell_seed)
+    data = simulate(theta0, MraConfig(cfg.L, sigma), n, np.random.default_rng(cell_seed))
     em = cfg.em
     policy = em.get("init", "perturbed-truth")
     init = theta0

@@ -5,9 +5,11 @@ All three share one path: `ring.orbit_index` gathers theta's orbit matrix
 scaled by 1/sigma^2 (row G holds G theta / sigma^2), one matrix product gives
 the logits <y_i, G theta> / sigma^2 of a block of observations, and `_softmax`
 gives their log-sum-exps and posterior weights.  A dataset yields bare blocks
-of observations, from memory or from a mapped file (`spill`).  A block is
-drawn in place: one standard-normal fill scaled by sigma, plus theta0's orbit
-rows, which gives the stream and the bits of
+of observations, from memory or, past IN_MEMORY_LIMIT, from a mapped file.
+A seed has one draw stream wherever the rows are kept: `simulate` draws
+DEFAULT_CHUNK rows at a time with `_draw_block` and keeps no latent shifts.
+A block is drawn in place: one standard-normal fill scaled by sigma, plus
+theta0's orbit rows, which gives the stream and the bits of
 orbit[pick] + sigma * rng.normal(size=(m, L)).  The EM M-step accumulates
 W @ Y and folds it onto Z_L once per iteration.  A pass costs O(n L |G|); no
 FFT is taken, so a prime L costs no extra.
@@ -32,6 +34,9 @@ import numpy as np
 from .ring import LengthMismatchError, Signal, action_index, orbit_index, storage_index
 
 DEFAULT_CHUNK = 65_536
+#: observations of more bytes than this, at 4 L per float32 row, are drawn
+#: into a mapped temporary file, not onto the heap
+IN_MEMORY_LIMIT = 352_000_000
 #: float32 machine epsilon (2^-23), the unit of EM's rounding bound on its log-likelihoods
 EPS32 = float(np.finfo(np.float32).eps)
 
@@ -67,8 +72,6 @@ class Dataset:
 
     observations: np.ndarray
     config: MraConfig
-    shifts: np.ndarray | None = None
-    flips: np.ndarray | None = None
 
     def __post_init__(self):
         self.observations = np.asarray(self.observations, dtype=np.float32)
@@ -88,69 +91,43 @@ class Dataset:
             yield self.observations[lo:lo + DEFAULT_CHUNK]
 
 
-def spill(theta0: Signal, cfg: MraConfig, n: int, seed: int) -> Dataset:
-    """n observations drawn once into an anonymous temporary file (under
-    TMPDIR) as float32 and mapped read-only, so they take page cache, not heap.
-
-    Chunk c, the DEFAULT_CHUNK rows from c * DEFAULT_CHUNK, is drawn from
-    default_rng((seed, c)).  The map holds its own handle to the file, which
-    vanishes with the Dataset.  Needs n >= 1: an empty file cannot be mapped.
-    """
-    orbit = theta0.values[orbit_index(cfg.L, cfg.dihedral)]
-    with tempfile.TemporaryFile() as fh:
-        for c, lo in enumerate(range(0, n, DEFAULT_CHUNK)):
-            m = min(DEFAULT_CHUNK, n - lo)
-            fh.write(_draw_block(orbit, cfg, m, np.random.default_rng((seed, c)))[0]
-                     .astype(np.float32))
-        fh.flush()
-        return Dataset(np.memmap(fh, dtype=np.float32, mode="r", shape=(n, cfg.L)), cfg)
-
-
-def _latent(cfg: MraConfig, m: int, rng: np.random.Generator):
-    """(shifts, flips, pick) of m draws: pick = shift + L flip is the row of
-    theta0's orbit matrix that (shift, flip) gives."""
-    L = cfg.L
-    shifts = rng.integers(L, size=m)
-    if cfg.dihedral:
-        flips = rng.integers(2, size=m).astype(bool)
-        return shifts, flips, shifts + L * flips
-    return shifts, np.zeros(m, dtype=bool), shifts
-
-
-def _noisy_rows(orbit: np.ndarray, pick: np.ndarray, sigma: float, rng: np.random.Generator):
-    """orbit[pick] + sigma * rng.normal(size=(len(pick), L)) in float64, drawn
-    in place: normal(0, 1) is 0 + 1 z of this same draw, so one
-    standard-normal fill scaled by sigma, plus the gathered orbit rows."""
-    rows = rng.standard_normal(size=(len(pick), orbit.shape[1]))
-    rows *= sigma
-    rows += orbit.take(pick, axis=0)
-    return rows
-
-
 def _draw_block(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Generator):
-    """m float64 observations in standard order, with the latent shifts and
-    flips, from theta0's orbit matrix, whose row shift + L flip is (shift,
-    flip) theta0.  One block: spill and KL draw at most DEFAULT_CHUNK rows."""
-    shifts, flips, pick = _latent(cfg, m, rng)
-    return _noisy_rows(orbit, pick, cfg.sigma, rng), shifts, flips
+    """m float64 observations in standard order, drawn in place from theta0's
+    orbit matrix: the latent picks shift + L flip (the row that (shift, flip)
+    gives), one standard-normal fill scaled by sigma, and the picked rows
+    added 2048 rows at a time.  The stream and bits are those of
+    orbit[pick] + sigma * rng.normal(size=(m, L))."""
+    pick = rng.integers(cfg.L, size=m)
+    if cfg.dihedral:
+        pick += cfg.L * rng.integers(2, size=m)
+    rows = rng.standard_normal(size=(m, cfg.L))
+    rows *= cfg.sigma
+    for lo in range(0, m, 2048):
+        rows[lo:lo + 2048] += orbit.take(pick[lo:lo + 2048], axis=0)
+    return rows
 
 
 def simulate(theta0: Signal, cfg: MraConfig, n: int, rng: np.random.Generator) -> Dataset:
     """Draw y_i = R_i theta0 + sigma * noise with uniform latent isometries.
 
-    The stream is `_draw_block`'s for n rows: the latent shifts and flips of
-    all n, then the normals, drawn a DEFAULT_CHUNK of rows at a time (the same
-    values as one draw of all of them) and each chunk rounded into the float32
-    rows, so no (n, L) float64 array is held."""
+    `_draw_block` draws DEFAULT_CHUNK rows at a time from rng, each chunk
+    rounded into the float32 rows, so one float64 chunk is held.  Rows of at
+    most IN_MEMORY_LIMIT bytes sit on the heap; more are written to a map of
+    an anonymous temporary file (under TMPDIR), read-only once filled, which
+    holds its own handle to the file and vanishes with the Dataset."""
     if theta0.L != cfg.L:
         raise LengthMismatchError("signal length %d vs config L=%d" % (theta0.L, cfg.L))
     orbit = theta0.values[orbit_index(cfg.L, cfg.dihedral)]
-    shifts, flips, pick = _latent(cfg, n, rng)
-    rows = np.empty((n, cfg.L), dtype=np.float32)
+    if 4 * cfg.L * n <= IN_MEMORY_LIMIT:
+        rows = np.empty((n, cfg.L), dtype=np.float32)
+    else:
+        with tempfile.TemporaryFile() as fh:
+            rows = np.memmap(fh, dtype=np.float32, mode="w+", shape=(n, cfg.L))
     for lo in range(0, n, DEFAULT_CHUNK):
-        rows[lo:lo + DEFAULT_CHUNK] = _noisy_rows(orbit, pick[lo:lo + DEFAULT_CHUNK],
-                                                  cfg.sigma, rng)
-    return Dataset(rows, cfg, shifts=shifts, flips=flips)
+        rows[lo:lo + DEFAULT_CHUNK] = _draw_block(orbit, cfg, min(DEFAULT_CHUNK, n - lo), rng)
+    if isinstance(rows, np.memmap):
+        rows.flags.writeable = False
+    return Dataset(rows, cfg)
 
 
 def _softmax(c: np.ndarray, weights: bool = True):
@@ -251,7 +228,7 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     for b in range(n_blocks):
         m = bounds[b + 1] - bounds[b]
         for lo in range(0, m, DEFAULT_CHUNK):
-            Y, _, _ = _draw_block(orbit0, cfg, min(DEFAULT_CHUNK, m - lo), rng)
+            Y = _draw_block(orbit0, cfg, min(DEFAULT_CHUNK, m - lo), rng)
             # two products: one GEMM of the stacked orbits changes the last bits
             c0 = scaled0 @ Y.T
             c1 = scaled1 @ Y.T

@@ -98,7 +98,16 @@ class Signal:
     def from_json_dict(cls, d: dict) -> "Signal":
         if d.get("format") != "standard-parametrization":
             raise ValueError("unknown signal format: %r" % d.get("format"))
-        return cls.from_support(int(d["L"]), dict(zip(d["support"], d["values"])))
+        L, support, values = int(d["L"]), list(d["support"]), list(d["values"])
+        if len(support) != len(values):
+            raise ValueError("%d support indices but %d values" % (len(support), len(values)))
+        seen = {}
+        for i in support:
+            if i % L in seen:
+                raise ValueError("support indices %d and %d are one residue mod %d"
+                                 % (seen[i % L], i, L))
+            seen[i % L] = i
+        return cls.from_support(L, dict(zip(support, values)))
 
     def __eq__(self, other):
         return (

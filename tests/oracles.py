@@ -176,9 +176,9 @@ def sample_moment_dense(y: np.ndarray, order: int, sigma: float) -> np.ndarray:
 
 
 def draw_block_reference(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Generator):
-    """(rows, shifts, flips) as `mra._draw_block` returns them, from one
-    expression: the fancy-indexed orbit rows plus sigma times a fresh
-    `rng.normal` array."""
+    """(rows, shifts, flips): the rows as `mra._draw_block` returns them, from
+    one expression, the fancy-indexed orbit rows plus sigma times a fresh
+    `rng.normal` array, and the latent shifts and flips that picked them."""
     L = cfg.L
     shifts = rng.integers(L, size=m)
     flips = rng.integers(2, size=m).astype(bool) if cfg.dihedral else np.zeros(m, dtype=bool)
@@ -256,7 +256,7 @@ def kl_masked_jackknife(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     for b in range(n_blocks):
         m = bounds[b + 1] - bounds[b]
         for lo in range(0, m, DEFAULT_CHUNK):
-            y = _draw_block(orbit0, cfg, min(DEFAULT_CHUNK, m - lo), rng)[0]
+            y = _draw_block(orbit0, cfg, min(DEFAULT_CHUNK, m - lo), rng)
             c0 = orbit0 @ y.T / sigma**2
             c1 = theta.values[idx] @ y.T / sigma**2
             x = (lse(c0) - lse(c1)

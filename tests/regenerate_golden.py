@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mralab import cli, experiments, gensig
+from mralab import cli, experiments, gensig, mra
 from mralab.beltway import recover_from_power_spectrum
 from mralab.mra import kl_monte_carlo
 from mralab.probes import _sparse_picks
@@ -200,14 +200,14 @@ def _scan(cfg: dict) -> dict:
 def scan_outputs(workdir) -> dict:
     """The summary and records of each config in SCAN_CONFIGS, less each
     record's wall_time; and as "rate-scan-spilled" those of the rate-scan
-    with `experiments.IN_MEMORY_LIMIT` at 0, so that every cell is over the
-    limit and draws its rows by chunk seeds."""
+    with `mra.IN_MEMORY_LIMIT` at 0, so that every cell is drawn into a
+    mapped file (from the same stream, so they equal the rate-scan's)."""
     scans = {name: _scan(cfg) for name, cfg in SCAN_CONFIGS.items()}
-    limit, experiments.IN_MEMORY_LIMIT = experiments.IN_MEMORY_LIMIT, 0
+    limit, mra.IN_MEMORY_LIMIT = mra.IN_MEMORY_LIMIT, 0
     try:
         scans["rate-scan-spilled"] = _scan(SCAN_CONFIGS["rate-scan"])
     finally:
-        experiments.IN_MEMORY_LIMIT = limit
+        mra.IN_MEMORY_LIMIT = limit
     return scans
 
 

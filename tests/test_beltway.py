@@ -112,6 +112,12 @@ class TestDifferenceProfile:
             DifferenceProfile.from_json_dict({"L": 7, "differences": [1, 6, 1, 6],
                                               "multiplicities": [5, 5, 1, 1]})
 
+    def test_json_boolean_multiplicity_rejected(self):
+        # JSON true is a bool, which Python counts as the int 1
+        with pytest.raises(ValueError, match="must be integers, got True"):
+            DifferenceProfile.from_json_dict({"L": 7, "differences": [1, 6],
+                                              "multiplicities": [True, 1]})
+
     def test_json_non_integer_multiplicity_rejected(self):
         with pytest.raises(ValueError, match="must be integers, got 1.7"):
             DifferenceProfile.from_json_dict({"L": 7, "differences": [1, 6],

@@ -152,6 +152,23 @@ class TestSimulateEstimate:
                   "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("support, values", [([1, 2, 3], [1.0]), ([4, 25], [1.0, 2.0])],
+                             ids=["unequal-lengths", "residue-twice"])
+    def test_simulate_bad_signal_exits_nonzero(self, tmp_path, support, values):
+        # unequal lengths, and two indices of one residue mod 21, are refused
+        # rather than truncated or overwritten
+        sig_path, out = tmp_path / "s.json", tmp_path / "d.mra"
+        _write_json(sig_path, {"L": 21, "format": "standard-parametrization",
+                               "support": support, "values": values})
+        src = os.path.dirname(os.path.dirname(mralab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "mralab.cli", "simulate", "--signal",
+                              str(sig_path), "--sigma", "1.0", "--n", "5", "--out", str(out)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode != 0 and "ValueError" in run.stderr
+        assert not out.exists()
+
     def test_simulate_deterministic(self, tmp_path):
         sig_path = tmp_path / "s.json"
         _write_json(sig_path, Signal(np.ones(4)).to_json_dict())

@@ -9,7 +9,7 @@ from mralab.experiments import (ExperimentConfig, ExperimentFailureError,
                                 _support_perturbation, fit_loglog_slope,
                                 run_experiment)
 from mralab.gensig import DiluteClassSpec, gen_collision_free
-from mralab.mra import Dataset, MraConfig, RestrictedClass, em_restricted_mle
+from mralab.mra import Dataset, MraConfig, RestrictedClass, em_restricted_mle, simulate
 from mralab.ring import Signal
 
 
@@ -345,14 +345,17 @@ class TestFitMedians:
 
 
 class TestMakeDataset:
+    """An EM cell's dataset: `mra.simulate` keeps rows of at most
+    `mra.IN_MEMORY_LIMIT` bytes in memory and maps the rest from a file."""
+
     @pytest.mark.parametrize("L", [8, 21, 101])
     def test_streams_exactly_beyond_byte_limit(self, monkeypatch, L):
         # a cell over the limit is spilled: a read-only Dataset over a mapped file
         n = 40
-        monkeypatch.setattr(experiments, "IN_MEMORY_LIMIT", (4 * L + 8) * n)
+        monkeypatch.setattr(mra, "IN_MEMORY_LIMIT", 4 * L * n)
         theta0, cfg = Signal(np.ones(L)), MraConfig(L, 1.0)
-        held = experiments._make_dataset(theta0, cfg, n, (3, 1))
-        spilled = experiments._make_dataset(theta0, cfg, n + 1, (3, 1))
+        held = simulate(theta0, cfg, n, np.random.default_rng((3, 1)))
+        spilled = simulate(theta0, cfg, n + 1, np.random.default_rng((3, 1)))
         assert type(held) is type(spilled) is Dataset
         assert held.observations.flags.writeable
         assert not isinstance(held.observations.base, np.memmap)
@@ -360,15 +363,28 @@ class TestMakeDataset:
         assert isinstance(spilled.observations.base, np.memmap)
         assert spilled.observations.shape == (n + 1, L)
 
-    def test_default_limit_keeps_3_8_million_rows_at_l21(self, monkeypatch):
-        # the boundary of the L=21 rate scans, at 4 L + 8 = 92 bytes per row
-        # (float32 rows, int64 shifts): 352e6 // 92 rows, against 2e6 at the 176
-        # bytes of float64 rows; simulate and spill are stubbed, so no rows are drawn
-        monkeypatch.setattr(experiments, "simulate", lambda *args: "in-memory")
-        monkeypatch.setattr(experiments, "spill", lambda *args: "spilled")
+    def test_default_limit_keeps_4_2_million_rows_at_l21(self, monkeypatch):
+        # the boundary of the L=21 rate scans, at 4 L = 84 bytes of float32
+        # per row: 352e6 // 84 rows.  The draw and the temporary file are
+        # stubbed to raise, so no row is drawn and no file is made
+        class InMemory(Exception):
+            pass
+
+        class Mapped(Exception):
+            pass
+
+        def raises(exc):
+            def stub(*args):
+                raise exc
+            return stub
+
+        monkeypatch.setattr(mra, "_draw_block", raises(InMemory))
+        monkeypatch.setattr(mra.tempfile, "TemporaryFile", raises(Mapped))
         theta0, cfg = Signal(np.ones(21)), MraConfig(21, 1.0)
-        assert experiments._make_dataset(theta0, cfg, 3_826_086, (3, 1)) == "in-memory"
-        assert experiments._make_dataset(theta0, cfg, 3_826_087, (3, 1)) == "spilled"
+        with pytest.raises(InMemory):
+            simulate(theta0, cfg, 4_190_476, np.random.default_rng(0))
+        with pytest.raises(Mapped):
+            simulate(theta0, cfg, 4_190_477, np.random.default_rng(0))
 
     def test_over_limit_cell_is_drawn_once(self, monkeypatch):
         # an over-limit cell draws each chunk once, however many passes EM makes
@@ -382,9 +398,9 @@ class TestMakeDataset:
 
         monkeypatch.setattr(mra, "_draw_block", counted)
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
-        monkeypatch.setattr(experiments, "IN_MEMORY_LIMIT", 0)
+        monkeypatch.setattr(mra, "IN_MEMORY_LIMIT", 0)
         theta0 = Signal(np.random.default_rng(4).normal(size=7))
-        data = experiments._make_dataset(theta0, MraConfig(7, 0.8), 1000, (3, 1))
+        data = simulate(theta0, MraConfig(7, 0.8), 1000, np.random.default_rng((3, 1)))
         _, diag = em_restricted_mle(data, RestrictedClass("none"), theta0, max_iters=4, tol=0)
         assert diag["iterations"] == 4
         assert calls == [128] * 7 + [104]

@@ -4,7 +4,7 @@ import scipy.special
 
 from mralab import mra
 from mralab.mra import (EPS32, Dataset, MraConfig, RestrictedClass, _draw_block,
-                        em_restricted_mle, kl_monte_carlo, log_likelihood, simulate, spill)
+                        em_restricted_mle, kl_monte_carlo, log_likelihood, simulate)
 from mralab.ring import Signal, orbit_index, reflect, shift, storage_index, varrho
 from oracles import (draw_block_reference, em_fit, em_iteration, group_elements,
                      kl_masked_jackknife, traced_peak)
@@ -60,11 +60,14 @@ class TestSimulate:
         for row in data.observations:
             assert tuple(row) in orbit
 
-    def test_latent_shifts_recorded(self):
+    def test_latent_shifts_match_reference(self):
+        # the shifts that the reference draws from the same stream
         theta = Signal(np.random.default_rng(2).normal(size=6))
         cfg = MraConfig(6, 1e-300)
         data = simulate(theta, cfg, 50, np.random.default_rng(3))
-        for row, g in zip(data.observations, data.shifts):
+        _, shifts, _ = draw_block_reference(theta.values[orbit_index(6, False)], cfg, 50,
+                                            np.random.default_rng(3))
+        for row, g in zip(data.observations, shifts):
             assert np.allclose(row, shift(theta, int(g)).values)
 
     def test_sample_mean(self):
@@ -89,19 +92,25 @@ class TestSimulate:
         theta = Signal(np.random.default_rng(6).normal(size=7))
         cfg = MraConfig(7, 1e-300, dihedral=True)
         data = simulate(theta, cfg, 200, np.random.default_rng(7))
-        assert data.flips.any() and not data.flips.all()
-        for row, g, f in zip(data.observations, data.shifts, data.flips):
+        _, shifts, flips = draw_block_reference(theta.values[orbit_index(7, True)], cfg, 200,
+                                                np.random.default_rng(7))
+        assert flips.any() and not flips.all()
+        for row, g, f in zip(data.observations, shifts, flips):
             base = reflect(theta) if f else theta
             assert np.allclose(row, shift(base, int(g)).values)
 
     def test_streaming_dataset_deterministic(self, monkeypatch):
-        # two spills of one seed hold the same rows
+        # one seed draws the same rows into the heap and into two mapped files
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
         theta = Signal(np.random.default_rng(8).normal(size=5))
         cfg = MraConfig(5, 0.5)
-        a, b = (spill(theta, cfg, 1000, seed=99).observations for _ in range(2))
+        held = simulate(theta, cfg, 1000, np.random.default_rng(99)).observations
+        monkeypatch.setattr(mra, "IN_MEMORY_LIMIT", 0)
+        a, b = (simulate(theta, cfg, 1000, np.random.default_rng(99)).observations
+                for _ in range(2))
+        assert isinstance(a.base, np.memmap) and not isinstance(held.base, np.memmap)
         assert a.shape == (1000, 5)
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, b) and np.array_equal(a, held)
 
     def test_blocks_partition_rows(self, monkeypatch):
         data = simulate(PLANAR, MraConfig(21, 0.7), 300, np.random.default_rng(9))
@@ -111,16 +120,20 @@ class TestSimulate:
         assert np.array_equal(np.concatenate(blocks), data.observations)
 
     def test_streaming_em_matches_in_memory(self, monkeypatch):
-        # EM over the mapped spill and over its rows copied to memory agree bit for bit
+        # EM over the mapped rows and over the in-memory draw of the same seed
+        # agree bit for bit
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
         theta = Signal(np.random.default_rng(33).normal(size=7))
         init = Signal(theta.values + 0.1)
         rc = RestrictedClass("none")
         for dihedral in (False, True):
             cfg = MraConfig(7, 0.8, dihedral)
-            spilled = spill(theta, cfg, 1000, seed=5)
+            memory = simulate(theta, cfg, 1000, np.random.default_rng(5))
+            with monkeypatch.context() as mp:
+                mp.setattr(mra, "IN_MEMORY_LIMIT", 0)
+                spilled = simulate(theta, cfg, 1000, np.random.default_rng(5))
+            assert isinstance(spilled.observations.base, np.memmap)
             assert [len(b) for b in spilled.blocks()] == [128] * 7 + [104]
-            memory = Dataset(np.array(spilled.observations), cfg)
             a, diag_a = em_restricted_mle(spilled, rc, init, max_iters=15)
             b, diag_b = em_restricted_mle(memory, rc, init, max_iters=15)
             assert np.array_equal(a.values, b.values)
@@ -130,13 +143,14 @@ class TestSimulate:
     @pytest.mark.parametrize("dihedral", [False, True])
     def test_spill_and_fit_hold_one_chunk(self, dihedral, monkeypatch):
         # the rows sit in the mapped file, which tracemalloc does not count: the
-        # spill holds one chunk's draw and the fit one chunk's weights and their
+        # draw holds one chunk and the fit one chunk's weights and their
         # entropy temporaries, far below the 4 L n bytes of the float32 rows
         n, L, C = 200_000, 21, 4096
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", C)
+        monkeypatch.setattr(mra, "IN_MEMORY_LIMIT", 0)
         G = 2 * L if dihedral else L
         cfg = MraConfig(L, 1.0, dihedral)
-        data, peak = traced_peak(spill, PLANAR, cfg, n, 3)
+        data, peak = traced_peak(simulate, PLANAR, cfg, n, np.random.default_rng(3))
         assert data.n == n
         bound = 3 * 8 * (L + G) * C + 2**20
         assert peak <= bound < 4 * L * n / 2
@@ -146,21 +160,34 @@ class TestSimulate:
 
     @pytest.mark.parametrize("dihedral", [False, True])
     def test_rows_held_once(self, dihedral):
-        # the float32 rows, their shifts, flips and orbit picks, and one chunk
-        # of float64 draws with its gathered orbit rows: no n x L float64 array
+        # the float32 rows and one chunk of float64 draws, with its orbit picks
+        # and one slice of gathered orbit rows: no n x L float64 array
         n, L = 200_000, 21
         data, peak = traced_peak(simulate, PLANAR, MraConfig(L, 1.0, dihedral), n,
                                  np.random.default_rng(3))
         assert data.observations.nbytes == 4 * L * n
-        assert peak <= 4 * L * n + 17 * n + 2 * 8 * L * mra.DEFAULT_CHUNK + 2**20
+        assert peak <= 4 * L * n + 8 * L * mra.DEFAULT_CHUNK + 2**20
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_draw_holds_one_float64_chunk_at_l101(self, dihedral):
+        # at L = 101 a chunk of float64 rows is 53 MB: the orbit rows are
+        # added to it in slices, not gathered into a second chunk
+        n, L = 65_536, 101
+        theta = Signal(np.random.default_rng(14).normal(size=L))
+        data, peak = traced_peak(simulate, theta, MraConfig(L, 1.0, dihedral), n,
+                                 np.random.default_rng(3))
+        assert data.n == n
+        assert peak <= 4 * L * n + 8 * L * mra.DEFAULT_CHUNK + 8 * 2**20
 
 
 class TestDrawStream:
     """The draw is pinned bit for bit to `draw_block_reference`: same random
-    stream, same rows, shifts and flips.  `_draw_block` gives its float64
-    rows; simulate and spill store them rounded to float32."""
+    stream, same rows.  `_draw_block` gives its float64 rows; simulate draws
+    one block per chunk from its one generator and stores them rounded to
+    float32, in memory or in a mapped file."""
 
-    @pytest.mark.parametrize("m", [1, 5, 1000])
+    # 5000 rows take their orbit rows in three slices, the last partial
+    @pytest.mark.parametrize("m", [1, 5, 1000, 5000])
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 4.0])
     @pytest.mark.parametrize("L", [2, 7, 21])
     @pytest.mark.parametrize("dihedral", [False, True])
@@ -168,41 +195,40 @@ class TestDrawStream:
         theta = Signal(np.random.default_rng(L).normal(size=L))
         cfg = MraConfig(L, sigma, dihedral)
         orbit = theta.values[orbit_index(L, dihedral)]
-        want = draw_block_reference(orbit, cfg, m, np.random.default_rng(m))
+        want = draw_block_reference(orbit, cfg, m, np.random.default_rng(m))[0]
         got = _draw_block(orbit, cfg, m, np.random.default_rng(m))
         data = simulate(theta, cfg, m, np.random.default_rng(m))
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
-        stored = (want[0].astype(np.float32),) + want[1:]
-        for d, w in zip((data.observations, data.shifts, data.flips), stored):
-            assert d.dtype == w.dtype and np.array_equal(d, w)
-        assert dihedral or not got[2].any()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        stored = data.observations
+        assert stored.dtype == np.float32 and np.array_equal(stored, want.astype(np.float32))
 
-    @pytest.mark.parametrize("dihedral", [False, True])
-    def test_draw_across_chunks_matches_reference(self, dihedral, monkeypatch):
-        # 300 rows gathered in slices of 128: two full slices and a partial one
+    @staticmethod
+    def check_chunks(dihedral, mapped, monkeypatch):
+        # 300 rows in chunks of 128, the last partial: the reference draws
+        # each chunk in turn from the one generator
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
+        if mapped:
+            monkeypatch.setattr(mra, "IN_MEMORY_LIMIT", 0)
         theta = Signal(np.random.default_rng(13).normal(size=7))
         cfg = MraConfig(7, 0.8, dihedral)
         orbit = theta.values[orbit_index(7, dihedral)]
-        want = draw_block_reference(orbit, cfg, 300, np.random.default_rng(6))
-        want = (want[0].astype(np.float32),) + want[1:]
+        rng = np.random.default_rng(6)
+        want = np.concatenate([draw_block_reference(orbit, cfg, m, rng)[0]
+                               for m in (128, 128, 44)])
         data = simulate(theta, cfg, 300, np.random.default_rng(6))
-        for d, w in zip((data.observations, data.shifts, data.flips), want):
-            assert d.dtype == w.dtype and np.array_equal(d, w)
+        assert isinstance(data.observations.base, np.memmap) == mapped
+        assert [len(block) for block in data.blocks()] == [128, 128, 44]
+        stored = data.observations
+        assert stored.dtype == np.float32 and np.array_equal(stored, want.astype(np.float32))
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_draw_across_chunks_matches_reference(self, dihedral, monkeypatch):
+        self.check_chunks(dihedral, False, monkeypatch)
 
     @pytest.mark.parametrize("dihedral", [False, True])
     def test_streaming_chunks_match_reference(self, dihedral, monkeypatch):
-        # spill draws chunk c from default_rng((seed, c)); the last chunk is partial
-        monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
-        theta = Signal(np.random.default_rng(12).normal(size=7))
-        cfg = MraConfig(7, 0.8, dihedral)
-        orbit = theta.values[orbit_index(7, dihedral)]
-        blocks = list(spill(theta, cfg, 300, seed=4).blocks())
-        assert [len(block) for block in blocks] == [128, 128, 44]
-        for c, block in enumerate(blocks):
-            want = draw_block_reference(orbit, cfg, len(block), np.random.default_rng((4, c)))[0]
-            assert block.dtype == np.float32 and np.array_equal(block, want.astype(np.float32))
+        # over the limit: the same rows, in a mapped file
+        self.check_chunks(dihedral, True, monkeypatch)
 
 
 class TestLogDensity:
@@ -322,7 +348,7 @@ class TestKlMonteCarlo:
         orbit0 = theta0.values[orbit_index(L, dihedral)]
         total = 0.0
         for m in np.diff(np.linspace(0, n_mc, 101).astype(int)):
-            Y = _draw_block(orbit0, MraConfig(L, sigma, dihedral), m, draws)[0]
+            Y = _draw_block(orbit0, MraConfig(L, sigma, dihedral), m, draws)
             total += sum(direct_log_density(theta0, y, sigma, dihedral)
                          - direct_log_density(theta, y, sigma, dihedral) for y in Y)
         assert kl == pytest.approx(total / n_mc, rel=1e-12)

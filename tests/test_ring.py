@@ -245,6 +245,20 @@ class TestSerialization:
         assert d["support"] == [-1, 2]
         assert d["values"] == [0.5, -3.0]
 
+    def test_unequal_lengths_rejected(self):
+        # support [1, 2, 3] with one value would be read as the support [1]
+        with pytest.raises(ValueError, match="3 support indices but 1 values"):
+            Signal.from_json_dict({"L": 21, "format": "standard-parametrization",
+                                   "support": [1, 2, 3], "values": [1.0]})
+
+    @pytest.mark.parametrize("support", [[4, 25], [3, 3]])
+    def test_residue_twice_rejected(self, support):
+        # 4 and 25 are one residue mod 21: the later value would overwrite the earlier
+        with pytest.raises(ValueError, match="support indices %d and %d are one residue mod 21"
+                           % tuple(support)):
+            Signal.from_json_dict({"L": 21, "format": "standard-parametrization",
+                                   "support": support, "values": [1.0, 2.0]})
+
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             Signal.from_json_dict({"L": 4, "format": "other", "support": [], "values": []})

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mralab import mra
-from mralab.mra import Dataset, MraConfig, simulate, spill
+from mralab.mra import Dataset, MraConfig, simulate
 from mralab.ring import (LengthMismatchError, Signal, reflect, shift, std_indices,
                          std_offset, storage_index)
 from mralab.spectral import (delta_m, empirical_moments, power_spectrum,
@@ -442,11 +442,14 @@ class TestEmpiricalMoments:
                 1e-12 * np.linalg.norm(ref))
 
     def test_streaming_matches_materialised(self, monkeypatch):
-        # the mapped spill against its rows copied to memory, over blocks of 700
+        # the mapped draw against the in-memory draw of the same seed, over
+        # blocks of 700
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 700)
-        theta = Signal(np.random.default_rng(28).normal(size=9))
-        spilled = spill(theta, MraConfig(9, 1.5, True), 5000, seed=3)
-        memory = Dataset(np.array(spilled.observations), spilled.config)
+        theta, cfg = Signal(np.random.default_rng(28).normal(size=9)), MraConfig(9, 1.5, True)
+        memory = simulate(theta, cfg, 5000, np.random.default_rng(3))
+        monkeypatch.setattr(mra, "IN_MEMORY_LIMIT", 0)
+        spilled = simulate(theta, cfg, 5000, np.random.default_rng(3))
+        assert isinstance(spilled.observations.base, np.memmap)
         for m in (1, 2, 3):
             a, b = dense(empirical_moments(spilled, m)), dense(empirical_moments(memory, m))
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
