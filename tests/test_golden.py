@@ -62,6 +62,12 @@ def test_scans(tmp_path):
     check_file("scans.json", tmp_path)
 
 
+def test_spilled_scan_equals_in_memory():
+    # a cell draws one stream whether its rows sit in memory or in a mapped file
+    scans = json.loads((GOLDEN / "scans.json").read_text())
+    assert scans["rate-scan-spilled"] == scans["rate-scan"]
+
+
 def test_assert_matches_tolerance():
     assert_matches({"a": [1, 0.5, None]}, {"a": [1, 0.5 * (1 + 5e-13), None]})
     for got, want in ((1.0 + 1e-11, 1.0), (2, 3), (1, 1.0), (True, 1), ([1, 2], [1])):
