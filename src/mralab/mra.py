@@ -10,21 +10,26 @@ A seed has one draw stream wherever the rows are kept: `simulate` draws
 DEFAULT_CHUNK rows at a time with `_draw_block` and keeps no latent shifts.
 A block is drawn in place: one standard-normal fill scaled by sigma, plus
 theta0's orbit rows, which gives the stream and the bits of
-orbit[pick] + sigma * rng.normal(size=(m, L)).  The EM M-step accumulates
-W @ Y and folds it onto Z_L once per iteration.  A pass costs O(n L |G|); no
-FFT is taken, so a prime L costs no extra.
+orbit[pick] + sigma * rng.normal(size=(m, L)).  `kl_monte_carlo` draws no
+group element at all: every statistic it averages is a function of the
+group-invariant mixture density, so theta0 + sigma z has the law it needs
+(see its docstring), and it scores tiles of at most KL_TILE_ROWS rows.
+The EM M-step accumulates W @ Y and folds it onto Z_L once per iteration.
+A pass costs O(n L |G|); no FFT is taken, so a prime L costs no extra.
 
 Precision: a Dataset holds its observations in float32, each draw rounded
 from float64 a chunk at a time.  The likelihood and EM gather the scaled
 orbit as float32 and run the logit product, `_softmax` and each block's
 M-step product W @ Y in float32.  The sums are float64: each block's
 log-sum-exps, the rows' squared norms and the M-step's sum over blocks; the
-fold onto Z_L, the projection and theta stay float64.  `kl_monte_carlo`
-and `_draw_block` stay float64 throughout: KL is a small difference of large
+fold onto Z_L, the projection and theta stay float64.  `_softmax` keeps
+float32 weights out of the subnormal range.  `kl_monte_carlo` and
+`_draw_block` stay float64 throughout: KL is a small difference of large
 log-likelihoods.
 """
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass
 from numbers import Real
@@ -37,8 +42,12 @@ DEFAULT_CHUNK = 65_536
 #: observations of more bytes than this, at 4 L per float32 row, are drawn
 #: into a mapped temporary file, not onto the heap
 IN_MEMORY_LIMIT = 352_000_000
+#: most sample rows that `kl_monte_carlo` draws and scores at once
+KL_TILE_ROWS = 2048
 #: float32 machine epsilon (2^-23), the unit of EM's rounding bound on its log-likelihoods
 EPS32 = float(np.finfo(np.float32).eps)
+#: smallest normal float32; `_softmax` keeps float32 weights at or above it
+TINY32 = float(np.finfo(np.float32).tiny)
 
 
 @dataclass(frozen=True)
@@ -130,12 +139,25 @@ def simulate(theta0: Signal, cfg: MraConfig, n: int, rng: np.random.Generator) -
     return Dataset(rows, cfg)
 
 
-def _softmax(c: np.ndarray, weights: bool = True):
+def _softmax(c: np.ndarray, weights: bool = True, low: float = -np.inf):
     """(log-sum-exp of the logits c over axis 0, c's storage).  c is
     overwritten by exp(c - column max), normalised to the softmax over axis 0
-    when `weights`."""
+    when `weights`.
+
+    Float32 logits are first raised to at least the column max plus
+    log(2 |G| tiny), tiny the smallest normal float32: every exp is then at
+    least 2 |G| tiny and the mass at most |G|, so no weight is subnormal.
+    Subnormal weights slow the M-step product W @ Y 40- to 65-fold, and the
+    raise moves a weight by at most 2 |G| tiny (about 1e-36), far below the
+    float32 rounding of the weights that carry the mass.  `low` is a lower
+    bound on every logit; when no logit can fall that far below its column
+    max (with 1 to spare for the logits' rounding), the raise is skipped."""
     top = c.max(axis=0)
     c -= top
+    if c.dtype == np.float32:
+        floor = math.log(2 * len(c) * TINY32)
+        if low - float(top.max()) - 1 < floor:
+            np.maximum(c, np.float32(floor), out=c)
     np.exp(c, out=c)
     mass = c.sum(axis=0)
     if weights:
@@ -143,7 +165,7 @@ def _softmax(c: np.ndarray, weights: bool = True):
     return top + np.log(mass), c
 
 
-def _posteriors(theta: Signal, data, idx, ysq: list):
+def _posteriors(theta: Signal, data, idx, norms: list):
     """(observations, log-likelihood, sum of squared log-sum-exps, posterior
     weights) for each block of the data, under the model of data.config, whose
     `orbit_index` the caller passes as idx.  Consumers drop each tuple before
@@ -155,20 +177,25 @@ def _posteriors(theta: Signal, data, idx, ysq: list):
     c, the softmax and the weights are float32 (module docstring), so the
     likelihood is that of sigma^2 float32(theta / sigma^2), the signal the
     orbit holds: ||theta||^2 is taken of it too, and theta's rounding moves no
-    term.  The sums are float64.  ysq[k] is block k's sum_i ||y_i||^2: a
-    block missing from the list is summed on its first read and appended, so a
-    caller that keeps the list sums the rows once however many passes it makes."""
+    term.  The sums are float64.  norms[k] is block k's (sum_i ||y_i||^2,
+    max_i ||y_i||), both in float64; the largest row norm bounds every logit,
+    |c[G, i]| <= ||y_i|| ||theta|| / sigma^2, for `_softmax`.  A block missing
+    from the list is measured on its first read and appended, so a caller that
+    keeps the list reads the rows' norms once however many passes it makes."""
     cfg = data.config
     sig2 = cfg.sigma**2
     scaled = (theta.values / sig2).astype(np.float32)
     orbit = scaled[idx]
-    const = (sig2 / 2 * float(np.square(scaled, dtype=np.float64).sum()) + np.log(len(idx))
-             + cfg.L / 2 * np.log(2 * np.pi * sig2))
+    ssq = float(np.square(scaled, dtype=np.float64).sum())
+    const = sig2 / 2 * ssq + np.log(len(idx)) + cfg.L / 2 * np.log(2 * np.pi * sig2)
     for k, block in enumerate(data.blocks()):
-        if k == len(ysq):
-            ysq.append(float(np.einsum("ij,ij->", block, block, dtype=np.float64)))
-        lse, w = _softmax(orbit @ block.T)
-        ll = float(lse.sum(dtype=np.float64) - ysq[k] / (2 * sig2) - len(block) * const)
+        if k == len(norms):
+            rows = np.einsum("ij,ij->i", block, block, dtype=np.float64)
+            norms.append((float(np.einsum("ij,ij->", block, block, dtype=np.float64)),
+                          float(np.sqrt(rows.max()))))
+        ysq, ymax = norms[k]
+        lse, w = _softmax(orbit @ block.T, low=-ymax * math.sqrt(ssq))
+        ll = float(lse.sum(dtype=np.float64) - ysq / (2 * sig2) - len(block) * const)
         yield block, ll, float(np.einsum("i,i->", lse, lse, dtype=np.float64)), w
         del block, lse, w
 
@@ -183,6 +210,22 @@ def log_likelihood(theta: Signal, data) -> float:
     return total
 
 
+def _kl_tiles(bounds: np.ndarray, rows: int):
+    """Tiles of consecutive sample rows, each a list of (block, lo, hi)
+    pieces: whole jackknife blocks (bounds[b] to bounds[b + 1]) while they
+    fit in `rows` rows, and a block longer than that in pieces of `rows`."""
+    tile = []
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        for a in range(lo, hi, rows):
+            e = min(a + rows, hi)
+            if tile and e - tile[0][1] > rows:
+                yield tile
+                tile = []
+            tile.append((b, a, e))
+    if tile:
+        yield tile
+
+
 def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
                    rng: np.random.Generator, dihedral: bool = False,
                    control_variate: bool = True):
@@ -193,15 +236,30 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     t -> log p_{theta0 + t d}(Y), d = theta - theta0: the score
     d/dt log p|_0 and the Bartlett combination d^2/dt^2 log p + (d/dt log p)^2.
     These cancel the O(||d||) and O(||d||^2) sampling fluctuations, which
-    matters when KL is tiny against the per-sample spread.  The SE comes from
-    a delete-one-block jackknife, over min(100, n_mc) blocks, of the
-    regression-adjusted mean.  Each block keeps one Gram matrix sum z z^T over
-    its samples z = (1, x, score, Bartlett), or z = (1, x) without control
-    variates: it holds the count and every sum the fit needs.  Every
-    leave-one-out fit reads the total less one block's matrix, all at once,
-    with each 2 x 2 regression solved in closed form.  The control variates
-    are used only when every one of those regressions has at least 4 samples
-    (n_mc >= 5); below that the plain mean is returned.
+    matters when KL is tiny against the per-sample spread.
+
+    The samples carry no latent group element: Y = theta0 + sigma z, with z
+    the first n_mc L standard normals of rng, row by row.  This is exact, not
+    an approximation: p_phi is a uniform mixture over the group, so
+    log p_phi(G y) = log p_phi(y) for every signal phi and every G in the
+    group, and so are its t-derivatives along the path.  A draw G theta0 +
+    sigma z equals G (theta0 + sigma G^-1 z), and G^-1 z is again standard
+    normal, so the log-density ratio, the score and the Bartlett term have
+    the same joint law under both draws.
+
+    The SE comes from a delete-one-block jackknife, over min(100, n_mc)
+    blocks, of the regression-adjusted mean.  Each block keeps one Gram matrix
+    sum z z^T over its samples z = (1, x, score, Bartlett), or z = (1, x)
+    without control variates: it holds the count and every sum the fit needs.
+    Samples are drawn and scored in tiles of whole blocks, at most
+    KL_TILE_ROWS rows (a longer block in pieces), with one product per signal
+    and one softmax each per tile; each block's Gram matrix is the product of
+    its slice of the tile's z.  A sample scores the same in any tile, and the
+    stream does not depend on the tile size.  Every leave-one-out fit reads
+    the total less one block's matrix, all at once, with each 2 x 2
+    regression solved in closed form.  The control variates are used only
+    when every one of those regressions has at least 4 samples (n_mc >= 5);
+    below that the plain mean is returned.
     """
     if theta0.L != theta.L:
         raise LengthMismatchError("signals have lengths %d and %d" % (theta0.L, theta.L))
@@ -218,36 +276,38 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     gram = np.zeros((n_blocks, k, k))
     sig2 = sigma**2
     idx = orbit_index(cfg.L, dihedral)
-    orbit0 = theta0.values[idx]
     scaled0, scaled1 = (theta0.values / sig2)[idx], (theta.values / sig2)[idx]
     # log p_theta0(y) - log p_theta(y): ||y||^2, log|G| and the Gaussian
     # normalisation cancel, leaving the log-sum-exps and the signal norms
     norm_gap = (theta0.norm() ** 2 - theta.norm() ** 2) / (2 * sig2)
     tds = float(np.dot(theta0.values, d.values)) / sig2
     dsq = d.norm() ** 2
-    for b in range(n_blocks):
-        m = bounds[b + 1] - bounds[b]
-        for lo in range(0, m, DEFAULT_CHUNK):
-            Y = _draw_block(orbit0, cfg, min(DEFAULT_CHUNK, m - lo), rng)
-            # two products: one GEMM of the stacked orbits changes the last bits
-            c0 = scaled0 @ Y.T
-            c1 = scaled1 @ Y.T
-            if use_cv:
-                # <y, G d> / sigma^2 by linearity; formed before _softmax
-                # overwrites c0 and c1
-                q = c1 - c0
-                q -= tds
-            lse0, w = _softmax(c0, weights=use_cv)
-            Z = np.empty((k, len(Y)))  # rows 1, x, score, Bartlett
-            Z[0] = 1.0
-            np.subtract(lse0, _softmax(c1, weights=False)[0], out=Z[1])
-            Z[1] -= norm_gap
-            if use_cv:
-                wq = np.multiply(w, q, out=w)
-                wq.sum(axis=0, out=Z[2])
-                np.multiply(wq, q, out=q).sum(axis=0, out=Z[3])
-                Z[3] -= dsq / sig2
-            gram[b] += Z @ Z.T
+    for tile in _kl_tiles(bounds, KL_TILE_ROWS):
+        lo = tile[0][1]
+        Y = rng.standard_normal(size=(tile[-1][2] - lo, cfg.L))
+        Y *= sigma
+        Y += theta0.values
+        # two products: one GEMM of the stacked orbits changes the last bits
+        c0 = scaled0 @ Y.T
+        c1 = scaled1 @ Y.T
+        if use_cv:
+            # <y, G d> / sigma^2 by linearity; formed before _softmax
+            # overwrites c0 and c1
+            q = c1 - c0
+            q -= tds
+        lse0, w = _softmax(c0, weights=use_cv)
+        Z = np.empty((k, len(Y)))  # rows 1, x, score, Bartlett
+        Z[0] = 1.0
+        np.subtract(lse0, _softmax(c1, weights=False)[0], out=Z[1])
+        Z[1] -= norm_gap
+        if use_cv:
+            wq = np.multiply(w, q, out=w)
+            wq.sum(axis=0, out=Z[2])
+            np.multiply(wq, q, out=q).sum(axis=0, out=Z[3])
+            Z[3] -= dsq / sig2
+        for b, a, e in tile:
+            z = Z[:, a - lo:e - lo]
+            gram[b] += z @ z.T
     # row 0 sums all blocks, row 1 + b all blocks but b
     total = gram.sum(axis=0)
     g = np.concatenate([total[None], total - gram])
@@ -359,13 +419,13 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
     L = cfg.L
     idx = orbit_index(L, cfg.dihedral)
     theta, _ = rclass.project(init)
-    steps, trace, slack, ysq = [], [], [], []
+    steps, trace, slack, norms = [], [], [], []
     clamp_any = converged = False
     while True:
         last = converged or len(steps) >= max_iters
         S = np.zeros(idx.shape)
         ll = lse_sq = group_size = 0.0
-        for block, block_ll, block_lse_sq, w in _posteriors(theta, data, idx, ysq):
+        for block, block_ll, block_lse_sq, w in _posteriors(theta, data, idx, norms):
             ll += block_ll
             lse_sq += block_lse_sq
             if last:

@@ -4,10 +4,12 @@ construction, frequency-subsampling energy ratios, and moment sandwich scaling.
 Random trials are built and scored in tiles of at most TILE_ENTRIES // L rows
 of length L.  Whatever its trial count, a probe holds one tile of rows with
 its FFT and alignment temporaries at a time, besides trials x s draws and one
-number per trial.  The UUP check builds no rows: it draws each trial's
-support by Floyd's algorithm, s bounded integers per trial with no key
-matrix, so its draws take trials x s, and it scores tiles of trials x s^2
-lags from the frequency set's lag table.
+number per trial.  A curvature row within half of theta0's rotation gap is
+aligned by the identity, certified from theta0's autocorrelation, and skips
+the FFT orbit search (`curvature_terms`).  The UUP check builds no rows: it
+draws each trial's support by Floyd's algorithm, s bounded integers per trial
+with no key matrix, so its draws take trials x s, and it scores tiles of
+trials x s (s - 1) / 2 position pairs from the frequency set's lag table.
 
 Universal constants that theory leaves unspecified are fitted once on a
 calibration run and frozen here; tests pin against these values.
@@ -106,12 +108,34 @@ def _tiles(trials: int, width: int) -> list:
     return [slice(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
+def _identity_radius(p0: np.ndarray, L: int) -> float:
+    """A bound r* such that a row theta0 + h with 2 ||h|| < r* is aligned to
+    theta0 by the identity, and `ring.align_spectra` finds that identity too.
+
+    The rotation gap G = min_{g != 0} ||theta0 - R_g theta0|| comes from the
+    autocorrelation a = irfft(p0): G^2 = 2 (a[0] - max_{g != 0} a[g]).  If
+    2 ||h|| < G, every other rotation is farther from the row than theta0, by
+    the triangle inequality, and <row, theta0> - <row, R_g theta0> >=
+    G (G - 2 ||h||) / 2.  Each FFT correlation errs by less than tol =
+    64 L eps ||theta0||^2 (rows of norm at most 2 ||theta0||), so G is taken
+    less that rounding, as G_lo, and the radius keeps the correlation gap
+    above 4 tol and the norm's own rounding: r* = G_lo - 5 tol / G_lo.  It is
+    0 (nothing certified) for a theta0 with a period."""
+    a = np.fft.irfft(p0, n=L)
+    tol = 64 * L * np.finfo(float).eps * a[0]
+    g_lo = math.sqrt(max(2 * (a[0] - a[1:].max()) - 4 * tol, 0.0))
+    return g_lo - 5 * tol / g_lo if g_lo > 0 else 0.0
+
+
 def curvature_terms(theta0: Signal, rows: np.ndarray):
     """(||Delta_2(theta0 + h, theta0)||_F, rho(theta0 + h, theta0)) for each
     row h of a tile of standard-order values.
 
     One rfft per tile gives every Delta_2 norm from power spectra (see
-    `spectral`) and, through `ring.align_spectra`, the cyclic orbit distances.
+    `spectral`).  A row with 2 ||h|| below theta0's identity radius (see
+    `_identity_radius`) has rho = ||(theta0 + h) - theta0||, the distance that
+    the orbit search would find at the identity, bit for bit; only the other
+    rows go through `ring.align_spectra`.
     """
     L = theta0.L
     p0 = np.abs(np.fft.rfft(theta0.values)) ** 2
@@ -122,7 +146,11 @@ def curvature_terms(theta0: Signal, rows: np.ndarray):
     f = np.fft.rfft(thetas)
     # a per-row sum, unlike a BLAS mat-vec, gives a row the same bits in any tile
     d2 = np.sqrt(np.sum((np.abs(f) ** 2 - p0) ** 2 * weights, axis=1)) / L
-    return d2, align_spectra(thetas, f, theta0)[2]
+    r = np.linalg.norm(thetas - theta0.values, axis=1)
+    far = 2 * r >= _identity_radius(p0, L)
+    if far.any():
+        r[far] = align_spectra(thetas[far], f[far], theta0)[2]
+    return d2, r
 
 
 def _support_curvature(theta0: Signal, vals: np.ndarray):
@@ -139,6 +167,15 @@ def _support_curvature(theta0: Signal, vals: np.ndarray):
     return d2, r
 
 
+def _check_trials(trials: int, h_norm: float):
+    """A ValueError naming the value unless trials >= 1 and h_norm is positive
+    and finite: an empty draw has no minimum, and h = 0 has no ratio."""
+    if trials < 1:
+        raise ValueError("need trials >= 1, got %r" % (trials,))
+    if not 0 < h_norm < np.inf:
+        raise ValueError("h_norm must be positive and finite, got %r" % (h_norm,))
+
+
 def dilute_lower_bound_check(theta0: Signal, spec: DiluteClassSpec, trials: int,
                              rng: np.random.Generator, h_norm: float | None = None) -> dict:
     """Monte-Carlo check of the collision-free curvature floor.
@@ -150,6 +187,7 @@ def dilute_lower_bound_check(theta0: Signal, spec: DiluteClassSpec, trials: int,
     _check_dilute_member(theta0, spec)
     if h_norm is None:
         h_norm = 1e-3 * spec.m
+    _check_trials(trials, h_norm)
     L, s = theta0.L, spec.s
     h = rng.normal(size=(trials, s))
     d2, r = _support_curvature(theta0, h * (h_norm / np.linalg.norm(h, axis=1, keepdims=True)))
@@ -201,7 +239,8 @@ def uup_sample(L: int, a: float, rng: np.random.Generator) -> FrequencySet:
 
 def _sparse_picks(L: int, s: int, trials: int, rng: np.random.Generator):
     """(positions, values), both trials x s, of unit-norm rows with s-point
-    random supports and Gaussian values.
+    random supports and Gaussian values; positions is the transposed view of
+    an s x trials array.
 
     Each row's positions are a uniform s-subset of range(L), drawn by Floyd's
     algorithm for all rows at once: for k, j in enumerate(range(L - s, L)),
@@ -216,10 +255,9 @@ def _sparse_picks(L: int, s: int, trials: int, rng: np.random.Generator):
     for k, j in enumerate(range(L - s, L)):
         t = rng.integers(j + 1, size=trials)
         cols[k] = np.where((cols[:k] == t).any(axis=0), j, t)
-    picks = np.ascontiguousarray(cols.T)
     vals = rng.normal(size=(trials, s))
     vals /= np.linalg.norm(vals, axis=1, keepdims=True)
-    return picks, vals
+    return cols.T, vals
 
 
 def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
@@ -228,9 +266,10 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     Ratio = [(1/|set|) sum_set |h-hat|^2] / [(1/L) sum_all |h-hat|^2] over
     random unit-norm s-sparse vectors h; by Parseval the denominator is
     ||h||^2 = 1.  With values v_j at positions p_j, the numerator is
-    sum_{j,k} v_j v_k kappa[|p_j - p_k|], where the lag table kappa[d] =
-    (1/|set|) sum_{n in set} cos(2 pi n d / L) comes from one FFT of the
-    set's indicator: O(s^2) per trial, in tiles of TILE_ENTRIES // s^2 trials.
+    kappa[0] ||v||^2 + 2 sum_{j<k} v_j v_k kappa[|p_j - p_k|], where the lag
+    table kappa[d] = (1/|set|) sum_{n in set} cos(2 pi n d / L) comes from one
+    FFT of the set's indicator: s (s - 1) / 2 lags per trial, in tiles of
+    TILE_ENTRIES // (s (s - 1) / 2) trials.
     The sizes are checked first; an empty set has no ratio, and gives (None, None).
     """
     L = lam.L
@@ -242,12 +281,15 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     picks, vals = _sparse_picks(L, s, trials, rng)
     nat = lam.natural_indices()
     kappa = np.fft.fft(np.bincount(nat, minlength=L)).real / nat.size
+    j, k = np.triu_indices(s, 1)
     ratios = np.empty(trials)
-    for t in _tiles(trials, s * s):
+    for t in _tiles(trials, max(1, j.size)):
         p, v = picks[t], vals[t]
-        K = kappa[np.abs(p[:, :, None] - p[:, None, :])]
-        # v^T K v per row, so a row scores the same in any tile
-        ratios[t] = np.sum((K @ v[:, :, None])[:, :, 0] * v, axis=1)
+        # C order: per-row sums over contiguous rows, so that a trial scores
+        # the same in any tile (column gathers come out in Fortran order)
+        w = np.multiply(v[:, j], v[:, k], order="C")
+        w *= kappa[np.abs(p[:, j] - p[:, k])]
+        ratios[t] = kappa[0] * np.sum(v * v, axis=1) + 2 * w.sum(axis=1)
     return float(ratios.min()), float(ratios.max())
 
 
@@ -297,6 +339,7 @@ def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
     """
     if theta0 != reflect(theta0) or not theta0.support:
         raise ValueError("theta0 must be symmetric and nonzero")
+    _check_trials(trials, h_norm)
     c4 = FITTED_CONSTANTS["moderate_c4"]
     L = theta0.L
     m_set = float(np.abs(np.fft.fft(theta0.natural()))[lam.natural_indices()].min())

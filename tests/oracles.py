@@ -228,13 +228,16 @@ def em_iteration(theta: Signal, y: np.ndarray, sigma: float, dihedral: bool = Fa
 
 def kl_masked_jackknife(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
                         rng: np.random.Generator, dihedral: bool = False,
-                        control_variate: bool = True):
+                        control_variate: bool = True, picks: bool = False):
     """(KL, jackknife SE) as `mra.kl_monte_carlo` defines them, on the same
-    draws: each sample's log-density ratio and control variates come from
+    draws: y = theta0 + sigma z, z drawn by one `rng.normal` call per block.
+    Each sample's log-density ratio and control variates come from
     divide-after logits and the orbit of d = theta - theta0, and each of the
     n_blocks + 1 estimates sums its blocks through a mask and solves its
     regression with np.linalg.solve.  Below 4 samples in some delete-one-block
-    fit, it is the plain mean."""
+    fit, it is the plain mean.  With `picks`, each sample is drawn from a
+    uniformly picked orbit row instead, by `mra._draw_block` (a different
+    stream with the same law of every statistic)."""
     L = theta0.L
     cfg = MraConfig(L, sigma, dihedral)
     idx = orbit_index(L, dihedral)
@@ -256,7 +259,9 @@ def kl_masked_jackknife(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     for b in range(n_blocks):
         m = bounds[b + 1] - bounds[b]
         for lo in range(0, m, DEFAULT_CHUNK):
-            y = _draw_block(orbit0, cfg, min(DEFAULT_CHUNK, m - lo), rng)
+            size = min(DEFAULT_CHUNK, m - lo)
+            y = (_draw_block(orbit0, cfg, size, rng) if picks
+                 else theta0.values + sigma * rng.normal(size=(size, L)))
             c0 = orbit0 @ y.T / sigma**2
             c1 = theta.values[idx] @ y.T / sigma**2
             x = (lse(c0) - lse(c1)
@@ -294,6 +299,28 @@ def kl_masked_jackknife(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
         loo[b] = estimate(mask)
     se = float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((loo - loo.mean()) ** 2)))
     return float(full), se
+
+
+def path_log_density(theta0: Signal, d: np.ndarray, y: np.ndarray, sigma: float,
+                     dihedral: bool = False):
+    """(log p, d/dt log p, d^2/dt^2 log p) of p_{theta0 + t d}(y) at t = 0,
+    from one Gaussian term per group element, in float64: with a_G =
+    <y - G theta0, G d> / sigma^2 and posterior weights w_G, the derivatives
+    are sum_G w_G a_G and sum_G w_G a_G^2 - (sum_G w_G a_G)^2 - ||d||^2 / sigma^2."""
+    L = theta0.L
+    logs, a = [], []
+    for g in group_elements(L, dihedral):
+        gt, gd = g.apply(theta0).values, g.apply(Signal(d)).values
+        logs.append(-np.dot(y - gt, y - gt) / (2 * sigma**2))
+        a.append(np.dot(y - gt, gd) / sigma**2)
+    logs, a = np.array(logs), np.array(a)
+    top = logs.max()
+    w = np.exp(logs - top)
+    mass = w.sum()
+    w /= mass
+    score = float(w @ a)
+    log_p = float(top + np.log(mass / len(w)) - L / 2 * np.log(2 * np.pi * sigma**2))
+    return log_p, score, float(w @ a**2 - score**2 - np.dot(d, d) / sigma**2)
 
 
 def em_fit(rclass, init: Signal, y: np.ndarray, sigma: float, dihedral: bool = False,

@@ -7,7 +7,7 @@ from mralab.mra import (EPS32, Dataset, MraConfig, RestrictedClass, _draw_block,
                         em_restricted_mle, kl_monte_carlo, log_likelihood, simulate)
 from mralab.ring import Signal, orbit_index, reflect, shift, storage_index, varrho
 from oracles import (draw_block_reference, em_fit, em_iteration, group_elements,
-                     kl_masked_jackknife, traced_peak)
+                     kl_masked_jackknife, path_log_density, traced_peak)
 
 PLANAR = Signal.from_natural(
     np.array([0, 0, 0, 1.1, 0, 0, -1.0, 1.05, 0, 0, 0, 0,
@@ -337,21 +337,77 @@ class TestKlMonteCarlo:
 
     @pytest.mark.parametrize("dihedral", [False, True])
     def test_plain_mean_matches_direct_log_densities(self, dihedral):
-        # replays the estimator's stream: one _draw_block call per jackknife block
+        # the samples are theta0 + sigma z, z the first n_mc L normals of the
+        # rng, drawn here in one call and by the estimator in tiles
         rng = np.random.default_rng(25)
         L, sigma, n_mc = 8, 0.9, 250
         theta0 = Signal(rng.normal(size=L))
         theta = Signal(theta0.values + 0.3 * rng.normal(size=L))
         kl, _ = kl_monte_carlo(theta0, theta, sigma, n_mc, np.random.default_rng(26),
                                dihedral=dihedral, control_variate=False)
-        draws = np.random.default_rng(26)
-        orbit0 = theta0.values[orbit_index(L, dihedral)]
-        total = 0.0
-        for m in np.diff(np.linspace(0, n_mc, 101).astype(int)):
-            Y = _draw_block(orbit0, MraConfig(L, sigma, dihedral), m, draws)
-            total += sum(direct_log_density(theta0, y, sigma, dihedral)
-                         - direct_log_density(theta, y, sigma, dihedral) for y in Y)
+        Y = theta0.values + sigma * np.random.default_rng(26).standard_normal(size=(n_mc, L))
+        total = sum(direct_log_density(theta0, y, sigma, dihedral)
+                    - direct_log_density(theta, y, sigma, dihedral) for y in Y)
         assert kl == pytest.approx(total / n_mc, rel=1e-12)
+
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_path_log_density_invariant_under_the_group(self, dihedral):
+        # log p_theta(G y) = log p_theta(y) for every theta, so every t-derivative
+        # along theta0 + t d is invariant too: a draw needs no latent G
+        rng = np.random.default_rng(27)
+        L, sigma = 7, 0.8
+        theta0 = Signal(rng.normal(size=L))
+        d = 0.4 * rng.normal(size=L)
+        y = theta0.values + sigma * rng.normal(size=L)
+        base = np.array(path_log_density(theta0, d, y, sigma, dihedral))
+        # the oracle's derivatives against central differences
+        t = 1e-4
+        logs = [direct_log_density(Signal(theta0.values + u * d), y, sigma, dihedral)
+                for u in (-t, 0.0, t)]
+        assert base[0] == pytest.approx(logs[1], rel=1e-12)
+        assert base[1] == pytest.approx((logs[2] - logs[0]) / (2 * t), rel=1e-6)
+        assert base[2] == pytest.approx((logs[2] - 2 * logs[1] + logs[0]) / t**2, rel=1e-4)
+        for g in group_elements(L, dihedral):
+            moved = path_log_density(theta0, d, g.apply(Signal(y)).values, sigma, dihedral)
+            np.testing.assert_allclose(moved, base, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("control_variate", [False, True])
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_pick_free_agrees_with_pick_drawn(self, dihedral, control_variate):
+        # the same estimand from draws with uniformly picked orbit rows
+        # (the oracle's `picks`), within 4 combined standard errors
+        rng = np.random.default_rng(28)
+        theta0 = Signal(rng.normal(size=8))
+        theta = Signal(theta0.values + 0.3 * rng.normal(size=8))
+        for sigma in (1.0, 2.0, 4.0):
+            kl, se = kl_monte_carlo(theta0, theta, sigma, 20_000, np.random.default_rng(29),
+                                    dihedral=dihedral, control_variate=control_variate)
+            ref, ref_se = kl_masked_jackknife(theta0, theta, sigma, 20_000,
+                                              np.random.default_rng(30), dihedral=dihedral,
+                                              control_variate=control_variate, picks=True)
+            assert abs(kl - ref) <= 4 * np.hypot(se, ref_se), sigma
+
+    @pytest.mark.parametrize("n_mc", [1001, 20_000, 300_000])
+    def test_estimate_does_not_depend_on_the_tile(self, n_mc, monkeypatch):
+        # tiles of one block each, of one row each and of a size that splits
+        # blocks, against the default tiles; at n_mc = 300 000 each block of
+        # 3000 rows is longer than a default tile
+        rng = np.random.default_rng(32)
+        theta0 = Signal(rng.normal(size=8))
+        theta = Signal(theta0.values + 0.3 * rng.normal(size=8))
+
+        def run():
+            return kl_monte_carlo(theta0, theta, 1.5, n_mc, np.random.default_rng(33),
+                                  dihedral=True)
+
+        kl, se = run()
+        for rows in (n_mc // 100, 1, 777):
+            if rows == 1 and n_mc > 20_000:
+                continue  # 300 000 one-row tiles take too long
+            monkeypatch.setattr(mra, "KL_TILE_ROWS", rows)
+            got_kl, got_se = run()
+            assert got_kl == pytest.approx(kl, rel=1e-13), rows
+            assert got_se == pytest.approx(se, rel=1e-9), rows
 
     @pytest.mark.parametrize("n_mc", [250, 20_000])
     @pytest.mark.parametrize("control_variate", [False, True])
@@ -562,17 +618,20 @@ class TestEm:
         assert len(set(trace[first:])) == 1
 
     def test_row_norms_summed_once_in_float64(self, monkeypatch):
-        # the first pass appends each block's sum_i ||y_i||^2 in float64; a
-        # later pass reads the list and adds nothing
+        # the first pass appends each block's sum_i ||y_i||^2 and max_i ||y_i||
+        # in float64; a later pass reads the list and adds nothing
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 64)
         data = simulate(PLANAR, MraConfig(21, 0.7), 300, np.random.default_rng(55))
-        idx, ysq = orbit_index(21, False), []
+        idx, norms = orbit_index(21, False), []
         for _ in range(2):
-            for _ in mra._posteriors(PLANAR, data, idx, ysq):
+            for _ in mra._posteriors(PLANAR, data, idx, norms):
                 pass
-            assert len(ysq) == 5
-        want = [np.sum(block.astype(np.float64) ** 2) for block in data.blocks()]
-        assert ysq == pytest.approx(want, rel=1e-14)
+            assert len(norms) == 5
+        blocks = [block.astype(np.float64) for block in data.blocks()]
+        assert [ysq for ysq, _ in norms] == pytest.approx(
+            [np.sum(block**2) for block in blocks], rel=1e-14)
+        assert [ymax for _, ymax in norms] == pytest.approx(
+            [np.linalg.norm(block, axis=1).max() for block in blocks], rel=1e-14)
 
     @pytest.mark.parametrize("max_iters", [3, 200])
     def test_final_log_likelihood_at_theta_hat(self, max_iters):
@@ -669,6 +728,30 @@ class TestEm:
         update, ll = em_iteration(init, data.observations, sigma, dihedral)
         np.testing.assert_allclose(theta_hat.values, update, rtol=0, atol=THETA_ATOL)
         assert diag["log_likelihood_trace"][0] == pytest.approx(ll, rel=LL_RTOL)
+
+    def test_no_subnormal_weights(self, monkeypatch):
+        # a full-support Gaussian theta at L=101, sigma=1: about 39% of the
+        # float32 weights would be subnormal, which slows W @ Y some 40-fold
+        theta = Signal(np.random.default_rng(0).normal(size=101))
+        data = simulate(theta, MraConfig(101, 1.0), 2500, np.random.default_rng(0))
+        idx = orbit_index(101, False)
+        c = theta.values.astype(np.float32)[idx] @ data.observations.T
+        raw = np.exp(c - c.max(axis=0)) / np.exp(c - c.max(axis=0)).sum(axis=0)
+        assert np.mean((raw > 0) & (raw < mra.TINY32)) > 0.3
+        for *_, w in mra._posteriors(theta, data, idx, []):
+            assert w.dtype == np.float32 and w.min() >= mra.TINY32
+        fits = [em_restricted_mle(data, RestrictedClass("none"), theta, max_iters=k, tol=0)
+                for k in (1, 3)]
+        update, ll = em_iteration(theta, data.observations, 1.0)
+        np.testing.assert_allclose(fits[0][0].values, update, rtol=0, atol=THETA_ATOL)
+        assert fits[0][1]["log_likelihood_trace"][0] == pytest.approx(ll, rel=LL_RTOL)
+        # against the same fit with subnormal weights (a floor far below them)
+        monkeypatch.setattr(mra, "TINY32", 1e-300)
+        theta_sub, diag_sub = em_restricted_mle(data, RestrictedClass("none"), theta,
+                                                max_iters=3, tol=0)
+        np.testing.assert_allclose(fits[1][0].values, theta_sub.values, rtol=0, atol=THETA_ATOL)
+        assert fits[1][1]["final_log_likelihood"] == pytest.approx(
+            diag_sub["final_log_likelihood"], rel=LL_RTOL)
 
     @pytest.mark.parametrize("dihedral", [False, True])
     def test_first_trace_is_log_likelihood_at_projected_init(self, dihedral):

@@ -15,7 +15,7 @@ from mralab.probes import (TILE_ENTRIES, FrequencySet, LambdaConstructionError,
                            spectral_floor, support_restricted_min_ratio, uup_check,
                            uup_sample)
 from mralab.mra import kl_monte_carlo
-from mralab.ring import Signal, align, reflect, shift, std_indices, std_offset
+from mralab.ring import Signal, align, align_spectra, reflect, shift, std_indices, std_offset
 from mralab.spectral import delta_m, second_moment_difference_expansion
 from oracles import cosine_functional_all, group_elements
 
@@ -160,6 +160,107 @@ class TestCurvatureTerms:
             assert rep["min_ratio"] == pytest.approx(ratios.min(), rel=1e-10)
             assert rep["median_ratio"] == pytest.approx(np.median(ratios), rel=1e-10)
             assert rep["chain_min"] == pytest.approx(min(chain), rel=1e-10)
+
+
+def brute_force_rho(theta0: Signal, rows: np.ndarray) -> np.ndarray:
+    """min over all L rotations g of ||theta0 + h - R_g theta0||, per row h."""
+    orbit = np.array([shift(theta0, g).values for g in range(theta0.L)])
+    thetas = theta0.values + rows
+    return np.linalg.norm(thetas[:, None, :] - orbit[None], axis=2).min(axis=1)
+
+
+class TestIdentityCertificate:
+    """`curvature_terms` skips the orbit search for rows within half of
+    theta0's rotation gap; every row's rho still matches all L rotations."""
+
+    @staticmethod
+    def radius(theta0):
+        return probes._identity_radius(np.abs(np.fft.rfft(theta0.values)) ** 2, theta0.L)
+
+    @staticmethod
+    def searched(theta0, rows):
+        """rho of each row through the orbit search alone."""
+        thetas = theta0.values + rows
+        return align_spectra(thetas, np.fft.rfft(thetas), theta0)[2]
+
+    def check(self, theta0, rows, certified):
+        d2, r = curvature_terms(theta0, rows)
+        two_h = 2 * np.linalg.norm(theta0.values + rows - theta0.values, axis=1)
+        assert np.array_equal(two_h < self.radius(theta0), certified)
+        np.testing.assert_allclose(r, brute_force_rho(theta0, rows), rtol=1e-12, atol=1e-15)
+        # bit for bit what the search alone gives
+        assert np.array_equal(r, self.searched(theta0, rows))
+        return r
+
+    def test_radius_below_rotation_gap(self):
+        rng = np.random.default_rng(60)
+        for L in (16, 17, 101):
+            theta0 = Signal(rng.normal(size=L))
+            gap = min(np.linalg.norm(theta0.values - shift(theta0, g).values)
+                      for g in range(1, L))
+            assert gap * (1 - 1e-9) <= self.radius(theta0) <= gap
+
+    def test_every_row_certified(self):
+        rng = np.random.default_rng(61)
+        theta0 = Signal(rng.normal(size=64))
+        rows = 1e-3 * rng.normal(size=(200, 64))
+        self.check(theta0, rows, np.ones(200, dtype=bool))
+
+    def test_no_row_certified(self):
+        rng = np.random.default_rng(62)
+        # a period of 8: R_8 theta0 = theta0, so the gap is 0
+        periodic = Signal(np.tile(rng.normal(size=8), 4))
+        assert self.radius(periodic) == 0.0
+        self.check(periodic, 1e-3 * rng.normal(size=(50, 32)), np.zeros(50, dtype=bool))
+        # rows longer than the gap
+        theta0 = Signal(rng.normal(size=33))
+        rows = rng.normal(size=(50, 33))
+        rows *= self.radius(theta0) / np.linalg.norm(rows, axis=1, keepdims=True)
+        self.check(theta0, rows, np.zeros(50, dtype=bool))
+
+    def test_mixed_tile(self):
+        rng = np.random.default_rng(63)
+        theta0 = Signal(rng.normal(size=40))
+        rows = 1e-3 * rng.normal(size=(60, 40))
+        # every third row moves theta0 next to another point of its orbit
+        for t in range(0, 60, 3):
+            rows[t] += shift(theta0, 1 + t % 39).values - theta0.values
+        certified = np.arange(60) % 3 != 0
+        r = self.check(theta0, rows, certified)
+        assert np.all(r[~certified] < 1e-2)
+
+    def test_rows_at_the_margin(self):
+        # h toward theta0's nearest rotation, with 2 ||h|| just below and just
+        # above the radius: theta0 + h is almost as near that rotation
+        rng = np.random.default_rng(64)
+        theta0 = Signal(rng.normal(size=29))
+        g = min(range(1, 29), key=lambda g: np.linalg.norm(theta0.values - shift(theta0, g).values))
+        u = shift(theta0, g).values - theta0.values
+        u /= np.linalg.norm(u)
+        scales = self.radius(theta0) / 2 * np.array([1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6])
+        rows = scales[:, None] * u
+        self.check(theta0, rows, np.array([True, True, False, False]))
+
+
+class TestProbeSizes:
+    """Both curvature probes name a bad trial count or h_norm before drawing."""
+
+    SPEC = DiluteClassSpec(L=101, s=8, m=1.0, M=1.05, eps=1.0)
+
+    @pytest.mark.parametrize("trials, h_norm, msg", [
+        (0, 1e-3, "need trials >= 1, got 0"), (-2, 1e-3, "need trials >= 1, got -2"),
+        (10, 0.0, "h_norm must be positive and finite, got 0.0"),
+        (10, -1e-3, "h_norm must be positive and finite, got -0.001"),
+        (10, float("nan"), "got nan"), (10, float("inf"), "got inf")])
+    def test_rejected(self, trials, h_norm, msg):
+        theta0 = gen_collision_free(self.SPEC, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=msg):
+            dilute_lower_bound_check(theta0, self.SPEC, trials, np.random.default_rng(1),
+                                     h_norm=h_norm)
+        sym = gen_symm_interval(32, 3, 1.0, np.random.default_rng(2))
+        lam = FrequencySet(L=32, frequencies=frozenset(range(-3, 4)))
+        with pytest.raises(ValueError, match=msg):
+            moderate_curvature_check(sym, lam, trials, h_norm, np.random.default_rng(3))
 
 
 class TestDiluteLowerBound:
@@ -349,8 +450,8 @@ class TestUup:
                                       (16, 16)])
     def test_matches_full_fft_formula(self, L, s):
         lam = uup_sample(L, L / 2, np.random.default_rng(45))
-        # two full lag tiles of TILE_ENTRIES // s^2 trials and a partial one
-        trials = 2 * (TILE_ENTRIES // s**2) + 3
+        # two full tiles of TILE_ENTRIES // (s (s - 1) / 2) trials and a partial one
+        trials = 2 * (TILE_ENTRIES // max(1, s * (s - 1) // 2)) + 3
         c1, c2 = uup_check(lam, s, trials, np.random.default_rng(46))
         picks, vals = self.floyd_sparse_picks(L, s, trials, np.random.default_rng(46))
         ratios = []
@@ -362,6 +463,14 @@ class TestUup:
         ratios = np.concatenate(ratios)
         assert c1 == pytest.approx(ratios.min(), rel=1e-12)
         assert c2 == pytest.approx(ratios.max(), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1, 2, 8, 13])
+    def test_trial_scores_the_same_in_any_tile(self, s, monkeypatch):
+        # one trial per tile against the default tiles, bit for bit
+        lam = uup_sample(128, 64, np.random.default_rng(50))
+        want = uup_check(lam, s, 3001, np.random.default_rng(51))
+        monkeypatch.setattr(probes, "TILE_ENTRIES", 1)
+        assert uup_check(lam, s, 3001, np.random.default_rng(51)) == want
 
     @pytest.mark.parametrize("s, trials", [(0, 10), (17, 10), (2, 0), (2, -1)])
     def test_bad_sizes_rejected(self, s, trials):
