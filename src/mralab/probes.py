@@ -8,8 +8,9 @@ number per trial.  A curvature row within half of theta0's rotation gap is
 aligned by the identity, certified from theta0's autocorrelation, and skips
 the FFT orbit search (`curvature_terms`).  The UUP check builds no rows: it
 draws each trial's support by Floyd's algorithm, s bounded integers per trial
-with no key matrix, so its draws take trials x s, and it scores tiles of
-trials x s (s - 1) / 2 position pairs from the frequency set's lag table.
+with no key matrix, so its draws take trials x s, and it scores each
+trial's s (s - 1) / 2 position pairs from the frequency set's lag table, in
+tiles of TILE_ENTRIES // s trials.
 
 Universal constants that theory leaves unspecified are fitted once on a
 calibration run and frozen here; tests pin against these values.
@@ -268,8 +269,8 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     ||h||^2 = 1.  With values v_j at positions p_j, the numerator is
     kappa[0] ||v||^2 + 2 sum_{j<k} v_j v_k kappa[|p_j - p_k|], where the lag
     table kappa[d] = (1/|set|) sum_{n in set} cos(2 pi n d / L) comes from one
-    FFT of the set's indicator: s (s - 1) / 2 lags per trial, in tiles of
-    TILE_ENTRIES // (s (s - 1) / 2) trials.
+    FFT of the set's indicator: s (s - 1) / 2 lags per trial, taken one
+    offset k - j at a time in tiles of TILE_ENTRIES // s trials.
     The sizes are checked first; an empty set has no ratio, and gives (None, None).
     """
     L = lam.L
@@ -281,15 +282,18 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     picks, vals = _sparse_picks(L, s, trials, rng)
     nat = lam.natural_indices()
     kappa = np.fft.fft(np.bincount(nat, minlength=L)).real / nat.size
-    j, k = np.triu_indices(s, 1)
+    # pick-major rows: the pairs (i, i + d) at each offset d are two contiguous slices
+    pt, vt = picks.T, np.ascontiguousarray(vals.T)
     ratios = np.empty(trials)
-    for t in _tiles(trials, max(1, j.size)):
-        p, v = picks[t], vals[t]
-        # C order: per-row sums over contiguous rows, so that a trial scores
-        # the same in any tile (column gathers come out in Fortran order)
-        w = np.multiply(v[:, j], v[:, k], order="C")
-        w *= kappa[np.abs(p[:, j] - p[:, k])]
-        ratios[t] = kappa[0] * np.sum(v * v, axis=1) + 2 * w.sum(axis=1)
+    for t in _tiles(trials, s):
+        p, v = pt[:, t], vt[:, t]
+        pairs = np.zeros(p.shape[1])
+        for d in range(1, s):
+            w = v[d:] * v[:-d]
+            w *= kappa[np.abs(p[d:] - p[:-d])]
+            for row in w:  # row by row, so that a trial sums the same in any tile
+                pairs += row
+        ratios[t] = kappa[0] * np.sum(vals[t] ** 2, axis=1) + 2 * pairs
     return float(ratios.min()), float(ratios.max())
 
 

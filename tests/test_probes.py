@@ -450,8 +450,8 @@ class TestUup:
                                       (16, 16)])
     def test_matches_full_fft_formula(self, L, s):
         lam = uup_sample(L, L / 2, np.random.default_rng(45))
-        # two full tiles of TILE_ENTRIES // (s (s - 1) / 2) trials and a partial one
-        trials = 2 * (TILE_ENTRIES // max(1, s * (s - 1) // 2)) + 3
+        # two full tiles of TILE_ENTRIES // s trials and a partial one
+        trials = 2 * (TILE_ENTRIES // s) + 3
         c1, c2 = uup_check(lam, s, trials, np.random.default_rng(46))
         picks, vals = self.floyd_sparse_picks(L, s, trials, np.random.default_rng(46))
         ratios = []
