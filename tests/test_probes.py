@@ -212,7 +212,7 @@ class TestIdentityCertificate:
         periodic = Signal(np.tile(rng.normal(size=8), 4))
         assert self.radius(periodic) == 0.0
         self.check(periodic, 1e-3 * rng.normal(size=(50, 32)), np.zeros(50, dtype=bool))
-        # rows longer than the gap
+        # rows as long as the radius, so 2 ||h|| is about twice the gap
         theta0 = Signal(rng.normal(size=33))
         rows = rng.normal(size=(50, 33))
         rows *= self.radius(theta0) / np.linalg.norm(rows, axis=1, keepdims=True)
