@@ -314,5 +314,15 @@ def main(argv=None):
     return args.func(args)
 
 
+def entry_point(argv=None):
+    """`main` for the command line: a ValueError or OSError is one `mralab:
+    error:` line on stderr and exit status 2; others keep their traceback."""
+    try:
+        return main(argv)
+    except (ValueError, OSError) as e:
+        print("mralab: error: %s" % e, file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

@@ -1,16 +1,16 @@
 """Numerical probes for curvature lower bounds, the degenerate perturbation
 construction, frequency-subsampling energy ratios, and moment sandwich scaling.
 
-Random trials are built and scored in tiles of at most TILE_ENTRIES // L rows
-of length L.  Whatever its trial count, a probe holds one tile of rows with
-its FFT and alignment temporaries at a time, besides trials x s draws and one
-number per trial.  A curvature row within half of theta0's rotation gap is
-aligned by the identity, certified from theta0's autocorrelation, and skips
-the FFT orbit search (`curvature_terms`).  The UUP check builds no rows: it
-draws each trial's support by Floyd's algorithm, s bounded integers per trial
-with no key matrix, so its draws take trials x s, and it scores each
-trial's s (s - 1) / 2 position pairs from the frequency set's lag table, in
-tiles of TILE_ENTRIES // s trials.
+Random trials are drawn in support coordinates (trials x s values at s
+positions) and scored in tiles, so a probe holds one tile's temporaries at a
+time besides its draws and one number per trial.  Both curvature probes call
+`curvature_terms`: a trial's spectrum is its s values times one s x
+(L // 2 + 1) table of Fourier coefficients, with no dense row or FFT per
+trial, and a row within half of theta0's rotation gap is aligned by the
+identity, certified from theta0's autocorrelation; only the others are built
+densely for the FFT orbit search.  The UUP check draws supports by Floyd's
+algorithm and scores each trial's s (s - 1) / 2 position pairs from the
+frequency set's lag table, in tiles of TILE_ENTRIES // s trials.
 
 Universal constants that theory leaves unspecified are fitted once on a
 calibration run and frozen here; tests pin against these values.
@@ -128,44 +128,59 @@ def _identity_radius(p0: np.ndarray, L: int) -> float:
     return g_lo - 5 * tol / g_lo if g_lo > 0 else 0.0
 
 
-def curvature_terms(theta0: Signal, rows: np.ndarray):
-    """(||Delta_2(theta0 + h, theta0)||_F, rho(theta0 + h, theta0)) for each
-    row h of a tile of standard-order values.
+def _support_table(pos: np.ndarray, L: int) -> np.ndarray:
+    """E[j, xi] = exp(-2 pi i xi pos[j] / L) over the rfft bins xi, as (re, im)
+    pairs: vals @ E is the rfft of the rows sum_j vals[:, j] e_{pos[j]}."""
+    return np.exp(-2j * np.pi / L * (np.outer(pos, np.arange(L // 2 + 1)) % L)).view(float)
 
-    One rfft per tile gives every Delta_2 norm from power spectra (see
-    `spectral`).  A row with 2 ||h|| below theta0's identity radius (see
-    `_identity_radius`) has rho = ||(theta0 + h) - theta0||, the distance that
-    the orbit search would find at the identity, bit for bit; only the other
-    rows go through `ring.align_spectra`.
+
+def curvature_terms(theta0: Signal, pos: np.ndarray, vals: np.ndarray, bins=()):
+    """(||Delta_2(theta0 + h, theta0)||_F, rho(theta0 + h, theta0), mass) for
+    each row h = sum_j vals[:, j] e_{pos[j]} (pos in storage order), where
+    mass sums |theta0-hat h-hat|^2 over the rfft bins `bins`.
+
+    h-hat = vals E (see `_support_table`) comes in tiles of
+    TILE_ENTRIES // (L // 2 + 1) trials, and the Delta_2 spectrum is taken as
+    2 Re(conj(theta0-hat) h-hat) + |h-hat|^2, which does not cancel as
+    |theta0-hat + h-hat|^2 - |theta0-hat|^2 does.  A row with 2 ||h|| below
+    theta0's identity radius (see `_identity_radius`) has rho =
+    ||(theta0 + h) - theta0|| over pos, the orbit search's distance at the
+    identity; only the other rows are built densely and go through
+    `ring.align_spectra`.
     """
     L = theta0.L
-    p0 = np.abs(np.fft.rfft(theta0.values)) ** 2
+    th = np.fft.rfft(theta0.values)
     # bins 0 and L/2 hold one frequency each, every other bin both +xi and -xi
-    k = np.arange(p0.size)
+    k = np.arange(th.size)
     weights = 2.0 - (k == 0) - (2 * k == L)
-    thetas = theta0.values + rows
-    f = np.fft.rfft(thetas)
-    # a per-row sum, unlike a BLAS mat-vec, gives a row the same bits in any tile
-    d2 = np.sqrt(np.sum((np.abs(f) ** 2 - p0) ** 2 * weights, axis=1)) / L
-    r = np.linalg.norm(thetas - theta0.values, axis=1)
-    far = 2 * r >= _identity_radius(p0, L)
-    if far.any():
-        r[far] = align_spectra(thetas[far], f[far], theta0)[2]
-    return d2, r
+    table = _support_table(pos, L)
+    radius = _identity_radius(np.abs(th) ** 2, L)
+    bins, base = np.asarray(bins, dtype=np.intp), theta0.values[pos]
+    d2, r, mass = np.empty((3, len(vals)))
+    two_th = (2 * th).view(float)
+    for t in _tiles(len(vals), th.size):
+        # h-hat as (re, im) pairs; einsum, unlike a BLAS product, gives a row
+        # the same bits in any tile
+        hh = np.einsum("tj,jx->tx", vals[t], table)
+        z = hh + two_th
+        z *= hh  # a pair's sum is Re(conj(h-hat + 2 theta0-hat) h-hat)
+        spec = z[:, ::2] + z[:, 1::2]
+        d2[t] = np.sqrt(np.einsum("tx,tx,x->t", spec, spec, weights)) / L
+        mass[t] = np.sum(np.abs(th[bins] * hh.view(complex)[:, bins]) ** 2, axis=1)
+        thetas = base + vals[t]
+        r[t] = np.linalg.norm(thetas - base, axis=1)
+        far = 2 * r[t] >= radius
+        if far.any():
+            rows = np.tile(theta0.values, (far.sum(), 1))
+            rows[:, pos] = thetas[far]
+            r[t][far] = align_spectra(rows, np.fft.rfft(rows), theta0)[2]
+    return d2, r, mass
 
 
 def _support_curvature(theta0: Signal, vals: np.ndarray):
-    """`curvature_terms` of the rows that equal vals (trials x |support|) on
-    theta0's support, in storage order, and 0 elsewhere, built one tile at a
-    time."""
-    L = theta0.L
-    idx = np.flatnonzero(theta0.values)
-    d2, r = np.empty(len(vals)), np.empty(len(vals))
-    for t in _tiles(len(vals), L):
-        rows = np.zeros((t.stop - t.start, L))
-        rows[:, idx] = vals[t]
-        d2[t], r[t] = curvature_terms(theta0, rows)
-    return d2, r
+    """`curvature_terms` (Delta_2 norm, rho) of the rows that equal vals
+    (trials x |support|) on theta0's support, in storage order, 0 elsewhere."""
+    return curvature_terms(theta0, np.flatnonzero(theta0.values), vals)[:2]
 
 
 def _check_trials(trials: int, h_norm: float):
@@ -348,23 +363,15 @@ def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
     L = theta0.L
     m_set = float(np.abs(np.fft.fft(theta0.natural()))[lam.natural_indices()].min())
     # symmetric directions on the support: one Gaussian per index i >= 0, copied to -i
-    pos = sorted(i for i in theta0.support if i >= 0)
-    mirror = np.zeros((len(pos), L))
-    for k, i in enumerate(pos):
-        mirror[k, storage_index(L, [i, -i])] = 1.0
+    sup = np.array(sorted(theta0.support))
+    pos = np.unique(np.abs(sup))
     coef = rng.normal(size=(trials, len(pos)))
+    vals = coef[:, np.searchsorted(pos, np.abs(sup))]
+    vals *= h_norm / np.linalg.norm(vals, axis=1, keepdims=True)
     nat = lam.natural_indices()
-    bins = np.minimum(nat, L - nat)
-    th = np.fft.rfft(theta0.values)[bins]
-    ratios, chain = np.empty(trials), np.empty(trials)
-    for t in _tiles(trials, L):
-        rows = coef[t] @ mirror
-        rows *= h_norm / np.linalg.norm(rows, axis=1, keepdims=True)
-        d2, r = curvature_terms(theta0, rows)
-        ratios[t] = d2 * np.sqrt(L) / (m_set * r)
-        hh = np.fft.rfft(rows)[:, bins]
-        chain[t] = (np.sum(np.abs(th * hh) ** 2, axis=1) / L
-                    / (m_set**2 * np.sum(rows**2, axis=1)))
+    d2, r, mass = curvature_terms(theta0, storage_index(L, sup), vals, np.minimum(nat, L - nat))
+    ratios = d2 * np.sqrt(L) / (m_set * r)
+    chain = mass / L / (m_set**2 * np.sum(vals**2, axis=1))
     return {
         "trials": trials,
         "h_norm": float(h_norm),

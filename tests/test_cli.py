@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mralab
+from mralab import cli
 from mralab.cli import _dump_json, build_parser, main, read_container, write_container
 from mralab.gensig import DiluteClassSpec, gen_collision_free
 from mralab.mra import MraConfig, simulate
@@ -19,6 +20,15 @@ from oracles import traced_peak
 
 def _write_json(path, obj):
     path.write_text(json.dumps(obj))
+
+
+def _run_cli(*args):
+    """`python -m mralab.cli args` in a fresh interpreter, importing this mralab."""
+    src = os.path.dirname(os.path.dirname(mralab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "mralab.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 class TestContainer:
@@ -152,21 +162,19 @@ class TestSimulateEstimate:
                   "--out", str(out)])
         assert not out.exists()
 
-    @pytest.mark.parametrize("support, values", [([1, 2, 3], [1.0]), ([4, 25], [1.0, 2.0])],
-                             ids=["unequal-lengths", "residue-twice"])
-    def test_simulate_bad_signal_exits_nonzero(self, tmp_path, support, values):
+    @pytest.mark.parametrize("support, values, msg", [
+        ([1, 2, 3], [1.0], "3 support indices but 1 values"),
+        ([4, 25], [1.0, 2.0], "support indices 4 and 25 are one residue mod 21")],
+        ids=["unequal-lengths", "residue-twice"])
+    def test_simulate_bad_signal_exits_nonzero(self, tmp_path, support, values, msg):
         # unequal lengths, and two indices of one residue mod 21, are refused
-        # rather than truncated or overwritten
+        # rather than truncated or overwritten, in one line naming the cause
         sig_path, out = tmp_path / "s.json", tmp_path / "d.mra"
         _write_json(sig_path, {"L": 21, "format": "standard-parametrization",
                                "support": support, "values": values})
-        src = os.path.dirname(os.path.dirname(mralab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-m", "mralab.cli", "simulate", "--signal",
-                              str(sig_path), "--sigma", "1.0", "--n", "5", "--out", str(out)],
-                             env=env, capture_output=True, text=True, timeout=60)
-        assert run.returncode != 0 and "ValueError" in run.stderr
+        run = _run_cli("simulate", "--signal", sig_path, "--sigma", "1.0", "--n", "5",
+                       "--out", out)
+        assert (run.returncode, run.stderr) == (2, "mralab: error: %s\n" % msg)
         assert not out.exists()
 
     def test_simulate_deterministic(self, tmp_path):
@@ -242,6 +250,31 @@ class TestProbe:
         assert rep["probe"] == "dilute-lb"
         assert rep["passes"] is True
         assert "config_hash" in rep and "signal" in rep
+
+    def test_refusal_is_one_line(self, tmp_path):
+        # the command line reports a refused config in one line, exit status 2;
+        # an unreadable config is one line too
+        cfg = tmp_path / "cfg.json"
+        _write_json(cfg, {"L": 101, "s": 8, "m": 1.0, "M": 1.05, "eps": 1.0,
+                          "trials": 0, "seed": 0})
+        run = _run_cli("probe", "dilute-lb", "--config", cfg, "--out", tmp_path / "rep.json")
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == "mralab: error: need trials >= 1, got 0\n"
+        assert not (tmp_path / "rep.json").exists()
+        run = _run_cli("probe", "dilute-lb", "--config", tmp_path / "missing.json")
+        assert run.returncode == 2 and run.stderr.count("\n") == 1
+        assert run.stderr.startswith("mralab: error: [Errno 2] No such file")
+        # in process, main still raises
+        with pytest.raises(ValueError, match="need trials >= 1, got 0"):
+            main(["probe", "dilute-lb", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+
+    def test_other_errors_keep_their_traceback(self, monkeypatch):
+        def fail(argv):
+            raise RuntimeError("not a refusal")
+
+        monkeypatch.setattr(cli, "main", fail)
+        with pytest.raises(RuntimeError, match="not a refusal"):
+            cli.entry_point([])
 
     def test_adversarial_report(self, tmp_path):
         cfg = tmp_path / "cfg.json"

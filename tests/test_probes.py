@@ -84,6 +84,11 @@ def loop_ratios(theta0: Signal, rows: np.ndarray, dihedral: bool = False) -> np.
     return np.array(out)
 
 
+def dense_terms(theta0: Signal, rows: np.ndarray):
+    """`curvature_terms` (Delta_2 norm, rho) of dense rows: support all of Z_L."""
+    return curvature_terms(theta0, np.arange(theta0.L), rows)[:2]
+
+
 class TestCurvatureTerms:
     @pytest.mark.parametrize("L", [16, 17])
     @pytest.mark.parametrize("dihedral", [False])
@@ -96,7 +101,7 @@ class TestCurvatureTerms:
         for t in range(0, 40, 2):
             g = shift(reflect(theta0) if t % 4 else theta0, t)
             rows[t] += g.values - theta0.values
-        d2, r = curvature_terms(theta0, rows)
+        d2, r = dense_terms(theta0, rows)
         assert np.allclose(d2 / r, loop_ratios(theta0, rows, dihedral), rtol=1e-10, atol=0)
 
     def test_row_alone_equals_row_in_tile(self):
@@ -104,9 +109,9 @@ class TestCurvatureTerms:
         rng = np.random.default_rng(44)
         theta0 = Signal(rng.normal(size=257))
         rows = 0.1 * rng.normal(size=(1500, 257))
-        d2, r = curvature_terms(theta0, rows)
+        d2, r = dense_terms(theta0, rows)
         for t in range(1500):
-            d2_t, r_t = curvature_terms(theta0, rows[t:t + 1])
+            d2_t, r_t = dense_terms(theta0, rows[t:t + 1])
             assert d2_t[0] == d2[t] and r_t[0] == r[t], t
 
     def test_distances_equal_align_rows(self):
@@ -116,29 +121,45 @@ class TestCurvatureTerms:
         theta0 = Signal(rng.normal(size=101))
         rows = 1e-3 * rng.normal(size=(300, 101))
         want = [align(Signal(theta0.values + h), theta0)[1] for h in rows]
-        np.testing.assert_allclose(curvature_terms(theta0, rows)[1], want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(dense_terms(theta0, rows)[1], want, rtol=1e-14, atol=0)
 
-    def test_dilute_check_matches_per_trial_draws(self, monkeypatch):
+    @staticmethod
+    def check_dilute_draws(monkeypatch, far):
+        """dilute-lb against per-trial draws and `loop_ratios`; far puts ||h||
+        at twice the identity radius, so that every row is built densely for
+        the orbit search, and most (79 of 200) align away from the identity."""
         spec = DiluteClassSpec(L=101, s=8, m=1.0, M=1.5, eps=1.0)
         theta0 = gen_collision_free(spec, np.random.default_rng(41))
+        h_norm = 2 * TestIdentityCertificate.radius(theta0) if far else 1e-3
         rng = np.random.default_rng(42)
         idx = [(i + std_offset(101)) % 101 for i in sorted(theta0.support)]
         rows = np.zeros((200, 101))
         for t in range(200):
             h = rng.normal(size=8)
-            rows[t, idx] = h * (1e-3 / np.linalg.norm(h))
+            rows[t, idx] = h * (h_norm / np.linalg.norm(h))
         ratios = loop_ratios(theta0, rows) / np.sqrt(8 / 101)
         # one tile, then 29 tiles of 7 rows ending in a partial one
-        for entries in (TILE_ENTRIES, 7 * 101):
+        for entries in (TILE_ENTRIES, 7 * (101 // 2 + 1)):
             monkeypatch.setattr(probes, "TILE_ENTRIES", entries)
-            rep = dilute_lower_bound_check(theta0, spec, 200, np.random.default_rng(42))
+            rep = dilute_lower_bound_check(theta0, spec, 200, np.random.default_rng(42),
+                                           h_norm)
             assert rep["min_ratio"] == pytest.approx(ratios.min(), rel=1e-10)
             assert rep["median_ratio"] == pytest.approx(np.median(ratios), rel=1e-10)
 
-    def test_moderate_check_matches_per_trial_draws(self, monkeypatch):
+    def test_dilute_check_matches_per_trial_draws(self, monkeypatch):
+        self.check_dilute_draws(monkeypatch, far=False)
+
+    def test_dilute_far_rows_match_per_trial_draws(self, monkeypatch):
+        self.check_dilute_draws(monkeypatch, far=True)
+
+    @staticmethod
+    def check_moderate_draws(monkeypatch, far):
+        """moderate-lb against per-trial draws, `loop_ratios` and a dense fft;
+        far as in `check_dilute_draws` (40 of 100 rows align away)."""
         rng = np.random.default_rng(21)
         theta0 = gen_symm_interval(128, 6, 1.0, rng)
         lam = lambda_construct(theta0, 13, 64, 50, rng)
+        h_norm = 2 * TestIdentityCertificate.radius(theta0) if far else 1e-3
         rng = np.random.default_rng(43)
         rows = []
         for _ in range(100):
@@ -146,20 +167,26 @@ class TestCurvatureTerms:
             for i in sorted(i for i in theta0.support if i >= 0):
                 entries[i] = entries[-i] = rng.normal()
             h = Signal.from_support(128, entries).values
-            rows.append(h * (1e-3 / np.linalg.norm(h)))
+            rows.append(h * (h_norm / np.linalg.norm(h)))
         th = np.fft.fft(theta0.natural())[lam.natural_indices()]
         m_set = np.abs(np.fft.fft(theta0.natural()))[lam.natural_indices()].min()
         ratios = loop_ratios(theta0, np.array(rows)) * np.sqrt(128) / m_set
         chain = [np.sum(np.abs(th * np.fft.fft(Signal(h).natural())[lam.natural_indices()]) ** 2)
                  / 128 / (m_set**2 * np.sum(h**2)) for h in rows]
         # one tile, then 34 tiles of 3 rows ending in a partial one
-        for entries in (TILE_ENTRIES, 3 * 128):
+        for entries in (TILE_ENTRIES, 3 * (128 // 2 + 1)):
             monkeypatch.setattr(probes, "TILE_ENTRIES", entries)
-            rep = moderate_curvature_check(theta0, lam, 100, 1e-3, np.random.default_rng(43))
+            rep = moderate_curvature_check(theta0, lam, 100, h_norm, np.random.default_rng(43))
             assert rep["spectral_floor"] == pytest.approx(m_set, rel=1e-12)
             assert rep["min_ratio"] == pytest.approx(ratios.min(), rel=1e-10)
             assert rep["median_ratio"] == pytest.approx(np.median(ratios), rel=1e-10)
             assert rep["chain_min"] == pytest.approx(min(chain), rel=1e-10)
+
+    def test_moderate_check_matches_per_trial_draws(self, monkeypatch):
+        self.check_moderate_draws(monkeypatch, far=False)
+
+    def test_moderate_far_rows_match_per_trial_draws(self, monkeypatch):
+        self.check_moderate_draws(monkeypatch, far=True)
 
 
 def brute_force_rho(theta0: Signal, rows: np.ndarray) -> np.ndarray:
@@ -184,7 +211,7 @@ class TestIdentityCertificate:
         return align_spectra(thetas, np.fft.rfft(thetas), theta0)[2]
 
     def check(self, theta0, rows, certified):
-        d2, r = curvature_terms(theta0, rows)
+        d2, r = dense_terms(theta0, rows)
         two_h = 2 * np.linalg.norm(theta0.values + rows - theta0.values, axis=1)
         assert np.array_equal(two_h < self.radius(theta0), certified)
         np.testing.assert_allclose(r, brute_force_rho(theta0, rows), rtol=1e-12, atol=1e-15)
@@ -240,6 +267,97 @@ class TestIdentityCertificate:
         scales = self.radius(theta0) / 2 * np.array([1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6])
         rows = scales[:, None] * u
         self.check(theta0, rows, np.array([True, True, False, False]))
+
+
+def longdouble_delta2_norms(theta0: Signal, rows: np.ndarray) -> np.ndarray:
+    """||Delta_2(theta0 + h, theta0)||_F per dense row h, from a direct DFT over
+    all L frequencies in long double: sqrt(sum_xi (|F(theta0 + h)|^2 -
+    |F theta0|^2)^2) / L."""
+    ld, L = np.longdouble, theta0.L
+    n = np.arange(L)
+    angle = 8 * np.arctan(ld(1)) * (np.outer(n, n) % L).astype(ld) / L
+    cos, sin = np.cos(angle), np.sin(angle)
+
+    def power(x):
+        return (x @ cos) ** 2 + (x @ sin) ** 2
+
+    t0 = theta0.values.astype(ld)
+    d = power(t0 + rows.astype(ld)) - power(t0)
+    return (np.sqrt(np.sum(d * d, axis=1)) / L).astype(float)
+
+
+def support_rows(L: int, pos: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Dense rows equal to vals at storage positions pos and 0 elsewhere."""
+    rows = np.zeros((len(vals), L))
+    rows[:, pos] = vals
+    return rows
+
+
+class TestSupportKernel:
+    """`curvature_terms` on rows given by their values at a few positions."""
+
+    @staticmethod
+    def draw(L, s, trials, h_norm, seed):
+        rng = np.random.default_rng(seed)
+        pos = np.sort(rng.choice(L, size=s, replace=False))
+        vals = rng.normal(size=(trials, s))
+        return pos, vals * (h_norm / np.linalg.norm(vals, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("L, s", [(16, 3), (17, 17), (101, 8), (257, 11)])
+    def test_spectra_match_dense_rfft(self, L, s):
+        pos, vals = self.draw(L, s, 50, 1.0, 70 + L)
+        rows = support_rows(L, pos, vals)
+        want = np.fft.rfft(rows)
+        got = (vals @ probes._support_table(pos, L)).view(complex)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        # the mass on a set of bins comes from the same spectra
+        theta0 = Signal(np.random.default_rng(L).normal(size=L))
+        bins = np.array([0, 1, 1, L // 2, L // 3])
+        th = np.fft.rfft(theta0.values)[bins]
+        mass = curvature_terms(theta0, pos, vals, bins)[2]
+        np.testing.assert_allclose(mass, np.sum(np.abs(th * want[:, bins]) ** 2, axis=1),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than float64 here")
+    def test_delta2_norms_against_long_double(self):
+        # the Delta_2 spectrum 2 Re(conj(theta0-hat) h-hat) + |h-hat|^2 does not
+        # cancel; |theta0-hat + h-hat|^2 - |theta0-hat|^2 in float64 erred by 8.5e-13
+        spec = DiluteClassSpec(L=257, s=11, m=1.0, M=1.5, eps=1.0)
+        theta0 = gen_collision_free(spec, np.random.default_rng(257))
+        pos = np.flatnonzero(theta0.values)
+        _, vals = self.draw(257, 11, 300, 1e-3, 71)
+        d2, _, _ = curvature_terms(theta0, pos, vals)
+        want = longdouble_delta2_norms(theta0, support_rows(257, pos, vals))
+        assert np.max(np.abs(d2 / want - 1)) <= 1e-14
+
+    def test_row_alone_equals_row_in_tile(self, monkeypatch):
+        # one-trial tiles against the default tiles, bit for bit, with rows
+        # inside and outside the identity radius
+        rng = np.random.default_rng(72)
+        theta0 = Signal(rng.normal(size=257))
+        pos, vals = self.draw(257, 11, 1500, 1e-3, 73)
+        vals[::7] *= 1e4
+        bins = np.array([2, 5, 128])
+        want = curvature_terms(theta0, pos, vals, bins)
+        monkeypatch.setattr(probes, "TILE_ENTRIES", 1)
+        got = curvature_terms(theta0, pos, vals, bins)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_sparse_rho_matches_search(self):
+        # a certified row sums its squares over its s entries, the search over
+        # all L, so they agree to rounding: within 4 ulp (rtol 8.9e-16)
+        spec = DiluteClassSpec(L=101, s=8, m=1.0, M=1.5, eps=1.0)
+        theta0 = gen_collision_free(spec, np.random.default_rng(74))
+        pos = np.flatnonzero(theta0.values)
+        _, vals = self.draw(101, 8, 400, 1e-2, 75)
+        _, r, _ = curvature_terms(theta0, pos, vals)
+        thetas = theta0.values + support_rows(101, pos, vals)
+        searched = align_spectra(thetas, np.fft.rfft(thetas), theta0)[2]
+        np.testing.assert_allclose(r, searched, rtol=4 * np.finfo(float).eps, atol=0)
+        np.testing.assert_allclose(r, brute_force_rho(theta0, thetas - theta0.values),
+                                   rtol=1e-12, atol=0)
 
 
 class TestProbeSizes:
