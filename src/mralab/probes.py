@@ -364,9 +364,9 @@ def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
     m_set = float(np.abs(np.fft.fft(theta0.natural()))[lam.natural_indices()].min())
     # symmetric directions on the support: one Gaussian per index i >= 0, copied to -i
     sup = np.array(sorted(theta0.support))
-    pos = np.unique(np.abs(sup))
-    coef = rng.normal(size=(trials, len(pos)))
-    vals = coef[:, np.searchsorted(pos, np.abs(sup))]
+    half = np.unique(np.abs(sup))
+    coef = rng.normal(size=(trials, len(half)))
+    vals = coef[:, np.searchsorted(half, np.abs(sup))]
     vals *= h_norm / np.linalg.norm(vals, axis=1, keepdims=True)
     nat = lam.natural_indices()
     d2, r, mass = curvature_terms(theta0, storage_index(L, sup), vals, np.minimum(nat, L - nat))
