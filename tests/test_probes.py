@@ -322,7 +322,8 @@ class TestSupportKernel:
                         reason="long double is no wider than float64 here")
     def test_delta2_norms_against_long_double(self):
         # the Delta_2 spectrum 2 Re(conj(theta0-hat) h-hat) + |h-hat|^2 does not
-        # cancel; |theta0-hat + h-hat|^2 - |theta0-hat|^2 in float64 erred by 8.5e-13
+        # cancel; |theta0-hat + h-hat|^2 - |theta0-hat|^2 in float64 erred by
+        # 1.2e-12 on these rows
         spec = DiluteClassSpec(L=257, s=11, m=1.0, M=1.5, eps=1.0)
         theta0 = gen_collision_free(spec, np.random.default_rng(257))
         pos = np.flatnonzero(theta0.values)
@@ -337,7 +338,9 @@ class TestSupportKernel:
         rng = np.random.default_rng(72)
         theta0 = Signal(rng.normal(size=257))
         pos, vals = self.draw(257, 11, 1500, 1e-3, 73)
-        vals[::7] *= 1e4
+        vals[::7] *= 2e4  # ||h|| = 20, near theta0's identity radius 20.8
+        far = 2 * np.linalg.norm(vals, axis=1) >= TestIdentityCertificate.radius(theta0)
+        assert far.sum() == len(vals[::7])
         bins = np.array([2, 5, 128])
         want = curvature_terms(theta0, pos, vals, bins)
         monkeypatch.setattr(probes, "TILE_ENTRIES", 1)
