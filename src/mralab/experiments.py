@@ -160,7 +160,12 @@ def _fit_medians(values_by_x: dict, seed: int):
 
     One draw gives every resample index, row r holding resampling r's for
     each x in sorted-x order, as a loop over resamplings and x's would draw
-    them.  An x <= 0, or a resampled median <= 0, drops out of that fit."""
+    them.  An x <= 0, or a resampled median <= 0, drops out of that fit.
+
+    Each x is resampled on its own.  A kl-scan trial scores every sigma on
+    one draw, so its cells are positively correlated across x; ignoring that
+    pairing leaves the slope's CI wider than a paired bootstrap's, that is
+    conservative."""
     kept = {k: v for k, v in values_by_x.items() if v}
     medians = {k: float(np.median(v)) for k, v in kept.items()}
     slope = fit_loglog_slope(list(medians), list(medians.values()))
@@ -265,12 +270,17 @@ def _em_cell(cfg: ExperimentConfig, rec: dict, theta0: Signal, sigma: float,
     return rec["sqrt_n_varrho"]
 
 
-def _kl_cell(cfg: ExperimentConfig, rec: dict, theta0: Signal, h: Signal,
-             h_norm: float, sigma: float, rng) -> float:
-    """Writes KL(theta0 || theta0 + h), its standard error and the curvature
-    KL / h_norm^2 into rec; returns the curvature, floored for the log fit."""
-    rec["kl"], rec["kl_se"] = kl_monte_carlo(theta0, Signal(theta0.values + h.values), sigma,
-                                             int(cfg.kl.get("n_mc", 100_000)), rng)
+def _kl_pairs(cfg: ExperimentConfig, theta0: Signal, h: Signal, sigma, rng):
+    """KL(theta0 || theta0 + h) with its standard error, at sigma, a noise
+    scale or a grid of them, as `kl_monte_carlo` takes it."""
+    return kl_monte_carlo(theta0, Signal(theta0.values + h.values), sigma,
+                          int(cfg.kl.get("n_mc", 100_000)), rng)
+
+
+def _record_kl(rec: dict, pair: tuple, h_norm: float) -> float:
+    """Writes a (KL, SE) pair and the curvature KL / h_norm^2 into rec;
+    returns the curvature, floored for the log fit."""
+    rec["kl"], rec["kl_se"] = pair
     rec["curvature"] = rec["kl"] / h_norm**2
     return max(rec["curvature"], 1e-300)
 
@@ -303,7 +313,7 @@ def _sparsity_setup(cfg: ExperimentConfig):
         h_norm = float(cfg.kl.get("h_norm", 1e-2))
         rng = np.random.default_rng((cfg.seed, 3, i, t))
         h = _support_perturbation(theta0, h_norm, rng)
-        return _kl_cell(cfg, rec, theta0, h, h_norm, sigma, rng)
+        return _record_kl(rec, _kl_pairs(cfg, theta0, h, sigma, rng), h_norm)
 
     if cfg.branch == "dilute":
         return {"sigma": sigma}, dilute_cell, {"branch": cfg.branch}, (-0.3, 0.3)
@@ -311,15 +321,27 @@ def _sparsity_setup(cfg: ExperimentConfig):
 
 
 def _kl_setup(cfg: ExperimentConfig):
-    """KL(theta0 || theta0 + h)/||h||^2 across sigma; fits the sigma exponent."""
+    """KL(theta0 || theta0 + h)/||h||^2 across sigma; fits the sigma exponent.
+
+    Trial t scores its whole sigma grid on one draw, seeded (seed, 4, 0, t),
+    in one `kl_monte_carlo` call at its first cell; every cell of the trial
+    reads its row, or records the call's error if it raised."""
     direction = cfg.kl.get("direction", "dilute")
     rng0 = np.random.default_rng((cfg.seed, 0))
     s, theta0 = _base_signal(cfg, rng0, direction == "adversarial")
     h = _direction(theta0, direction, float(cfg.kl.get("h_norm", 0.1)), rng0)
+    trials = {}
 
     def cell(rec, i, t):
-        return _kl_cell(cfg, rec, theta0, h, h.norm(), rec["sigma"],
-                        np.random.default_rng((cfg.seed, 4, i, t)))
+        if t not in trials:
+            try:
+                trials[t] = _kl_pairs(cfg, theta0, h, cfg.sigma_grid,
+                                      np.random.default_rng((cfg.seed, 4, 0, t)))
+            except Exception as exc:  # recorded by every cell of trial t
+                trials[t] = exc
+        if isinstance(trials[t], Exception):
+            raise trials[t]
+        return _record_kl(rec, trials[t][i], h.norm())
 
     window = (-4.6, -3.4) if direction == "dilute" else (-6.8, -5.2)
     return ({"s": s, "direction": direction}, cell,

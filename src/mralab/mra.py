@@ -13,7 +13,8 @@ theta0's orbit rows, which gives the stream and the bits of
 orbit[pick] + sigma * rng.normal(size=(m, L)).  `kl_monte_carlo` draws no
 group element at all: every statistic it averages is a function of the
 group-invariant mixture density, so theta0 + sigma z has the law it needs
-(see its docstring), and it scores tiles of at most KL_TILE_ROWS rows.
+(see its docstring), and it scores tiles of at most KL_TILE_ROWS rows, each
+one normal fill shared by every sigma of a grid.
 The EM M-step accumulates W @ Y and folds it onto Z_L once per iteration.
 A pass costs O(n L |G|); no FFT is taken, so a prime L costs no extra.
 
@@ -226,10 +227,70 @@ def _kl_tiles(bounds: np.ndarray, rows: int):
         yield tile
 
 
-def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
+def _kl_jackknife(gram: np.ndarray, use_cv: bool):
+    """(estimate, jackknife SE) from the blocks' Gram matrices, gram[b] the
+    sum of z z^T over block b's samples z = (1, x, score, Bartlett), or
+    z = (1, x) without control variates."""
+    n_blocks = len(gram)
+    # row 0 sums all blocks, row 1 + b all blocks but b
+    total = gram.sum(axis=0)
+    g = np.concatenate([total[None], total - gram])
+    n = g[:, 0, 0]
+    mean = g[:, 0] / n[:, None]  # (1, x, score, Bartlett) means
+    est = mx = mean[:, 1]
+    if use_cv:
+        cov = g / n[:, None, None] - mean[:, :, None] * mean[:, None, :]
+        (a, b), (c, e) = cov[:, 2, 2:].T, cov[:, 3, 2:].T
+        (x0, x1), (m0, m1), det = cov[:, 1, 2:].T, mean[:, 2:].T, a * e - b * c
+        # beta . mc with beta = cov_cc^-1 cov_xc; both control variates have
+        # exact mean zero under p_theta0, and a singular cov_cc keeps the plain mean
+        bmc = ((e * x0 - b * x1) * m0 + (a * x1 - c * x0) * m1) / np.where(det != 0, det, 1.0)
+        est = np.where(det != 0, mx - bmc, mx)
+    loo = est[1:]
+    se = float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((loo - loo.mean()) ** 2)))
+    return float(est[0]), se
+
+
+def _kl_sample_rows(y, scaled0, scaled1, norm_gap, tds, dsq_sig2, use_cv: bool):
+    """The rows (1, x, score, Bartlett) of `kl_monte_carlo`'s samples y, or
+    (1, x) without control variates, from theta0's and theta's orbits scaled
+    by 1/sigma^2 and the per-sigma constants."""
+    # two products: one GEMM of the stacked orbits changes the last bits
+    c0 = scaled0 @ y.T
+    c1 = scaled1 @ y.T
+    if use_cv:
+        # <y, G d> / sigma^2 by linearity; formed before _softmax
+        # overwrites c0 and c1
+        q = c1 - c0
+        q -= tds
+    lse0, w = _softmax(c0, weights=use_cv)
+    Z = np.empty((4 if use_cv else 2, len(y)))
+    Z[0] = 1.0
+    np.subtract(lse0, _softmax(c1, weights=False)[0], out=Z[1])
+    Z[1] -= norm_gap
+    if use_cv:
+        wq = np.multiply(w, q, out=w)
+        wq.sum(axis=0, out=Z[2])
+        np.multiply(wq, q, out=q).sum(axis=0, out=Z[3])
+        Z[3] -= dsq_sig2
+    return Z
+
+
+def kl_monte_carlo(theta0: Signal, theta: Signal, sigma, n_mc: int,
                    rng: np.random.Generator, dihedral: bool = False,
                    control_variate: bool = True):
-    """Monte-Carlo KL(p_theta0 || p_theta) with a jackknife standard error.
+    """Monte-Carlo KL(p_theta0 || p_theta) with a jackknife standard error,
+    at one noise scale or at each of a grid of them.
+
+    sigma is a positive finite number, which gives (kl, se), or a non-empty
+    list or tuple of them (`check_sigma_grid`), which gives a list of one
+    (kl, se) per sigma on one draw: every sigma scores the same z.  Row j of
+    a grid equals, bit for bit, the pair of a call at sigma_j alone on an
+    identically seeded rng, since each sigma keeps its own samples, products,
+    softmaxes and Gram matrices and only the normals are shared (common
+    random numbers, Glasserman 2004, section 4.2).  So the rows of a grid
+    are correlated: their ratios carry less draw noise than independent
+    calls would give.
 
     Averages log p_theta0(Y) - log p_theta(Y) over Y ~ p_theta0, with two
     regression control variates of exactly known zero mean along the path
@@ -252,20 +313,23 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     sum z z^T over its samples z = (1, x, score, Bartlett), or z = (1, x)
     without control variates: it holds the count and every sum the fit needs.
     Samples are drawn and scored in tiles of whole blocks, at most
-    KL_TILE_ROWS rows (a longer block in pieces), with one product per signal
-    and one softmax each per tile; each block's Gram matrix is the product of
-    its slice of the tile's z.  A sample scores the same in any tile, and the
-    stream does not depend on the tile size.  Every leave-one-out fit reads
-    the total less one block's matrix, all at once, with each 2 x 2
-    regression solved in closed form.  The control variates are used only
-    when every one of those regressions has at least 4 samples (n_mc >= 5);
-    below that the plain mean is returned.
+    KL_TILE_ROWS rows (a longer block in pieces): one normal fill per tile,
+    then per sigma one product per signal and one softmax each; each block's
+    Gram matrix is the product of its slice of the tile's (1, x, score,
+    Bartlett) rows.  A sample scores the same in any tile, and the stream
+    does not depend on the tile size.  Every leave-one-out fit reads the total less one block's matrix,
+    all at once, with each 2 x 2 regression solved in closed form.  The
+    control variates are used only when every one of those regressions has
+    at least 4 samples (n_mc >= 5); below that the plain mean is returned.
     """
     if theta0.L != theta.L:
         raise LengthMismatchError("signals have lengths %d and %d" % (theta0.L, theta.L))
     if n_mc < 2:
         raise ValueError("n_mc must be at least 2 for a jackknife SE, got %r" % (n_mc,))
-    cfg = MraConfig(theta0.L, sigma, dihedral)
+    scalar = isinstance(sigma, Real)
+    grid = (sigma,) if scalar else check_sigma_grid(sigma)
+    MraConfig(theta0.L, grid[0], dihedral)  # checks L, and a scalar sigma
+    L = theta0.L
     d = Signal(theta.values - theta0.values)
     n_blocks = min(100, n_mc)
     bounds = np.linspace(0, n_mc, n_blocks + 1).astype(int)
@@ -273,58 +337,32 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma: float, n_mc: int,
     # 4 samples: its intercept and two slopes would fit 3 exactly, leaving noise
     use_cv = control_variate and d.norm() > 0 and n_mc - np.diff(bounds).max() >= 4
     k = 4 if use_cv else 2
-    gram = np.zeros((n_blocks, k, k))
-    sig2 = sigma**2
-    idx = orbit_index(cfg.L, dihedral)
-    scaled0, scaled1 = (theta0.values / sig2)[idx], (theta.values / sig2)[idx]
-    # log p_theta0(y) - log p_theta(y): ||y||^2, log|G| and the Gaussian
-    # normalisation cancel, leaving the log-sum-exps and the signal norms
-    norm_gap = (theta0.norm() ** 2 - theta.norm() ** 2) / (2 * sig2)
-    tds = float(np.dot(theta0.values, d.values)) / sig2
+    gram = np.zeros((len(grid), n_blocks, k, k))
+    idx = orbit_index(L, dihedral)
     dsq = d.norm() ** 2
+    terms = []
+    for s in grid:
+        sig2 = s**2
+        # log p_theta0(y) - log p_theta(y): ||y||^2, log|G| and the Gaussian
+        # normalisation cancel, leaving the log-sum-exps and the signal norms
+        terms.append((s, (theta0.values / sig2)[idx], (theta.values / sig2)[idx],
+                      (theta0.norm() ** 2 - theta.norm() ** 2) / (2 * sig2),
+                      float(np.dot(theta0.values, d.values)) / sig2, dsq / sig2))
+    Y = np.empty((min(KL_TILE_ROWS, n_mc), L)) if len(terms) > 1 else None
     for tile in _kl_tiles(bounds, KL_TILE_ROWS):
         lo = tile[0][1]
-        Y = rng.standard_normal(size=(tile[-1][2] - lo, cfg.L))
-        Y *= sigma
-        Y += theta0.values
-        # two products: one GEMM of the stacked orbits changes the last bits
-        c0 = scaled0 @ Y.T
-        c1 = scaled1 @ Y.T
-        if use_cv:
-            # <y, G d> / sigma^2 by linearity; formed before _softmax
-            # overwrites c0 and c1
-            q = c1 - c0
-            q -= tds
-        lse0, w = _softmax(c0, weights=use_cv)
-        Z = np.empty((k, len(Y)))  # rows 1, x, score, Bartlett
-        Z[0] = 1.0
-        np.subtract(lse0, _softmax(c1, weights=False)[0], out=Z[1])
-        Z[1] -= norm_gap
-        if use_cv:
-            wq = np.multiply(w, q, out=w)
-            wq.sum(axis=0, out=Z[2])
-            np.multiply(wq, q, out=q).sum(axis=0, out=Z[3])
-            Z[3] -= dsq / sig2
-        for b, a, e in tile:
-            z = Z[:, a - lo:e - lo]
-            gram[b] += z @ z.T
-    # row 0 sums all blocks, row 1 + b all blocks but b
-    total = gram.sum(axis=0)
-    g = np.concatenate([total[None], total - gram])
-    n = g[:, 0, 0]
-    mean = g[:, 0] / n[:, None]  # (1, x, score, Bartlett) means
-    est = mx = mean[:, 1]
-    if use_cv:
-        cov = g / n[:, None, None] - mean[:, :, None] * mean[:, None, :]
-        (a, b), (c, e) = cov[:, 2, 2:].T, cov[:, 3, 2:].T
-        (x0, x1), (m0, m1), det = cov[:, 1, 2:].T, mean[:, 2:].T, a * e - b * c
-        # beta . mc with beta = cov_cc^-1 cov_xc; both control variates have
-        # exact mean zero under p_theta0, and a singular cov_cc keeps the plain mean
-        bmc = ((e * x0 - b * x1) * m0 + (a * x1 - c * x0) * m1) / np.where(det != 0, det, 1.0)
-        est = np.where(det != 0, mx - bmc, mx)
-    loo = est[1:]
-    se = float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((loo - loo.mean()) ** 2)))
-    return float(est[0]), se
+        m = tile[-1][2] - lo
+        z = rng.standard_normal(size=(m, L))
+        for j, (s, *sigma_terms) in enumerate(terms):
+            # y = theta0 + s z; the last sigma overwrites z, the others a copy
+            y = np.multiply(z, s, out=z if j == len(terms) - 1 else Y[:m])
+            y += theta0.values
+            Z = _kl_sample_rows(y, *sigma_terms, use_cv)
+            for b, a, e in tile:
+                zb = Z[:, a - lo:e - lo]
+                gram[j, b] += zb @ zb.T
+    pairs = [_kl_jackknife(g, use_cv) for g in gram]
+    return pairs[0] if scalar else pairs
 
 
 @dataclass(frozen=True)

@@ -395,6 +395,8 @@ def moment_sandwich_probe(theta: Signal, phi: Signal, sigma_grid, n_mc: int,
     max(||theta||, ||phi||)^m; the lower series sums
     ||Delta_m||^2 / ((sqrt(3) sigma)^(2m) m!) for m = 1..3.  A row whose
     series underflows to 0 has no ratio, and a grid with none does not pass.
+    Every row's KL is scored on one draw z (one `kl_monte_carlo` call over
+    the grid), so the rows share their normals and their draw noise.
     """
     sigma_grid = check_sigma_grid(sigma_grid)
     scale = max(theta.norm(), phi.norm())
@@ -406,8 +408,7 @@ def moment_sandwich_probe(theta: Signal, phi: Signal, sigma_grid, n_mc: int,
         raise ValueError("Delta_1, Delta_2 and Delta_3 all vanish: theta and phi share their "
                          "moments of orders 1 to 3, so the lower series is 0 at every sigma")
     rows = []
-    for sigma in sigma_grid:
-        kl, se = kl_monte_carlo(theta, phi, sigma, n_mc, rng)
+    for sigma, (kl, se) in zip(sigma_grid, kl_monte_carlo(theta, phi, sigma_grid, n_mc, rng)):
         series = sum(norms[m - 1] ** 2 / ((3 * sigma**2) ** m * math.factorial(m))
                      for m in (1, 2, 3))
         rows.append({

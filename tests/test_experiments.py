@@ -255,20 +255,27 @@ class TestKlCurvatureScan:
                         kl={"direction": "dilute", "n_mc": 2000, "h_norm": 0.05})
 
     def test_failed_cell_recorded(self, monkeypatch):
+        # a trial scores its whole sigma grid in one call, so a failure takes
+        # out every cell of that trial: 2 of 20 cells, within the 10% rule
         real, calls = experiments.kl_monte_carlo, []
 
         def flaky(*args):
             calls.append(None)
             if len(calls) == 3:
-                raise FloatingPointError("cell 3 failed")
+                raise FloatingPointError("trial 2 failed")
             return real(*args)
 
         monkeypatch.setattr(experiments, "kl_monte_carlo", flaky)
-        res = run_experiment(ExperimentConfig(**self.KL_TEN_CELLS))
-        assert len(res.records) == 10
-        assert [r["failed"] for r in res.records] == [i == 2 for i in range(10)]
-        assert res.records[2]["error"] == repr(FloatingPointError("cell 3 failed"))
-        assert res.fits["failures"] == 1
+        res = run_experiment(ExperimentConfig(**{**self.KL_TEN_CELLS, "trials": 10,
+                                                 "sigma_grid": (2.0, 4.0)}))
+        assert len(calls) == 10
+        assert len(res.records) == 20
+        # grid-major order: records 2 and 12 are trial 2 at both sigmas
+        assert [r["failed"] for r in res.records] == [r["trial"] == 2 for r in res.records]
+        for r in res.records:
+            assert r.get("error") == (repr(FloatingPointError("trial 2 failed"))
+                                      if r["failed"] else None)
+        assert res.fits["failures"] == 2
 
     def test_all_cells_failing_raise(self, monkeypatch):
         def broken(*args):

@@ -328,11 +328,9 @@ class TestKlMonteCarlo:
         h[[0, 1, 3]] = [0.05, -0.03, 0.04]
         h[[0, 1, 3]] -= h[[0, 1, 3]].mean()  # keep the first moment fixed
         theta1 = Signal.from_natural(theta0.natural() + h)
-        vals = []
-        for sigma in (2.0, 4.0, 8.0):
-            kl, se = kl_monte_carlo(theta0, theta1, sigma, 200_000,
-                                    np.random.default_rng(21))
-            vals.append(kl * sigma**4)
+        grid = (2.0, 4.0, 8.0)
+        rows = kl_monte_carlo(theta0, theta1, grid, 200_000, np.random.default_rng(21))
+        vals = [kl * sigma**4 for sigma, (kl, _) in zip(grid, rows)]
         assert max(vals) / min(vals) < 4.0
 
     @pytest.mark.parametrize("dihedral", [False, True])
@@ -449,6 +447,42 @@ class TestKlMonteCarlo:
         theta = Signal(np.arange(4.0))
         with pytest.raises(ValueError, match="n_mc must be at least 2"):
             kl_monte_carlo(theta, Signal(theta.values[::-1]), 1.0, n_mc,
+                           np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_mc", [1001, 20_000, 300_000])
+    @pytest.mark.parametrize("control_variate", [False, True])
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_grid_rows_equal_scalar_calls(self, dihedral, control_variate, n_mc):
+        # one tile, several tiles, and blocks of 3000 rows split across
+        # tiles: each row of a grid call is a scalar call on the same seed
+        rng = np.random.default_rng(34)
+        theta0 = Signal(rng.normal(size=8))
+        theta = Signal(theta0.values + 0.3 * rng.normal(size=8))
+        grid = (0.7, 1.5, 4.0)
+        kw = dict(dihedral=dihedral, control_variate=control_variate)
+        rows = kl_monte_carlo(theta0, theta, grid, n_mc, np.random.default_rng(35), **kw)
+        assert rows == [kl_monte_carlo(theta0, theta, sigma, n_mc, np.random.default_rng(35),
+                                       **kw) for sigma in grid]
+
+    def test_one_sigma_grid_is_the_scalar_pair(self):
+        theta0 = Signal(np.random.default_rng(36).normal(size=6))
+        theta = Signal(theta0.values[::-1])
+        for grid in ([2.5], (2.5,)):
+            assert kl_monte_carlo(theta0, theta, grid, 3000, np.random.default_rng(37)) == [
+                kl_monte_carlo(theta0, theta, 2.5, 3000, np.random.default_rng(37))]
+
+    @pytest.mark.parametrize("grid", [[], (), [2.0, True], [float("nan")], [0.0], [2.0, 0]])
+    def test_bad_sigma_grid_rejected(self, grid):
+        theta = Signal(np.arange(4.0))
+        with pytest.raises(ValueError, match="sigma_grid"):
+            kl_monte_carlo(theta, Signal(theta.values[::-1]), grid, 100,
+                           np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_scalar_sigma_rejected(self, sigma):
+        theta = Signal(np.arange(4.0))
+        with pytest.raises(ValueError, match="noise scale must be positive and finite"):
+            kl_monte_carlo(theta, Signal(theta.values[::-1]), sigma, 100,
                            np.random.default_rng(0))
 
     def test_control_variate_reduces_error(self):

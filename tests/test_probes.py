@@ -491,11 +491,9 @@ class TestAdversarialDirection:
         h = Signal(h.values * (0.1 / h.norm()))
         theta1 = Signal(theta0.values + h.values)
         from mralab.mra import kl_monte_carlo
-        vals = []
-        for sigma in (2.0, 4.0, 8.0):
-            kl, _ = kl_monte_carlo(theta0, theta1, sigma, 200_000,
-                                   np.random.default_rng(9))
-            vals.append(kl * sigma**6)
+        grid = (2.0, 4.0, 8.0)
+        rows = kl_monte_carlo(theta0, theta1, grid, 200_000, np.random.default_rng(9))
+        vals = [kl * sigma**6 for sigma, (kl, _) in zip(grid, rows)]
         assert max(vals) / min(vals) < 4.0
 
 
