@@ -241,7 +241,7 @@ def cmd_probe(args):
 def cmd_scan(args):
     cfg = experiments.ExperimentConfig(**_load_json(args.config))
     if experiments.SCENARIOS[cfg.scenario].subcommand != args.command:
-        raise SystemExit("config scenario %r is not run by %s" % (cfg.scenario, args.command))
+        raise ValueError("config scenario %r is not run by %s" % (cfg.scenario, args.command))
     result = experiments.run_experiment(cfg)
     if args.out_csv:
         result.to_csv(args.out_csv)

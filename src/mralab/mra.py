@@ -6,6 +6,9 @@ scaled by 1/sigma^2 (row G holds G theta / sigma^2), one matrix product gives
 the logits <y_i, G theta> / sigma^2 of a block of observations, and `_softmax`
 gives their log-sum-exps and posterior weights.  A dataset yields bare blocks
 of observations, from memory or, past IN_MEMORY_LIMIT, from a mapped file.
+Every tiled loop (these blocks, `kl_monte_carlo`'s tiles, `empirical_moments`
+and the probes' trial tiles) takes its rows by one rule, `tile_rows(row_bytes)`:
+the one TILE_BYTES budget over the bytes its temporaries take per row.
 A seed has one draw stream wherever the rows are kept: `simulate` draws
 DEFAULT_CHUNK rows at a time with `_draw_block` and keeps no latent shifts.
 A block is drawn in place: one standard-normal fill scaled by sigma, plus
@@ -13,7 +16,7 @@ theta0's orbit rows, which gives the stream and the bits of
 orbit[pick] + sigma * rng.normal(size=(m, L)).  `kl_monte_carlo` draws no
 group element at all: every statistic it averages is a function of the
 group-invariant mixture density, so theta0 + sigma z has the law it needs
-(see its docstring), and it scores tiles of at most KL_TILE_ROWS rows, each
+(see its docstring), and it scores tiles of at most `tile_rows` rows, each
 one normal fill shared by every sigma of a grid.
 The EM M-step accumulates W @ Y and folds it onto Z_L once per iteration.
 A pass costs O(n L |G|); no FFT is taken, so a prime L costs no extra.
@@ -39,16 +42,25 @@ import numpy as np
 
 from .ring import LengthMismatchError, Signal, action_index, orbit_index, storage_index
 
+#: rows per `_draw_block` call in `simulate`; each chunk draws its picks, then
+#: its normals, so this size fixes the random stream and the rows of every seed
 DEFAULT_CHUNK = 65_536
+#: bytes of per-row temporaries one tile of a tiled loop may hold (1 MiB)
+TILE_BYTES = 2**20
 #: observations of more bytes than this, at 4 L per float32 row, are drawn
 #: into a mapped temporary file, not onto the heap
 IN_MEMORY_LIMIT = 352_000_000
-#: most sample rows that `kl_monte_carlo` draws and scores at once
-KL_TILE_ROWS = 2048
 #: float32 machine epsilon (2^-23), the unit of EM's rounding bound on its log-likelihoods
 EPS32 = float(np.finfo(np.float32).eps)
 #: smallest normal float32; `_softmax` keeps float32 weights at or above it
 TINY32 = float(np.finfo(np.float32).tiny)
+
+
+def tile_rows(row_bytes: int) -> int:
+    """Rows in one tile of a loop whose temporaries take row_bytes bytes
+    per row: TILE_BYTES // row_bytes, and at least one (Goto and van de Geijn
+    2008 size their blocks to the cache the same way)."""
+    return max(1, TILE_BYTES // row_bytes)
 
 
 @dataclass(frozen=True)
@@ -96,9 +108,12 @@ class Dataset:
     def L(self) -> int:
         return self.config.L
 
-    def blocks(self):
-        for lo in range(0, self.n, DEFAULT_CHUNK):
-            yield self.observations[lo:lo + DEFAULT_CHUNK]
+    def blocks(self, row_bytes: int):
+        """The rows in consecutive views of `tile_rows(row_bytes)` rows, for
+        a reader whose temporaries take row_bytes bytes per row."""
+        step = tile_rows(row_bytes)
+        for lo in range(0, self.n, step):
+            yield self.observations[lo:lo + step]
 
 
 def _draw_block(orbit: np.ndarray, cfg: MraConfig, m: int, rng: np.random.Generator):
@@ -182,14 +197,16 @@ def _posteriors(theta: Signal, data, idx, norms: list):
     max_i ||y_i||), both in float64; the largest row norm bounds every logit,
     |c[G, i]| <= ||y_i|| ||theta|| / sigma^2, for `_softmax`.  A block missing
     from the list is measured on its first read and appended, so a caller that
-    keeps the list reads the rows' norms once however many passes it makes."""
+    keeps the list reads the rows' norms once however many passes it makes.
+    A block is `tile_rows(4 |G|)` rows: its float32 logits are its largest
+    temporary."""
     cfg = data.config
     sig2 = cfg.sigma**2
     scaled = (theta.values / sig2).astype(np.float32)
     orbit = scaled[idx]
     ssq = float(np.square(scaled, dtype=np.float64).sum())
     const = sig2 / 2 * ssq + np.log(len(idx)) + cfg.L / 2 * np.log(2 * np.pi * sig2)
-    for k, block in enumerate(data.blocks()):
+    for k, block in enumerate(data.blocks(4 * len(idx))):
         if k == len(norms):
             rows = np.einsum("ij,ij->i", block, block, dtype=np.float64)
             norms.append((float(np.einsum("ij,ij->", block, block, dtype=np.float64)),
@@ -313,7 +330,8 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma, n_mc: int,
     sum z z^T over its samples z = (1, x, score, Bartlett), or z = (1, x)
     without control variates: it holds the count and every sum the fit needs.
     Samples are drawn and scored in tiles of whole blocks, at most
-    KL_TILE_ROWS rows (a longer block in pieces): one normal fill per tile,
+    `tile_rows(8 (2 L + 3 |G| + 4))` rows, the bytes of a row's z, Y copy,
+    c0, c1, q and Z (a longer block in pieces): one normal fill per tile,
     then per sigma one product per signal and one softmax each; each block's
     Gram matrix is the product of its slice of the tile's (1, x, score,
     Bartlett) rows.  A sample scores the same in any tile, and the stream
@@ -348,8 +366,9 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma, n_mc: int,
         terms.append((s, (theta0.values / sig2)[idx], (theta.values / sig2)[idx],
                       (theta0.norm() ** 2 - theta.norm() ** 2) / (2 * sig2),
                       float(np.dot(theta0.values, d.values)) / sig2, dsq / sig2))
-    Y = np.empty((min(KL_TILE_ROWS, n_mc), L)) if len(terms) > 1 else None
-    for tile in _kl_tiles(bounds, KL_TILE_ROWS):
+    rows = tile_rows(8 * (2 * L + 3 * len(idx) + 4))
+    Y = np.empty((min(rows, n_mc), L)) if len(terms) > 1 else None
+    for tile in _kl_tiles(bounds, rows):
         lo = tile[0][1]
         m = tile[-1][2] - lo
         z = rng.standard_normal(size=(m, L))

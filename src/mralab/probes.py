@@ -10,7 +10,7 @@ trial, and a row within half of theta0's rotation gap is aligned by the
 identity, certified from theta0's autocorrelation; only the others are built
 densely for the FFT orbit search.  The UUP check draws supports by Floyd's
 algorithm and scores each trial's s (s - 1) / 2 position pairs from the
-frequency set's lag table, in tiles of TILE_ENTRIES // s trials.
+frequency set's lag table, in tiles of `mra.tile_rows(8 s)` trials.
 
 Universal constants that theory leaves unspecified are fitted once on a
 calibration run and frozen here; tests pin against these values.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gensig import DiluteClassSpec, is_collision_free
-from .mra import check_sigma_grid, kl_monte_carlo
+from .mra import check_sigma_grid, kl_monte_carlo, tile_rows
 from .ring import Signal, align_spectra, reflect, std_indices, storage_index
 from .spectral import delta_m, second_moment_difference_expansion
 
@@ -36,9 +36,6 @@ FITTED_CONSTANTS = {
 
 #: relative slack of the curvature-floor checks
 CURVATURE_SLACK = 0.05
-
-#: float64 entries (1 MiB) in one tile of trial rows
-TILE_ENTRIES = 2**17
 
 
 class LambdaConstructionError(RuntimeError):
@@ -104,8 +101,8 @@ def support_restricted_min_ratio(theta0: Signal) -> float:
 
 def _tiles(trials: int, width: int) -> list:
     """Consecutive slices of range(trials), each of at most
-    TILE_ENTRIES // width (and at least one) rows."""
-    step = max(1, TILE_ENTRIES // width)
+    `tile_rows(8 width)` rows: a trial is `width` float64 entries."""
+    step = tile_rows(8 * width)
     return [slice(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
@@ -140,7 +137,7 @@ def curvature_terms(theta0: Signal, pos: np.ndarray, vals: np.ndarray, bins=()):
     mass sums |theta0-hat h-hat|^2 over the rfft bins `bins`.
 
     h-hat = vals E (see `_support_table`) comes in tiles of
-    TILE_ENTRIES // (L // 2 + 1) trials, and the Delta_2 spectrum is taken as
+    `tile_rows(8 (L // 2 + 1))` trials, and the Delta_2 spectrum is taken as
     2 Re(conj(theta0-hat) h-hat) + |h-hat|^2, which does not cancel as
     |theta0-hat + h-hat|^2 - |theta0-hat|^2 does.  A row with 2 ||h|| below
     theta0's identity radius (see `_identity_radius`) has rho =
@@ -285,7 +282,7 @@ def uup_check(lam: FrequencySet, s: int, trials: int, rng: np.random.Generator):
     kappa[0] ||v||^2 + 2 sum_{j<k} v_j v_k kappa[|p_j - p_k|], where the lag
     table kappa[d] = (1/|set|) sum_{n in set} cos(2 pi n d / L) comes from one
     FFT of the set's indicator: s (s - 1) / 2 lags per trial, taken one
-    offset k - j at a time in tiles of TILE_ENTRIES // s trials.
+    offset k - j at a time in tiles of `tile_rows(8 s)` trials.
     The sizes are checked first; an empty set has no ratio, and gives (None, None).
     """
     L = lam.L

@@ -86,16 +86,15 @@ def second_moment_difference_expansion(theta: Signal, h: np.ndarray):
 def _bispectrum_sum(f: np.ndarray) -> np.ndarray:
     """sum_i f_i(a) f_i(b) conj(f_i(a + b)) over the rows of the DFT f of real rows.
 
-    Rows a <= L/2 are summed in cache-sized row blocks; real data gives the
-    rest by B(-a, b) = conj(B(a, -b)).
+    Rows a <= L/2 are summed directly; real data gives the rest by
+    B(-a, b) = conj(B(a, -b)).  f is one cache-sized tile of
+    `empirical_moments`, which sums the tiles.
     """
     L = f.shape[1]
-    acc = np.zeros((L, L), dtype=complex)
-    for lo in range(0, f.shape[0], 1024):
-        fb = f[lo:lo + 1024]
-        g = np.conj(np.concatenate([fb, fb], axis=1))  # g[:, a + b] = conj(f(a + b))
-        for a in range(L // 2 + 1):
-            acc[a] += fb[:, a] @ (fb * g[:, a:a + L])
+    acc = np.empty((L, L), dtype=complex)
+    g = np.conj(np.concatenate([f, f], axis=1))  # g[:, a + b] = conj(f(a + b))
+    for a in range(L // 2 + 1):
+        acc[a] = f[:, a] @ (f * g[:, a:a + L])
     a = np.arange(1, (L + 1) // 2)
     acc[L - a] = np.conj(acc[a][:, -np.arange(L) % L])
     return acc
@@ -104,8 +103,9 @@ def _bispectrum_sum(f: np.ndarray) -> np.ndarray:
 def empirical_moments(data, order: int) -> MomentTensor:
     """Debiased sample moment of order 1, 2 or 3 of a Dataset.
 
-    One pass over data.blocks(), with one FFT per block for orders 2
-    and 3, so memory does not grow with n.  Each float32 block is upcast to
+    One pass over data.blocks(72 L), with one FFT per block for orders 2
+    and 3, so memory does not grow with n: a row's float64 upcast, its FFT
+    and the bispectrum's g and product take 72 L bytes.  Each float32 block is upcast to
     float64 first, so its sum and FFT run in double precision.  With sigma
     from data.config and y-hat the rows' DFT: order 1 is mean y-hat(0);
     order 2 is mean |y-hat|^2 - L sigma^2 on the plane; order 3 is the mean of
@@ -121,7 +121,7 @@ def empirical_moments(data, order: int) -> MomentTensor:
     if n == 0:
         raise ValueError("empirical moments need at least one observation")
     total, acc = 0.0, 0.0  # total = sum of y-hat(0) = sum of all entries
-    for block in data.blocks():
+    for block in data.blocks(72 * L):
         block = block.astype(np.float64)
         total += float(block.sum())
         if order > 1:

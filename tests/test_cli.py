@@ -445,10 +445,15 @@ class TestScan:
             main(["kl-scan", "--config", str(p), "--out-json", str(tmp_path / "fit.json")])
         assert not (tmp_path / "fit.json").exists()
 
-    def test_family_mismatch_rejected(self, tmp_path):
+    def test_family_mismatch_rejected(self, tmp_path, capsys):
+        # a refusal like any other: a ValueError in process, and one
+        # `mralab: error:` line with exit status 2 on the command line
         p = self._kl_cfg(tmp_path, "dilute", 1000)
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="is not run by rate-scan"):
             main(["rate-scan", "--config", str(p)])
+        assert cli.entry_point(["rate-scan", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mralab: error: config scenario") and err.count("\n") == 1
 
 
 class TestParser:

@@ -405,6 +405,7 @@ class TestMakeDataset:
 
         monkeypatch.setattr(mra, "_draw_block", counted)
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
+        monkeypatch.setattr(mra, "TILE_BYTES", 128 * 4 * 7)  # EM reads the same 8 blocks
         monkeypatch.setattr(mra, "IN_MEMORY_LIMIT", 0)
         theta0 = Signal(np.random.default_rng(4).normal(size=7))
         data = simulate(theta0, MraConfig(7, 0.8), 1000, np.random.default_rng((3, 1)))

@@ -114,10 +114,15 @@ class TestSimulate:
 
     def test_blocks_partition_rows(self, monkeypatch):
         data = simulate(PLANAR, MraConfig(21, 0.7), 300, np.random.default_rng(9))
-        monkeypatch.setattr(mra, "DEFAULT_CHUNK", 64)  # five blocks, the last partial
-        blocks = list(data.blocks())
+        monkeypatch.setattr(mra, "TILE_BYTES", 64 * 84)  # five blocks, the last partial
+        blocks = list(data.blocks(84))
         assert [len(b) for b in blocks] == [64] * 4 + [44]
         assert np.array_equal(np.concatenate(blocks), data.observations)
+
+    def test_tile_rows_floor_at_one_row(self):
+        assert mra.tile_rows(8) == mra.TILE_BYTES // 8
+        for row_bytes in (mra.TILE_BYTES, mra.TILE_BYTES + 1, 10 * mra.TILE_BYTES):
+            assert mra.tile_rows(row_bytes) == 1
 
     def test_streaming_em_matches_in_memory(self, monkeypatch):
         # EM over the mapped rows and over the in-memory draw of the same seed
@@ -128,12 +133,14 @@ class TestSimulate:
         rc = RestrictedClass("none")
         for dihedral in (False, True):
             cfg = MraConfig(7, 0.8, dihedral)
+            row_bytes = 4 * 7 * (1 + dihedral)  # EM's float32 logits, |G| per row
+            monkeypatch.setattr(mra, "TILE_BYTES", 128 * row_bytes)
             memory = simulate(theta, cfg, 1000, np.random.default_rng(5))
             with monkeypatch.context() as mp:
                 mp.setattr(mra, "IN_MEMORY_LIMIT", 0)
                 spilled = simulate(theta, cfg, 1000, np.random.default_rng(5))
             assert isinstance(spilled.observations.base, np.memmap)
-            assert [len(b) for b in spilled.blocks()] == [128] * 7 + [104]
+            assert [len(b) for b in spilled.blocks(row_bytes)] == [128] * 7 + [104]
             a, diag_a = em_restricted_mle(spilled, rc, init, max_iters=15)
             b, diag_b = em_restricted_mle(memory, rc, init, max_iters=15)
             assert np.array_equal(a.values, b.values)
@@ -146,9 +153,10 @@ class TestSimulate:
         # draw holds one chunk and the fit one chunk's weights and their
         # entropy temporaries, far below the 4 L n bytes of the float32 rows
         n, L, C = 200_000, 21, 4096
-        monkeypatch.setattr(mra, "DEFAULT_CHUNK", C)
-        monkeypatch.setattr(mra, "IN_MEMORY_LIMIT", 0)
         G = 2 * L if dihedral else L
+        monkeypatch.setattr(mra, "DEFAULT_CHUNK", C)
+        monkeypatch.setattr(mra, "TILE_BYTES", 4 * G * C)  # EM reads chunks of C rows too
+        monkeypatch.setattr(mra, "IN_MEMORY_LIMIT", 0)
         cfg = MraConfig(L, 1.0, dihedral)
         data, peak = traced_peak(simulate, PLANAR, cfg, n, np.random.default_rng(3))
         assert data.n == n
@@ -207,6 +215,7 @@ class TestDrawStream:
         # 300 rows in chunks of 128, the last partial: the reference draws
         # each chunk in turn from the one generator
         monkeypatch.setattr(mra, "DEFAULT_CHUNK", 128)
+        monkeypatch.setattr(mra, "TILE_BYTES", 128 * 28)
         if mapped:
             monkeypatch.setattr(mra, "IN_MEMORY_LIMIT", 0)
         theta = Signal(np.random.default_rng(13).normal(size=7))
@@ -217,7 +226,7 @@ class TestDrawStream:
                                for m in (128, 128, 44)])
         data = simulate(theta, cfg, 300, np.random.default_rng(6))
         assert isinstance(data.observations.base, np.memmap) == mapped
-        assert [len(block) for block in data.blocks()] == [128, 128, 44]
+        assert [len(block) for block in data.blocks(28)] == [128, 128, 44]
         stored = data.observations
         assert stored.dtype == np.float32 and np.array_equal(stored, want.astype(np.float32))
 
@@ -402,7 +411,8 @@ class TestKlMonteCarlo:
         for rows in (n_mc // 100, 1, 777):
             if rows == 1 and n_mc > 20_000:
                 continue  # 300 000 one-row tiles take too long
-            monkeypatch.setattr(mra, "KL_TILE_ROWS", rows)
+            # a row of L = 8 dihedral samples takes 8 (2 L + 3 |G| + 4) bytes
+            monkeypatch.setattr(mra, "TILE_BYTES", rows * 8 * (2 * 8 + 3 * 16 + 4))
             got_kl, got_se = run()
             assert got_kl == pytest.approx(kl, rel=1e-13), rows
             assert got_se == pytest.approx(se, rel=1e-9), rows
@@ -651,17 +661,34 @@ class TestEm:
         assert first < 59 and all(step == 0.0 for step in steps[first:])
         assert len(set(trace[first:])) == 1
 
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_fit_does_not_depend_on_the_read_tile(self, dihedral, monkeypatch):
+        # 40 000 rows read in 4 (cyclic) or 7 (dihedral) tiles against one:
+        # each tile's M-step product W @ Y is one float32 GEMM, so the tiles
+        # move only its float32 rounding.  Seen here over 10 passes: at most
+        # 1.1 EPS32 on theta and 1e-3 EPS32 relative on a log-likelihood
+        L, n = 21, 40_000
+        data = simulate(PLANAR, MraConfig(L, 1.0, dihedral), n, np.random.default_rng(56))
+        assert len(list(data.blocks(4 * L * (1 + dihedral)))) == (7 if dihedral else 4)
+        init = Signal(PLANAR.values + 0.05)
+        tiled, tiled_diag = em_restricted_mle(data, self.RC, init, max_iters=10, tol=0)
+        monkeypatch.setattr(mra, "TILE_BYTES", 4 * 2 * L * n)
+        one, one_diag = em_restricted_mle(data, self.RC, init, max_iters=10, tol=0)
+        assert np.max(np.abs(tiled.values - one.values)) <= 8 * EPS32
+        assert tiled_diag["log_likelihood_trace"] == pytest.approx(
+            one_diag["log_likelihood_trace"], rel=EPS32)
+
     def test_row_norms_summed_once_in_float64(self, monkeypatch):
         # the first pass appends each block's sum_i ||y_i||^2 and max_i ||y_i||
         # in float64; a later pass reads the list and adds nothing
-        monkeypatch.setattr(mra, "DEFAULT_CHUNK", 64)
+        monkeypatch.setattr(mra, "TILE_BYTES", 64 * 4 * 21)
         data = simulate(PLANAR, MraConfig(21, 0.7), 300, np.random.default_rng(55))
         idx, norms = orbit_index(21, False), []
         for _ in range(2):
             for _ in mra._posteriors(PLANAR, data, idx, norms):
                 pass
             assert len(norms) == 5
-        blocks = [block.astype(np.float64) for block in data.blocks()]
+        blocks = [block.astype(np.float64) for block in data.blocks(4 * 21)]
         assert [ysq for ysq, _ in norms] == pytest.approx(
             [np.sum(block**2) for block in blocks], rel=1e-14)
         assert [ymax for _, ymax in norms] == pytest.approx(

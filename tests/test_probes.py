@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mralab import probes
+from mralab import mra, probes
 from mralab.gensig import (DiluteClassSpec, gen_collision_free,
                            gen_symm_bernoulli_gaussian, gen_symm_interval)
-from mralab.probes import (TILE_ENTRIES, FrequencySet, LambdaConstructionError,
+from mralab.probes import (FrequencySet, LambdaConstructionError,
                            _sparse_picks, adversarial_direction, curvature_terms,
                            dilute_lower_bound_check, lambda_construct,
                            moderate_curvature_check, moment_sandwich_probe,
                            spectral_floor, support_restricted_min_ratio, uup_check,
                            uup_sample)
-from mralab.mra import kl_monte_carlo
+from mralab.mra import TILE_BYTES, kl_monte_carlo, tile_rows
 from mralab.ring import Signal, align, align_spectra, reflect, shift, std_indices, std_offset
 from mralab.spectral import delta_m, second_moment_difference_expansion
 from oracles import cosine_functional_all, group_elements
@@ -139,8 +139,8 @@ class TestCurvatureTerms:
             rows[t, idx] = h * (h_norm / np.linalg.norm(h))
         ratios = loop_ratios(theta0, rows) / np.sqrt(8 / 101)
         # one tile, then 29 tiles of 7 rows ending in a partial one
-        for entries in (TILE_ENTRIES, 7 * (101 // 2 + 1)):
-            monkeypatch.setattr(probes, "TILE_ENTRIES", entries)
+        for budget in (TILE_BYTES, 8 * 7 * (101 // 2 + 1)):
+            monkeypatch.setattr(mra, "TILE_BYTES", budget)
             rep = dilute_lower_bound_check(theta0, spec, 200, np.random.default_rng(42),
                                            h_norm)
             assert rep["min_ratio"] == pytest.approx(ratios.min(), rel=1e-10)
@@ -174,8 +174,8 @@ class TestCurvatureTerms:
         chain = [np.sum(np.abs(th * np.fft.fft(Signal(h).natural())[lam.natural_indices()]) ** 2)
                  / 128 / (m_set**2 * np.sum(h**2)) for h in rows]
         # one tile, then 34 tiles of 3 rows ending in a partial one
-        for entries in (TILE_ENTRIES, 3 * (128 // 2 + 1)):
-            monkeypatch.setattr(probes, "TILE_ENTRIES", entries)
+        for budget in (TILE_BYTES, 8 * 3 * (128 // 2 + 1)):
+            monkeypatch.setattr(mra, "TILE_BYTES", budget)
             rep = moderate_curvature_check(theta0, lam, 100, h_norm, np.random.default_rng(43))
             assert rep["spectral_floor"] == pytest.approx(m_set, rel=1e-12)
             assert rep["min_ratio"] == pytest.approx(ratios.min(), rel=1e-10)
@@ -343,7 +343,7 @@ class TestSupportKernel:
         assert far.sum() == len(vals[::7])
         bins = np.array([2, 5, 128])
         want = curvature_terms(theta0, pos, vals, bins)
-        monkeypatch.setattr(probes, "TILE_ENTRIES", 1)
+        monkeypatch.setattr(mra, "TILE_BYTES", 1)
         got = curvature_terms(theta0, pos, vals, bins)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -569,8 +569,8 @@ class TestUup:
                                       (16, 16)])
     def test_matches_full_fft_formula(self, L, s):
         lam = uup_sample(L, L / 2, np.random.default_rng(45))
-        # two full tiles of TILE_ENTRIES // s trials and a partial one
-        trials = 2 * (TILE_ENTRIES // s) + 3
+        # two full tiles of tile_rows(8 s) trials and a partial one
+        trials = 2 * tile_rows(8 * s) + 3
         c1, c2 = uup_check(lam, s, trials, np.random.default_rng(46))
         picks, vals = self.floyd_sparse_picks(L, s, trials, np.random.default_rng(46))
         ratios = []
@@ -588,7 +588,7 @@ class TestUup:
         # one trial per tile against the default tiles, bit for bit
         lam = uup_sample(128, 64, np.random.default_rng(50))
         want = uup_check(lam, s, 3001, np.random.default_rng(51))
-        monkeypatch.setattr(probes, "TILE_ENTRIES", 1)
+        monkeypatch.setattr(mra, "TILE_BYTES", 1)
         assert uup_check(lam, s, 3001, np.random.default_rng(51)) == want
 
     @pytest.mark.parametrize("s, trials", [(0, 10), (17, 10), (2, 0), (2, -1)])

@@ -444,7 +444,7 @@ class TestEmpiricalMoments:
     def test_streaming_matches_materialised(self, monkeypatch):
         # the mapped draw against the in-memory draw of the same seed, over
         # blocks of 700
-        monkeypatch.setattr(mra, "DEFAULT_CHUNK", 700)
+        monkeypatch.setattr(mra, "TILE_BYTES", 700 * 72 * 9)
         theta, cfg = Signal(np.random.default_rng(28).normal(size=9)), MraConfig(9, 1.5, True)
         memory = simulate(theta, cfg, 5000, np.random.default_rng(3))
         monkeypatch.setattr(mra, "IN_MEMORY_LIMIT", 0)
@@ -452,6 +452,18 @@ class TestEmpiricalMoments:
         assert isinstance(spilled.observations.base, np.memmap)
         for m in (1, 2, 3):
             a, b = dense(empirical_moments(spilled, m)), dense(empirical_moments(memory, m))
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_moments_do_not_depend_on_the_tile(self, monkeypatch):
+        # 5000 rows of L = 9 in 4 tiles of 72 L bytes a row against one tile:
+        # only the float64 sums change order; seen here at most 4e-15 relative
+        theta, cfg = Signal(np.random.default_rng(29).normal(size=9)), MraConfig(9, 1.5, True)
+        data = simulate(theta, cfg, 5000, np.random.default_rng(4))
+        assert len(list(data.blocks(72 * 9))) == 4
+        tiled = [dense(empirical_moments(data, m)) for m in (1, 2, 3)]
+        monkeypatch.setattr(mra, "TILE_BYTES", 72 * 9 * 5000)
+        for m, a in zip((1, 2, 3), tiled):
+            b = dense(empirical_moments(data, m))
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_monte_carlo_consistency(self):
