@@ -105,9 +105,9 @@ def empirical_moments(data, order: int) -> MomentTensor:
 
     One pass over data.blocks(72 L), with one FFT per block for orders 2
     and 3, so memory does not grow with n: a row's float64 upcast, its FFT
-    and the bispectrum's g and product take 72 L bytes.  Each float32 block is upcast to
-    float64 first, so its sum and FFT run in double precision.  With sigma
-    from data.config and y-hat the rows' DFT: order 1 is mean y-hat(0);
+    and the bispectrum's g and product take 72 L bytes.  Each float32 block
+    is upcast to float64 first, so its sum and FFT run in double precision.
+    With sigma from data.config and y-hat the rows' DFT: order 1 is mean y-hat(0);
     order 2 is mean |y-hat|^2 - L sigma^2 on the plane; order 3 is the mean of
     y-hat(a) y-hat(b) conj(y-hat(a + b)) less sigma^2 L mean(y-hat(0)) on
     each of the lines a = 0, b = 0 and a + b = 0, where the noise puts its
