@@ -98,7 +98,7 @@ def _restricted_class_from_json(d: dict) -> RestrictedClass:
     check_keys("restriction", d, ("kind", "support", "m", "M"))
     return RestrictedClass(
         kind=d.get("kind", "none"),
-        support=frozenset(d["support"]) if d.get("support") is not None else None,
+        support=d.get("support"),
         m=d.get("m"),
         M=d.get("M"),
     )

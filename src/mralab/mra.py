@@ -18,7 +18,11 @@ group element at all: every statistic it averages is a function of the
 group-invariant mixture density, so theta0 + sigma z has the law it needs
 (see its docstring), and it scores tiles of at most `tile_rows` rows, each
 one normal fill shared by every sigma of a grid.
-The EM M-step accumulates W @ Y and folds it onto Z_L once per iteration.
+EM iterates one map F(theta) -> (project(M(E(theta))), loglik(theta), its
+rounding bound, clamped) on length-L float64 arrays; `_em_map` builds it once
+per fit, binding the orbit index, its fold index and the rows' norms.  The
+M-step accumulates W @ Y and folds it onto Z_L once per pass, and the class's
+projection reuses its per-L support positions.
 A pass costs O(n L |G|); no FFT is taken, so a prime L costs no extra.
 
 Precision: a Dataset holds its observations in float32, each draw rounded
@@ -27,20 +31,21 @@ orbit as float32 and run the logit product, `_softmax` and each block's
 M-step product W @ Y in float32.  The sums are float64: each block's
 log-sum-exps, the rows' squared norms and the M-step's sum over blocks; the
 fold onto Z_L, the projection and theta stay float64.  `_softmax` keeps
-float32 weights out of the subnormal range.  `kl_monte_carlo` and
-`_draw_block` stay float64 throughout: KL is a small difference of large
-log-likelihoods.
+float32 weights out of the subnormal range, and normalises them by one
+reciprocal of the mass per column, not by dividing the (|G|, m) array.
+`kl_monte_carlo` and `_draw_block` stay float64 throughout: KL is a small
+difference of large log-likelihoods.
 """
 from __future__ import annotations
 
 import math
 import tempfile
-from dataclasses import dataclass
-from numbers import Real
+from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
-from .ring import LengthMismatchError, Signal, action_index, orbit_index, storage_index
+from .ring import LengthMismatchError, Signal, orbit_index, storage_index
 
 #: rows per `_draw_block` call in `simulate`; each chunk draws its picks, then
 #: its normals, so this size fixes the random stream and the rows of every seed
@@ -158,7 +163,9 @@ def simulate(theta0: Signal, cfg: MraConfig, n: int, rng: np.random.Generator) -
 def _softmax(c: np.ndarray, weights: bool = True, low: float = -np.inf):
     """(log-sum-exp of the logits c over axis 0, c's storage).  c is
     overwritten by exp(c - column max), normalised to the softmax over axis 0
-    when `weights`.
+    when `weights`: multiplied by one reciprocal of its mass per column, which
+    is twice as fast as dividing the (|G|, m) array and rounds each weight
+    twice, so a column sums to 1 within about (|G| + 1) rounding units.
 
     Float32 logits are first raised to at least the column max plus
     log(2 |G| tiny), tiny the smallest normal float32: every exp is then at
@@ -176,16 +183,19 @@ def _softmax(c: np.ndarray, weights: bool = True, low: float = -np.inf):
             np.maximum(c, np.float32(floor), out=c)
     np.exp(c, out=c)
     mass = c.sum(axis=0)
+    lse = np.log(mass)
+    lse += top
     if weights:
-        c /= mass
-    return top + np.log(mass), c
+        c *= np.reciprocal(mass, out=mass)
+    return lse, c
 
 
-def _posteriors(theta: Signal, data, idx, norms: list):
+def _posteriors(theta: np.ndarray, data, idx, norms: list):
     """(observations, log-likelihood, sum of squared log-sum-exps, posterior
-    weights) for each block of the data, under the model of data.config, whose
-    `orbit_index` the caller passes as idx.  Consumers drop each tuple before
-    the next, as this generator does, so no two blocks' weights are alive at once.
+    weights) for each block of the data, under the model of data.config, at
+    theta, a length-L float64 array; idx is the model's `orbit_index`.
+    Consumers drop each tuple before the next, as this generator does, so no
+    two blocks' weights are alive at once.
     With c[G, i] = <y_i, G theta> / sigma^2, ||y_i - G theta||^2 / (2 sigma^2) =
     (||y_i||^2 + ||theta||^2) / (2 sigma^2) - c[G, i], so the weights, shape
     (|G|, m), are the softmax of c over G, and the block's log-likelihood is the
@@ -202,18 +212,20 @@ def _posteriors(theta: Signal, data, idx, norms: list):
     temporary."""
     cfg = data.config
     sig2 = cfg.sigma**2
-    scaled = (theta.values / sig2).astype(np.float32)
+    scaled = (theta / sig2).astype(np.float32)
     orbit = scaled[idx]
-    ssq = float(np.square(scaled, dtype=np.float64).sum())
-    const = sig2 / 2 * ssq + np.log(len(idx)) + cfg.L / 2 * np.log(2 * np.pi * sig2)
+    wide = scaled.astype(np.float64)
+    ssq = float(wide @ wide)
+    const = sig2 / 2 * ssq + math.log(len(idx)) + cfg.L / 2 * math.log(2 * math.pi * sig2)
+    low = -math.sqrt(ssq)
     for k, block in enumerate(data.blocks(4 * len(idx))):
         if k == len(norms):
             rows = np.einsum("ij,ij->i", block, block, dtype=np.float64)
             norms.append((float(np.einsum("ij,ij->", block, block, dtype=np.float64)),
-                          float(np.sqrt(rows.max()))))
+                          math.sqrt(rows.max())))
         ysq, ymax = norms[k]
-        lse, w = _softmax(orbit @ block.T, low=-ymax * math.sqrt(ssq))
-        ll = float(lse.sum(dtype=np.float64) - ysq / (2 * sig2) - len(block) * const)
+        lse, w = _softmax(orbit @ block.T, low=ymax * low)
+        ll = float(lse.sum(dtype=np.float64)) - ysq / (2 * sig2) - len(block) * const
         yield block, ll, float(np.einsum("i,i->", lse, lse, dtype=np.float64)), w
         del block, lse, w
 
@@ -222,7 +234,7 @@ def log_likelihood(theta: Signal, data) -> float:
     """Sum of observation log-densities over the dataset (0 when empty)."""
     total = 0.0
     idx = orbit_index(data.config.L, data.config.dihedral)
-    for block, ll, _, w in _posteriors(theta, data, idx, []):
+    for block, ll, _, w in _posteriors(theta.values, data, idx, []):
         total += ll
         del block, w
     return total
@@ -390,18 +402,29 @@ class RestrictedClass:
 
     kind: 'none', 'support-fixed', 'symmetric-support-fixed', or
     'magnitude-band' (fixed support plus magnitude clamp to [m, M]).
+    support: standard indices, integers (not booleans), kept as a frozenset.
     """
 
     kind: str = "none"
     support: frozenset | None = None
     m: float | None = None
     M: float | None = None
+    #: L -> the support's storage positions and their mirrors, built on first use
+    _at: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     _KINDS = ("none", "support-fixed", "symmetric-support-fixed", "magnitude-band")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError("unknown class kind %r" % (self.kind,))
+        if self.support is not None:
+            if not isinstance(self.support, (list, tuple, set, frozenset)):
+                raise ValueError("class support must be a list of integers, got %r"
+                                 % (self.support,))
+            for i in self.support:
+                if not isinstance(i, Integral) or isinstance(i, bool):
+                    raise ValueError("class support entries must be integers, got %r" % (i,))
+            object.__setattr__(self, "support", frozenset(self.support))
         if self.kind != "none" and not self.support:
             raise ValueError("class kind %r needs a support" % (self.kind,))
         if self.kind == "symmetric-support-fixed":
@@ -411,43 +434,97 @@ class RestrictedClass:
             if self.m is None or self.M is None or not (0 < self.m <= self.M):
                 raise ValueError("magnitude band needs 0 < m <= M")
 
+    def _positions(self, L: int):
+        """(storage positions of the sorted support, those of its negation)
+        at length L, built once per L; a ValueError if two entries are one
+        residue mod L."""
+        if L not in self._at:
+            entries = sorted(self.support)
+            pos = storage_index(L, entries)
+            seen = {}
+            for i, p in zip(entries, pos.tolist()):
+                if p in seen:
+                    raise ValueError("class support entries %d and %d are one residue mod %d"
+                                     % (seen[p], i, L))
+                seen[p] = i
+            self._at[L] = pos, storage_index(L, [-i for i in entries])
+        return self._at[L]
+
     def project(self, theta: Signal) -> tuple[Signal, bool]:
         """Nearest class member (support zeroing, symmetrization, clamp).
 
-        Returns (projected signal, clamp_active flag).
+        Returns (projected signal, clamp_active flag).  A support entry whose
+        value is 0 sits below the band floor and is clamped to m.
         """
         if self.kind == "none":
             return theta, False
-        L = theta.L
-        keep = np.zeros(L, dtype=bool)
-        keep[storage_index(L, list(self.support))] = True
-        v = np.where(keep, theta.values, 0.0)
-        if self.kind == "symmetric-support-fixed":
-            v = (v + v[action_index(L, 0, True)]) / 2
+        pos, mirror = self._positions(theta.L)
+        x = theta.values[pos]
         clamped = False
-        if self.kind == "magnitude-band":
-            on = keep & (v != 0.0)
-            mag = np.abs(v[on])
-            cl = np.clip(mag, self.m, self.M)
-            clamped = bool(np.any(cl != mag))
-            v[on] = np.sign(v[on]) * cl
-            # zero entries on the support sit below the band floor
-            dead = keep & (v == 0.0)
-            if np.any(dead):
-                clamped = True
-                v[dead] = self.m
+        if self.kind == "symmetric-support-fixed":
+            x = (x + theta.values[mirror]) / 2
+        elif self.kind == "magnitude-band":
+            mag = np.abs(x)
+            cl = np.minimum(np.maximum(mag, self.m), self.M)
+            clamped = bool((cl != mag).any())
+            x = np.where(x < 0, -cl, cl)
+        v = np.zeros(theta.L)
+        v[pos] = x
         return Signal(v), clamped
+
+
+def _em_map(data, rclass):
+    """EM's map for one fit of data to rclass, built once per fit: (F, final).
+
+    F(theta) = (project(M(E(theta))), l(theta), r, clamped) on length-L
+    float64 arrays: E the posterior weights of `_posteriors`, M their aligned
+    average of the rows, project rclass.project (any object with
+    project(Signal) -> (Signal, bool)), l the log-likelihood and r its
+    rounding bound (see `em_restricted_mle`).  final(theta) = (l(theta), mean
+    effective group size at theta), the diagnostics pass.  Both share the
+    orbit index, its fold index and the list of the rows' norms; a pass
+    holds one block's weights and a |G| x L accumulator."""
+    cfg, n = data.config, data.n
+    L = cfg.L
+    idx = orbit_index(L, cfg.dihedral)
+    fold, norms = idx.ravel(), []
+
+    def F(theta):
+        S = np.zeros(idx.shape)
+        ll = lse_sq = 0.0
+        for block, block_ll, block_lse_sq, w in _posteriors(theta, data, idx, norms):
+            ll += block_ll
+            lse_sq += block_lse_sq
+            S += w @ block
+            del block, w
+        raw = np.bincount(fold, weights=S.ravel(), minlength=L)
+        raw /= n
+        new, clamped = rclass.project(Signal(raw))
+        return new.values, ll, EPS32 * math.sqrt(L * lse_sq) + 1e-13 * abs(ll), clamped
+
+    def final(theta):
+        ll = group_size = 0.0
+        for block, block_ll, _, w in _posteriors(theta, data, idx, norms):
+            ll += block_ll
+            # entropy -sum w log w, with 0 log 0 = 0 for weights that underflowed
+            entropy = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=0)
+            group_size += float(np.exp(entropy).sum(dtype=np.float64))
+            del block, w
+        return ll, group_size / n
+
+    return F, final
 
 
 def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
                       max_iters: int = 200, tol: float = 1e-8):
     """Restricted maximum-likelihood fit by EM with projection onto the class.
 
-    The model (L, sigma, group) is data.config.  Each iterate is one pass.
-    E-step: posterior weights over group elements, from one O(n L |G|)
-    matrix product per block.  M-step: posterior-aligned average of the
-    observations, then projection; the pass at theta_hat gives the
-    diagnostics instead.  Returns (theta_hat, diagnostics).
+    The model (L, sigma, group) is data.config.  Each iterate is one pass of
+    the map F of `_em_map`, built once per fit.  E-step: posterior weights
+    over group elements, from one O(n L |G|) matrix product per block.
+    M-step: posterior-aligned average of the observations, then projection;
+    the pass at theta_hat gives the diagnostics instead.  Returns
+    (theta_hat, diagnostics).
 
     Projected EM need not increase the likelihood, so `log_likelihood_decreases`
     lists each iteration k whose update lowered it by more than the rounding
@@ -470,41 +547,26 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
     """
     if data.n == 0:
         raise ValueError("EM needs at least one observation; the dataset is empty")
-    cfg = data.config
-    if init.L != cfg.L:
-        raise LengthMismatchError("init length %d vs config L=%d" % (init.L, cfg.L))
-    L = cfg.L
-    idx = orbit_index(L, cfg.dihedral)
-    theta, _ = rclass.project(init)
-    steps, trace, slack, norms = [], [], [], []
+    if init.L != data.L:
+        raise LengthMismatchError("init length %d vs config L=%d" % (init.L, data.L))
+    F, final = _em_map(data, rclass)
+    root_L = math.sqrt(data.L)
+    theta = rclass.project(init)[0].values
+    steps, trace, slack = [], [], []
     clamp_any = converged = False
-    while True:
-        last = converged or len(steps) >= max_iters
-        S = np.zeros(idx.shape)
-        ll = lse_sq = group_size = 0.0
-        for block, block_ll, block_lse_sq, w in _posteriors(theta, data, idx, norms):
-            ll += block_ll
-            lse_sq += block_lse_sq
-            if last:
-                # entropy -sum w log w, with 0 log 0 = 0 for weights that underflowed
-                entropy = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=0)
-                group_size += float(np.exp(entropy).sum(dtype=np.float64))
-            else:
-                S += w @ block
-            del block, w
-        if last:
-            break
-        if not np.isfinite(ll):
+    while not converged and len(steps) < max_iters:
+        new, ll, bound, clamped = F(theta)
+        if not math.isfinite(ll):
             raise FloatingPointError("non-finite log-likelihood during EM")
         trace.append(ll)
-        slack.append(EPS32 * np.sqrt(L * lse_sq) + 1e-13 * abs(ll))
-        raw = Signal(np.bincount(idx.ravel(), weights=S.ravel(), minlength=L) / data.n)
-        new, clamped = rclass.project(raw)
+        slack.append(bound)
         clamp_any = clamp_any or clamped
-        steps.append(float(np.linalg.norm(new.values - theta.values)) / np.sqrt(L))
+        d = new - theta
+        steps.append(math.sqrt(float(d @ d)) / root_L)
         theta = new
-        converged = bool(steps[-1] < tol)
-    return theta, {
+        converged = steps[-1] < tol
+    ll, group_size = final(theta)
+    return Signal(theta), {
         "iterations": len(steps),
         "converged": converged,
         "final_log_likelihood": ll,
@@ -512,7 +574,7 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
         "log_likelihood_decreases": [
             {"iteration": k, "drop": trace[k - 1] - trace[k]} for k in range(1, len(trace))
             if trace[k - 1] - trace[k] > slack[k - 1] + slack[k]],
-        "mean_effective_group_size": group_size / data.n,
+        "mean_effective_group_size": group_size,
         "varrho_steps": steps,
         "clamp_active": clamp_any,
     }

@@ -1,7 +1,8 @@
 """Dense and direct-sum oracles that the package's Fourier-domain code is
 tested against, the fancy-index draw that its in-place draw is tested against
 bit for bit, the divide-after-product posterior that its scaled-orbit kernel
-is tested against, the masked-loop KL jackknife that its block-sum jackknife
+is tested against, the masked whole-vector class projection that its cached
+per-L projection is tested against bit for bit, the masked-loop KL jackknife that its block-sum jackknife
 is tested against, the double-loop lag counts and set-based greedy
 builder that `gensig` is tested against, the exhaustive group,
 cosine-functional and collision-free-size references of the paper's claims,
@@ -13,7 +14,8 @@ import tracemalloc
 import numpy as np
 
 from mralab.mra import DEFAULT_CHUNK, MraConfig, _draw_block
-from mralab.ring import GroupElement, Signal, orbit_index, std_indices, std_offset
+from mralab.ring import (GroupElement, Signal, action_index, orbit_index, std_indices,
+                         std_offset, storage_index)
 from mralab.spectral import MomentTensor, _plane
 
 #: branch-and-bound guard for exact maximum collision-free size
@@ -321,6 +323,33 @@ def path_log_density(theta0: Signal, d: np.ndarray, y: np.ndarray, sigma: float,
     score = float(w @ a)
     log_p = float(top + np.log(mass / len(w)) - L / 2 * np.log(2 * np.pi * sigma**2))
     return log_p, score, float(w @ a**2 - score**2 - np.dot(d, d) / sigma**2)
+
+
+def project_reference(rclass, theta: Signal):
+    """(projection, clamp flag) of theta onto rclass by whole-vector masks,
+    rebuilt on every call: zero off the support, average with the reflection
+    for a symmetric class, clamp the support's magnitudes into [m, M] for a
+    band, with a zero entry on the support raised to m."""
+    if rclass.kind == "none":
+        return theta, False
+    L = theta.L
+    keep = np.zeros(L, dtype=bool)
+    keep[storage_index(L, list(rclass.support))] = True
+    v = np.where(keep, theta.values, 0.0)
+    if rclass.kind == "symmetric-support-fixed":
+        v = (v + v[action_index(L, 0, True)]) / 2
+    clamped = False
+    if rclass.kind == "magnitude-band":
+        on = keep & (v != 0.0)
+        mag = np.abs(v[on])
+        cl = np.clip(mag, rclass.m, rclass.M)
+        clamped = bool(np.any(cl != mag))
+        v[on] = np.sign(v[on]) * cl
+        dead = keep & (v == 0.0)
+        if np.any(dead):
+            clamped = True
+            v[dead] = rclass.m
+    return Signal(v), clamped
 
 
 def em_fit(rclass, init: Signal, y: np.ndarray, sigma: float, dihedral: bool = False,

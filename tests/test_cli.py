@@ -152,6 +152,25 @@ class TestSimulateEstimate:
                   "--out-signal", str(tmp_path / "hat.json")])
         assert not (tmp_path / "hat.json").exists()
 
+    @pytest.mark.parametrize("support, msg", [
+        ([-4.7, -3, 4, 6.2], "class support entries must be integers, got -4.7"),
+        ([True, -3, 4, 6], "class support entries must be integers, got True"),
+        ([-4, 17, 4, 6], "class support entries -4 and 17 are one residue mod 21")],
+        ids=["float", "boolean", "residue-twice"])
+    def test_estimate_bad_class_support_exits_nonzero(self, tmp_path, support, msg):
+        # each was fitted on another class than the one named: floats were
+        # truncated, true read as 1, and 17 = -4 mod 21 left 3 support points
+        data_path, restr_path = tmp_path / "d.mra", tmp_path / "restr.json"
+        out = tmp_path / "hat.json"
+        write_container(data_path, simulate(Signal(np.arange(21.0)), MraConfig(21, 0.5), 20,
+                                            np.random.default_rng(0)))
+        _write_json(restr_path, {"kind": "magnitude-band", "support": support,
+                                 "m": 1.0, "M": 1.2})
+        run = _run_cli("estimate", "--data", data_path, "--restriction", restr_path,
+                       "--max-iters", "2", "--out-signal", out)
+        assert (run.returncode, run.stderr) == (2, "mralab: error: %s\n" % msg)
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_simulate_non_finite_sigma_rejected(self, tmp_path, sigma):
         # a container of non-finite rows would only fail later, in estimate

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.special
@@ -7,7 +9,7 @@ from mralab.mra import (EPS32, Dataset, MraConfig, RestrictedClass, _draw_block,
                         em_restricted_mle, kl_monte_carlo, log_likelihood, simulate)
 from mralab.ring import Signal, orbit_index, reflect, shift, storage_index, varrho
 from oracles import (draw_block_reference, em_fit, em_iteration, group_elements,
-                     kl_masked_jackknife, path_log_density, traced_peak)
+                     kl_masked_jackknife, path_log_density, project_reference, traced_peak)
 
 PLANAR = Signal.from_natural(
     np.array([0, 0, 0, 1.1, 0, 0, -1.0, 1.05, 0, 0, 0, 0,
@@ -542,6 +544,77 @@ class TestRestrictedClass:
         with pytest.raises(ValueError):
             RestrictedClass("symmetric-support-fixed", frozenset({0, 1}))
 
+    @pytest.mark.parametrize("L", [7, 8, 21])
+    def test_cached_projection_matches_uncached_formula(self, L):
+        # one class object per kind serves every L from its per-L positions;
+        # each projection equals the whole-vector mask formula bit for bit,
+        # with zero entries on the support and entries clamped from both sides
+        classes = [
+            RestrictedClass("none"),
+            RestrictedClass("support-fixed", frozenset({-2, 0, 3})),
+            RestrictedClass("symmetric-support-fixed", frozenset({-3, -1, 0, 1, 3})),
+            RestrictedClass("magnitude-band", frozenset({-3, -2, 0, 1, 3}), m=0.5, M=1.5),
+        ]
+        rng = np.random.default_rng(57 + L)
+        for rc in classes:
+            for k in range(6):
+                values = rng.normal(scale=1.5, size=L)
+                values[rng.random(L) < 0.3] = 0.0
+                theta = Signal(values)
+                (got, got_clamped), (want, want_clamped) = rc.project(theta), \
+                    project_reference(rc, theta)
+                assert np.array_equal(got.values, want.values) and got_clamped is want_clamped
+        band = classes[3]
+        out, clamped = band.project(Signal.from_support(L, {-3: 0.0, -2: -9.0, 0: 0.1, 1: 1.2}))
+        assert clamped and [out.values[storage_index(L, i)] for i in (-3, -2, 0, 1, 3)] == [
+            0.5, -1.5, 0.5, 1.2, 0.5]
+
+    @pytest.mark.parametrize("entry", [-4.7, True, 6.0, "4"])
+    def test_non_integer_support_entry_rejected(self, entry):
+        # a float was truncated to its storage position and a boolean read as
+        # 0 or 1, so the class was fitted on other entries than those named
+        with pytest.raises(ValueError, match="class support entries must be integers, got %s"
+                                             % re.escape(repr(entry))):
+            RestrictedClass("magnitude-band", [entry, -3, 4], m=1.0, M=1.2)
+
+    def test_numpy_integer_support_accepted(self):
+        rc = RestrictedClass("support-fixed", [np.int64(-2), 0, 3])
+        assert rc.support == frozenset({-2, 0, 3})
+
+    def test_support_entries_of_one_residue_rejected(self):
+        # 17 = -4 mod 21: the class would have 3 points, not the 4 named
+        rc = RestrictedClass("support-fixed", frozenset({-4, 17, 4, 6}))
+        with pytest.raises(ValueError, match="class support entries -4 and 17 are one "
+                                             "residue mod 21"):
+            rc.project(Signal(np.ones(21)))
+        out, _ = rc.project(Signal(np.ones(22)))
+        assert out.support == {-5, -4, 4, 6}  # 17 = -5 mod 22
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("G", [2, 21, 42])
+    def test_against_float64_logsumexp(self, dtype, G):
+        # columns from near ties to logits spread far past the float32 floor;
+        # the mass sums |G| rounded exps and the weights take one reciprocal
+        # and one product each, so the log-sum-exps (relative to 1 + |lse|),
+        # the weights and the column sums err by at most (|G| + 4) eps, eps
+        # EPS32 or float64's (seen: at most 1.4, 4.6 and 6.0 eps at |G| = 42)
+        eps = float(np.finfo(dtype).eps)
+        rng = np.random.default_rng(62 + G)
+        scale = rng.choice([1e-3, 1.0, 10.0, 60.0], size=3000)
+        c = (rng.normal(size=(G, 3000)) * scale + 100 * rng.normal(size=3000)).astype(dtype)
+        wide = c.astype(np.float64)
+        ref = scipy.special.logsumexp(wide, axis=0)
+        lse, w = mra._softmax(c.copy())
+        assert lse.dtype == w.dtype == dtype
+        bound = (G + 4) * eps
+        assert np.all(np.abs(lse - ref) <= bound * (1 + np.abs(ref)))
+        assert np.all(np.abs(w - scipy.special.softmax(wide, axis=0)) <= bound)
+        assert np.all(np.abs(w.sum(axis=0, dtype=np.float64) - 1) <= bound)
+        if dtype == np.float32:
+            assert w.min() >= mra.TINY32
+
 
 class TestEm:
     CFG_SMALL = MraConfig(21, 1e-3)
@@ -685,7 +758,7 @@ class TestEm:
         data = simulate(PLANAR, MraConfig(21, 0.7), 300, np.random.default_rng(55))
         idx, norms = orbit_index(21, False), []
         for _ in range(2):
-            for _ in mra._posteriors(PLANAR, data, idx, norms):
+            for _ in mra._posteriors(PLANAR.values, data, idx, norms):
                 pass
             assert len(norms) == 5
         blocks = [block.astype(np.float64) for block in data.blocks(4 * 21)]
@@ -799,7 +872,7 @@ class TestEm:
         c = theta.values.astype(np.float32)[idx] @ data.observations.T
         raw = np.exp(c - c.max(axis=0)) / np.exp(c - c.max(axis=0)).sum(axis=0)
         assert np.mean((raw > 0) & (raw < mra.TINY32)) > 0.3
-        for *_, w in mra._posteriors(theta, data, idx, []):
+        for *_, w in mra._posteriors(theta.values, data, idx, []):
             assert w.dtype == np.float32 and w.min() >= mra.TINY32
         fits = [em_restricted_mle(data, RestrictedClass("none"), theta, max_iters=k, tol=0)
                 for k in (1, 3)]
