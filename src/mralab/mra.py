@@ -437,13 +437,14 @@ class RestrictedClass:
     def _positions(self, L: int):
         """(storage positions of the sorted support, those of its negation)
         at length L, built once per L; a ValueError if two entries are one
-        residue mod L."""
+        residue mod L, save L/2 and -L/2 in a symmetric support, which must
+        name both."""
         if L not in self._at:
             entries = sorted(self.support)
             pos = storage_index(L, entries)
             seen = {}
             for i, p in zip(entries, pos.tolist()):
-                if p in seen:
+                if p in seen and not (self.kind == "symmetric-support-fixed" and seen[p] == -i):
                     raise ValueError("class support entries %d and %d are one residue mod %d"
                                      % (seen[p], i, L))
                 seen[p] = i
@@ -564,7 +565,7 @@ def em_restricted_mle(data, rclass: RestrictedClass, init: Signal,
         d = new - theta
         steps.append(math.sqrt(float(d @ d)) / root_L)
         theta = new
-        converged = steps[-1] < tol
+        converged = bool(steps[-1] < tol)
     ll, group_size = final(theta)
     return Signal(theta), {
         "iterations": len(steps),

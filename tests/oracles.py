@@ -1,9 +1,9 @@
 """Dense and direct-sum oracles that the package's Fourier-domain code is
 tested against, the fancy-index draw that its in-place draw is tested against
 bit for bit, the divide-after-product posterior that its scaled-orbit kernel
-is tested against, the masked whole-vector class projection that its cached
-per-L projection is tested against bit for bit, the masked-loop KL jackknife that its block-sum jackknife
-is tested against, the double-loop lag counts and set-based greedy
+is tested against, the whole-vector mask projection that the per-L class
+projection is tested against bit for bit, the masked-loop KL jackknife that
+its block-sum jackknife is tested against, the double-loop lag counts and set-based greedy
 builder that `gensig` is tested against, the exhaustive group,
 cosine-functional and collision-free-size references of the paper's claims,
 and `traced_peak`, the memory meter of the tests that data is held once.

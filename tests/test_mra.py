@@ -544,30 +544,37 @@ class TestRestrictedClass:
         with pytest.raises(ValueError):
             RestrictedClass("symmetric-support-fixed", frozenset({0, 1}))
 
-    @pytest.mark.parametrize("L", [7, 8, 21])
-    def test_cached_projection_matches_uncached_formula(self, L):
-        # one class object per kind serves every L from its per-L positions;
-        # each projection equals the whole-vector mask formula bit for bit,
-        # with zero entries on the support and entries clamped from both sides
+    def test_cached_projection_matches_uncached_formula(self):
+        # one class object per kind serves every L from its per-L positions,
+        # L interleaved; each projection equals the whole-vector mask formula
+        # bit for bit, with zero entries on the support and clamps both ways
         classes = [
             RestrictedClass("none"),
             RestrictedClass("support-fixed", frozenset({-2, 0, 3})),
             RestrictedClass("symmetric-support-fixed", frozenset({-3, -1, 0, 1, 3})),
             RestrictedClass("magnitude-band", frozenset({-3, -2, 0, 1, 3}), m=0.5, M=1.5),
         ]
-        rng = np.random.default_rng(57 + L)
-        for rc in classes:
-            for k in range(6):
+        rng = np.random.default_rng(57)
+        for L in [7, 8, 21] * 3:
+            for rc in classes:
                 values = rng.normal(scale=1.5, size=L)
                 values[rng.random(L) < 0.3] = 0.0
                 theta = Signal(values)
                 (got, got_clamped), (want, want_clamped) = rc.project(theta), \
                     project_reference(rc, theta)
                 assert np.array_equal(got.values, want.values) and got_clamped is want_clamped
-        band = classes[3]
-        out, clamped = band.project(Signal.from_support(L, {-3: 0.0, -2: -9.0, 0: 0.1, 1: 1.2}))
-        assert clamped and [out.values[storage_index(L, i)] for i in (-3, -2, 0, 1, 3)] == [
-            0.5, -1.5, 0.5, 1.2, 0.5]
+            out, clamped = classes[3].project(
+                Signal.from_support(L, {-3: 0.0, -2: -9.0, 0: 0.1, 1: 1.2}))
+            assert clamped and [out.values[storage_index(L, i)] for i in (-3, -2, 0, 1, 3)] == [
+                0.5, -1.5, 0.5, 1.2, 0.5]
+
+    def test_symmetric_support_holds_half_length(self):
+        # at L = 8, 4 and -4 are one point, its own mirror; a symmetric
+        # support must name both to pass the symmetry check
+        rc = RestrictedClass("symmetric-support-fixed", frozenset({-4, -1, 1, 4}))
+        theta = Signal(np.random.default_rng(63).normal(size=8))
+        got, want = rc.project(theta)[0], project_reference(rc, theta)[0]
+        assert np.array_equal(got.values, want.values) and got.support == {-1, 1, 4}
 
     @pytest.mark.parametrize("entry", [-4.7, True, 6.0, "4"])
     def test_non_integer_support_entry_rejected(self, entry):
