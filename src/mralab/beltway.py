@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gensig import lag_counts
-from .ring import Signal
+from .ring import Signal, integer, residues, std_offset
 
 #: node budget of the backtracking solver, read at each call
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -70,19 +70,16 @@ class DifferenceProfile:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DifferenceProfile":
-        """Read two integer lists of equal length, each residue mod L given once."""
-        L, lags, mults = int(d["L"]), d["differences"], d["multiplicities"]
-        if len(lags) != len(mults):
-            raise ValueError("%d differences but %d multiplicities" % (len(lags), len(mults)))
-        bad = [v for v in list(lags) + list(mults) if type(v) is not int]
-        if bad:
-            raise ValueError("differences and multiplicities must be integers, got %r" % bad[0])
-        res = [k % L for k in lags]
-        twice = [r for r in res if res.count(r) > 1]
-        if twice:
-            raise ValueError("residue %d mod %d is given twice" % (twice[0], L))
+        """Read an integer L >= 1 and two integer lists of equal length, each
+        residue mod L given once among the differences."""
+        L = integer("L", d["L"], 1)
+        pos, mults = residues(L, d["differences"], "differences"), d["multiplicities"]
+        if not isinstance(mults, list) or len(mults) != len(pos):
+            raise ValueError("need a list of %d multiplicities, one per difference, got %r"
+                             % (len(pos), mults))
         counts = np.zeros(L, dtype=np.int64)
-        counts[res] = mults
+        # counts is indexed by lag mod L, the storage position less the offset
+        counts[(pos - std_offset(L)) % L] = [integer("multiplicities entry", m) for m in mults]
         return cls(L, counts)
 
 

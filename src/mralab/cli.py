@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from . import beltway, experiments, gensig, probes
-from .experiments import check_keys, config_hash
+from .experiments import config_hash
 from .mra import Dataset, MraConfig, RestrictedClass, em_restricted_mle, simulate
-from .ring import Signal
+from .ring import Signal, check_keys, integer, number
 from .spectral import second_moment_difference_expansion
 
 MAGIC = b"MRA3"
@@ -36,6 +36,16 @@ PROBE_KEYS = {
     "lambda": ("L", "s", "a", "signal", "zeta", "max_tries", "tau", "seed"),
     "moderate-lb": ("signal", "s", "a", "max_tries", "tau", "trials", "h_norm", "seed"),
     "sandwich": ("theta", "phi", "sigma_grid", "n_mc", "seed"),
+}
+#: probe config key -> (rule, arg), the same in every probe that takes the key:
+#: the value is read as `ring.integer(key, value, least value)` or
+#: `ring.number(key, value, positive)`; signals, by `Signal.from_json_dict`,
+#: and sigma_grid, by the sandwich probe, are read where they are used
+PROBE_RULES = {
+    "L": (integer, 2), "s": (integer, 1), "trials": (integer, 1), "max_tries": (integer, 1),
+    "n_mc": (integer, 2), "seed": (integer, 0), "m": (number, True), "M": (number, True),
+    "eps": (number, True), "a": (number, True), "zeta": (number, True),
+    "h_norm": (number, True), "delta": (number, False), "tau": (number, False),
 }
 
 
@@ -94,22 +104,14 @@ def cmd_simulate(args):
     return 0
 
 
-def _restricted_class_from_json(d: dict) -> RestrictedClass:
-    check_keys("restriction", d, ("kind", "support", "m", "M"))
-    return RestrictedClass(
-        kind=d.get("kind", "none"),
-        support=d.get("support"),
-        m=d.get("m"),
-        M=d.get("M"),
-    )
-
-
 def cmd_estimate(args):
     data = read_container(args.data)
     if args.group is not None and args.group != GROUPS[data.config.dihedral]:
         raise ValueError("container records the %s group, but %s was requested"
                          % (GROUPS[data.config.dihedral], args.group))
-    rclass = _restricted_class_from_json(_load_json(args.restriction))
+    restriction = _load_json(args.restriction)
+    check_keys("restriction", restriction, ("kind", "support", "m", "M"))
+    rclass = RestrictedClass(**restriction)
     if args.init:
         init = Signal.from_json_dict(_load_json(args.init))
     else:
@@ -164,31 +166,37 @@ def cmd_pr_recover(args):
     return 0
 
 
-def _probe_signal(cfg: dict, draw) -> Signal:
+def _probe_signal(p: dict, draw) -> Signal:
     """The config's `signal`, whose length must match its `L` if it has one, or draw()."""
-    if "signal" not in cfg:
+    if "signal" not in p:
         return draw()
-    theta = Signal.from_json_dict(cfg["signal"])
-    if "L" in cfg and theta.L != cfg["L"]:
-        raise ValueError("signal has length %d but the config has L=%d" % (theta.L, cfg["L"]))
+    theta = Signal.from_json_dict(p["signal"])
+    if "L" in p and theta.L != p["L"]:
+        raise ValueError("signal has length %d but the config has L=%d" % (theta.L, p["L"]))
     return theta
+
+
+def _frequency_set(p: dict, theta: Signal, rng):
+    """`probes.lambda_construct` for theta with the config's s, a, max_tries and tau."""
+    return probes.lambda_construct(theta, p["s"], p["a"], p.get("max_tries", 50), rng,
+                                   tau=p.get("tau", 1.0))
 
 
 def _probe_report(kind: str, cfg: dict) -> dict:
     check_keys(kind, cfg, PROBE_KEYS[kind])
-    seed = int(cfg.get("seed", 0))
+    p = {k: PROBE_RULES[k][0](k, v, PROBE_RULES[k][1]) if k in PROBE_RULES else v
+         for k, v in cfg.items()}
+    seed = p.get("seed", 0)
     rng = np.random.default_rng(seed)
     if kind == "dilute-lb":
-        spec = gensig.DiluteClassSpec(L=cfg["L"], s=cfg["s"], m=cfg["m"],
-                                      M=cfg["M"], eps=cfg["eps"])
-        theta0 = _probe_signal(cfg, lambda: gensig.gen_collision_free(spec, rng))
-        report = probes.dilute_lower_bound_check(
-            theta0, spec, int(cfg.get("trials", 1000)), rng,
-            h_norm=cfg.get("h_norm"))
+        spec = gensig.DiluteClassSpec(L=p["L"], s=p["s"], m=p["m"], M=p["M"], eps=p["eps"])
+        theta0 = _probe_signal(p, lambda: gensig.gen_collision_free(spec, rng))
+        report = probes.dilute_lower_bound_check(theta0, spec, p.get("trials", 1000), rng,
+                                                 h_norm=p.get("h_norm"))
         report["signal"] = theta0.to_json_dict()
     elif kind == "adversarial":
-        theta0 = _probe_signal(cfg, lambda: Signal(rng.normal(size=cfg["L"])))
-        h = probes.adversarial_direction(theta0, float(cfg.get("delta", 1e-3)))
+        theta0 = _probe_signal(p, lambda: Signal(rng.normal(size=p["L"])))
+        h = probes.adversarial_direction(theta0, p.get("delta", 1e-3))
         lin, _ = second_moment_difference_expansion(theta0, h.values)
         report = {
             "h": h.to_json_dict(),
@@ -198,33 +206,26 @@ def _probe_report(kind: str, cfg: dict) -> dict:
             "linear_term_frobenius": float(np.sqrt(theta0.L) * np.linalg.norm(lin)),
         }
     elif kind == "uup":
-        lam = probes.uup_sample(cfg["L"], cfg["a"], rng)
-        c1, c2 = probes.uup_check(lam, int(cfg["s"]), int(cfg.get("trials", 10000)), rng)
+        lam = probes.uup_sample(p["L"], p["a"], rng)
+        c1, c2 = probes.uup_check(lam, p["s"], p.get("trials", 10000), rng)
         report = {"set_size": lam.size(), "c1_hat": c1, "c2_hat": c2,
                   "frequencies": sorted(lam.frequencies)}
     elif kind == "lambda":
-        theta = _probe_signal(cfg, lambda: gensig.gen_symm_bernoulli_gaussian(
-            cfg["L"], cfg["s"], float(cfg.get("zeta", 1.0)), rng))
-        lam = probes.lambda_construct(theta, int(cfg["s"]), cfg["a"],
-                                      int(cfg.get("max_tries", 50)), rng,
-                                      tau=float(cfg.get("tau", 1.0)))
+        theta = _probe_signal(p, lambda: gensig.gen_symm_bernoulli_gaussian(
+            p["L"], p["s"], p.get("zeta", 1.0), rng))
+        lam = _frequency_set(p, theta, rng)
         report = {"frequencies": sorted(lam.frequencies), "rounds": lam.rounds,
                   "c1_hat": lam.c1_hat, "c2_hat": lam.c2_hat,
                   "spectral_floor": lam.spectral_floor}
     elif kind == "moderate-lb":
-        theta0 = Signal.from_json_dict(cfg["signal"])
-        lam = probes.lambda_construct(theta0, int(cfg["s"]), cfg["a"],
-                                      int(cfg.get("max_tries", 50)), rng,
-                                      tau=float(cfg.get("tau", 1.0)))
-        report = probes.moderate_curvature_check(
-            theta0, lam, int(cfg.get("trials", 200)),
-            float(cfg.get("h_norm", 1e-3)), rng)
+        theta0 = Signal.from_json_dict(p["signal"])
+        lam = _frequency_set(p, theta0, rng)
+        report = probes.moderate_curvature_check(theta0, lam, p.get("trials", 200),
+                                                 p.get("h_norm", 1e-3), rng)
     else:  # sandwich
-        theta = Signal.from_json_dict(cfg["theta"])
-        phi = Signal.from_json_dict(cfg["phi"])
         report = probes.moment_sandwich_probe(
-            theta, phi, cfg.get("sigma_grid", [2, 4, 8]),
-            int(cfg.get("n_mc", 100000)), rng)
+            Signal.from_json_dict(p["theta"]), Signal.from_json_dict(p["phi"]),
+            p.get("sigma_grid", [2, 4, 8]), p.get("n_mc", 100000), rng)
     report["probe"] = kind
     report["seed"] = seed
     report["config_hash"] = config_hash(cfg)

@@ -22,7 +22,7 @@ from .gensig import DiluteClassSpec, gen_collision_free, gen_symm_interval
 from .mra import (MraConfig, RestrictedClass, check_sigma_grid, em_restricted_mle,
                   kl_monte_carlo, simulate)
 from .probes import adversarial_direction
-from .ring import Signal, varrho
+from .ring import Signal, check_keys, integer, number, varrho
 
 
 def config_hash(cfg: dict) -> str:
@@ -35,17 +35,28 @@ class ExperimentFailureError(RuntimeError):
     """More than 10% of a scan's cells failed."""
 
 
-def check_keys(name: str, cfg: dict, known: tuple):
-    """Reject the first key of cfg, in sorted order, that is not in known."""
-    unknown = sorted(set(cfg) - set(known))
-    if unknown:
-        raise ValueError("unknown %s key %r; known keys: %s"
-                         % (name, unknown[0], ", ".join(known)))
-
-
 def _check_choice(name: str, value, choices: tuple):
+    """value, if it is one of choices."""
     if value not in choices:
         raise ValueError("%s must be one of %s, got %r" % (name, ", ".join(choices), value))
+    return value
+
+
+#: scan sub-dict -> key -> (default, rule, arg): the value, given or the
+#: default, is read as rule(name, value, arg): `ring.integer` (arg: the least
+#: value), `ring.number` (arg: positive) or `_check_choice` (arg: the
+#: choices).  kl.h_norm's default is 0.1 in a kl-curvature-scan, and the
+#: table's 1e-2 in a moderate sparsity-scan.
+SETTINGS = {
+    "dilute": {"s": (3, integer, 1), "m": (1.0, number, True), "M": (1.0, number, True),
+               "eps": (1.0, number, True)},
+    "em": {"init": ("perturbed-truth", _check_choice, ("truth", "perturbed-truth", "adversarial")),
+           "init_perturb": (0.1, number, False), "max_iters": (200, integer, 0),
+           "tol": (1e-7, number, False)},
+    "kl": {"direction": ("dilute", _check_choice, ("dilute", "adversarial")),
+           "n_mc": (100_000, integer, 2), "zeta": (1.0, number, True),
+           "h_norm": (1e-2, number, True)},
+}
 
 
 @dataclass
@@ -66,29 +77,32 @@ class ExperimentConfig:
     schema: int = 1
 
     def __post_init__(self):
+        """Check every field, all before a cell runs, since a scan records a
+        cell's error and goes on.  The scan settings, each sub-dict key given
+        or defaulted, are read once into `settings` ("kl.n_mc" -> value) and
+        a configured signal into `theta0`; neither is a field, so `hash`
+        covers the config as given."""
         _check_choice("scenario", self.scenario, tuple(SCENARIOS))
         if self.schema != 1:
             raise ValueError("unsupported config schema %r" % (self.schema,))
+        for name, lo in (("L", 2), ("seed", 0), ("trials", 1), ("n_base", 0)):
+            integer(name, getattr(self, name), lo)
         self.sigma_grid = check_sigma_grid(self.sigma_grid)
-        self.s_grid = tuple(int(x) for x in self.s_grid)
-        if self.trials < 1:
-            raise ValueError("need trials >= 1")
-        if self.signal is not None and int(self.signal["L"]) != self.L:
+        self.s_grid = tuple(integer("s_grid entry", x, 1) for x in self.s_grid)
+        self.theta0 = None if self.signal is None else Signal.from_json_dict(self.signal)
+        if self.theta0 is not None and self.theta0.L != self.L:
             raise ValueError("signal has length %d but the config has L=%d"
-                             % (int(self.signal["L"]), self.L))
-        for name, known in (("dilute", ("s", "m", "M", "eps")),
-                            ("em", ("init", "init_perturb", "max_iters", "tol")),
-                            ("kl", ("direction", "n_mc", "zeta", "h_norm"))):
-            check_keys(name, getattr(self, name), known)
-        # checked here, since a scan records a cell's error and goes on
-        if int(self.kl.get("n_mc", 2)) < 2:
-            raise ValueError("kl.n_mc must be at least 2, got %r" % (self.kl["n_mc"],))
+                             % (self.theta0.L, self.L))
+        defaults = {"kl.h_norm": 0.1} if self.scenario == "kl-curvature-scan" else {}
+        self.settings = {}
+        for sub, keys in SETTINGS.items():
+            given = getattr(self, sub)
+            check_keys(sub, given, tuple(keys))
+            for key, (default, rule, arg) in keys.items():
+                name = sub + "." + key
+                self.settings[name] = rule(name, given.get(key, defaults.get(name, default)), arg)
         _check_choice("n_rule", self.n_rule, ("fixed", "sigma4"))
         _check_choice("branch", self.branch, ("dilute", "moderate"))
-        _check_choice("em.init", self.em.get("init", "perturbed-truth"),
-                      ("truth", "perturbed-truth", "adversarial"))
-        _check_choice("kl.direction", self.kl.get("direction", "dilute"),
-                      ("dilute", "adversarial"))
         if self.scenario == "sparsity-scan":
             if self.signal is not None:
                 raise ValueError("a sparsity-scan draws its signals; drop the 'signal' field")
@@ -110,8 +124,8 @@ class ExperimentConfig:
 
     def n_for(self, sigma: float) -> int:
         if self.n_rule == "fixed":
-            return int(self.n_base)
-        return int(round(self.n_base * sigma**4))
+            return self.n_base
+        return round(self.n_base * sigma**4)
 
 
 @dataclass
@@ -200,19 +214,16 @@ def _count_failures(records: list) -> int:
 
 
 def _dilute_spec(cfg: ExperimentConfig, s: int) -> DiluteClassSpec:
-    d = cfg.dilute
-    return DiluteClassSpec(L=cfg.L, s=s,
-                           m=float(d.get("m", 1.0)),
-                           M=float(d.get("M", 1.0)),
-                           eps=float(d.get("eps", 1.0)))
+    c = cfg.settings
+    return DiluteClassSpec(L=cfg.L, s=s, m=c["dilute.m"], M=c["dilute.M"], eps=c["dilute.eps"])
 
 
 def _base_signal(cfg: ExperimentConfig, rng, full_support: bool) -> tuple:
     """(s, theta0) of a scan over sigma: the configured signal, else a
     Gaussian one with full support if asked, else a dilute one."""
-    s = cfg.s_grid[0] if cfg.s_grid else int(cfg.dilute.get("s", 3))
-    if cfg.signal is not None:
-        return s, Signal.from_json_dict(cfg.signal)
+    s = cfg.s_grid[0] if cfg.s_grid else cfg.settings["dilute.s"]
+    if cfg.theta0 is not None:
+        return s, cfg.theta0
     if full_support:
         v = rng.normal(size=cfg.L)
         v[v == 0] = 1.0
@@ -247,11 +258,11 @@ def _em_cell(cfg: ExperimentConfig, rec: dict, theta0: Signal, sigma: float,
     iterations and time into rec and returns sqrt(n) varrho."""
     n = rec["n"] = cfg.n_for(sigma)
     data = simulate(theta0, MraConfig(cfg.L, sigma), n, np.random.default_rng(cell_seed))
-    em = cfg.em
-    policy = em.get("init", "perturbed-truth")
+    c = cfg.settings
+    policy = c["em.init"]
     init = theta0
     if policy != "truth":
-        h = _direction(theta0, policy, float(em.get("init_perturb", 0.1)),
+        h = _direction(theta0, policy, c["em.init_perturb"],
                        np.random.default_rng(cell_seed + (7,)))
         init = Signal(theta0.values + h.values)
     rclass = RestrictedClass("none")
@@ -259,10 +270,8 @@ def _em_cell(cfg: ExperimentConfig, rec: dict, theta0: Signal, sigma: float,
         spec = _dilute_spec(cfg, len(theta0.support))
         rclass = RestrictedClass("magnitude-band", theta0.support, m=spec.m, M=spec.M)
     t0 = time.perf_counter()
-    theta_hat, diag = em_restricted_mle(
-        data, rclass, init,
-        max_iters=int(em.get("max_iters", 200)),
-        tol=float(em.get("tol", 1e-7)))
+    theta_hat, diag = em_restricted_mle(data, rclass, init, max_iters=c["em.max_iters"],
+                                        tol=c["em.tol"])
     err = varrho(theta_hat, theta0)
     rec.update(varrho=float(err), sqrt_n_varrho=float(np.sqrt(n) * err),
                iterations=diag["iterations"], converged=diag["converged"],
@@ -274,7 +283,7 @@ def _kl_pairs(cfg: ExperimentConfig, theta0: Signal, h: Signal, sigma, rng):
     """KL(theta0 || theta0 + h) with its standard error, at sigma, a noise
     scale or a grid of them, as `kl_monte_carlo` takes it."""
     return kl_monte_carlo(theta0, Signal(theta0.values + h.values), sigma,
-                          int(cfg.kl.get("n_mc", 100_000)), rng)
+                          cfg.settings["kl.n_mc"], rng)
 
 
 def _record_kl(rec: dict, pair: tuple, h_norm: float) -> float:
@@ -308,9 +317,8 @@ def _sparsity_setup(cfg: ExperimentConfig):
         return _em_cell(cfg, rec, theta0, sigma, (cfg.seed, 3, i, t)) / sigma**2
 
     def moderate_cell(rec, i, t):
-        theta0 = gen_symm_interval(cfg.L, rec["s"], float(cfg.kl.get("zeta", 1.0)),
-                                   gen_rngs[i])
-        h_norm = float(cfg.kl.get("h_norm", 1e-2))
+        theta0 = gen_symm_interval(cfg.L, rec["s"], cfg.settings["kl.zeta"], gen_rngs[i])
+        h_norm = cfg.settings["kl.h_norm"]
         rng = np.random.default_rng((cfg.seed, 3, i, t))
         h = _support_perturbation(theta0, h_norm, rng)
         return _record_kl(rec, _kl_pairs(cfg, theta0, h, sigma, rng), h_norm)
@@ -326,10 +334,10 @@ def _kl_setup(cfg: ExperimentConfig):
     Trial t scores its whole sigma grid on one draw, seeded (seed, 4, 0, t),
     in one `kl_monte_carlo` call at its first cell; every cell of the trial
     reads its row, or records the call's error if it raised."""
-    direction = cfg.kl.get("direction", "dilute")
+    direction = cfg.settings["kl.direction"]
     rng0 = np.random.default_rng((cfg.seed, 0))
     s, theta0 = _base_signal(cfg, rng0, direction == "adversarial")
-    h = _direction(theta0, direction, float(cfg.kl.get("h_norm", 0.1)), rng0)
+    h = _direction(theta0, direction, cfg.settings["kl.h_norm"], rng0)
     trials = {}
 
     def cell(rec, i, t):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import Signal, std_offset
+from .ring import Signal, integer, number, std_offset
 
 #: rejection-sampling retries before falling back to greedy construction
 COLLISION_FREE_RETRY_BUDGET = 10_000
@@ -23,7 +23,8 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class DiluteClassSpec:
-    """Admissible collision-free sparse class: magnitude band [m, M], slack eps."""
+    """Admissible collision-free sparse class: magnitude band [m, M], slack eps.
+    L and s are integers, m, M and eps positive finite numbers."""
 
     L: int
     s: int
@@ -32,10 +33,11 @@ class DiluteClassSpec:
     eps: float
 
     def __post_init__(self):
-        if not (0 < self.m <= self.M):
-            raise ValueError("need 0 < m <= M")
-        if self.eps <= 0:
-            raise ValueError("need eps > 0")
+        integer("L", self.L, 2)
+        integer("s", self.s, 1)
+        if number("m", self.m, True) > number("M", self.M, True):
+            raise ValueError("need m <= M, got m=%r and M=%r" % (self.m, self.M))
+        number("eps", self.eps, True)
         if self.s < (2 + self.eps) * self.M**2 / self.m**2:
             raise ValueError(
                 "class admissibility requires s >= (2+eps) M^2/m^2; "

@@ -41,11 +41,12 @@ from __future__ import annotations
 import math
 import tempfile
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .ring import LengthMismatchError, Signal, orbit_index, storage_index
+from .ring import (LengthMismatchError, Signal, integer, number, orbit_index, residues,
+                   storage_index)
 
 #: rows per `_draw_block` call in `simulate`; each chunk draws its picks, then
 #: its normals, so this size fixes the random stream and the rows of every seed
@@ -77,20 +78,17 @@ class MraConfig:
     dihedral: bool = False
 
     def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ValueError("noise scale must be positive and finite, got %r" % (self.sigma,))
-        if self.L < 2:
-            raise ValueError("need L >= 2")
+        number("noise scale", self.sigma, True)
+        integer("L", self.L, 2)
 
 
 def check_sigma_grid(grid) -> tuple:
     """grid as a tuple of floats; a ValueError unless it is a non-empty list
     or tuple of positive finite numbers."""
-    if not (isinstance(grid, (list, tuple)) and grid and all(
-            isinstance(x, Real) and not isinstance(x, bool) and 0 < x < np.inf for x in grid)):
+    if not isinstance(grid, (list, tuple)) or not grid:
         raise ValueError("sigma_grid must be a non-empty list of positive finite noise "
                          "scales, got %r" % (grid,))
-    return tuple(float(x) for x in grid)
+    return tuple(number("sigma_grid entry", x, True) for x in grid)
 
 
 @dataclass
@@ -354,8 +352,7 @@ def kl_monte_carlo(theta0: Signal, theta: Signal, sigma, n_mc: int,
     """
     if theta0.L != theta.L:
         raise LengthMismatchError("signals have lengths %d and %d" % (theta0.L, theta.L))
-    if n_mc < 2:
-        raise ValueError("n_mc must be at least 2 for a jackknife SE, got %r" % (n_mc,))
+    integer("n_mc", n_mc, 2)  # a jackknife SE needs two samples
     scalar = isinstance(sigma, Real)
     grid = (sigma,) if scalar else check_sigma_grid(sigma)
     MraConfig(theta0.L, grid[0], dihedral)  # checks L, and a scalar sigma
@@ -402,7 +399,8 @@ class RestrictedClass:
 
     kind: 'none', 'support-fixed', 'symmetric-support-fixed', or
     'magnitude-band' (fixed support plus magnitude clamp to [m, M]).
-    support: standard indices, integers (not booleans), kept as a frozenset.
+    support: standard indices, integers (not booleans), kept as a frozenset;
+    m and M: positive finite numbers with m <= M, read by a magnitude band.
     """
 
     kind: str = "none"
@@ -421,18 +419,15 @@ class RestrictedClass:
             if not isinstance(self.support, (list, tuple, set, frozenset)):
                 raise ValueError("class support must be a list of integers, got %r"
                                  % (self.support,))
-            for i in self.support:
-                if not isinstance(i, Integral) or isinstance(i, bool):
-                    raise ValueError("class support entries must be integers, got %r" % (i,))
-            object.__setattr__(self, "support", frozenset(self.support))
+            object.__setattr__(self, "support", frozenset(
+                integer("class support entry", i) for i in self.support))
         if self.kind != "none" and not self.support:
             raise ValueError("class kind %r needs a support" % (self.kind,))
         if self.kind == "symmetric-support-fixed":
             if set(-i for i in self.support) != set(self.support):
                 raise ValueError("support must be symmetric about the origin")
-        if self.kind == "magnitude-band":
-            if self.m is None or self.M is None or not (0 < self.m <= self.M):
-                raise ValueError("magnitude band needs 0 < m <= M")
+        if self.kind == "magnitude-band" and number("m", self.m, True) > number("M", self.M, True):
+            raise ValueError("need m <= M, got m=%r and M=%r" % (self.m, self.M))
 
     def _positions(self, L: int):
         """(storage positions of the sorted support, those of its negation)
@@ -440,15 +435,11 @@ class RestrictedClass:
         residue mod L, save L/2 and -L/2 in a symmetric support, which must
         name both."""
         if L not in self._at:
-            entries = sorted(self.support)
-            pos = storage_index(L, entries)
-            seen = {}
-            for i, p in zip(entries, pos.tolist()):
-                if p in seen and not (self.kind == "symmetric-support-fixed" and seen[p] == -i):
-                    raise ValueError("class support entries %d and %d are one residue mod %d"
-                                     % (seen[p], i, L))
-                seen[p] = i
-            self._at[L] = pos, storage_index(L, [-i for i in entries])
+            # -L/2 is the point L/2 names too, and a symmetric support names both
+            entries = [i for i in sorted(self.support)
+                       if not (self.kind == "symmetric-support-fixed" and 2 * i == -L)]
+            self._at[L] = (residues(L, entries, "class support"),
+                           storage_index(L, [-i for i in entries]))
         return self._at[L]
 
     def project(self, theta: Signal) -> tuple[Signal, bool]:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .gensig import DiluteClassSpec, is_collision_free
 from .mra import check_sigma_grid, kl_monte_carlo, tile_rows
-from .ring import Signal, align_spectra, reflect, std_indices, storage_index
+from .ring import Signal, align_spectra, integer, number, reflect, std_indices, storage_index
 from .spectral import delta_m, second_moment_difference_expansion
 
 #: constants fitted on calibration runs (seed 20240801) and frozen
@@ -174,41 +174,28 @@ def curvature_terms(theta0: Signal, pos: np.ndarray, vals: np.ndarray, bins=()):
     return d2, r, mass
 
 
-def _support_curvature(theta0: Signal, vals: np.ndarray):
-    """`curvature_terms` (Delta_2 norm, rho) of the rows that equal vals
-    (trials x |support|) on theta0's support, in storage order, 0 elsewhere."""
-    return curvature_terms(theta0, np.flatnonzero(theta0.values), vals)[:2]
-
-
-def _check_trials(trials: int, h_norm: float):
-    """A ValueError naming the value unless trials >= 1 and h_norm is positive
-    and finite: an empty draw has no minimum, and h = 0 has no ratio."""
-    if trials < 1:
-        raise ValueError("need trials >= 1, got %r" % (trials,))
-    if not 0 < h_norm < np.inf:
-        raise ValueError("h_norm must be positive and finite, got %r" % (h_norm,))
-
-
 def dilute_lower_bound_check(theta0: Signal, spec: DiluteClassSpec, trials: int,
                              rng: np.random.Generator, h_norm: float | None = None) -> dict:
     """Monte-Carlo check of the collision-free curvature floor.
 
     For random h supported on supp(theta0) with small fixed norm, the ratio
     ||Delta_2(theta0 + h, theta0)||_F / (sqrt(s/L) rho) should stay above
-    sqrt(2 eps / (2 + eps)) up to the leading-order slack.
+    sqrt(2 eps / (2 + eps)) up to the leading-order slack.  trials must be
+    at least 1 and h_norm (default 1e-3 m) positive and finite: an empty draw
+    has no minimum, and h = 0 has no ratio.
     """
     _check_dilute_member(theta0, spec)
-    if h_norm is None:
-        h_norm = 1e-3 * spec.m
-    _check_trials(trials, h_norm)
+    trials = integer("trials", trials, 1)
+    h_norm = number("h_norm", 1e-3 * spec.m if h_norm is None else h_norm, True)
     L, s = theta0.L, spec.s
     h = rng.normal(size=(trials, s))
-    d2, r = _support_curvature(theta0, h * (h_norm / np.linalg.norm(h, axis=1, keepdims=True)))
+    d2, r, _ = curvature_terms(theta0, np.flatnonzero(theta0.values),
+                               h * (h_norm / np.linalg.norm(h, axis=1, keepdims=True)))
     ratios = d2 / (np.sqrt(s / L) * r)
     bound = spec.curvature_constant()
     return {
         "trials": trials,
-        "h_norm": float(h_norm),
+        "h_norm": h_norm,
         "bound": bound,
         "slack": CURVATURE_SLACK,
         "min_ratio": float(ratios.min()),
@@ -352,10 +339,11 @@ def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
     Reports min over symmetric in-support perturbations of
     ||Delta_2||_F sqrt(L) / (m_set rho) against the fitted constant c4, plus
     the intermediate spectral-mass ratio used in the chain of inequalities.
+    trials and h_norm are checked as in `dilute_lower_bound_check`.
     """
     if theta0 != reflect(theta0) or not theta0.support:
         raise ValueError("theta0 must be symmetric and nonzero")
-    _check_trials(trials, h_norm)
+    trials, h_norm = integer("trials", trials, 1), number("h_norm", h_norm, True)
     c4 = FITTED_CONSTANTS["moderate_c4"]
     L = theta0.L
     m_set = float(np.abs(np.fft.fft(theta0.natural()))[lam.natural_indices()].min())
@@ -371,7 +359,7 @@ def moderate_curvature_check(theta0: Signal, lam: FrequencySet, trials: int,
     chain = mass / L / (m_set**2 * np.sum(vals**2, axis=1))
     return {
         "trials": trials,
-        "h_norm": float(h_norm),
+        "h_norm": h_norm,
         "spectral_floor": m_set,
         "c4": float(c4),
         "min_ratio": float(ratios.min()),

@@ -6,10 +6,19 @@ Vectors are functions on Z_L enumerated in the standard parametrization
 and its inverse `storage_index` are the one rule between the two orders, and
 `action_index` the one rule for where a group element sends a storage
 index; shifts, reflections, orbit matrices and alignment all gather through it.
+
+Every value read from a JSON input (signals, profiles, classes, probe and
+scan configs) goes through one of three rules, each a ValueError naming the
+value when it fails: `integer(name, x, lo)`, an int that is not a bool and
+is at least lo; `number(name, x, positive)`, a finite real that is not a
+bool, and positive if asked; and `residues(L, entries, what)`, a list of
+integers no two of which are one residue mod L, read as their storage
+positions.  `check_keys` refuses a key a reader does not know.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -31,6 +40,48 @@ def storage_index(L: int, i) -> np.ndarray:
     """Storage positions of standard indices i, read mod L; broadcasts, and
     inverts `std_indices`: storage_index(L, std_indices(L)) is arange(L)."""
     return (np.asarray(i, dtype=int) + std_offset(L)) % L
+
+
+def check_keys(name: str, cfg: dict, known: tuple):
+    """Reject the first key of cfg, in sorted order, that is not in known."""
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ValueError("unknown %s key %r; known keys: %s"
+                         % (name, unknown[0], ", ".join(known)))
+
+
+def integer(name: str, x, lo=-np.inf) -> int:
+    """x as an int: an integer that is not a bool, and at least lo."""
+    if not isinstance(x, Integral) or isinstance(x, bool):
+        raise ValueError("%s must be an integer, got %r" % (name, x))
+    if x < lo:
+        raise ValueError("need %s >= %s, got %r" % (name, lo, x))
+    return int(x)
+
+
+def number(name: str, x, positive: bool = False) -> float:
+    """x as a float: a finite real that is not a bool (nor a string), and
+    above 0 when `positive`."""
+    low = 0 if positive else -np.inf
+    if not isinstance(x, Real) or isinstance(x, bool) or not low < x < np.inf:
+        raise ValueError("%s must be %s, got %r"
+                         % (name, "positive and finite" if positive else "a finite number", x))
+    return float(x)
+
+
+def residues(L: int, entries, what: str) -> np.ndarray:
+    """Storage positions at length L of entries, a list of integers of which
+    no two are one residue mod L; `what` names them in a refusal."""
+    if not isinstance(entries, (list, tuple, set, frozenset)):
+        raise ValueError("%s must be a list of integers, got %r" % (what, entries))
+    seen = {}
+    for i in entries:
+        r = integer(what + " entry", i) % L
+        if r in seen:
+            raise ValueError("%s entries %d and %d are one residue mod %d"
+                             % (what, seen[r], i, L))
+        seen[r] = i
+    return storage_index(L, list(entries))
 
 
 class Signal:
@@ -96,18 +147,18 @@ class Signal:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Signal":
+        """Read `to_json_dict`'s form: an integer L >= 2, support entries no
+        two of one residue mod L, and one finite value per entry."""
         if d.get("format") != "standard-parametrization":
             raise ValueError("unknown signal format: %r" % d.get("format"))
-        L, support, values = int(d["L"]), list(d["support"]), list(d["values"])
-        if len(support) != len(values):
-            raise ValueError("%d support indices but %d values" % (len(support), len(values)))
-        seen = {}
-        for i in support:
-            if i % L in seen:
-                raise ValueError("support indices %d and %d are one residue mod %d"
-                                 % (seen[i % L], i, L))
-            seen[i % L] = i
-        return cls.from_support(L, dict(zip(support, values)))
+        L = integer("L", d["L"], 2)
+        pos, values = residues(L, d["support"], "support"), d["values"]
+        if not isinstance(values, list) or len(values) != len(pos):
+            raise ValueError("need a list of %d values, one per support entry, got %r"
+                             % (len(pos), values))
+        v = np.zeros(L)
+        v[pos] = [number("values entry", x) for x in values]
+        return cls(v)
 
     def __eq__(self, other):
         return (

@@ -9,7 +9,7 @@ from mralab.beltway import (DifferenceProfile, ProfileInconsistencyError,
                             SearchBudgetError, canonical_orbit,
                             recover_from_power_spectrum, solve_beltway)
 from mralab.gensig import DiluteClassSpec, gen_collision_free, is_collision_free
-from mralab.probes import _support_curvature, adversarial_direction
+from mralab.probes import adversarial_direction, curvature_terms
 from mralab.ring import Signal, varrho
 from mralab.spectral import power_spectrum
 from oracles import difference_multiset, max_collision_free_size
@@ -31,7 +31,7 @@ def local_uniqueness_probe(theta0: Signal, radius: float, trials: int,
     for t in range(trials):
         h = rng.normal(size=idx.size)
         vals[t] = h * (radius * np.sqrt(L) * rng.random() / np.linalg.norm(h))
-    d2, r = _support_curvature(theta0, vals)
+    d2, r, _ = curvature_terms(theta0, idx, vals)
     ratios = d2[r > 0] / r[r > 0]
     return {
         "trials": int(ratios.size),
@@ -90,36 +90,37 @@ class TestDifferenceProfile:
             DifferenceProfile(7, np.zeros(6, dtype=int))
         with pytest.raises(ValueError, match="7 integers"):
             DifferenceProfile(7, np.zeros(7))
-        with pytest.raises(ValueError, match="0 integers"):
+        with pytest.raises(ValueError, match="need L >= 1, got 0"):
             DifferenceProfile.from_json_dict({"L": 0, "differences": [], "multiplicities": []})
         with pytest.raises(ValueError, match="negative"):
             DifferenceProfile(7, counts(7, {1: -1, 6: -1}))
 
     def test_json_unequal_lengths_rejected(self):
         # a 7th multiplicity for 6 differences
-        with pytest.raises(ValueError, match="6 differences but 7 multiplicities"):
+        with pytest.raises(ValueError, match="need a list of 6 multiplicities, one per "
+                                             r"difference, got \[1, 1, 1, 1, 1, 1, 1\]"):
             DifferenceProfile.from_json_dict({"L": 7, "differences": [1, 2, 3, 4, 5, 6],
                                               "multiplicities": [1] * 7})
 
     def test_json_residue_twice_rejected(self):
         # 1 and 8 are the same residue mod 7
-        with pytest.raises(ValueError, match="residue 1 mod 7 is given twice"):
+        with pytest.raises(ValueError, match="differences entries 1 and 8 are one residue mod 7"):
             DifferenceProfile.from_json_dict({"L": 7, "differences": [1, 6, 8, 13],
                                               "multiplicities": [1, 1, 1, 1]})
 
     def test_json_repeated_difference_rejected(self):
-        with pytest.raises(ValueError, match="residue 1 mod 7 is given twice"):
+        with pytest.raises(ValueError, match="differences entries 1 and 1 are one residue mod 7"):
             DifferenceProfile.from_json_dict({"L": 7, "differences": [1, 6, 1, 6],
                                               "multiplicities": [5, 5, 1, 1]})
 
     def test_json_boolean_multiplicity_rejected(self):
         # JSON true is a bool, which Python counts as the int 1
-        with pytest.raises(ValueError, match="must be integers, got True"):
+        with pytest.raises(ValueError, match="multiplicities entry must be an integer, got True"):
             DifferenceProfile.from_json_dict({"L": 7, "differences": [1, 6],
                                               "multiplicities": [True, 1]})
 
     def test_json_non_integer_multiplicity_rejected(self):
-        with pytest.raises(ValueError, match="must be integers, got 1.7"):
+        with pytest.raises(ValueError, match="multiplicities entry must be an integer, got 1.7"):
             DifferenceProfile.from_json_dict({"L": 7, "differences": [1, 6],
                                               "multiplicities": [1.7, 1.2]})
 

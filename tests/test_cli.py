@@ -153,8 +153,8 @@ class TestSimulateEstimate:
         assert not (tmp_path / "hat.json").exists()
 
     @pytest.mark.parametrize("support, msg", [
-        ([-4.7, -3, 4, 6.2], "class support entries must be integers, got -4.7"),
-        ([True, -3, 4, 6], "class support entries must be integers, got True"),
+        ([-4.7, -3, 4, 6.2], "class support entry must be an integer, got -4.7"),
+        ([True, -3, 4, 6], "class support entry must be an integer, got True"),
         ([-4, 17, 4, 6], "class support entries -4 and 17 are one residue mod 21")],
         ids=["float", "boolean", "residue-twice"])
     def test_estimate_bad_class_support_exits_nonzero(self, tmp_path, support, msg):
@@ -182,8 +182,8 @@ class TestSimulateEstimate:
         assert not out.exists()
 
     @pytest.mark.parametrize("support, values, msg", [
-        ([1, 2, 3], [1.0], "3 support indices but 1 values"),
-        ([4, 25], [1.0, 2.0], "support indices 4 and 25 are one residue mod 21")],
+        ([1, 2, 3], [1.0], "need a list of 3 values, one per support entry, got [1.0]"),
+        ([4, 25], [1.0, 2.0], "support entries 4 and 25 are one residue mod 21")],
         ids=["unequal-lengths", "residue-twice"])
     def test_simulate_bad_signal_exits_nonzero(self, tmp_path, support, values, msg):
         # unequal lengths, and two indices of one residue mod 21, are refused
@@ -193,6 +193,46 @@ class TestSimulateEstimate:
                                "support": support, "values": values})
         run = _run_cli("simulate", "--signal", sig_path, "--sigma", "1.0", "--n", "5",
                        "--out", out)
+        assert (run.returncode, run.stderr) == (2, "mralab: error: %s\n" % msg)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("signal, msg", [
+        ({"L": 21, "support": [-4.7, True, 4], "values": [1.0, 1.0, 1.0]},
+         "support entry must be an integer, got -4.7"),
+        ({"L": 21, "support": [-4, True, 4], "values": [1.0, 1.0, 1.0]},
+         "support entry must be an integer, got True"),
+        ({"L": 21.9, "support": [-4, 1, 4], "values": ["1.5", 1.0, float("nan")]},
+         "L must be an integer, got 21.9"),
+        ({"L": 21, "support": [-4, 1, 4], "values": ["1.5", 1.0, 1.0]},
+         "values entry must be a finite number, got '1.5'"),
+        ({"L": 21, "support": [-4, 1, 4], "values": [1.0, 1.0, float("nan")]},
+         "values entry must be a finite number, got nan")],
+        ids=["float-entry", "boolean-entry", "float-length", "text-value", "nan-value"])
+    def test_simulate_malformed_signal_exits_nonzero(self, tmp_path, signal, msg):
+        # each was simulated on another signal than the one given: -4.7 was
+        # truncated, true read as 1, L = 21.9 as 21 and "1.5" as a number,
+        # and a NaN value filled the container with NaN rows
+        sig_path, out = tmp_path / "s.json", tmp_path / "d.mra"
+        _write_json(sig_path, dict(signal, format="standard-parametrization"))
+        run = _run_cli("simulate", "--signal", sig_path, "--sigma", "1.0", "--n", "5",
+                       "--out", out)
+        assert (run.returncode, run.stderr) == (2, "mralab: error: %s\n" % msg)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m, msg", [
+        (True, "m must be positive and finite, got True"),
+        ("1", "m must be positive and finite, got '1'")], ids=["boolean", "text"])
+    def test_estimate_bad_band_exits_nonzero(self, tmp_path, m, msg):
+        # "m": true was fitted as the band [1, M], and "m": "1" failed with a
+        # TypeError traceback
+        data_path, restr_path = tmp_path / "d.mra", tmp_path / "restr.json"
+        out = tmp_path / "hat.json"
+        write_container(data_path, simulate(Signal(np.arange(21.0)), MraConfig(21, 0.5), 20,
+                                            np.random.default_rng(0)))
+        _write_json(restr_path, {"kind": "magnitude-band", "support": [-4, -3, 4, 6],
+                                 "m": m, "M": 1.2})
+        run = _run_cli("estimate", "--data", data_path, "--restriction", restr_path,
+                       "--max-iters", "2", "--out-signal", out)
         assert (run.returncode, run.stderr) == (2, "mralab: error: %s\n" % msg)
         assert not out.exists()
 
@@ -216,6 +256,15 @@ class TestBeltwaySolve:
                      "--out", str(out)]) == 0
         sols = json.loads(out.read_text())
         assert sols["supports"] == [[0, 1, 3]]
+
+    def test_fractional_length_refused(self, tmp_path):
+        # L = 7.5 was solved at L = 7
+        prof, out = tmp_path / "p.json", tmp_path / "sols.json"
+        _write_json(prof, {"L": 7.5, "differences": list(range(1, 7)),
+                           "multiplicities": [1] * 6})
+        with pytest.raises(ValueError, match=re.escape("L must be an integer, got 7.5")):
+            main(["beltway-solve", "--profile", str(prof), "--s", "3", "--out", str(out)])
+        assert not out.exists()
 
 
 class TestPrRecover:
@@ -287,6 +336,17 @@ class TestProbe:
         with pytest.raises(ValueError, match="need trials >= 1, got 0"):
             main(["probe", "dilute-lb", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
 
+    @pytest.mark.parametrize("key, value", [("trials", 20.9), ("seed", 1.9)])
+    def test_fractional_count_refused(self, tmp_path, key, value):
+        # these ran as 20 trials and as seed 1
+        cfg, out = tmp_path / "cfg.json", tmp_path / "rep.json"
+        _write_json(cfg, {"L": 101, "s": 8, "m": 1.0, "M": 1.05, "eps": 1.0, "trials": 20,
+                          "seed": 0, key: value})
+        with pytest.raises(ValueError, match=re.escape(
+                "%s must be an integer, got %r" % (key, value))):
+            main(["probe", "dilute-lb", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+
     def test_other_errors_keep_their_traceback(self, monkeypatch):
         def fail(argv):
             raise RuntimeError("not a refusal")
@@ -319,14 +379,14 @@ class TestProbe:
     def test_uup_zero_trials_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         _write_json(cfg, {"L": 128, "a": 64, "s": 4, "trials": 0, "seed": 5})
-        with pytest.raises(ValueError, match="s=4, L=128, trials=0"):
+        with pytest.raises(ValueError, match="need trials >= 1, got 0"):
             main(["probe", "uup", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
 
     def test_uup_bad_sizes_rejected_with_empty_set(self, tmp_path):
         # a = 0.01 at L = 4 samples an empty set, which must not skip the size check
         cfg = tmp_path / "cfg.json"
         _write_json(cfg, {"L": 4, "a": 0.01, "s": 9, "trials": 0})
-        with pytest.raises(ValueError, match="s=9, L=4, trials=0"):
+        with pytest.raises(ValueError, match="need trials >= 1, got 0"):
             main(["probe", "uup", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
         assert not (tmp_path / "rep.json").exists()
 
@@ -349,7 +409,7 @@ class TestProbe:
         cfg = tmp_path / "cfg.json"
         _write_json(cfg, {"theta": self.SANDWICH_THETA, "phi": self.SANDWICH_PHI,
                           "sigma_grid": [2], "n_mc": 1})
-        with pytest.raises(ValueError, match="n_mc must be at least 2"):
+        with pytest.raises(ValueError, match="need n_mc >= 2, got 1"):
             main(["probe", "sandwich", "--config", str(cfg), "--out", str(tmp_path / "rep.json")])
         assert not (tmp_path / "rep.json").exists()
 
@@ -460,9 +520,32 @@ class TestScan:
 
     def test_kl_scan_without_samples_rejected(self, tmp_path):
         p = self._kl_cfg(tmp_path, "dilute", 0)
-        with pytest.raises(ValueError, match="kl.n_mc must be at least 2"):
+        with pytest.raises(ValueError, match="need kl.n_mc >= 2, got 0"):
             main(["kl-scan", "--config", str(p), "--out-json", str(tmp_path / "fit.json")])
         assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("command, edit, msg", [
+        ("kl-scan", {"kl": {"n_mc": 1000, "h_norm": 0}},
+         "kl.h_norm must be positive and finite, got 0"),
+        ("rate-scan", {"scenario": "dilute-rate", "em": {"max_iters": "abc"}},
+         "em.max_iters must be an integer, got 'abc'"),
+        ("kl-scan", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("kl-scan", {"trials": True}, "trials must be an integer, got True"),
+        ("kl-scan", {"kl": {"n_mc": 2.7e3}}, "kl.n_mc must be an integer, got 2700.0")],
+        ids=["kl-h_norm-zero", "em-max_iters-text", "seed-fraction", "trials-boolean",
+             "kl-n_mc-float"])
+    def test_malformed_value_refused_at_load(self, tmp_path, command, edit, msg):
+        # the first two failed every cell, and the run ended in an
+        # ExperimentFailureError traceback; seed 1.5 raised a TypeError; the
+        # last two ran as 1 trial and as 2700 samples
+        cfg = {"scenario": "kl-curvature-scan", "L": 8, "sigma_grid": [2.0, 4.0], "seed": 21,
+               "s_grid": [3], "n_base": 200, "n_rule": "fixed",
+               "dilute": {"m": 1.0, "M": 1.05, "eps": 0.5}, "kl": {"n_mc": 1000}}
+        p, out = tmp_path / "cfg.json", tmp_path / "fit.json"
+        _write_json(p, dict(cfg, **edit))
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            main([command, "--config", str(p), "--out-json", str(out)])
+        assert not out.exists()
 
     def test_family_mismatch_rejected(self, tmp_path, capsys):
         # a refusal like any other: a ValueError in process, and one

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -60,9 +61,23 @@ class TestConfig:
     @pytest.mark.parametrize("n_mc", [0, 1])
     def test_kl_n_mc_below_two_rejected(self, n_mc):
         # a scan cell would record the error and go on, so the config checks it
-        with pytest.raises(ValueError, match="kl.n_mc must be at least 2"):
+        with pytest.raises(ValueError, match="need kl.n_mc >= 2, got %d" % n_mc):
             ExperimentConfig(scenario="kl-curvature-scan", L=8, sigma_grid=(2.0,), seed=0,
                              s_grid=(3,), kl={"n_mc": n_mc})
+
+    def test_settings_read_once_outside_the_hash(self):
+        # each sub-dict key is read once, given or defaulted, into `settings`;
+        # the hash covers the config as given
+        kl = ExperimentConfig(scenario="kl-curvature-scan", L=8, sigma_grid=(2.0,), seed=0)
+        moderate = ExperimentConfig(scenario="sparsity-scan", L=16, sigma_grid=(1.0,),
+                                    seed=0, s_grid=(2,), branch="moderate")
+        assert kl.settings["kl.h_norm"] == 0.1 and moderate.settings["kl.h_norm"] == 1e-2
+        assert kl.settings == dict(moderate.settings, **{"kl.h_norm": 0.1})
+        assert kl.settings["em.max_iters"] == 200 and kl.settings["kl.n_mc"] == 100_000
+        given = ExperimentConfig(scenario="kl-curvature-scan", L=8, sigma_grid=(2.0,),
+                                 seed=0, kl={"h_norm": 0.1})
+        assert given.settings == kl.settings and given.hash() != kl.hash()
+        assert "settings" not in dataclasses.asdict(kl)
 
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(scenario="dilute-rate", L=8, sigma_grid=(1.0, 2.0),

@@ -457,7 +457,7 @@ class TestKlMonteCarlo:
     @pytest.mark.parametrize("n_mc", [0, 1])
     def test_fewer_than_two_samples_rejected(self, n_mc):
         theta = Signal(np.arange(4.0))
-        with pytest.raises(ValueError, match="n_mc must be at least 2"):
+        with pytest.raises(ValueError, match="need n_mc >= 2, got %d" % n_mc):
             kl_monte_carlo(theta, Signal(theta.values[::-1]), 1.0, n_mc,
                            np.random.default_rng(0))
 
@@ -580,7 +580,7 @@ class TestRestrictedClass:
     def test_non_integer_support_entry_rejected(self, entry):
         # a float was truncated to its storage position and a boolean read as
         # 0 or 1, so the class was fitted on other entries than those named
-        with pytest.raises(ValueError, match="class support entries must be integers, got %s"
+        with pytest.raises(ValueError, match="class support entry must be an integer, got %s"
                                              % re.escape(repr(entry))):
             RestrictedClass("magnitude-band", [entry, -3, 4], m=1.0, M=1.2)
 

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mralab.ring import (GroupElement, LengthMismatchError, Signal, align, align_spectra,
-                         orbit_index, reflect, rho, shift,
+                         integer, number, orbit_index, reflect, residues, rho, shift,
                          std_indices, std_offset, storage_index, varrho)
 from oracles import group_elements
 
@@ -247,14 +248,15 @@ class TestSerialization:
 
     def test_unequal_lengths_rejected(self):
         # support [1, 2, 3] with one value would be read as the support [1]
-        with pytest.raises(ValueError, match="3 support indices but 1 values"):
+        with pytest.raises(ValueError, match=r"need a list of 3 values, one per support "
+                                             r"entry, got \[1\.0\]"):
             Signal.from_json_dict({"L": 21, "format": "standard-parametrization",
                                    "support": [1, 2, 3], "values": [1.0]})
 
     @pytest.mark.parametrize("support", [[4, 25], [3, 3]])
     def test_residue_twice_rejected(self, support):
         # 4 and 25 are one residue mod 21: the later value would overwrite the earlier
-        with pytest.raises(ValueError, match="support indices %d and %d are one residue mod 21"
+        with pytest.raises(ValueError, match="support entries %d and %d are one residue mod 21"
                            % tuple(support)):
             Signal.from_json_dict({"L": 21, "format": "standard-parametrization",
                                    "support": support, "values": [1.0, 2.0]})
@@ -262,3 +264,38 @@ class TestSerialization:
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             Signal.from_json_dict({"L": 4, "format": "other", "support": [], "values": []})
+
+
+class TestInputRules:
+    def test_integer(self):
+        got = integer("k", np.int64(3), 1)
+        assert got == 3 and type(got) is int
+        for bad in (True, 2.0, "2", None):
+            with pytest.raises(ValueError, match="^k must be an integer, got %s$" % re.escape(
+                    repr(bad))):
+                integer("k", bad, 1)
+        with pytest.raises(ValueError, match="^need k >= 1, got 0$"):
+            integer("k", 0, 1)
+        assert integer("k", -7) == -7  # no least value by default
+
+    def test_number(self):
+        got = number("x", np.float32(0.5), True)
+        assert got == 0.5 and type(got) is float
+        assert number("x", -2) == -2.0 and number("x", 0) == 0.0
+        for bad in (True, "1.5", None, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="^x must be a finite number, got "):
+                number("x", bad)
+        for bad in (0, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match="^x must be positive and finite, got "):
+                number("x", bad, True)
+
+    def test_residues(self):
+        # storage positions, in the order given
+        assert residues(5, [2, -2, 0], "support").tolist() == storage_index(5, [2, -2, 0]).tolist()
+        assert residues(5, [], "support").tolist() == []
+        with pytest.raises(ValueError, match="^support entries -4 and 17 are one residue mod 21$"):
+            residues(21, [-4, 3, 17], "support")
+        with pytest.raises(ValueError, match="^support entry must be an integer, got True$"):
+            residues(21, [1, True], "support")
+        with pytest.raises(ValueError, match="^support must be a list of integers, got 5$"):
+            residues(21, 5, "support")
