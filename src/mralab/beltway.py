@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gensig import lag_counts
-from .ring import Signal, integer, residues, std_offset
+from .ring import REQUIRED, Signal, integer, read_keys, residues, std_offset
 
 #: node budget of the backtracking solver, read at each call
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -70,9 +70,12 @@ class DifferenceProfile:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DifferenceProfile":
-        """Read an integer L >= 1 and two integer lists of equal length, each
-        residue mod L given once among the differences."""
-        L = integer("L", d["L"], 1)
+        """Read `to_json_dict`'s form, every key required: an integer L >= 1
+        and two integer lists of equal length, each residue mod L given once
+        among the differences."""
+        d = read_keys("profile", d, dict.fromkeys(("L", "differences", "multiplicities"),
+                                                  REQUIRED), {"L": (integer, 1)})
+        L = d["L"]
         pos, mults = residues(L, d["differences"], "differences"), d["multiplicities"]
         if not isinstance(mults, list) or len(mults) != len(pos):
             raise ValueError("need a list of %d multiplicities, one per difference, got %r"

@@ -20,7 +20,7 @@ import numpy as np
 from . import beltway, experiments, gensig, probes
 from .experiments import config_hash
 from .mra import Dataset, MraConfig, RestrictedClass, em_restricted_mle, simulate
-from .ring import Signal, check_keys, integer, number
+from .ring import REQUIRED, Signal, integer, number, read_keys
 from .spectral import second_moment_difference_expansion
 
 MAGIC = b"MRA3"
@@ -28,24 +28,20 @@ MAGIC = b"MRA3"
 HEADER = struct.Struct("<IQdB")
 #: the group byte's names, also the choices of --group
 GROUPS = ("cyclic", "dihedral")
-#: probe kind -> the config keys it reads; any other key is an error
+#: probe kind -> key -> default (`ring.REQUIRED`: none); any other key is an
+#: error, and each value given is read by its `experiments.RULES` rule.
+#: dilute-lb's h_norm of None is the probe's own, 1e-3 m.
 PROBE_KEYS = {
-    "dilute-lb": ("L", "s", "m", "M", "eps", "signal", "trials", "h_norm", "seed"),
-    "adversarial": ("L", "signal", "delta", "seed"),
-    "uup": ("L", "a", "s", "trials", "seed"),
-    "lambda": ("L", "s", "a", "signal", "zeta", "max_tries", "tau", "seed"),
-    "moderate-lb": ("signal", "s", "a", "max_tries", "tau", "trials", "h_norm", "seed"),
-    "sandwich": ("theta", "phi", "sigma_grid", "n_mc", "seed"),
-}
-#: probe config key -> (rule, arg), the same in every probe that takes the key:
-#: the value is read as `ring.integer(key, value, least value)` or
-#: `ring.number(key, value, positive)`; signals, by `Signal.from_json_dict`,
-#: and sigma_grid, by the sandwich probe, are read where they are used
-PROBE_RULES = {
-    "L": (integer, 2), "s": (integer, 1), "trials": (integer, 1), "max_tries": (integer, 1),
-    "n_mc": (integer, 2), "seed": (integer, 0), "m": (number, True), "M": (number, True),
-    "eps": (number, True), "a": (number, True), "zeta": (number, True),
-    "h_norm": (number, True), "delta": (number, False), "tau": (number, False),
+    "dilute-lb": {"L": REQUIRED, "s": REQUIRED, "m": REQUIRED, "M": REQUIRED, "eps": REQUIRED,
+                  "signal": None, "trials": 1000, "h_norm": None, "seed": 0},
+    "adversarial": {"L": None, "signal": None, "delta": 1e-3, "seed": 0},
+    "uup": {"L": REQUIRED, "a": REQUIRED, "s": REQUIRED, "trials": 10000, "seed": 0},
+    "lambda": {"L": None, "s": REQUIRED, "a": REQUIRED, "signal": None, "zeta": 1.0,
+               "max_tries": 50, "tau": 1.0, "seed": 0},
+    "moderate-lb": {"signal": REQUIRED, "s": REQUIRED, "a": REQUIRED, "max_tries": 50,
+                    "tau": 1.0, "trials": 200, "h_norm": 1e-3, "seed": 0},
+    "sandwich": {"theta": REQUIRED, "phi": REQUIRED, "sigma_grid": [2, 4, 8], "n_mc": 100000,
+                 "seed": 0},
 }
 
 
@@ -98,8 +94,7 @@ def _dump_json(obj, path):
 def cmd_simulate(args):
     theta0 = Signal.from_json_dict(_load_json(args.signal))
     cfg = MraConfig(theta0.L, args.sigma, args.group == "dihedral")
-    rng = np.random.default_rng(args.seed)
-    data = simulate(theta0, cfg, args.n, rng)
+    data = simulate(theta0, cfg, integer("--n", args.n, 0), np.random.default_rng(args.seed))
     write_container(args.out, data)
     return 0
 
@@ -109,16 +104,16 @@ def cmd_estimate(args):
     if args.group is not None and args.group != GROUPS[data.config.dihedral]:
         raise ValueError("container records the %s group, but %s was requested"
                          % (GROUPS[data.config.dihedral], args.group))
-    restriction = _load_json(args.restriction)
-    check_keys("restriction", restriction, ("kind", "support", "m", "M"))
-    rclass = RestrictedClass(**restriction)
+    rclass = RestrictedClass(**read_keys("restriction", _load_json(args.restriction),
+                                         dict(kind="none", support=None, m=None, M=None), {}))
     if args.init:
         init = Signal.from_json_dict(_load_json(args.init))
     else:
         rng = np.random.default_rng(args.seed)
         init = Signal(rng.normal(size=data.L))
     theta_hat, diag = em_restricted_mle(data, rclass, init,
-                                        max_iters=args.max_iters, tol=args.tol)
+                                        max_iters=integer("--max-iters", args.max_iters, 0),
+                                        tol=number("--tol", args.tol))
     _dump_json(theta_hat.to_json_dict(), args.out_signal)
     if args.out_diagnostics:
         _dump_json(diag, args.out_diagnostics)
@@ -166,37 +161,31 @@ def cmd_pr_recover(args):
     return 0
 
 
-def _probe_signal(p: dict, draw) -> Signal:
-    """The config's `signal`, whose length must match its `L` if it has one, or draw()."""
-    if "signal" not in p:
+def _probe_signal(kind: str, p: dict, draw) -> Signal:
+    """The config's `signal`, whose length must match its `L` if it has one,
+    or draw(), which needs `L`."""
+    if p["signal"] is None:
+        if p["L"] is None:
+            raise ValueError("missing %s key 'L', which a config without 'signal' needs" % kind)
         return draw()
     theta = Signal.from_json_dict(p["signal"])
-    if "L" in p and theta.L != p["L"]:
+    if p.get("L") is not None and theta.L != p["L"]:
         raise ValueError("signal has length %d but the config has L=%d" % (theta.L, p["L"]))
     return theta
 
 
-def _frequency_set(p: dict, theta: Signal, rng):
-    """`probes.lambda_construct` for theta with the config's s, a, max_tries and tau."""
-    return probes.lambda_construct(theta, p["s"], p["a"], p.get("max_tries", 50), rng,
-                                   tau=p.get("tau", 1.0))
-
-
 def _probe_report(kind: str, cfg: dict) -> dict:
-    check_keys(kind, cfg, PROBE_KEYS[kind])
-    p = {k: PROBE_RULES[k][0](k, v, PROBE_RULES[k][1]) if k in PROBE_RULES else v
-         for k, v in cfg.items()}
-    seed = p.get("seed", 0)
-    rng = np.random.default_rng(seed)
+    p = read_keys(kind, cfg, PROBE_KEYS[kind], experiments.RULES)
+    rng = np.random.default_rng(p["seed"])
     if kind == "dilute-lb":
         spec = gensig.DiluteClassSpec(L=p["L"], s=p["s"], m=p["m"], M=p["M"], eps=p["eps"])
-        theta0 = _probe_signal(p, lambda: gensig.gen_collision_free(spec, rng))
-        report = probes.dilute_lower_bound_check(theta0, spec, p.get("trials", 1000), rng,
-                                                 h_norm=p.get("h_norm"))
+        theta0 = _probe_signal(kind, p, lambda: gensig.gen_collision_free(spec, rng))
+        report = probes.dilute_lower_bound_check(theta0, spec, p["trials"], rng,
+                                                 h_norm=p["h_norm"])
         report["signal"] = theta0.to_json_dict()
     elif kind == "adversarial":
-        theta0 = _probe_signal(p, lambda: Signal(rng.normal(size=p["L"])))
-        h = probes.adversarial_direction(theta0, p.get("delta", 1e-3))
+        theta0 = _probe_signal(kind, p, lambda: Signal(rng.normal(size=p["L"])))
+        h = probes.adversarial_direction(theta0, p["delta"])
         lin, _ = second_moment_difference_expansion(theta0, h.values)
         report = {
             "h": h.to_json_dict(),
@@ -207,40 +196,36 @@ def _probe_report(kind: str, cfg: dict) -> dict:
         }
     elif kind == "uup":
         lam = probes.uup_sample(p["L"], p["a"], rng)
-        c1, c2 = probes.uup_check(lam, p["s"], p.get("trials", 10000), rng)
+        c1, c2 = probes.uup_check(lam, p["s"], p["trials"], rng)
         report = {"set_size": lam.size(), "c1_hat": c1, "c2_hat": c2,
                   "frequencies": sorted(lam.frequencies)}
-    elif kind == "lambda":
-        theta = _probe_signal(p, lambda: gensig.gen_symm_bernoulli_gaussian(
-            p["L"], p["s"], p.get("zeta", 1.0), rng))
-        lam = _frequency_set(p, theta, rng)
-        report = {"frequencies": sorted(lam.frequencies), "rounds": lam.rounds,
-                  "c1_hat": lam.c1_hat, "c2_hat": lam.c2_hat,
-                  "spectral_floor": lam.spectral_floor}
-    elif kind == "moderate-lb":
-        theta0 = Signal.from_json_dict(p["signal"])
-        lam = _frequency_set(p, theta0, rng)
-        report = probes.moderate_curvature_check(theta0, lam, p.get("trials", 200),
-                                                 p.get("h_norm", 1e-3), rng)
-    else:  # sandwich
+    elif kind == "sandwich":
         report = probes.moment_sandwich_probe(
             Signal.from_json_dict(p["theta"]), Signal.from_json_dict(p["phi"]),
-            p.get("sigma_grid", [2, 4, 8]), p.get("n_mc", 100000), rng)
+            p["sigma_grid"], p["n_mc"], rng)
+    else:  # lambda and moderate-lb (whose signal is required): a frequency set for the signal
+        theta = _probe_signal(kind, p, lambda: gensig.gen_symm_bernoulli_gaussian(
+            p["L"], p["s"], p["zeta"], rng))
+        lam = probes.lambda_construct(theta, p["s"], p["a"], p["max_tries"], rng, tau=p["tau"])
+        if kind == "lambda":
+            report = {"frequencies": sorted(lam.frequencies), "rounds": lam.rounds,
+                      "c1_hat": lam.c1_hat, "c2_hat": lam.c2_hat,
+                      "spectral_floor": lam.spectral_floor}
+        else:
+            report = probes.moderate_curvature_check(theta, lam, p["trials"], p["h_norm"], rng)
     report["probe"] = kind
-    report["seed"] = seed
+    report["seed"] = p["seed"]
     report["config_hash"] = config_hash(cfg)
     return report
 
 
 def cmd_probe(args):
-    cfg = _load_json(args.config)
-    report = _probe_report(args.kind, cfg)
-    _dump_json(report, args.out)
+    _dump_json(_probe_report(args.kind, _load_json(args.config)), args.out)
     return 0
 
 
 def cmd_scan(args):
-    cfg = experiments.ExperimentConfig(**_load_json(args.config))
+    cfg = experiments.ExperimentConfig.from_json_dict(_load_json(args.config))
     if experiments.SCENARIOS[cfg.scenario].subcommand != args.command:
         raise ValueError("config scenario %r is not run by %s" % (cfg.scenario, args.command))
     result = experiments.run_experiment(cfg)

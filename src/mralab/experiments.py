@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from .gensig import DiluteClassSpec, gen_collision_free, gen_symm_interval
 from .mra import (MraConfig, RestrictedClass, check_sigma_grid, em_restricted_mle,
                   kl_monte_carlo, simulate)
 from .probes import adversarial_direction
-from .ring import Signal, check_keys, integer, number, varrho
+from .ring import Signal, integer, number, read_keys, varrho
 
 
 def config_hash(cfg: dict) -> str:
@@ -42,20 +42,28 @@ def _check_choice(name: str, value, choices: tuple):
     return value
 
 
-#: scan sub-dict -> key -> (default, rule, arg): the value, given or the
-#: default, is read as rule(name, value, arg): `ring.integer` (arg: the least
-#: value), `ring.number` (arg: positive) or `_check_choice` (arg: the
-#: choices).  kl.h_norm's default is 0.1 in a kl-curvature-scan, and the
-#: table's 1e-2 in a moderate sparsity-scan.
+#: config key -> (rule, arg), the same in every probe and scan config that
+#: takes the key: the value is read as rule(name, value, arg), where rule is
+#: `ring.integer` (arg: the least value), `ring.number` (arg: positive) or
+#: `_check_choice` (arg: the choices).  Signals are read by
+#: `Signal.from_json_dict`, and grids where they are used.
+RULES = {
+    "L": (integer, 2), "seed": (integer, 0), "trials": (integer, 1), "n_base": (integer, 0),
+    "s": (integer, 1), "max_tries": (integer, 1), "max_iters": (integer, 0), "n_mc": (integer, 2),
+    "m": (number, True), "M": (number, True), "eps": (number, True), "a": (number, True),
+    "zeta": (number, True), "h_norm": (number, True), "delta": (number, False),
+    "tau": (number, False), "init_perturb": (number, False), "tol": (number, False),
+    "init": (_check_choice, ("truth", "perturbed-truth", "adversarial")),
+    "direction": (_check_choice, ("dilute", "adversarial")),
+}
+
+#: scan sub-dict -> key -> default, each read by its `RULES` rule.
+#: kl.h_norm's default is 0.1 in a kl-curvature-scan, and the table's 1e-2
+#: in a moderate sparsity-scan.
 SETTINGS = {
-    "dilute": {"s": (3, integer, 1), "m": (1.0, number, True), "M": (1.0, number, True),
-               "eps": (1.0, number, True)},
-    "em": {"init": ("perturbed-truth", _check_choice, ("truth", "perturbed-truth", "adversarial")),
-           "init_perturb": (0.1, number, False), "max_iters": (200, integer, 0),
-           "tol": (1e-7, number, False)},
-    "kl": {"direction": ("dilute", _check_choice, ("dilute", "adversarial")),
-           "n_mc": (100_000, integer, 2), "zeta": (1.0, number, True),
-           "h_norm": (1e-2, number, True)},
+    "dilute": {"s": 3, "m": 1.0, "M": 1.0, "eps": 1.0},
+    "em": {"init": "perturbed-truth", "init_perturb": 0.1, "max_iters": 200, "tol": 1e-7},
+    "kl": {"direction": "dilute", "n_mc": 100_000, "zeta": 1.0, "h_norm": 1e-2},
 }
 
 
@@ -85,22 +93,21 @@ class ExperimentConfig:
         _check_choice("scenario", self.scenario, tuple(SCENARIOS))
         if self.schema != 1:
             raise ValueError("unsupported config schema %r" % (self.schema,))
-        for name, lo in (("L", 2), ("seed", 0), ("trials", 1), ("n_base", 0)):
-            integer(name, getattr(self, name), lo)
+        for name in ("L", "seed", "trials", "n_base"):
+            RULES[name][0](name, getattr(self, name), RULES[name][1])
         self.sigma_grid = check_sigma_grid(self.sigma_grid)
+        if not isinstance(self.s_grid, (list, tuple)):
+            raise ValueError("s_grid must be a list of integers, got %r" % (self.s_grid,))
         self.s_grid = tuple(integer("s_grid entry", x, 1) for x in self.s_grid)
         self.theta0 = None if self.signal is None else Signal.from_json_dict(self.signal)
         if self.theta0 is not None and self.theta0.L != self.L:
             raise ValueError("signal has length %d but the config has L=%d"
                              % (self.theta0.L, self.L))
-        defaults = {"kl.h_norm": 0.1} if self.scenario == "kl-curvature-scan" else {}
-        self.settings = {}
-        for sub, keys in SETTINGS.items():
-            given = getattr(self, sub)
-            check_keys(sub, given, tuple(keys))
-            for key, (default, rule, arg) in keys.items():
-                name = sub + "." + key
-                self.settings[name] = rule(name, given.get(key, defaults.get(name, default)), arg)
+        settings = SETTINGS
+        if self.scenario == "kl-curvature-scan":
+            settings = dict(SETTINGS, kl=dict(SETTINGS["kl"], h_norm=0.1))
+        self.settings = {sub + "." + key: value for sub, keys in settings.items() for key, value
+                         in read_keys(sub, getattr(self, sub), keys, RULES, sub + ".").items()}
         _check_choice("n_rule", self.n_rule, ("fixed", "sigma4"))
         _check_choice("branch", self.branch, ("dilute", "moderate"))
         if self.scenario == "sparsity-scan":
@@ -118,6 +125,14 @@ class ExperimentConfig:
             if small:
                 raise ValueError("n_base %r gives fewer than 1 observation under n_rule %r "
                                  "at sigma %r" % (self.n_base, self.n_rule, small))
+
+    @classmethod
+    def from_json_dict(cls, d) -> "ExperimentConfig":
+        """Read a scan file's object: its keys are the fields, each defaulted
+        as the dataclass defaults it, and required where it has no default
+        (`ring.REQUIRED` is the dataclasses marker)."""
+        return cls(**read_keys("scan", d, {f.name: f.default if f.default_factory is MISSING
+                                           else f.default_factory() for f in fields(cls)}, {}))
 
     def hash(self) -> str:
         return config_hash(asdict(self))

@@ -7,17 +7,22 @@ and its inverse `storage_index` are the one rule between the two orders, and
 `action_index` the one rule for where a group element sends a storage
 index; shifts, reflections, orbit matrices and alignment all gather through it.
 
-Every value read from a JSON input (signals, profiles, classes, probe and
-scan configs) goes through one of three rules, each a ValueError naming the
-value when it fails: `integer(name, x, lo)`, an int that is not a bool and
-is at least lo; `number(name, x, positive)`, a finite real that is not a
-bool, and positive if asked; and `residues(L, entries, what)`, a list of
-integers no two of which are one residue mod L, read as their storage
-positions.  `check_keys` refuses a key a reader does not know.
+Every JSON object read as input (a signal, difference profile, restricted
+class, probe config, scan config or scan sub-dict) goes through one reader,
+`read_keys(name, d, defaults, rules)`: it refuses, naming the object and the
+key, a d that is not an object, a key the reader does not know and a
+`REQUIRED` key that is missing, and fills every other missing key from its
+default.  Each value given is read by its rule and named by its key, with a
+prefix in a scan sub-dict ("kl.n_mc").  There are three rules, each a
+ValueError naming the value when it fails: `integer(name, x, lo)`, an int
+that is not a bool and is at least lo; `number(name, x, positive)`, a finite
+real that is not a bool, and positive if asked; and `residues(L, entries,
+what)`, a list of integers no two of which are one residue mod L, read as
+their storage positions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -42,12 +47,28 @@ def storage_index(L: int, i) -> np.ndarray:
     return (np.asarray(i, dtype=int) + std_offset(L)) % L
 
 
-def check_keys(name: str, cfg: dict, known: tuple):
-    """Reject the first key of cfg, in sorted order, that is not in known."""
-    unknown = sorted(set(cfg) - set(known))
+#: `read_keys`'s default for a key that must be given: the dataclasses marker
+#: for a field with no default, so a dataclass's field defaults serve as one
+REQUIRED = MISSING
+
+
+def read_keys(name: str, d, defaults: dict, rules: dict, prefix: str = "") -> dict:
+    """The JSON object d as a dict with exactly the keys of defaults: a key
+    given is read as rule(prefix + key, value, arg) where rules maps it to
+    (rule, arg), else kept; a key not given takes its default.  Refuses, by
+    name, a d that is not an object, the first key (sorted) not in defaults
+    and the first `REQUIRED` key not given."""
+    if not isinstance(d, dict):
+        raise ValueError("%s must be a JSON object, got %r" % (name, d))
+    unknown = sorted(set(d) - set(defaults))
     if unknown:
         raise ValueError("unknown %s key %r; known keys: %s"
-                         % (name, unknown[0], ", ".join(known)))
+                         % (name, unknown[0], ", ".join(defaults)))
+    for key, default in defaults.items():
+        if default is REQUIRED and key not in d:
+            raise ValueError("missing %s key %r" % (name, key))
+    return {key: rules[key][0](prefix + key, d[key], rules[key][1]) if key in d and key in rules
+            else d.get(key, default) for key, default in defaults.items()}
 
 
 def integer(name: str, x, lo=-np.inf) -> int:
@@ -147,16 +168,18 @@ class Signal:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Signal":
-        """Read `to_json_dict`'s form: an integer L >= 2, support entries no
-        two of one residue mod L, and one finite value per entry."""
-        if d.get("format") != "standard-parametrization":
-            raise ValueError("unknown signal format: %r" % d.get("format"))
-        L = integer("L", d["L"], 2)
-        pos, values = residues(L, d["support"], "support"), d["values"]
+        """Read `to_json_dict`'s form, every key required: an integer L >= 2,
+        support entries no two of one residue mod L, and one finite value per
+        entry."""
+        d = read_keys("signal", d, dict.fromkeys(("L", "format", "support", "values"), REQUIRED),
+                      {"L": (integer, 2)})
+        if d["format"] != "standard-parametrization":
+            raise ValueError("unknown signal format: %r" % d["format"])
+        pos, values = residues(d["L"], d["support"], "support"), d["values"]
         if not isinstance(values, list) or len(values) != len(pos):
             raise ValueError("need a list of %d values, one per support entry, got %r"
                              % (len(pos), values))
-        v = np.zeros(L)
+        v = np.zeros(d["L"])
         v[pos] = [number("values entry", x) for x in values]
         return cls(v)
 

@@ -558,6 +558,78 @@ class TestScan:
         assert err.startswith("mralab: error: config scenario") and err.count("\n") == 1
 
 
+SIGNAL4 = {"L": 4, "format": "standard-parametrization", "support": [0, 1],
+           "values": [1.0, 2.0]}
+KL_SCAN = {"scenario": "kl-curvature-scan", "L": 8, "sigma_grid": [2.0], "seed": 0,
+           "s_grid": [3], "kl": {"n_mc": 1000}}
+SPARSITY_SCAN = {"scenario": "sparsity-scan", "L": 16, "sigma_grid": [1.0], "seed": 0,
+                 "n_base": 200, "n_rule": "fixed", "s_grid": [3]}
+
+
+def _argv(command, path, out, data):
+    """argv of `command` reading path as its JSON input and writing out."""
+    return {"probe uup": ["probe", "uup", "--config", path, "--out", out],
+            "probe sandwich": ["probe", "sandwich", "--config", path, "--out", out],
+            "kl-scan": ["kl-scan", "--config", path, "--out-json", out],
+            "sparsity-scan": ["sparsity-scan", "--config", path, "--out-json", out],
+            "simulate": ["simulate", "--signal", path, "--sigma", "1.0", "--n", "5",
+                         "--out", out],
+            "beltway-solve": ["beltway-solve", "--profile", path, "--s", "2", "--out", out],
+            "estimate": ["estimate", "--data", data, "--restriction", path,
+                         "--max-iters", "2", "--out-signal", out]}[command]
+
+
+class TestObjectRefused:
+    """Every JSON object is read by `ring.read_keys`: an object that is not
+    one, or lacks a required key, or has an unknown one, is one `mralab:
+    error:` line naming the object and the key, exit status 2, and no output."""
+
+    @pytest.mark.parametrize("command, obj, msg", [
+        ("probe uup", {"L": 128, "a": 64}, "missing uup key 's'"),
+        ("probe sandwich", {"phi": SIGNAL4, "n_mc": 100}, "missing sandwich key 'theta'"),
+        ("kl-scan", dict(KL_SCAN, sead=0), "unknown scan key 'sead'; known keys: scenario, "),
+        ("kl-scan", {k: v for k, v in KL_SCAN.items() if k != "seed"},
+         "missing scan key 'seed'"),
+        ("kl-scan", dict(KL_SCAN, kl=5), "kl must be a JSON object, got 5"),
+        ("sparsity-scan", dict(SPARSITY_SCAN, s_grid=5),
+         "s_grid must be a list of integers, got 5"),
+        ("simulate", {k: v for k, v in SIGNAL4.items() if k != "L"}, "missing signal key 'L'"),
+        ("simulate", [SIGNAL4], "signal must be a JSON object, got [{"),
+        ("beltway-solve", {"L": 7, "differences": [1, 6]},
+         "missing profile key 'multiplicities'"),
+        ("estimate", [{"kind": "none"}],
+         "restriction must be a JSON object, got [{'kind': 'none'}]")],
+        ids=["uup-no-s", "sandwich-no-theta", "scan-misspelt-seed", "scan-no-seed",
+             "scan-kl-not-object", "scan-s_grid-not-list", "signal-no-L", "signal-list",
+             "profile-no-multiplicities", "class-list"])
+    def test_refused_in_one_line(self, tmp_path, capsys, command, obj, msg):
+        # each ended in a KeyError, TypeError or AttributeError traceback
+        path, out, data = tmp_path / "in.json", tmp_path / "out", tmp_path / "d.mra"
+        _write_json(path, obj)
+        write_container(data, simulate(Signal(np.arange(4.0)), MraConfig(4, 0.5), 10,
+                                       np.random.default_rng(0)))
+        assert cli.entry_point([str(a) for a in _argv(command, path, out, data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mralab: error: " + msg) and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, msg", [
+        ("estimate", ["--max-iters", "-3"], "need --max-iters >= 0, got -3"),
+        ("estimate", ["--tol", "nan"], "--tol must be a finite number, got nan"),
+        ("simulate", ["--n", "-2"], "need --n >= 0, got -2")],
+        ids=["max-iters-negative", "tol-nan", "n-negative"])
+    def test_bad_flag_refused(self, tmp_path, capsys, command, flags, msg):
+        # --max-iters -3 wrote a fit of 0 iterations, --tol nan ran silently
+        # to the cap, and --n -2 failed on "negative dimensions", naming no flag
+        path, out, data = tmp_path / "in.json", tmp_path / "out", tmp_path / "d.mra"
+        _write_json(path, {"kind": "none"} if command == "estimate" else SIGNAL4)
+        write_container(data, simulate(Signal(np.arange(4.0)), MraConfig(4, 0.5), 10,
+                                       np.random.default_rng(0)))
+        assert cli.entry_point([str(a) for a in _argv(command, path, out, data)] + flags) == 2
+        assert capsys.readouterr().err == "mralab: error: %s\n" % msg
+        assert not out.exists()
+
+
 class TestParser:
     def test_one_parser_serves_every_call(self, tmp_path):
         # the parser is built once; a call that exits on a usage error leaves
