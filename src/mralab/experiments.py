@@ -294,13 +294,6 @@ def _em_cell(cfg: ExperimentConfig, rec: dict, theta0: Signal, sigma: float,
     return rec["sqrt_n_varrho"]
 
 
-def _kl_pairs(cfg: ExperimentConfig, theta0: Signal, h: Signal, sigma, rng):
-    """KL(theta0 || theta0 + h) with its standard error, at sigma, a noise
-    scale or a grid of them, as `kl_monte_carlo` takes it."""
-    return kl_monte_carlo(theta0, Signal(theta0.values + h.values), sigma,
-                          cfg.settings["kl.n_mc"], rng)
-
-
 def _record_kl(rec: dict, pair: tuple, h_norm: float) -> float:
     """Writes a (KL, SE) pair and the curvature KL / h_norm^2 into rec;
     returns the curvature, floored for the log fit."""
@@ -314,68 +307,66 @@ def _rate_setup(cfg: ExperimentConfig):
     s, theta0 = _base_signal(cfg, np.random.default_rng((cfg.seed, 0)),
                              cfg.scenario == "fullsupport-rate")
 
-    def cell(rec, i, t):
-        return _em_cell(cfg, rec, theta0, rec["sigma"], (cfg.seed, 1, i, t))
+    def trial(t):
+        return [lambda rec, i=i: _em_cell(cfg, rec, theta0, rec["sigma"], (cfg.seed, 1, i, t))
+                for i in range(len(cfg.sigma_grid))]
 
-    return {"s": s}, cell, {}, None
+    return {"s": s}, trial, {}, None
 
 
 def _sparsity_setup(cfg: ExperimentConfig):
     """Sparsity dependence of the EM rate (dilute) or of the KL curvature
-    (moderate branch, exploratory)."""
+    (moderate branch, exploratory).  Each s has one generator, and a cell
+    draws its signal from it, so trial t's signal is the draw after trials
+    0 ... t-1 drew theirs, and a draw that raises fails its own cell."""
     sigma = cfg.sigma_grid[0]
-    # one generator per s, shared by that s's trials
     gen_rngs = [np.random.default_rng((cfg.seed, 2, i)) for i in range(len(cfg.s_grid))]
 
-    def dilute_cell(rec, i, t):
-        theta0 = gen_collision_free(_dilute_spec(cfg, rec["s"]), gen_rngs[i])
-        return _em_cell(cfg, rec, theta0, sigma, (cfg.seed, 3, i, t)) / sigma**2
-
-    def moderate_cell(rec, i, t):
+    def cell(rec, i, t):
+        if cfg.branch == "dilute":
+            theta0 = gen_collision_free(_dilute_spec(cfg, rec["s"]), gen_rngs[i])
+            return _em_cell(cfg, rec, theta0, sigma, (cfg.seed, 3, i, t)) / sigma**2
         theta0 = gen_symm_interval(cfg.L, rec["s"], cfg.settings["kl.zeta"], gen_rngs[i])
         h_norm = cfg.settings["kl.h_norm"]
         rng = np.random.default_rng((cfg.seed, 3, i, t))
         h = _support_perturbation(theta0, h_norm, rng)
-        return _record_kl(rec, _kl_pairs(cfg, theta0, h, sigma, rng), h_norm)
+        return _record_kl(rec, kl_monte_carlo(theta0, Signal(theta0.values + h.values), sigma,
+                                              cfg.settings["kl.n_mc"], rng), h_norm)
 
-    if cfg.branch == "dilute":
-        return {"sigma": sigma}, dilute_cell, {"branch": cfg.branch}, (-0.3, 0.3)
-    return {"sigma": sigma}, moderate_cell, {"branch": cfg.branch}, (-np.inf, 4.0)
+    def trial(t):
+        return [lambda rec, i=i: cell(rec, i, t) for i in range(len(cfg.s_grid))]
+
+    window = (-0.3, 0.3) if cfg.branch == "dilute" else (-np.inf, 4.0)
+    return {"sigma": sigma}, trial, {"branch": cfg.branch}, window
 
 
 def _kl_setup(cfg: ExperimentConfig):
     """KL(theta0 || theta0 + h)/||h||^2 across sigma; fits the sigma exponent.
 
     Trial t scores its whole sigma grid on one draw, seeded (seed, 4, 0, t),
-    in one `kl_monte_carlo` call at its first cell; every cell of the trial
-    reads its row, or records the call's error if it raised."""
+    in one `kl_monte_carlo` call, and its cells record the rows."""
     direction = cfg.settings["kl.direction"]
     rng0 = np.random.default_rng((cfg.seed, 0))
     s, theta0 = _base_signal(cfg, rng0, direction == "adversarial")
     h = _direction(theta0, direction, cfg.settings["kl.h_norm"], rng0)
-    trials = {}
+    theta1 = Signal(theta0.values + h.values)
 
-    def cell(rec, i, t):
-        if t not in trials:
-            try:
-                trials[t] = _kl_pairs(cfg, theta0, h, cfg.sigma_grid,
-                                      np.random.default_rng((cfg.seed, 4, 0, t)))
-            except Exception as exc:  # recorded by every cell of trial t
-                trials[t] = exc
-        if isinstance(trials[t], Exception):
-            raise trials[t]
-        return _record_kl(rec, trials[t][i], h.norm())
+    def trial(t):
+        pairs = kl_monte_carlo(theta0, theta1, cfg.sigma_grid, cfg.settings["kl.n_mc"],
+                               np.random.default_rng((cfg.seed, 4, 0, t)))
+        return [lambda rec, pair=pair: _record_kl(rec, pair, h.norm()) for pair in pairs]
 
     window = (-4.6, -3.4) if direction == "dilute" else (-6.8, -5.2)
-    return ({"s": s, "direction": direction}, cell,
+    return ({"s": s, "direction": direction}, trial,
             {"direction": direction, "window": list(window)}, window)
 
 
 class Scenario(NamedTuple):
     """A scan over the grid `x` ("sigma" or "s", also the record field) that
     fits `<exponent>_exponent`.  `setup(cfg)` returns the fields of every
-    record, the cell, extra fits and the slope's window (None: no window).
-    `cell(rec, i, t)` runs trial t at grid index i, writes into `rec` (what
+    record, the trial, extra fits and the slope's window (None: no window).
+    `trial(t)` does the work that trial t's cells share and returns one
+    `cell(rec)` per grid value, in grid order; a cell writes into `rec` (what
     it wrote before failing stays) and returns the value to fit."""
 
     subcommand: str
@@ -394,24 +385,34 @@ SCENARIOS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run every (grid value, trial) cell of cfg's scenario in grid order,
-    record failed cells (more than 10% of them fail the scan), and fit the
-    log-log slope of the per-x medians with its bootstrap CI."""
+    """Run cfg's scenario trial by trial, each trial's cells in grid order,
+    and record failed cells (more than 10% of them fail the scan): a trial
+    whose shared work raises fails each of its cells, and a cell that raises
+    fails its own record.  Records are listed grid value by grid value, each
+    value's trials in order.  Fits the log-log slope of the per-x medians
+    with its bootstrap CI."""
     scenario = SCENARIOS[cfg.scenario]
-    fields, cell, extra_fits, window = scenario.setup(cfg)
+    fields, trial, extra_fits, window = scenario.setup(cfg)
     grid = cfg.sigma_grid if scenario.x == "sigma" else cfg.s_grid
-    records = []
-    values_by_x = {x: [] for x in grid}
-    for i, x in enumerate(grid):
-        for t in range(cfg.trials):
+    rows = [([], []) for _ in grid]  # grid index -> (records, values), trial by trial
+    for t in range(cfg.trials):
+        try:
+            cells = trial(t)
+        except Exception as exc:  # recorded by every cell of trial t
+            cells = [exc] * len(grid)
+        for x, cell, (records, values) in zip(grid, cells, rows):
             rec = {scenario.x: x, **fields, "L": cfg.L, "trial": t,
                    "seed": cfg.seed, "failed": False}
             try:
-                values_by_x[x].append(cell(rec, i, t))
+                if isinstance(cell, Exception):
+                    raise cell
+                values.append(cell(rec))
             except Exception as exc:  # cell failures are recorded, not fatal
-                rec["failed"] = True
-                rec["error"] = repr(exc)
+                rec.update(failed=True, error=repr(exc))
             records.append(rec)
+    records = [rec for recs, _ in rows for rec in recs]
+    # a value the grid repeats takes each of its grid indices' values in turn
+    values_by_x = {x: [v for y, (_, vs) in zip(grid, rows) if y == x for v in vs] for x in grid}
     failures = _count_failures(records)
     medians, slope, ci = _fit_medians(values_by_x, cfg.seed)
     key = scenario.exponent + "_exponent"
