@@ -88,13 +88,14 @@ def _bispectrum_sum(f: np.ndarray) -> np.ndarray:
 
     Rows a <= L/2 are summed directly; real data gives the rest by
     B(-a, b) = conj(B(a, -b)).  f is one cache-sized tile of
-    `empirical_moments`, which sums the tiles.
+    `empirical_moments`, which sums the tiles.  Each row a is one einsum,
+    not a BLAS product, so its bits do not follow the BLAS thread count.
     """
     L = f.shape[1]
     acc = np.empty((L, L), dtype=complex)
     g = np.conj(np.concatenate([f, f], axis=1))  # g[:, a + b] = conj(f(a + b))
     for a in range(L // 2 + 1):
-        acc[a] = f[:, a] @ (f * g[:, a:a + L])
+        acc[a] = np.einsum("i,ij,ij->j", f[:, a], f, g[:, a:a + L])
     a = np.arange(1, (L + 1) // 2)
     acc[L - a] = np.conj(acc[a][:, -np.arange(L) % L])
     return acc
@@ -105,7 +106,7 @@ def empirical_moments(data, order: int) -> MomentTensor:
 
     One pass over data.blocks(72 L), with one FFT per block for orders 2
     and 3, so memory does not grow with n: a row's float64 upcast, its FFT
-    and the bispectrum's g and product take 72 L bytes.  Each float32 block
+    and the bispectrum's g take 56 L of those bytes.  Each float32 block
     is upcast to float64 first, so its sum and FFT run in double precision.
     With sigma from data.config and y-hat the rows' DFT: order 1 is mean y-hat(0);
     order 2 is mean |y-hat|^2 - L sigma^2 on the plane; order 3 is the mean of
