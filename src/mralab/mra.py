@@ -399,8 +399,9 @@ class RestrictedClass:
 
     kind: 'none', 'support-fixed', 'symmetric-support-fixed', or
     'magnitude-band' (fixed support plus magnitude clamp to [m, M]).
-    support: standard indices, integers (not booleans), kept as a frozenset;
-    m and M: positive finite numbers with m <= M, read by a magnitude band.
+    support: standard indices, integers (not booleans), kept as a frozenset,
+    given for every kind but 'none'; m and M: positive finite numbers with
+    m <= M, given for a magnitude band only, since no other kind reads them.
     """
 
     kind: str = "none"
@@ -415,6 +416,10 @@ class RestrictedClass:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError("unknown class kind %r" % (self.kind,))
+        if self.kind == "none" and self.support is not None:
+            raise ValueError("class kind 'none' takes no support")
+        if self.kind != "magnitude-band" and (self.m is not None or self.M is not None):
+            raise ValueError("class kind %r takes no m or M" % (self.kind,))
         if self.support is not None:
             if not isinstance(self.support, (list, tuple, set, frozenset)):
                 raise ValueError("class support must be a list of integers, got %r"

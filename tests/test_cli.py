@@ -598,10 +598,15 @@ class TestObjectRefused:
         ("beltway-solve", {"L": 7, "differences": [1, 6]},
          "missing profile key 'multiplicities'"),
         ("estimate", [{"kind": "none"}],
-         "restriction must be a JSON object, got [{'kind': 'none'}]")],
+         "restriction must be a JSON object, got [{'kind': 'none'}]"),
+        # these two were fitted with exit 0, the keys neither checked nor used
+        ("estimate", {"kind": "support-fixed", "support": [0, 1], "m": "abc", "M": True},
+         "class kind 'support-fixed' takes no m or M"),
+        ("estimate", {"kind": "none", "support": [0, 1]}, "class kind 'none' takes no support")],
         ids=["uup-no-s", "sandwich-no-theta", "scan-misspelt-seed", "scan-no-seed",
              "scan-kl-not-object", "scan-s_grid-not-list", "signal-no-L", "signal-list",
-             "profile-no-multiplicities", "class-list"])
+             "profile-no-multiplicities", "class-list", "class-band-keys-unread",
+             "class-none-support"])
     def test_refused_in_one_line(self, tmp_path, capsys, command, obj, msg):
         # each ended in a KeyError, TypeError or AttributeError traceback
         path, out, data = tmp_path / "in.json", tmp_path / "out", tmp_path / "d.mra"
