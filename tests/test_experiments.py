@@ -211,6 +211,30 @@ class TestRateScan:
         assert summary["n_records"] == len(res.records)
 
 
+    def test_failed_cell_leaves_its_trial_running(self, monkeypatch):
+        # 2 sigmas x 6 trials: one failed cell of 12 is within the 10% rule
+        cfg = dict(SMALL_RATE, trials=6)
+        clean = run_experiment(ExperimentConfig(**cfg)).records
+        real = experiments._em_cell
+
+        def flaky(cfg, rec, theta0, sigma, cell_seed):
+            if cell_seed[2:] == (1, 2):  # sigma 1.0, trial 2
+                raise FloatingPointError("cell (1, 2) failed")
+            return real(cfg, rec, theta0, sigma, cell_seed)
+
+        monkeypatch.setattr(experiments, "_em_cell", flaky)
+        res = run_experiment(ExperimentConfig(**cfg))
+        strip = lambda r: {k: v for k, v in r.items() if k != "wall_time"}
+        # grid-major order: record 8 is sigma 1.0, trial 2, and record 2 its trial's sigma 0.5
+        assert [r["failed"] for r in res.records] == [k == 8 for k in range(12)]
+        assert res.records[8]["error"] == repr(FloatingPointError("cell (1, 2) failed"))
+        for k, (got, want) in enumerate(zip(res.records, clean)):
+            if k != 8:
+                assert strip(got) == strip(want)
+        assert res.records[2]["trial"] == 2 and "sqrt_n_varrho" in res.records[2]
+        assert res.fits["failures"] == 1
+
+
 class TestSparsityScan:
     def test_dilute_branch(self):
         cfg = ExperimentConfig(
