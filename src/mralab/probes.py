@@ -170,7 +170,7 @@ def curvature_terms(theta0: Signal, pos: np.ndarray, vals: np.ndarray, bins=()):
         if far.any():
             rows = np.tile(theta0.values, (far.sum(), 1))
             rows[:, pos] = thetas[far]
-            r[t][far] = align_spectra(rows, np.fft.rfft(rows), theta0)[2]
+            r[t][far] = align_spectra(rows, theta0)[2]
     return d2, r, mass
 
 

@@ -115,7 +115,7 @@ class TestCurvatureTerms:
             assert d2_t[0] == d2[t] and r_t[0] == r[t], t
 
     def test_distances_equal_align_rows(self):
-        # curvature_terms hands its rfft to align_spectra; each distance is
+        # curvature_terms hands its far rows to align_spectra; each distance is
         # the one `align` finds for its row alone
         rng = np.random.default_rng(48)
         theta0 = Signal(rng.normal(size=101))
@@ -208,7 +208,7 @@ class TestIdentityCertificate:
     def searched(theta0, rows):
         """rho of each row through the orbit search alone."""
         thetas = theta0.values + rows
-        return align_spectra(thetas, np.fft.rfft(thetas), theta0)[2]
+        return align_spectra(thetas, theta0)[2]
 
     def check(self, theta0, rows, certified):
         d2, r = dense_terms(theta0, rows)
@@ -357,7 +357,7 @@ class TestSupportKernel:
         _, vals = self.draw(101, 8, 400, 1e-2, 75)
         _, r, _ = curvature_terms(theta0, pos, vals)
         thetas = theta0.values + support_rows(101, pos, vals)
-        searched = align_spectra(thetas, np.fft.rfft(thetas), theta0)[2]
+        searched = align_spectra(thetas, theta0)[2]
         np.testing.assert_allclose(r, searched, rtol=4 * np.finfo(float).eps, atol=0)
         np.testing.assert_allclose(r, brute_force_rho(theta0, thetas - theta0.values),
                                    rtol=1e-12, atol=0)

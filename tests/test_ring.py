@@ -203,7 +203,7 @@ class TestRho:
         for phi in (Signal(v), sym):
             near = orbit[rng.integers(len(orbit), size=3)] + 1e-3 * rng.normal(size=(3, L))
             rows = np.vstack([rng.normal(size=(6, L)), sym.values, near])
-            g, flip, d = align_spectra(rows, np.fft.rfft(rows), phi, dihedral)
+            g, flip, d = align_spectra(rows, phi, dihedral)
             assert dihedral or not flip.any()
             for row, gk, fk, dk in zip(rows, g, flip, d):
                 assert dk == pytest.approx(brute_force_rho(Signal(row), phi, dihedral),
@@ -217,7 +217,7 @@ class TestRho:
         rng = np.random.default_rng(12 + dihedral)
         phi = Signal(rng.normal(size=64))
         rows = phi.values + 0.1 * rng.normal(size=(50, 64))
-        g, flip, d = align_spectra(rows, np.fft.rfft(rows), phi, dihedral)
+        g, flip, d = align_spectra(rows, phi, dihedral)
         for row, gk, fk, dk in zip(rows, g, flip, d):
             elem, dist = align(Signal(row), phi, dihedral)
             assert elem == GroupElement(int(gk), bool(fk))
