@@ -69,9 +69,10 @@ def read_container(path) -> Dataset:
         # compare with the bytes on disk before reading, so a corrupt
         # header cannot ask for an unrepresentable or huge read
         need, left = n * L * 4, os.fstat(fh.fileno()).st_size - fh.tell()
-        if left < need:
-            raise ValueError("truncated container: expected %d payload bytes (n=%d, L=%d), got %d"
-                             % (need, n, L, left))
+        if left != need:
+            raise ValueError("%s: expected %d payload bytes (n=%d, L=%d), got %d"
+                             % ("truncated container" if left < need
+                                else "container has trailing bytes", need, n, L, left))
         obs = np.fromfile(fh, dtype="<f4", count=n * L).reshape(n, L)
     return Dataset(obs, MraConfig(int(L), float(sigma), bool(dihedral)))
 

@@ -6,6 +6,10 @@ so identical configs reproduce identical records bit for bit.  An EM cell
 draws its rows from that one generator whether `mra.simulate` keeps them in
 memory or, past `mra.IN_MEMORY_LIMIT`, in a mapped file, so both give the
 same record.
+
+A scan over sigma decides its one signal in setup, and every record's s is
+that signal's support size; a rate scan's EM class is built there from the
+signal too, so no cell reads the scenario's name.
 """
 from __future__ import annotations
 
@@ -61,7 +65,7 @@ RULES = {
 #: kl.h_norm's default is 0.1 in a kl-curvature-scan, and the table's 1e-2
 #: in a moderate sparsity-scan.
 SETTINGS = {
-    "dilute": {"s": 3, "m": 1.0, "M": 1.0, "eps": 1.0},
+    "dilute": {"m": 1.0, "M": 1.0, "eps": 1.0},
     "em": {"init": "perturbed-truth", "init_perturb": 0.1, "max_iters": 200, "tol": 1e-7},
     "kl": {"direction": "dilute", "n_mc": 100_000, "zeta": 1.0, "h_norm": 1e-2},
 }
@@ -233,17 +237,28 @@ def _dilute_spec(cfg: ExperimentConfig, s: int) -> DiluteClassSpec:
     return DiluteClassSpec(L=cfg.L, s=s, m=c["dilute.m"], M=c["dilute.M"], eps=c["dilute.eps"])
 
 
-def _base_signal(cfg: ExperimentConfig, rng, full_support: bool) -> tuple:
-    """(s, theta0) of a scan over sigma: the configured signal, else a
-    Gaussian one with full support if asked, else a dilute one."""
-    s = cfg.s_grid[0] if cfg.s_grid else cfg.settings["dilute.s"]
+def _dilute_band(cfg: ExperimentConfig, theta0: Signal) -> RestrictedClass:
+    """The dilute.m/dilute.M magnitude band on supp(theta0); raises, through
+    `_dilute_spec`, for a support size the dilute class does not admit."""
+    spec = _dilute_spec(cfg, len(theta0.support))
+    return RestrictedClass("magnitude-band", theta0.support, m=spec.m, M=spec.M)
+
+
+def _base_signal(cfg: ExperimentConfig, rng, full_support: bool) -> Signal:
+    """The signal of a scan over sigma: the configured one, else a Gaussian
+    one with full support if asked, else a dilute one with s_grid[0] points
+    (3 without an s_grid).  An s_grid is read only for that dilute draw, so
+    one with more than one entry, or any beside the other two, is refused."""
+    if len(cfg.s_grid) > (cfg.theta0 is None and not full_support):
+        raise ValueError("a %s reads one s_grid entry for a drawn dilute signal and none "
+                         "otherwise, got s_grid %s" % (cfg.scenario, list(cfg.s_grid)))
     if cfg.theta0 is not None:
-        return s, cfg.theta0
+        return cfg.theta0
     if full_support:
         v = rng.normal(size=cfg.L)
         v[v == 0] = 1.0
-        return s, Signal(v)
-    return s, gen_collision_free(_dilute_spec(cfg, s), rng)
+        return Signal(v)
+    return gen_collision_free(_dilute_spec(cfg, cfg.s_grid[0] if cfg.s_grid else 3), rng)
 
 
 def _support_perturbation(theta0: Signal, h_norm: float, rng) -> Signal:
@@ -267,10 +282,11 @@ def _direction(theta0: Signal, kind: str, h_norm: float, rng) -> Signal:
     return _support_perturbation(theta0, h_norm, rng)
 
 
-def _em_cell(cfg: ExperimentConfig, rec: dict, theta0: Signal, sigma: float,
-             cell_seed: tuple) -> float:
-    """One EM fit on n = cfg.n_for(sigma) fresh draws; writes n, the error,
-    iterations and time into rec and returns sqrt(n) varrho."""
+def _em_cell(cfg: ExperimentConfig, rec: dict, theta0: Signal, rclass: RestrictedClass,
+             sigma: float, cell_seed: tuple) -> float:
+    """One EM fit over rclass on n = cfg.n_for(sigma) fresh draws from
+    theta0; writes n, the error, iterations and time into rec and returns
+    sqrt(n) varrho."""
     n = rec["n"] = cfg.n_for(sigma)
     data = simulate(theta0, MraConfig(cfg.L, sigma), n, np.random.default_rng(cell_seed))
     c = cfg.settings
@@ -280,10 +296,6 @@ def _em_cell(cfg: ExperimentConfig, rec: dict, theta0: Signal, sigma: float,
         h = _direction(theta0, policy, c["em.init_perturb"],
                        np.random.default_rng(cell_seed + (7,)))
         init = Signal(theta0.values + h.values)
-    rclass = RestrictedClass("none")
-    if cfg.scenario != "fullsupport-rate":  # the dilute scans
-        spec = _dilute_spec(cfg, len(theta0.support))
-        rclass = RestrictedClass("magnitude-band", theta0.support, m=spec.m, M=spec.M)
     t0 = time.perf_counter()
     theta_hat, diag = em_restricted_mle(data, rclass, init, max_iters=c["em.max_iters"],
                                         tol=c["em.tol"])
@@ -303,15 +315,19 @@ def _record_kl(rec: dict, pair: tuple, h_norm: float) -> float:
 
 
 def _rate_setup(cfg: ExperimentConfig):
-    """EM error vs noise scale; fits the slope of log median sqrt(n) varrho."""
-    s, theta0 = _base_signal(cfg, np.random.default_rng((cfg.seed, 0)),
-                             cfg.scenario == "fullsupport-rate")
+    """EM error vs noise scale; fits the slope of log median sqrt(n) varrho.
+    Every cell fits one class, built here: unrestricted for a full-support
+    scan, else the dilute band on the signal's support."""
+    full = cfg.scenario == "fullsupport-rate"
+    theta0 = _base_signal(cfg, np.random.default_rng((cfg.seed, 0)), full)
+    rclass = RestrictedClass("none") if full else _dilute_band(cfg, theta0)
 
     def trial(t):
-        return [lambda rec, i=i: _em_cell(cfg, rec, theta0, rec["sigma"], (cfg.seed, 1, i, t))
+        return [lambda rec, i=i: _em_cell(cfg, rec, theta0, rclass, rec["sigma"],
+                                          (cfg.seed, 1, i, t))
                 for i in range(len(cfg.sigma_grid))]
 
-    return {"s": s}, trial, {}, None
+    return {"s": len(theta0.support)}, trial, {}, None
 
 
 def _sparsity_setup(cfg: ExperimentConfig):
@@ -325,7 +341,8 @@ def _sparsity_setup(cfg: ExperimentConfig):
     def cell(rec, i, t):
         if cfg.branch == "dilute":
             theta0 = gen_collision_free(_dilute_spec(cfg, rec["s"]), gen_rngs[i])
-            return _em_cell(cfg, rec, theta0, sigma, (cfg.seed, 3, i, t)) / sigma**2
+            return _em_cell(cfg, rec, theta0, _dilute_band(cfg, theta0), sigma,
+                            (cfg.seed, 3, i, t)) / sigma**2
         theta0 = gen_symm_interval(cfg.L, rec["s"], cfg.settings["kl.zeta"], gen_rngs[i])
         h_norm = cfg.settings["kl.h_norm"]
         rng = np.random.default_rng((cfg.seed, 3, i, t))
@@ -347,7 +364,7 @@ def _kl_setup(cfg: ExperimentConfig):
     in one `kl_monte_carlo` call, and its cells record the rows."""
     direction = cfg.settings["kl.direction"]
     rng0 = np.random.default_rng((cfg.seed, 0))
-    s, theta0 = _base_signal(cfg, rng0, direction == "adversarial")
+    theta0 = _base_signal(cfg, rng0, direction == "adversarial")
     h = _direction(theta0, direction, cfg.settings["kl.h_norm"], rng0)
     theta1 = Signal(theta0.values + h.values)
 
@@ -357,7 +374,7 @@ def _kl_setup(cfg: ExperimentConfig):
         return [lambda rec, pair=pair: _record_kl(rec, pair, h.norm()) for pair in pairs]
 
     window = (-4.6, -3.4) if direction == "dilute" else (-6.8, -5.2)
-    return ({"s": s, "direction": direction}, trial,
+    return ({"s": len(theta0.support), "direction": direction}, trial,
             {"direction": direction, "window": list(window)}, window)
 
 

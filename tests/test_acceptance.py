@@ -226,7 +226,7 @@ class TestEmRateScan:
             scenario="dilute-rate", L=21, sigma_grid=(1.0, 2.0, 4.0),
             seed=2026, trials=20, n_base=40_000, n_rule="sigma4",
             signal=theta0.to_json_dict(),
-            dilute={"s": 6, "m": 1.0, "M": 1.2, "eps": 1.0},
+            dilute={"m": 1.0, "M": 1.2, "eps": 1.0},
             em={"init": "perturbed-truth", "init_perturb": 0.1,
                 "max_iters": 300, "tol": 1e-8})
         result = run_experiment(cfg)

@@ -90,13 +90,21 @@ class TestContainer:
             read_container(p)
 
     def test_truncated_payload_rejected(self, tmp_path):
+        # a payload longer than the header's n L 4 bytes is refused too, not
+        # read as its first n rows with the rest dropped
         theta = Signal(np.arange(5, dtype=float))
         data = simulate(theta, MraConfig(5, 0.7), 13, np.random.default_rng(0))
         p = tmp_path / "d.mra"
         write_container(p, data)
-        p.write_bytes(p.read_bytes()[:-12])
-        with pytest.raises(ValueError, match="expected 260 payload bytes.*got 248"):
-            read_container(p)
+        whole = p.read_bytes()
+        for payload, msg in [(whole[:-12], "truncated container: expected 260 payload bytes"
+                                           " .n=13, L=5., got 248"),
+                             (whole + whole, "container has trailing bytes: expected 260"
+                                             " payload bytes .n=13, L=5., got %d"
+                                             % (260 + len(whole)))]:
+            p.write_bytes(payload)
+            with pytest.raises(ValueError, match=msg):
+                read_container(p)
 
     def test_truncated_header_rejected(self, tmp_path):
         p = tmp_path / "d.mra"
@@ -509,8 +517,8 @@ class TestScan:
     def test_out_json_is_stdout(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         _write_json(p, {"scenario": "dilute-rate", "L": 11, "sigma_grid": [0.5, 1.0],
-                        "seed": 7, "n_base": 200, "n_rule": "fixed",
-                        "dilute": {"s": 3, "m": 1.0, "M": 1.05, "eps": 0.5},
+                        "seed": 7, "s_grid": [3], "n_base": 200, "n_rule": "fixed",
+                        "dilute": {"m": 1.0, "M": 1.05, "eps": 0.5},
                         "em": {"max_iters": 10}})
         out_json = tmp_path / "fit.json"
         main(["rate-scan", "--config", str(p), "--out-json", str(out_json)])
@@ -557,8 +565,30 @@ class TestScan:
         err = capsys.readouterr().err
         assert err.startswith("mralab: error: config scenario") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("edit, msg", [
+        ({"signal": Signal.from_support(21, {0: 1.0, 4: 1.0}).to_json_dict()},
+         "class admissibility requires s >= (2+eps) M^2/m^2; got s=2"),
+        ({"s_grid": [3, 4]}, "a dilute-rate reads one s_grid entry"),
+        ({"s_grid": [5], "signal": Signal.from_support(
+            21, {-8: 1.0, -3: 1.0, 0: 1.0, 2: 1.0, 7: 1.0}).to_json_dict()},
+         "a dilute-rate reads one s_grid entry"),
+        ({"dilute": {"s": 3, "m": 1.0, "M": 1.05, "eps": 0.5}}, "unknown dilute key 's'")],
+        ids=["inadmissible-signal", "two-s", "s_grid-beside-signal", "dilute-s"])
+    def test_sigma_scan_s_refused_in_one_line(self, tmp_path, capsys, edit, msg):
+        # the first drew 6 x 20000 rows, then failed every cell; the next two
+        # ran one s and recorded another, and dilute.s was a second source of s
+        cfg = {"scenario": "dilute-rate", "L": 21, "sigma_grid": [1.0, 2.0], "seed": 0,
+               "trials": 3, "n_base": 20_000, "n_rule": "fixed",
+               "dilute": {"m": 1.0, "M": 1.05, "eps": 0.5}}
+        p, out = tmp_path / "cfg.json", tmp_path / "fit.json"
+        _write_json(p, dict(cfg, **edit))
+        assert cli.entry_point(["rate-scan", "--config", str(p), "--out-json", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mralab: error: " + msg) and err.count("\n") == 1, err
+        assert not out.exists()
 
-SIGNAL4 = {"L": 4, "format": "standard-parametrization", "support": [0, 1],
+
+SIGNAL4 ={"L": 4, "format": "standard-parametrization", "support": [0, 1],
            "values": [1.0, 2.0]}
 KL_SCAN = {"scenario": "kl-curvature-scan", "L": 8, "sigma_grid": [2.0], "seed": 0,
            "s_grid": [3], "kl": {"n_mc": 1000}}

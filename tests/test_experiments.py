@@ -101,9 +101,10 @@ class TestConfig:
                              seed=0, em={"init": "perturbed_truth"})
 
     @pytest.mark.parametrize("sub, key", [("em", "max_iter"), ("kl", "nmc"),
-                                          ("dilute", "sparsity")])
+                                          ("dilute", "sparsity"), ("dilute", "s")])
     def test_unknown_sub_key_named(self, sub, key):
-        # a misspelt key would otherwise leave its default silently in force
+        # a misspelt key would otherwise leave its default silently in force;
+        # dilute.s is none, since a scan's s comes from its signal
         with pytest.raises(ValueError, match="unknown %s key '%s'" % (sub, key)):
             ExperimentConfig(scenario="dilute-rate", L=8, sigma_grid=(1.0,),
                              seed=0, **{sub: {key: 1}})
@@ -174,8 +175,8 @@ class TestSupportPerturbation:
 
 
 SMALL_RATE = dict(scenario="dilute-rate", L=11, sigma_grid=(0.5, 1.0), seed=7,
-                  trials=2, n_base=300, n_rule="fixed",
-                  dilute={"s": 3, "m": 1.0, "M": 1.05, "eps": 0.5},
+                  trials=2, s_grid=(3,), n_base=300, n_rule="fixed",
+                  dilute={"m": 1.0, "M": 1.05, "eps": 0.5},
                   em={"init": "perturbed-truth", "init_perturb": 0.05,
                       "max_iters": 60})
 
@@ -217,10 +218,10 @@ class TestRateScan:
         clean = run_experiment(ExperimentConfig(**cfg)).records
         real = experiments._em_cell
 
-        def flaky(cfg, rec, theta0, sigma, cell_seed):
+        def flaky(cfg, rec, theta0, rclass, sigma, cell_seed):
             if cell_seed[2:] == (1, 2):  # sigma 1.0, trial 2
                 raise FloatingPointError("cell (1, 2) failed")
-            return real(cfg, rec, theta0, sigma, cell_seed)
+            return real(cfg, rec, theta0, rclass, sigma, cell_seed)
 
         monkeypatch.setattr(experiments, "_em_cell", flaky)
         res = run_experiment(ExperimentConfig(**cfg))
@@ -233,6 +234,57 @@ class TestRateScan:
                 assert strip(got) == strip(want)
         assert res.records[2]["trial"] == 2 and "sqrt_n_varrho" in res.records[2]
         assert res.fits["failures"] == 1
+
+    @pytest.mark.parametrize("init", ["truth", "perturbed-truth", "adversarial"])
+    def test_each_init_policy(self, init):
+        res = run_experiment(ExperimentConfig(**dict(SMALL_RATE, em=dict(SMALL_RATE["em"],
+                                                                         init=init))))
+        assert len(res.records) == 4 and not any(r["failed"] for r in res.records)
+        assert res.fits["failures"] == 0
+
+    def test_full_support_scan(self):
+        cfg = dict(scenario="fullsupport-rate", L=9, sigma_grid=(0.5, 1.0), seed=3, trials=2,
+                   n_base=300, n_rule="fixed", em={"max_iters": 30})
+        res = run_experiment(ExperimentConfig(**cfg))
+        strip = lambda rs: [{k: v for k, v in r.items() if k != "wall_time"} for r in rs]
+        assert [r["s"] for r in res.records] == [9] * 4  # once the 3 of dilute.s
+        assert not any(r["failed"] for r in res.records)
+        assert strip(res.records) == strip(run_experiment(ExperimentConfig(**cfg)).records)
+
+
+class TestSigmaScanSignal:
+    """A scan over sigma reads its s, and a rate scan its EM class, off its
+    one signal, in setup, before any cell draws."""
+
+    FIVE = Signal.from_support(21, {-8: 1.0, -3: 1.02, 0: -1.01, 2: 1.03, 7: -1.0})
+    RATE = dict(scenario="dilute-rate", L=21, sigma_grid=(0.5, 1.0), seed=5, n_base=200,
+                n_rule="fixed", dilute={"m": 1.0, "M": 1.05, "eps": 0.5}, em={"max_iters": 20})
+
+    def test_configured_signal_records_its_support_size(self):
+        res = run_experiment(ExperimentConfig(**self.RATE, signal=self.FIVE.to_json_dict()))
+        assert [r["s"] for r in res.records] == [5, 5]  # once the 3 of dilute.s
+        assert not any(r["failed"] for r in res.records)
+
+    def test_inadmissible_signal_refused_before_drawing(self, monkeypatch):
+        # (2 + 0.5) 1.05^2 = 2.76 > 2: every cell used to draw its rows, then fail
+        calls = []
+        monkeypatch.setattr(experiments, "simulate", lambda *a: calls.append(a))
+        two = Signal.from_support(21, {0: 1.0, 4: 1.0}).to_json_dict()
+        with pytest.raises(ValueError, match="class admissibility requires s >= .* got s=2"):
+            run_experiment(ExperimentConfig(**self.RATE, signal=two))
+        assert calls == []
+
+    @pytest.mark.parametrize("edit", [
+        {"s_grid": (3, 4)},
+        {"s_grid": (3,), "signal": FIVE.to_json_dict()},
+        {"s_grid": (3,), "scenario": "fullsupport-rate"},
+        {"s_grid": (3,), "scenario": "kl-curvature-scan", "kl": {"direction": "adversarial"}}],
+        ids=["two-entries", "configured-signal", "full-support", "kl-adversarial"])
+    def test_unread_s_grid_refused(self, edit):
+        # [3, 4] ran only s = 3, and the other three were recorded and not read
+        with pytest.raises(ValueError, match=r"reads one s_grid entry for a drawn dilute "
+                                             r"signal and none otherwise, got s_grid \[3"):
+            run_experiment(ExperimentConfig(**dict(self.RATE, **edit)))
 
 
 class TestSparsityScan:
